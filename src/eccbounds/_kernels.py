@@ -1,98 +1,13 @@
-"""Hot numeric kernels: all-pairs BFS and cyclic Jacobi rotation sweeps.
-
-Each kernel has two interchangeable implementations:
-
-* loop kernels compiled with numba ``@njit`` (the default when numba imports),
-* a vectorized pure-numpy fallback.
-
-Setting the environment variable ``ECCBOUNDS_NO_NUMBA=1`` before import forces
-the numpy fallback. The selected backend is reported in ``BACKEND``, and both
-implementations stay importable for benchmarks and equivalence tests.
-"""
+"""Hot numeric kernels: all-pairs BFS and cyclic Jacobi rotation sweeps."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 _THETA_OVERFLOW = 1.0e150  # beyond this, tan(angle/2) collapses to 1/(2*theta)
 
 
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compiled when available)
-# ---------------------------------------------------------------------------
-
-def _bfs_all_pairs_loops(indptr, indices, n):
-    dist = np.full((n, n), -1, dtype=np.int64)
-    queue = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        drow = dist[s]
-        drow[s] = 0
-        queue[0] = s
-        head = 0
-        tail = 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = drow[u]
-            for k in range(indptr[u], indptr[u + 1]):
-                w = indices[k]
-                if drow[w] < 0:
-                    drow[w] = du + 1
-                    queue[tail] = w
-                    tail += 1
-    return dist
-
-
-def _jacobi_sweeps_loops(a, v, off_tol, max_sweeps):
-    n = a.shape[0]
-    for sweep in range(1, max_sweeps + 1):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if abs(theta) > _THETA_OVERFLOW:
-                    t = 0.5 / theta
-                elif theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (np.sqrt(theta * theta + 1.0) - theta)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                for i in range(n):
-                    aip = a[i, p]
-                    aiq = a[i, q]
-                    a[i, p] = c * aip - s * aiq
-                    a[i, q] = s * aip + c * aiq
-                for i in range(n):
-                    api = a[p, i]
-                    aqi = a[q, i]
-                    a[p, i] = c * api - s * aqi
-                    a[q, i] = s * api + c * aqi
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for i in range(n):
-                    vip = v[i, p]
-                    viq = v[i, q]
-                    v[i, p] = c * vip - s * viq
-                    v[i, q] = s * vip + c * viq
-        off2 = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off2 += a[i, j] * a[i, j]
-        if np.sqrt(2.0 * off2) <= off_tol:
-            return sweep, True
-    return max_sweeps, False
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy fallback implementations
-# ---------------------------------------------------------------------------
-
-def _bfs_all_pairs_numpy(indptr, indices, n):
+def bfs_all_pairs(indptr, indices, n):
     """Level-by-level reachability expansion via BLAS matrix products."""
     adj = np.zeros((n, n), dtype=bool)
     rows = np.repeat(np.arange(n), np.diff(indptr))
@@ -114,7 +29,7 @@ def _bfs_all_pairs_numpy(indptr, indices, n):
     return dist
 
 
-def _jacobi_sweeps_numpy(a, v, off_tol, max_sweeps):
+def jacobi_sweeps(a, v, off_tol, max_sweeps):
     """Row-cyclic Jacobi sweeps with vectorized rotation application."""
     n = a.shape[0]
     for sweep in range(1, max_sweeps + 1):
@@ -150,35 +65,3 @@ def _jacobi_sweeps_numpy(a, v, off_tol, max_sweeps):
         if off <= off_tol:
             return sweep, True
     return max_sweeps, False
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def _numba_disabled() -> bool:
-    return os.environ.get("ECCBOUNDS_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-bfs_all_pairs_numpy = _bfs_all_pairs_numpy
-jacobi_sweeps_numpy = _jacobi_sweeps_numpy
-bfs_all_pairs_numba = None
-jacobi_sweeps_numba = None
-
-if not _numba_disabled():
-    try:
-        import numba
-    except ImportError:
-        numba = None
-    if numba is not None:
-        bfs_all_pairs_numba = numba.njit(cache=True)(_bfs_all_pairs_loops)
-        jacobi_sweeps_numba = numba.njit(cache=True)(_jacobi_sweeps_loops)
-
-if jacobi_sweeps_numba is not None:
-    BACKEND = "numba"
-    bfs_all_pairs = bfs_all_pairs_numba
-    jacobi_sweeps = jacobi_sweeps_numba
-else:
-    BACKEND = "numpy"
-    bfs_all_pairs = bfs_all_pairs_numpy
-    jacobi_sweeps = jacobi_sweeps_numpy

@@ -37,21 +37,16 @@ TIGHTNESS_FAMILIES = ("path", "cycle", "star", "complete")
 #: Ratio bound/lambda2 may exceed 1 only by this much (floating-point slack).
 RATIO_TOL = 1e-9
 
-#: Column order for analyze reports; slack columns mirror the bound columns.
-CSV_COLUMNS = (
-    "n",
-    "m",
-    "ell",
-    "s1",
-    "s2",
-    "s_ell",
-    "diameter",
-    "e_power",
-    "e_complement",
+#: Integer columns of analyze reports; diameter is None when disconnected.
+_INT_COLUMNS = ("n", "m", "ell", "s1", "s2", "s_ell", "diameter", "e_power", "e_complement")
+#: Real columns of analyze reports; slack columns mirror the bound columns.
+_REAL_COLUMNS = (
     "lambda2",
     *(f"bound_{name}" for name in BOUND_NAMES),
     *(f"slack_{name}" for name in BOUND_NAMES),
 )
+#: Column order for analyze reports.
+CSV_COLUMNS = _INT_COLUMNS + _REAL_COLUMNS
 
 
 def _fmt_real(x: float | None) -> str:
@@ -64,43 +59,35 @@ def _json_real(x: float | None) -> float | None:
     return None if x is None else float(f"{x:.12g}")
 
 
+def _report_row(report: BoundReport) -> dict[str, object]:
+    """The analyze report's values keyed by column, in CSV_COLUMNS order."""
+    row: dict[str, object] = {}
+    for column in CSV_COLUMNS:
+        kind, _, name = column.partition("_")
+        if kind == "bound":
+            row[column] = report.bounds[name]
+        elif kind == "slack":
+            row[column] = report.slacks[name]
+        else:
+            row[column] = getattr(report, column)
+    return row
+
+
 def report_csv(report: BoundReport) -> str:
     """One header line plus one data row in the pinned column order."""
     fields = [
-        str(report.n),
-        str(report.m),
-        str(report.ell),
-        str(report.s1),
-        str(report.s2),
-        str(report.s_ell),
-        "" if report.diameter is None else str(report.diameter),
-        str(report.e_power),
-        str(report.e_complement),
-        _fmt_real(report.lambda2),
-        *(_fmt_real(report.bounds[name]) for name in BOUND_NAMES),
-        *(_fmt_real(report.slacks[name]) for name in BOUND_NAMES),
+        _fmt_real(value) if column in _REAL_COLUMNS else "" if value is None else str(value)
+        for column, value in _report_row(report).items()
     ]
     return ",".join(CSV_COLUMNS) + "\n" + ",".join(fields) + "\n"
 
 
 def report_json(report: BoundReport) -> str:
     """JSON object with the same fields as the CSV plus the tight-bound list."""
-    obj: dict[str, object] = {
-        "n": report.n,
-        "m": report.m,
-        "ell": report.ell,
-        "s1": report.s1,
-        "s2": report.s2,
-        "s_ell": report.s_ell,
-        "diameter": report.diameter,
-        "e_power": report.e_power,
-        "e_complement": report.e_complement,
-        "lambda2": _json_real(report.lambda2),
+    obj = {
+        column: _json_real(value) if column in _REAL_COLUMNS else value  # type: ignore[arg-type]
+        for column, value in _report_row(report).items()
     }
-    for name in BOUND_NAMES:
-        obj[f"bound_{name}"] = _json_real(report.bounds[name])
-    for name in BOUND_NAMES:
-        obj[f"slack_{name}"] = _json_real(report.slacks[name])
     obj["tight"] = [name for name in BOUND_NAMES if report.tight.get(name, False)]
     return json.dumps(obj, indent=2) + "\n"
 
@@ -339,8 +326,9 @@ class TightnessRecord:
 def run_tightness(family: str, n_max: int, ell_policy: int | str = "all") -> list[TightnessRecord]:
     """Rank every bound/lambda2 ratio across a family, sharpest first.
 
-    Members are swept for n from 3 to n_max; ties in the ratio are broken by
-    (n, ell, bound order) so the listing is deterministic.
+    Members are swept for n from 3 to n_max. Ratios are compared as printed
+    (12 significant digits), and ties are broken by (n, ell, bound order), so
+    the listing does not depend on last-bit eigensolver noise.
     """
     if family not in TIGHTNESS_FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {TIGHTNESS_FAMILIES}")
@@ -373,7 +361,7 @@ def run_tightness(family: str, n_max: int, ell_policy: int | str = "all") -> lis
                     )
                 )
     order = {name: i for i, name in enumerate(BOUND_NAMES)}
-    records.sort(key=lambda r: (-r.ratio, r.n, r.ell, order[r.bound]))
+    records.sort(key=lambda r: (-_json_real(r.ratio), r.n, r.ell, order[r.bound]))
     return records
 
 
@@ -514,3 +502,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,11 +1,14 @@
 """CLI subcommands: analyze, verify, tightness, power."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from eccbounds import cli
-from eccbounds.bounds import evaluate_all
+from eccbounds.bounds import BOUND_NAMES, evaluate_all
 from eccbounds.graphs import complete_graph, load_edge_list, parse_edge_list, path_graph
 from eccbounds.metrics import all_pairs_distances, power_graph
 
@@ -48,6 +51,12 @@ class TestAnalyze:
         assert obj["n"] == 4 and obj["lambda2"] == pytest.approx(4.0, abs=1e-9)
         assert "s1" in obj["tight"]
         assert obj["bound_s1"] == 4.0
+
+    def test_json_keys_follow_csv_columns(self, p4_file, capsys):
+        assert cli.main(["analyze", p4_file, "--ell", "3", "--format", "json"]) == 0
+        keys = list(json.loads(capsys.readouterr().out))
+        assert keys[-1] == "tight"
+        assert tuple(keys[:-1]) == cli.CSV_COLUMNS
 
     def test_disconnected_fields_empty_and_null(self, tmp_path, capsys):
         path = tmp_path / "d.txt"
@@ -167,6 +176,14 @@ class TestTightness:
         for n in range(3, 9):
             assert any(r["n"] == n and r["bound"] == "s1" and r["ratio"] == 1.0 for r in records)
 
+    @pytest.mark.parametrize("family", ["star", "complete"])
+    def test_equal_printed_ratios_in_documented_order(self, family, capsys):
+        assert cli.main(["tightness", "--family", family, "--n-max", "8"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        rank = {name: i for i, name in enumerate(BOUND_NAMES)}
+        keys = [(-float(r[6]), int(r[1]), int(r[2]), rank[r[3]]) for r in rows]
+        assert keys == sorted(keys)
+
     def test_fixed_ell(self, capsys):
         assert cli.main(["tightness", "--family", "cycle", "--n-max", "7", "--ell", "2"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")[1:]
@@ -211,3 +228,27 @@ class TestEntryPoints:
         monkeypatch.setattr("sys.argv", ["eccbounds", "--help"])
         with pytest.raises(SystemExit):
             cli.entry()
+
+
+class TestModuleExecution:
+    @staticmethod
+    def run_module(module, *argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    @pytest.mark.parametrize("module", ["eccbounds", "eccbounds.cli"])
+    def test_analyze_prints_csv(self, module, p4_file):
+        res = self.run_module(module, "analyze", p4_file, "--ell", "2")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split("\n")[0] == ",".join(cli.CSV_COLUMNS)
+        assert res.stdout == cli.report_csv(evaluate_all(path_graph(4), 2))
+
+    @pytest.mark.parametrize("module", ["eccbounds", "eccbounds.cli"])
+    def test_missing_file_exits_2(self, module, tmp_path):
+        res = self.run_module(module, "analyze", str(tmp_path / "missing.txt"), "--ell", "2")
+        assert res.returncode == 2
+        assert "error:" in res.stderr and res.stdout == ""

@@ -1,26 +1,10 @@
-"""Equivalence of the compiled kernels and their pure-numpy fallbacks."""
-
-import os
-import subprocess
-import sys
+"""The all-pairs BFS and Jacobi sweep kernels against independent references."""
 
 import numpy as np
-import pytest
 
 import eccbounds._kernels as kernels
-from eccbounds.graphs import Graph, erdos_renyi, path_graph, random_tree
+from eccbounds.graphs import Graph, path_graph
 from eccbounds.spectral import MAX_SWEEPS, OFF_DIAG_REL_TOL
-
-HAVE_NUMBA = kernels.bfs_all_pairs_numba is not None
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not available")
-
-
-def sample_graphs() -> list[Graph]:
-    graphs = [path_graph(6), Graph.from_edges(5, [(0, 1), (2, 3)]), Graph.from_edges(3, [])]
-    graphs += [erdos_renyi(n, p, seed=n * 7 + int(p * 10)) for n in (2, 5, 9, 14) for p in (0.2, 0.6)]
-    graphs += [random_tree(12, seed=s) for s in range(3)]
-    return graphs
 
 
 def sample_matrices() -> list[np.ndarray]:
@@ -32,102 +16,30 @@ def sample_matrices() -> list[np.ndarray]:
     return mats
 
 
-def run_jacobi(kernel, a: np.ndarray):
+def run_jacobi(a: np.ndarray):
     work = np.array(a, dtype=np.float64, copy=True)
     vecs = np.eye(a.shape[0])
     off_tol = OFF_DIAG_REL_TOL * float(np.linalg.norm(a))
-    sweeps, converged = kernel(work, vecs, off_tol, MAX_SWEEPS)
+    sweeps, converged = kernels.jacobi_sweeps(work, vecs, off_tol, MAX_SWEEPS)
     return np.sort(np.diag(work)), vecs, sweeps, converged
 
 
 class TestBfsKernels:
     def test_numpy_fallback_matches_reference_distances(self):
         g = path_graph(4)
-        dist = kernels.bfs_all_pairs_numpy(g.indptr, g.indices, g.n)
+        dist = kernels.bfs_all_pairs(g.indptr, g.indices, g.n)
         assert np.array_equal(dist, [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]])
-
-    @needs_numba
-    def test_backends_agree(self):
-        for g in sample_graphs():
-            a = kernels.bfs_all_pairs_numba(g.indptr, g.indices, g.n)
-            b = kernels.bfs_all_pairs_numpy(g.indptr, g.indices, g.n)
-            assert np.array_equal(a, b), f"BFS backends disagree on {g!r}"
 
     def test_unreachable_encoded_as_minus_one(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        dist = kernels.bfs_all_pairs_numpy(g.indptr, g.indices, g.n)
+        dist = kernels.bfs_all_pairs(g.indptr, g.indices, g.n)
         assert dist[0, 2] == -1 and dist[1, 3] == -1
 
 
 class TestJacobiKernels:
     def test_numpy_fallback_converges(self):
         for a in sample_matrices():
-            eigs, vecs, sweeps, converged = run_jacobi(kernels.jacobi_sweeps_numpy, a)
+            eigs, vecs, sweeps, converged = run_jacobi(a)
             assert converged and sweeps <= MAX_SWEEPS
             assert np.allclose(eigs, np.linalg.eigvalsh(a), atol=1e-9 * max(1.0, np.abs(a).max()))
             assert np.allclose(vecs.T @ vecs, np.eye(a.shape[0]), atol=1e-10)
-
-    @needs_numba
-    def test_backends_agree(self):
-        for a in sample_matrices():
-            eigs_nb, _, _, conv_nb = run_jacobi(kernels.jacobi_sweeps_numba, a)
-            eigs_np, _, _, conv_np = run_jacobi(kernels.jacobi_sweeps_numpy, a)
-            assert conv_nb and conv_np
-            assert np.allclose(eigs_nb, eigs_np, atol=1e-10 * max(1.0, np.abs(a).max()))
-
-
-class TestBackendSelection:
-    def test_selected_backend_is_exported(self):
-        assert kernels.BACKEND in ("numba", "numpy")
-        if kernels.BACKEND == "numba":
-            assert kernels.bfs_all_pairs is kernels.bfs_all_pairs_numba
-            assert kernels.jacobi_sweeps is kernels.jacobi_sweeps_numba
-        else:
-            assert kernels.bfs_all_pairs is kernels.bfs_all_pairs_numpy
-            assert kernels.jacobi_sweeps is kernels.jacobi_sweeps_numpy
-
-    def test_env_flag_forces_numpy(self):
-        env = dict(os.environ, ECCBOUNDS_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "import eccbounds._kernels as k; print(k.BACKEND)"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    @needs_numba
-    def test_default_prefers_numba(self):
-        env = {k: v for k, v in os.environ.items() if k != "ECCBOUNDS_NO_NUMBA"}
-        out = subprocess.run(
-            [sys.executable, "-c", "import eccbounds._kernels as k; print(k.BACKEND)"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numba"
-
-    def test_results_identical_under_fallback_pipeline(self):
-        # full pipeline equality under the env flag, via a subprocess
-        script = (
-            "from eccbounds.graphs import erdos_renyi\n"
-            "from eccbounds.bounds import evaluate_all\n"
-            "g = erdos_renyi(10, 0.4, seed=3)\n"
-            "r = evaluate_all(g, 3)\n"
-            "print(repr(r.lambda2), r.s_ell, r.e_power)\n"
-        )
-        outs = []
-        for flag in ("0", "1"):
-            env = dict(os.environ, ECCBOUNDS_NO_NUMBA=flag)
-            res = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-            )
-            outs.append(res.stdout)
-        # BFS is exact either way; Jacobi rotations apply the same arithmetic,
-        # so lambda2 matches to near machine precision
-        lam0, s0, e0 = outs[0].split()
-        lam1, s1, e1 = outs[1].split()
-        assert (s0, e0) == (s1, e1)
-        assert abs(float(lam0) - float(lam1)) <= 1e-12
