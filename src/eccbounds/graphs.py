@@ -7,6 +7,7 @@ deterministic and membership tests are O(log deg).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -56,22 +57,16 @@ class Graph:
 
     @classmethod
     def _from_edge_set(cls, n: int, edge_set: set[tuple[int, int]]) -> "Graph":
-        deg = np.zeros(n, dtype=np.int64)
-        for u, v in edge_set:
-            deg[u] += 1
-            deg[v] += 1
+        pairs = np.fromiter(
+            chain.from_iterable(edge_set), dtype=np.int64, count=2 * len(edge_set)
+        ).reshape(-1, 2)
+        # each edge {u, v} becomes the entries u -> v and v -> u; sorting them by
+        # (row, column) leaves every neighbor list sorted
+        rows = pairs.ravel()
+        cols = pairs[:, ::-1].ravel()
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        fill = indptr[:-1].copy()
-        # lexicographic fill order leaves every row sorted: row v receives its
-        # smaller neighbors in increasing order first, then its larger ones
-        for u, v in sorted(edge_set):
-            indices[fill[u]] = v
-            fill[u] += 1
-            indices[fill[v]] = u
-            fill[v] += 1
-        return cls(n, indptr, indices)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(n, indptr, cols[np.lexsort((cols, rows))])
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "Graph":
@@ -106,10 +101,14 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield u, int(v)
+        us, vs = self._upper_edges()
+        return zip(us.tolist(), vs.tolist())
+
+    def _upper_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays (u, v) of the CSR entries with u < v, in CSR order."""
+        rows = np.repeat(np.arange(self.n), self.degrees())
+        upper = rows < self.indices
+        return rows[upper], self.indices[upper]
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency matrix."""
@@ -193,9 +192,8 @@ def parse_edge_list(text: str) -> Graph:
 
 def serialize_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list; edges emitted in lexicographic order."""
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    flat = np.column_stack(g._upper_edges()).ravel().tolist()
+    return f"n {g.n}\n" + ("%d %d\n" * g.m) % tuple(flat)
 
 
 def load_edge_list(path: str) -> Graph:

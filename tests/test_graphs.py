@@ -83,6 +83,20 @@ class TestParse:
     def test_serialize_parse_round_trip(self, g: Graph):
         assert parse_edge_list(serialize_edge_list(g)) == g
 
+    def test_serialize_single_node_without_edges(self):
+        assert serialize_edge_list(Graph.from_edges(1, [])) == "n 1\n"
+
+    def test_serialize_with_isolated_nodes(self):
+        g = Graph.from_edges(7, [(5, 2), (1, 2), (2, 4)])
+        assert serialize_edge_list(g) == "n 7\n1 2\n2 4\n2 5\n"
+
+    def test_serialize_fixed_erdos_renyi(self):
+        expected = (
+            "n 9\n0 2\n0 3\n0 6\n0 7\n0 8\n1 3\n1 6\n1 8\n2 7\n2 8\n"
+            "3 5\n3 7\n3 8\n4 6\n4 7\n4 8\n5 7\n6 7\n"
+        )
+        assert serialize_edge_list(erdos_renyi(9, 0.35, seed=2024)) == expected
+
     def test_load_edge_list(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("n 3\n0 1\n1 2\n", encoding="utf-8")
@@ -102,6 +116,17 @@ class TestConstruction:
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
         assert g.m == 1
         assert list(g.neighbors(0)) == [1] and list(g.neighbors(1)) == [0]
+
+    def test_csr_arrays_with_isolated_nodes(self):
+        g = Graph.from_edges(7, [(5, 2), (1, 2), (2, 4)])
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+        assert g.indptr.tolist() == [0, 0, 1, 4, 4, 5, 6, 6]
+        assert g.indices.tolist() == [2, 1, 4, 5, 2, 2]
+
+    def test_csr_arrays_without_edges(self):
+        g = Graph.from_edges(4, [])
+        assert g.m == 0 and g.indptr.tolist() == [0, 0, 0, 0, 0]
+        assert g.indices.shape == (0,) and g.indices.dtype == np.int64
 
     def test_adjacency_round_trip(self):
         g = erdos_renyi(9, 0.5, seed=3)
