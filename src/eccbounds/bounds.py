@@ -1,13 +1,18 @@
 """Lower bounds on algebraic connectivity from eccentricity counts.
 
 Every bound here is a guaranteed lower bound on lambda2 for simple undirected
-graphs. ``evaluate_all`` runs the whole pipeline on one graph and collects the
-bound values, slacks, and tightness flags into a single report.
+graphs. ``GraphAnalysis`` holds what every bound and certificate of one graph
+is computed from (distances, eccentricities, power graphs, L(G) and lambda2),
+each computed once. ``evaluate_all`` reads one analysis and collects the bound
+values, slacks, and tightness flags into a single report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .graphs import Graph
 from .metrics import (
@@ -17,7 +22,7 @@ from .metrics import (
     eccentricity_profile,
     power_graph,
 )
-from .spectral import lambda2
+from .spectral import lambda2, laplacian
 
 #: Fixed report order for bound values, slacks, and tightness flags.
 BOUND_NAMES = ("s1", "s2_over_n", "g1", "g1_diam", "mohar", "g2", "lu")
@@ -143,36 +148,73 @@ class BoundReport:
     tight: dict[str, bool]
 
 
-def evaluate_all(g: Graph, ell: int) -> BoundReport:
-    """Run the full pipeline on one graph and evaluate every bound.
+class GraphAnalysis:
+    """The distance matrix, eccentricity profile, power graphs and L(G) of one graph.
+
+    Distances and the profile are computed on construction; ``power(ell)`` is
+    memoised per ell; ``laplacian`` (L(G)) and ``lambda2`` are computed on first
+    use. Pass one analysis to ``evaluate_all``, the certificates and
+    ``check_chain`` so they share this work instead of each repeating it.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.n = g.n
+        self.m = g.m
+        self.dist = all_pairs_distances(g)
+        self.profile = eccentricity_profile(self.dist)
+        self.connected = self.profile.diameter != UNREACHABLE
+        self._powers: dict[int, Graph] = {}
+
+    def power(self, ell: int) -> Graph:
+        if ell not in self._powers:
+            self._powers[ell] = power_graph(self.graph, self.dist, ell)
+        return self._powers[ell]
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        lap = laplacian(self.graph)
+        lap.flags.writeable = False  # shared by every check on this graph
+        return lap
+
+    @cached_property
+    def lambda2(self) -> float:
+        return lambda2(self.graph)
+
+
+def analysis_for(task: str, g: Graph | GraphAnalysis, ell: int, min_ell: int) -> GraphAnalysis:
+    """Check n >= 2 and ell >= min_ell for ``task``; return g, or a fresh analysis of a Graph."""
+    if g.n < 2:
+        raise ValueError(f"{task} needs n >= 2, got n={g.n}")
+    if ell < min_ell:
+        raise ValueError(f"ell must be >= {min_ell}, got {ell}")
+    return g if isinstance(g, GraphAnalysis) else GraphAnalysis(g)
+
+
+def evaluate_all(g: Graph | GraphAnalysis, ell: int) -> BoundReport:
+    """Evaluate every bound on one graph, reusing ``g``'s analysis if given one.
 
     Disconnected graphs are reported, not rejected: the eccentricity counts
     are all zero, the count-based bounds evaluate to 0, and the
     diameter-dependent bounds are marked not applicable.
     """
-    if g.n < 2:
-        raise ValueError(f"bound evaluation needs n >= 2, got n={g.n}")
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
-    dist = all_pairs_distances(g)
-    profile = eccentricity_profile(dist)
-    s1 = count_s_ell(profile, 1)
-    s2 = count_s_ell(profile, 2)
-    s_ell = count_s_ell(profile, ell)
-    power = power_graph(g, dist, ell)
-    e_complement = g.n * (g.n - 1) // 2 - g.m
-    lam = lambda2(g)
-    connected = profile.diameter != UNREACHABLE
-    d = profile.diameter if connected else None
+    a = analysis_for("bound evaluation", g, ell, 2)
+    s1 = count_s_ell(a.profile, 1)
+    s2 = count_s_ell(a.profile, 2)
+    s_ell = count_s_ell(a.profile, ell)
+    power = a.power(ell)
+    e_complement = a.n * (a.n - 1) // 2 - a.m
+    lam = a.lambda2
+    d = a.profile.diameter if a.connected else None
 
     bounds: dict[str, float | None] = {
         "s1": bound_s1(s1),
-        "s2_over_n": bound_s2_over_n(s2, g.n),
-        "g1": bound_g1(g.n, ell, s_ell),
-        "g1_diam": bound_g1_diam(g.n, d) if connected else None,
-        "mohar": bound_mohar(g.n, d) if connected else None,
-        "g2": bound_g2(s_ell, ell, power.m, g.m),
-        "lu": bound_lu(g.n, d, e_complement) if connected else None,
+        "s2_over_n": bound_s2_over_n(s2, a.n),
+        "g1": bound_g1(a.n, ell, s_ell),
+        "g1_diam": bound_g1_diam(a.n, d) if a.connected else None,
+        "mohar": bound_mohar(a.n, d) if a.connected else None,
+        "g2": bound_g2(s_ell, ell, power.m, a.m),
+        "lu": bound_lu(a.n, d, e_complement) if a.connected else None,
     }
     slacks: dict[str, float | None] = {
         name: (lam - value) if value is not None else None for name, value in bounds.items()
@@ -180,8 +222,8 @@ def evaluate_all(g: Graph, ell: int) -> BoundReport:
     tight_cut = TIGHTNESS_REL_TOL * max(1.0, lam)
     tight = {name: slack <= tight_cut for name, slack in slacks.items() if slack is not None}
     return BoundReport(
-        n=g.n,
-        m=g.m,
+        n=a.n,
+        m=a.m,
         ell=ell,
         s1=s1,
         s2=s2,

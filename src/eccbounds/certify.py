@@ -15,15 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import gamma
+from .bounds import GraphAnalysis, analysis_for, gamma
 from .graphs import Graph
-from .metrics import (
-    UNREACHABLE,
-    all_pairs_distances,
-    count_s_ell,
-    eccentricity_profile,
-    power_graph,
-)
+from .metrics import all_pairs_distances, count_s_ell, eccentricity_profile
 from .spectral import CertificateResult, eigen_decompose, is_psd, laplacian
 
 #: Relative tolerance for the two inequality links of the spectral chain.
@@ -53,71 +47,56 @@ class ChainCheck:
         return all(self.links_hold)
 
 
-def _require_connected(diameter: int, operation: str) -> None:
-    if diameter == UNREACHABLE:
-        raise ValueError(f"{operation} requires a connected graph")
-
-
-def certify_g1_matrix(g: Graph, ell: int, tol: float | None = None) -> CertificateResult:
+def certify_g1_matrix(
+    g: Graph | GraphAnalysis, ell: int, tol: float | None = None
+) -> CertificateResult:
     """Certify that gamma(n, ell) * L(G) - L(G^ell) is positive semi-definite.
 
     The graph must be connected; this is the hypothesis under which the
     matrix inequality holds. ``tol`` overrides the default scaled PSD
     tolerance; the tolerance actually used is recorded in the result.
     """
-    if g.n < 2:
-        raise ValueError(f"certificate needs n >= 2, got n={g.n}")
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
-    dist = all_pairs_distances(g)
-    profile = eccentricity_profile(dist)
-    _require_connected(profile.diameter, "certify_g1_matrix")
-    power = power_graph(g, dist, ell)
-    matrix = gamma(g.n, ell) * laplacian(g) - laplacian(power)
+    a = analysis_for("certificate", g, ell, 2)
+    if not a.connected:
+        raise ValueError("certify_g1_matrix requires a connected graph")
+    matrix = gamma(a.n, ell) * a.laplacian - laplacian(a.power(ell))
     return is_psd(matrix, tol)
 
 
-def certify_g2_matrix(g: Graph, ell: int, tol: float | None = None) -> CertificateResult:
+def certify_g2_matrix(
+    g: Graph | GraphAnalysis, ell: int, tol: float | None = None
+) -> CertificateResult:
     """Certify that (1 + ell*(e(G^ell) - m)) * L(G) - L(G^ell) is PSD.
 
     Valid for ell >= 1 and for disconnected graphs as well; at ell = 1 the
     matrix is identically zero. ``tol`` overrides the default scaled PSD
     tolerance.
     """
-    if g.n < 2:
-        raise ValueError(f"certificate needs n >= 2, got n={g.n}")
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    dist = all_pairs_distances(g)
-    power = power_graph(g, dist, ell)
-    coeff = 1 + ell * (power.m - g.m)
-    matrix = float(coeff) * laplacian(g) - laplacian(power)
+    a = analysis_for("certificate", g, ell, 1)
+    power = a.power(ell)
+    coeff = 1 + ell * (power.m - a.m)
+    matrix = float(coeff) * a.laplacian - laplacian(power)
     return is_psd(matrix, tol)
 
 
-def check_chain(g: Graph, ell: int) -> ChainCheck:
+def check_chain(g: Graph | GraphAnalysis, ell: int) -> ChainCheck:
     """Verify the spectral chain lambda2(G) >= lambda2(G^ell)/gamma >= s_ell/gamma.
 
     s1 of the power graph is computed from the power graph's own eccentricity
     profile (a full BFS on G^ell), independently of s_ell(G), so link 3 is a
     genuine cross-check rather than a tautology.
     """
-    if g.n < 2:
-        raise ValueError(f"chain check needs n >= 2, got n={g.n}")
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
-    dist = all_pairs_distances(g)
-    profile = eccentricity_profile(dist)
-    _require_connected(profile.diameter, "check_chain")
-    s_ell = count_s_ell(profile, ell)
-    power = power_graph(g, dist, ell)
-    power_profile = eccentricity_profile(all_pairs_distances(power))
-    s1_power = count_s_ell(power_profile, 1)
+    a = analysis_for("chain check", g, ell, 2)
+    if not a.connected:
+        raise ValueError("check_chain requires a connected graph")
+    s_ell = count_s_ell(a.profile, ell)
+    power = a.power(ell)
+    s1_power = count_s_ell(eccentricity_profile(all_pairs_distances(power)), 1)
 
-    lambda2_g = eigen_decompose(laplacian(g)).lambda2
+    lambda2_g = a.lambda2
     lambda2_power = eigen_decompose(laplacian(power)).lambda2
-    gamma_val = gamma(g.n, ell)
-    assert lambda2_g is not None and lambda2_power is not None
+    gamma_val = gamma(a.n, ell)
+    assert lambda2_power is not None
 
     link1 = lambda2_g >= lambda2_power / gamma_val - CHAIN_REL_TOL * max(1.0, lambda2_g)
     link2 = lambda2_power >= s1_power - CHAIN_REL_TOL * max(1.0, lambda2_power)

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BOUND_NAMES, TIGHTNESS_REL_TOL, BoundReport, evaluate_all
+from .bounds import BOUND_NAMES, TIGHTNESS_REL_TOL, BoundReport, GraphAnalysis, evaluate_all
 from .certify import certify_g1_matrix, certify_g2_matrix, check_chain
 from .graphs import FAMILIES, generate, load_edge_list, serialize_edge_list
-from .metrics import UNREACHABLE, all_pairs_distances, eccentricity_profile, power_graph
+from .metrics import all_pairs_distances, power_graph
 from .spectral import PSD
 
 #: Families usable with the tightness sweep (deterministic, connected).
@@ -92,13 +92,20 @@ def report_json(report: BoundReport) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _check_ell_policy(policy: int | str) -> None:
+    if isinstance(policy, str):
+        if policy != "all":
+            raise ValueError(f"ell policy must be 'all' or an integer, got {policy!r}")
+    elif policy < 2:
+        raise ValueError(f"fixed ell must be >= 2, got {policy}")
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Parameters of one verification campaign.
 
     ``ell_policy`` is either the string "all" (every ell from 2 to the
-    diameter, at least ell=2) or a fixed integer >= 2. The tolerance fields
-    override the defaults used for bound soundness and PSD certificates.
+    diameter, at least ell=2) or a fixed integer >= 2.
     """
 
     family: str
@@ -107,8 +114,6 @@ class CampaignConfig:
     trials: int = 100
     seed: int = 0
     ell_policy: int | str = "all"
-    bound_rel_tol: float = TIGHTNESS_REL_TOL
-    psd_tol: float | None = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -117,13 +122,7 @@ class CampaignConfig:
             raise ValueError(f"campaign needs n >= 2, got {self.n}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if isinstance(self.ell_policy, str):
-            if self.ell_policy != "all":
-                raise ValueError(f"ell policy must be 'all' or an integer, got {self.ell_policy!r}")
-        elif self.ell_policy < 2:
-            raise ValueError(f"fixed ell must be >= 2, got {self.ell_policy}")
-        if self.bound_rel_tol < 0:
-            raise ValueError("bound_rel_tol must be >= 0")
+        _check_ell_policy(self.ell_policy)
 
 
 @dataclass
@@ -173,6 +172,7 @@ class CampaignSummary:
 
 
 def _policy_ells(policy: int | str, diameter: int) -> list[int]:
+    """The ells to check; a disconnected graph (diameter UNREACHABLE) gets ell=2."""
     if policy == "all":
         return list(range(2, max(2, diameter) + 1))
     return [int(policy)]
@@ -183,15 +183,15 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
 
     Disconnected graphs are not skipped outright: the degenerate claims
     (zero eccentricity counts, zero bounds, lambda2 = 0) are still checked;
-    only the connectivity-dependent certificates and chain are omitted.
+    only the connectivity-dependent certificates and chain are omitted. Each
+    graph gets one ``GraphAnalysis``, shared by every check on it.
     """
     summary = CampaignSummary(config=config)
     rng = np.random.default_rng(config.seed)
 
     for trial in range(config.trials):
         g = generate(config.family, config.n, p=config.p, seed=rng)
-        profile = eccentricity_profile(all_pairs_distances(g))
-        connected = profile.diameter != UNREACHABLE
+        analysis = GraphAnalysis(g)
 
         def flag(kind: str, detail: str, ell: int | None) -> None:
             summary.violations.append(
@@ -204,17 +204,15 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
                 }
             )
 
-        if connected:
+        if analysis.connected:
             summary.connected_trials += 1
-            ells = _policy_ells(config.ell_policy, profile.diameter)
         else:
             summary.disconnected_trials += 1
-            ells = _policy_ells(config.ell_policy, 2)
 
-        for ell in ells:
-            report = evaluate_all(g, ell)
+        for ell in _policy_ells(config.ell_policy, analysis.profile.diameter):
+            report = evaluate_all(analysis, ell)
             summary.checks += 1
-            tol = config.bound_rel_tol * max(1.0, report.lambda2)
+            tol = TIGHTNESS_REL_TOL * max(1.0, report.lambda2)
 
             for name in BOUND_NAMES:
                 slack = report.slacks[name]
@@ -227,7 +225,7 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
                         f"lambda2={report.lambda2!r}",
                         ell,
                     )
-                if connected:
+                if analysis.connected:
                     summary.bound_stats[name].add(slack, report.tight[name])
                     worst = summary.worst_slack
                     if worst is None or slack > worst["slack"]:  # type: ignore[operator]
@@ -240,24 +238,16 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
                             "graph": serialize_edge_list(g),
                         }
 
-            if connected:
-                cert1 = certify_g1_matrix(g, ell, config.psd_tol)
-                if cert1.verdict != PSD:
-                    flag(
-                        "certificate_g1_not_psd",
-                        f"min eigenvalue {cert1.min_eigenvalue!r} "
-                        f"below -{cert1.tolerance!r}",
-                        ell,
-                    )
-                cert2 = certify_g2_matrix(g, ell, config.psd_tol)
-                if cert2.verdict != PSD:
-                    flag(
-                        "certificate_g2_not_psd",
-                        f"min eigenvalue {cert2.min_eigenvalue!r} "
-                        f"below -{cert2.tolerance!r}",
-                        ell,
-                    )
-                chain = check_chain(g, ell)
+            if analysis.connected:
+                for name, certify in (("g1", certify_g1_matrix), ("g2", certify_g2_matrix)):
+                    cert = certify(analysis, ell)
+                    if cert.verdict != PSD:
+                        flag(
+                            f"certificate_{name}_not_psd",
+                            f"min eigenvalue {cert.min_eigenvalue!r} below -{cert.tolerance!r}",
+                            ell,
+                        )
+                chain = check_chain(analysis, ell)
                 if not chain.all_hold:
                     flag("chain_violation", f"links_hold={chain.links_hold}", ell)
             else:
@@ -270,12 +260,8 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
                             f"bound_{name}={report.bounds[name]!r}",
                             ell,
                         )
-                if abs(report.lambda2) > config.bound_rel_tol:
-                    flag(
-                        "disconnected_lambda2_nonzero",
-                        f"lambda2={report.lambda2!r}",
-                        ell,
-                    )
+                if abs(report.lambda2) > TIGHTNESS_REL_TOL:
+                    flag("disconnected_lambda2_nonzero", f"lambda2={report.lambda2!r}", ell)
 
         summary.trials += 1
     return summary
@@ -334,17 +320,13 @@ def run_tightness(family: str, n_max: int, ell_policy: int | str = "all") -> lis
         raise ValueError(f"unknown family {family!r}; choose from {TIGHTNESS_FAMILIES}")
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
-    if isinstance(ell_policy, str) and ell_policy != "all":
-        raise ValueError(f"ell policy must be 'all' or an integer, got {ell_policy!r}")
-    if isinstance(ell_policy, int) and ell_policy < 2:
-        raise ValueError(f"fixed ell must be >= 2, got {ell_policy}")
+    _check_ell_policy(ell_policy)
 
     records: list[TightnessRecord] = []
     for n in range(3, n_max + 1):
-        g = generate(family, n)
-        profile = eccentricity_profile(all_pairs_distances(g))
-        for ell in _policy_ells(ell_policy, profile.diameter):
-            report = evaluate_all(g, ell)
+        analysis = GraphAnalysis(generate(family, n))
+        for ell in _policy_ells(ell_policy, analysis.profile.diameter):
+            report = evaluate_all(analysis, ell)
             for name in BOUND_NAMES:
                 value = report.bounds[name]
                 if value is None:

@@ -79,11 +79,6 @@ def diagnostics() -> SpectralDiagnostics:
     return _diagnostics
 
 
-def reset_diagnostics() -> None:
-    global _diagnostics
-    _diagnostics = SpectralDiagnostics()
-
-
 def inf_norm(a: np.ndarray) -> float:
     """Matrix infinity norm (max absolute row sum)."""
     if a.size == 0:

@@ -2,9 +2,9 @@
 
 Each test prints a single "criterion N: PASS/FAIL" line (run with -s to see
 them live). Criteria 2-4 share one randomized corpus of 1000 connected
-Erdos-Renyi graphs and 500 random trees, built once per module; criterion 8
-audits the numerical quality of every eigendecomposition the earlier
-criteria triggered.
+Erdos-Renyi graphs and 500 random trees, built once per module; each graph
+gets one GraphAnalysis that the three checks share. Criterion 8 audits the
+numerical quality of every eigendecomposition the earlier criteria triggered.
 """
 
 from dataclasses import dataclass
@@ -58,24 +58,21 @@ def corpus():
 
     records: list[EllRecord] = []
     for g in graphs:
-        dist = eb.all_pairs_distances(g)
-        profile = eb.eccentricity_profile(dist)
-        lam = eb.lambda2(g)
-        for ell in range(2, profile.diameter + 1):
-            s_ell = eb.count_s_ell(profile, ell)
-            power = eb.power_graph(g, dist, ell)
+        analysis = eb.GraphAnalysis(g)
+        for ell in range(2, analysis.profile.diameter + 1):
+            s_ell = eb.count_s_ell(analysis.profile, ell)
             records.append(
                 EllRecord(
                     graph=g,
                     ell=ell,
-                    lam=lam,
+                    lam=analysis.lambda2,
                     s_ell=s_ell,
                     gamma_val=eb.gamma(g.n, ell),
                     b_g1=eb.bound_g1(g.n, ell, s_ell),
-                    b_g2=eb.bound_g2(s_ell, ell, power.m, g.m),
-                    cert1=eb.certify_g1_matrix(g, ell),
-                    cert2=eb.certify_g2_matrix(g, ell),
-                    chain=eb.check_chain(g, ell),
+                    b_g2=eb.bound_g2(s_ell, ell, analysis.power(ell).m, g.m),
+                    cert1=eb.certify_g1_matrix(analysis, ell),
+                    cert2=eb.certify_g2_matrix(analysis, ell),
+                    chain=eb.check_chain(analysis, ell),
                 )
             )
     return graphs, records

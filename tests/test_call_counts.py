@@ -1,0 +1,67 @@
+"""Kernel call counts: each distance matrix and L(G) spectrum once per graph."""
+
+import numpy as np
+import pytest
+
+import oracles
+from eccbounds import _kernels
+from eccbounds.bounds import evaluate_all
+from eccbounds.cli import CampaignConfig, run_campaign, run_tightness
+from eccbounds.graphs import generate, path_graph
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts calls of the BFS and Jacobi kernels made through ``_kernels``."""
+    counts = {"bfs_all_pairs": 0, "jacobi_sweeps": 0}
+    for name in counts:
+        original = getattr(_kernels, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    return counts
+
+
+def test_evaluate_all_on_a_graph_makes_one_bfs_and_one_eigensolve(kernel_calls):
+    evaluate_all(path_graph(6), 3)
+    assert kernel_calls == {"bfs_all_pairs": 1, "jacobi_sweeps": 1}
+
+
+class TestKernelCallCounts:
+    """One BFS and one L(G) eigensolve per graph; per connected (graph, ell)
+    check, one BFS of G^ell (chain link 3) and three eigensolves (two
+    certificates and lambda2(G^ell))."""
+
+    @pytest.mark.parametrize("ell_policy", ["all", 3])
+    def test_campaign(self, kernel_calls, ell_policy):
+        config = CampaignConfig(
+            family="erdos_renyi", n=8, p=0.3, trials=12, seed=5, ell_policy=ell_policy
+        )
+        # Regenerate the campaign's graphs and count its connected checks with
+        # the Floyd-Warshall oracle, independently of the package's BFS.
+        rng = np.random.default_rng(config.seed)
+        connected_checks = disconnected = 0
+        for _ in range(config.trials):
+            g = generate(config.family, config.n, p=config.p, seed=rng)
+            fw = oracles.floyd_warshall(g.adjacency_matrix())
+            if not np.isfinite(fw).all():
+                disconnected += 1
+            else:
+                connected_checks += max(1, int(fw.max()) - 1) if ell_policy == "all" else 1
+        assert disconnected > 0 and connected_checks > 0
+
+        summary = run_campaign(config)
+        assert summary.violation_count == 0
+        assert summary.checks == connected_checks + disconnected
+        assert kernel_calls["bfs_all_pairs"] == config.trials + connected_checks
+        assert kernel_calls["jacobi_sweeps"] == config.trials + 3 * connected_checks
+
+    @pytest.mark.parametrize("family", ["path", "cycle", "star", "complete"])
+    def test_tightness_solves_each_member_once(self, kernel_calls, family):
+        records = run_tightness(family, 9)
+        assert records
+        members = 9 - 3 + 1
+        assert kernel_calls == {"bfs_all_pairs": members, "jacobi_sweeps": members}

@@ -1,5 +1,7 @@
 """CLI subcommands: analyze, verify, tightness, power."""
 
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -148,6 +150,50 @@ class TestVerify:
         assert rc == 2
         rc = cli.main(["verify", "--family", "random_tree", "--n", "8", "--trials", "2", "--ell", "1"])
         assert rc == 2
+
+    def test_config_has_no_tolerance_fields(self):
+        names = [f.name for f in dataclasses.fields(cli.CampaignConfig)]
+        assert names == ["family", "n", "p", "trials", "seed", "ell_policy"]
+
+    @pytest.mark.parametrize(
+        "policy, message",
+        [("x", "ell policy must be 'all' or an integer, got 'x'"), (1, "fixed ell must be >= 2, got 1")],
+    )
+    def test_campaign_and_tightness_reject_ell_alike(self, policy, message):
+        with pytest.raises(ValueError) as campaign:
+            cli.CampaignConfig(family="path", n=5, ell_policy=policy)
+        with pytest.raises(ValueError) as tightness:
+            cli.run_tightness("path", 5, policy)
+        assert str(campaign.value) == str(tightness.value) == message
+
+
+#: sha256 of stdout for fixed command lines, recorded before computation was
+#: shared through GraphAnalysis (OPENBLAS_NUM_THREADS=1); reports must not move.
+GOLDEN_REPORTS = [
+    (
+        "verify --family erdos_renyi --n 10 --p 0.4 --trials 25 --seed 7",
+        "804e38307d3afebfbe2a56f53f5546614fd427af20b369c6acd54455d0ec2017",
+    ),
+    (
+        "verify --family random_tree --n 9 --trials 20 --seed 3",
+        "f1566cea7cffbac591929e30fc92c845a7ae76e9d51803aca212b558f7ed33b3",
+    ),
+    (
+        "tightness --family path --n-max 12 --format json",
+        "85315a410d9e1d3bf71da1816fe9a6ad22bbaafa37a4f2c0de805dd62cddfaad",
+    ),
+    (
+        "tightness --family cycle --n-max 10",
+        "1883922870ba1ceaaca376cc8073d17c64124e7607dbe0eaebba0959d7658b93",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN_REPORTS)
+def test_golden_report(command, digest, capsys):
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestTightness:
