@@ -70,6 +70,16 @@ def bound_g1(n: int, ell: int, s_ell: int) -> float:
     return s_ell / gamma(n, ell)
 
 
+def _check_diameter(name: str, n: int, d: int) -> None:
+    """The domain of the diameter bounds: n >= 2 and a finite diameter >= 1."""
+    if n < 2:
+        raise ValueError(f"{name} needs n >= 2, got {n}")
+    if d == UNREACHABLE:
+        raise ValueError("diameter undefined for disconnected graph")
+    if d < 1:
+        raise ValueError(f"diameter must be >= 1, got {d}")
+
+
 def bound_g1_diam(n: int, d: int) -> float:
     """Diameter corollary of the eccentricity-count bound: 4 / ((d - 2 + 4/n) * n).
 
@@ -77,12 +87,7 @@ def bound_g1_diam(n: int, d: int) -> float:
     algebraic connectivity n is returned instead; it is the sharp lower bound
     for every graph of diameter 1.
     """
-    if n < 2:
-        raise ValueError(f"bound_g1_diam needs n >= 2, got {n}")
-    if d == UNREACHABLE:
-        raise ValueError("diameter undefined for disconnected graph")
-    if d < 1:
-        raise ValueError(f"diameter must be >= 1, got {d}")
+    _check_diameter("bound_g1_diam", n, d)
     if d == 1:
         return float(n)
     return 4.0 / ((d - 2 + 4.0 / n) * n)
@@ -90,12 +95,7 @@ def bound_g1_diam(n: int, d: int) -> float:
 
 def bound_mohar(n: int, d: int) -> float:
     """Well-known diameter bound 4 / (d * n)."""
-    if n < 2:
-        raise ValueError(f"bound_mohar needs n >= 2, got {n}")
-    if d == UNREACHABLE:
-        raise ValueError("diameter undefined for disconnected graph")
-    if d < 1:
-        raise ValueError(f"diameter must be >= 1, got {d}")
+    _check_diameter("bound_mohar", n, d)
     return 4.0 / (d * n)
 
 
@@ -113,12 +113,7 @@ def bound_g2(s_ell: int, ell: int, e_power: int, m: int) -> float:
 
 def bound_lu(n: int, d: int, e_complement: int) -> float:
     """Complement-edge bound n / (1 + d * e(complement))."""
-    if n < 2:
-        raise ValueError(f"bound_lu needs n >= 2, got {n}")
-    if d == UNREACHABLE:
-        raise ValueError("diameter undefined for disconnected graph")
-    if d < 1:
-        raise ValueError(f"diameter must be >= 1, got {d}")
+    _check_diameter("bound_lu", n, d)
     if e_complement < 0:
         raise ValueError(f"complement edge count must be >= 0, got {e_complement}")
     return n / (1 + d * e_complement)
@@ -148,13 +143,19 @@ class BoundReport:
     tight: dict[str, bool]
 
 
-class GraphAnalysis:
-    """The distance matrix, eccentricity profile, power graphs and L(G) of one graph.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # shared by every check on this graph
+    return a
 
-    Distances and the profile are computed on construction; ``power(ell)`` is
-    memoised per ell; ``laplacian`` (L(G)) and ``lambda2`` are computed on first
-    use. Pass one analysis to ``evaluate_all``, the certificates and
-    ``check_chain`` so they share this work instead of each repeating it.
+
+class GraphAnalysis:
+    """The distance matrix, eccentricity profile, power graphs and Laplacians of one graph.
+
+    Distances and the profile are computed on construction; ``power(ell)`` and
+    ``power_laplacian(ell)`` (L(G^ell), read-only) are memoised per ell;
+    ``laplacian`` (L(G), read-only) and ``lambda2`` are computed on first use.
+    Pass one analysis to ``evaluate_all``, the certificates and ``check_chain``
+    so they share this work instead of each repeating it.
     """
 
     def __init__(self, g: Graph):
@@ -165,17 +166,21 @@ class GraphAnalysis:
         self.profile = eccentricity_profile(self.dist)
         self.connected = self.profile.diameter != UNREACHABLE
         self._powers: dict[int, Graph] = {}
+        self._power_laplacians: dict[int, np.ndarray] = {}
 
     def power(self, ell: int) -> Graph:
         if ell not in self._powers:
             self._powers[ell] = power_graph(self.graph, self.dist, ell)
         return self._powers[ell]
 
+    def power_laplacian(self, ell: int) -> np.ndarray:
+        if ell not in self._power_laplacians:
+            self._power_laplacians[ell] = _read_only(laplacian(self.power(ell)))
+        return self._power_laplacians[ell]
+
     @cached_property
     def laplacian(self) -> np.ndarray:
-        lap = laplacian(self.graph)
-        lap.flags.writeable = False  # shared by every check on this graph
-        return lap
+        return _read_only(laplacian(self.graph))
 
     @cached_property
     def lambda2(self) -> float:

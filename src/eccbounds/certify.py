@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .bounds import GraphAnalysis, analysis_for, gamma
 from .graphs import Graph
 from .metrics import all_pairs_distances, count_s_ell, eccentricity_profile
-from .spectral import CertificateResult, eigen_decompose, is_psd, laplacian
+from .spectral import CertificateResult, eigen_decompose, is_psd
 
 #: Relative tolerance for the two inequality links of the spectral chain.
 CHAIN_REL_TOL = 1e-9
@@ -47,36 +47,28 @@ class ChainCheck:
         return all(self.links_hold)
 
 
-def certify_g1_matrix(
-    g: Graph | GraphAnalysis, ell: int, tol: float | None = None
-) -> CertificateResult:
+def certify_g1_matrix(g: Graph | GraphAnalysis, ell: int) -> CertificateResult:
     """Certify that gamma(n, ell) * L(G) - L(G^ell) is positive semi-definite.
 
     The graph must be connected; this is the hypothesis under which the
-    matrix inequality holds. ``tol`` overrides the default scaled PSD
-    tolerance; the tolerance actually used is recorded in the result.
+    matrix inequality holds. The verdict uses the scaled PSD tolerance, which
+    is recorded in the result.
     """
     a = analysis_for("certificate", g, ell, 2)
     if not a.connected:
         raise ValueError("certify_g1_matrix requires a connected graph")
-    matrix = gamma(a.n, ell) * a.laplacian - laplacian(a.power(ell))
-    return is_psd(matrix, tol)
+    return is_psd(gamma(a.n, ell) * a.laplacian - a.power_laplacian(ell))
 
 
-def certify_g2_matrix(
-    g: Graph | GraphAnalysis, ell: int, tol: float | None = None
-) -> CertificateResult:
+def certify_g2_matrix(g: Graph | GraphAnalysis, ell: int) -> CertificateResult:
     """Certify that (1 + ell*(e(G^ell) - m)) * L(G) - L(G^ell) is PSD.
 
     Valid for ell >= 1 and for disconnected graphs as well; at ell = 1 the
-    matrix is identically zero. ``tol`` overrides the default scaled PSD
-    tolerance.
+    matrix is identically zero. The verdict uses the scaled PSD tolerance.
     """
     a = analysis_for("certificate", g, ell, 1)
-    power = a.power(ell)
-    coeff = 1 + ell * (power.m - a.m)
-    matrix = float(coeff) * a.laplacian - laplacian(power)
-    return is_psd(matrix, tol)
+    coeff = 1 + ell * (a.power(ell).m - a.m)
+    return is_psd(float(coeff) * a.laplacian - a.power_laplacian(ell))
 
 
 def check_chain(g: Graph | GraphAnalysis, ell: int) -> ChainCheck:
@@ -90,11 +82,10 @@ def check_chain(g: Graph | GraphAnalysis, ell: int) -> ChainCheck:
     if not a.connected:
         raise ValueError("check_chain requires a connected graph")
     s_ell = count_s_ell(a.profile, ell)
-    power = a.power(ell)
-    s1_power = count_s_ell(eccentricity_profile(all_pairs_distances(power)), 1)
+    s1_power = count_s_ell(eccentricity_profile(all_pairs_distances(a.power(ell))), 1)
 
     lambda2_g = a.lambda2
-    lambda2_power = eigen_decompose(laplacian(power)).lambda2
+    lambda2_power = eigen_decompose(a.power_laplacian(ell)).lambda2
     gamma_val = gamma(a.n, ell)
     assert lambda2_power is not None
 

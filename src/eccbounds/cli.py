@@ -34,9 +34,6 @@ from .spectral import PSD
 #: Families usable with the tightness sweep (deterministic, connected).
 TIGHTNESS_FAMILIES = ("path", "cycle", "star", "complete")
 
-#: Ratio bound/lambda2 may exceed 1 only by this much (floating-point slack).
-RATIO_TOL = 1e-9
-
 #: Integer columns of analyze reports; diameter is None when disconnected.
 _INT_COLUMNS = ("n", "m", "ell", "s1", "s2", "s_ell", "diameter", "e_power", "e_complement")
 #: Real columns of analyze reports; slack columns mirror the bound columns.
@@ -156,7 +153,6 @@ class CampaignSummary:
     """Outcome of a verification campaign; violations must be empty."""
 
     config: CampaignConfig
-    trials: int = 0
     connected_trials: int = 0
     disconnected_trials: int = 0
     checks: int = 0
@@ -262,8 +258,6 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
                         )
                 if abs(report.lambda2) > TIGHTNESS_REL_TOL:
                     flag("disconnected_lambda2_nonzero", f"lambda2={report.lambda2!r}", ell)
-
-        summary.trials += 1
     return summary
 
 
@@ -284,7 +278,7 @@ def summary_json(summary: CampaignSummary) -> str:
             "seed": config.seed,
             "ell": config.ell_policy,
         },
-        "trials": summary.trials,
+        "trials": config.trials,
         "connected_trials": summary.connected_trials,
         "disconnected_trials": summary.disconnected_trials,
         "checks": summary.checks,
@@ -416,7 +410,7 @@ def _cmd_tightness(args: argparse.Namespace) -> int:
     records = run_tightness(args.family, args.n_max, _parse_ell_policy(args.ell))
     text = tightness_json(records) if args.format == "json" else tightness_csv(records)
     _emit(text, args.out)
-    return 1 if any(r.ratio > 1.0 + RATIO_TOL for r in records) else 0
+    return 1 if any(r.ratio > 1.0 + TIGHTNESS_REL_TOL for r in records) else 0
 
 
 def _cmd_power(args: argparse.Namespace) -> int:

@@ -80,7 +80,7 @@ class Graph:
             raise ValueError("adjacency matrix is not symmetric")
         rows, cols = np.nonzero(adj)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(adj, axis=1), out=indptr[1:])
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         # np.nonzero returns row-major order, so each row's columns are sorted
         return cls(n, indptr, cols.astype(np.int64))
 

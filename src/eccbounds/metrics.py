@@ -77,17 +77,4 @@ def power_graph(g: Graph, d: DistanceMatrix, ell: int) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(int(w))
-    return count == g.n
+    return g.n < 2 or eccentricity_profile(all_pairs_distances(g)).diameter != UNREACHABLE

@@ -151,6 +151,22 @@ class TestDiameterBounds:
         with pytest.raises(ValueError):
             bound_mohar(4, 0)
 
+    @pytest.mark.parametrize(
+        "name, bound",
+        [
+            ("bound_g1_diam", bound_g1_diam),
+            ("bound_mohar", bound_mohar),
+            ("bound_lu", lambda n, d: bound_lu(n, d, 0)),
+        ],
+    )
+    def test_domain_messages(self, name, bound):
+        with pytest.raises(ValueError, match=f"^{name} needs n >= 2, got 1$"):
+            bound(1, 1)
+        with pytest.raises(ValueError, match="^diameter undefined for disconnected graph$"):
+            bound(4, UNREACHABLE)
+        with pytest.raises(ValueError, match="^diameter must be >= 1, got 0$"):
+            bound(4, 0)
+
 
 class TestBoundG2:
     def test_tight_on_path3(self):

@@ -1,10 +1,12 @@
-"""Kernel call counts: each distance matrix and L(G) spectrum once per graph."""
+"""Kernel call counts: each distance matrix, Laplacian and L(G) spectrum once per graph."""
+
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
-from eccbounds import _kernels
+from eccbounds import _kernels, spectral
 from eccbounds.bounds import evaluate_all
 from eccbounds.cli import CampaignConfig, run_campaign, run_tightness
 from eccbounds.graphs import generate, path_graph
@@ -25,6 +27,22 @@ def kernel_calls(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def laplacian_builds(monkeypatch):
+    """Counts ``spectral.laplacian`` calls through every eccbounds module that imports it."""
+    original = spectral.laplacian
+    count = [0]
+
+    def counted(g):
+        count[0] += 1
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "eccbounds" and getattr(module, "laplacian", None) is original:
+            monkeypatch.setattr(module, "laplacian", counted)
+    return count
+
+
 def test_evaluate_all_on_a_graph_makes_one_bfs_and_one_eigensolve(kernel_calls):
     evaluate_all(path_graph(6), 3)
     assert kernel_calls == {"bfs_all_pairs": 1, "jacobi_sweeps": 1}
@@ -33,10 +51,12 @@ def test_evaluate_all_on_a_graph_makes_one_bfs_and_one_eigensolve(kernel_calls):
 class TestKernelCallCounts:
     """One BFS and one L(G) eigensolve per graph; per connected (graph, ell)
     check, one BFS of G^ell (chain link 3) and three eigensolves (two
-    certificates and lambda2(G^ell))."""
+    certificates and lambda2(G^ell)). L(G) is built once inside lambda2(G) and,
+    for a connected graph, once more for the certificates; L(G^ell) is built
+    once per connected check and shared by both certificates and the chain."""
 
     @pytest.mark.parametrize("ell_policy", ["all", 3])
-    def test_campaign(self, kernel_calls, ell_policy):
+    def test_campaign(self, kernel_calls, laplacian_builds, ell_policy):
         config = CampaignConfig(
             family="erdos_renyi", n=8, p=0.3, trials=12, seed=5, ell_policy=ell_policy
         )
@@ -58,6 +78,8 @@ class TestKernelCallCounts:
         assert summary.checks == connected_checks + disconnected
         assert kernel_calls["bfs_all_pairs"] == config.trials + connected_checks
         assert kernel_calls["jacobi_sweeps"] == config.trials + 3 * connected_checks
+        connected_graphs = config.trials - disconnected
+        assert laplacian_builds[0] == config.trials + connected_graphs + connected_checks
 
     @pytest.mark.parametrize("family", ["path", "cycle", "star", "complete"])
     def test_tightness_solves_each_member_once(self, kernel_calls, family):

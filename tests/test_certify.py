@@ -103,10 +103,6 @@ class TestCertifyG2:
             for ell in (2, 3):
                 assert certify_g2_matrix(g, ell).verdict == PSD
 
-    def test_tolerance_override_recorded(self):
-        res = certify_g2_matrix(path_graph(3), 2, tol=1e-4)
-        assert res.tolerance == 1e-4
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             certify_g2_matrix(path_graph(4), 0)

@@ -7,12 +7,22 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import oracles
 from eccbounds import cli
 from eccbounds.bounds import BOUND_NAMES, evaluate_all
-from eccbounds.graphs import complete_graph, load_edge_list, parse_edge_list, path_graph
+from eccbounds.graphs import (
+    complete_graph,
+    generate,
+    load_edge_list,
+    parse_edge_list,
+    path_graph,
+    serialize_edge_list,
+)
 from eccbounds.metrics import all_pairs_distances, power_graph
+from eccbounds.spectral import NOT_PSD, CertificateResult
 
 P4_TEXT = "n 4\n0 1\n1 2\n2 3\n"
 K4_TEXT = "n 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -165,6 +175,86 @@ class TestVerify:
         with pytest.raises(ValueError) as tightness:
             cli.run_tightness("path", 5, policy)
         assert str(campaign.value) == str(tightness.value) == message
+
+
+class TestCampaignViolations:
+    """Every check of ``run_campaign`` is made to fail; each must be flagged."""
+
+    CONFIG = cli.CampaignConfig(family="erdos_renyi", n=6, p=0.35, trials=6, seed=4)
+    ARGS = ["verify", "--family", "erdos_renyi", "--n", "6", "--p", "0.35", "--trials", "6", "--seed", "4"]
+
+    @pytest.fixture
+    def failing_checks(self, monkeypatch):
+        real_evaluate_all, real_check_chain = cli.evaluate_all, cli.check_chain
+
+        def evaluate_all_wrong(analysis, ell):
+            report = real_evaluate_all(analysis, ell)
+            if analysis.connected:
+                bounds = dict(report.bounds, mohar=report.lambda2 + 1.0)
+                slacks = dict(report.slacks, mohar=-1.0)
+                return dataclasses.replace(report, bounds=bounds, slacks=slacks)
+            bounds = dict(report.bounds, g1=0.25)
+            return dataclasses.replace(report, s_ell=1, lambda2=0.5, bounds=bounds)
+
+        def certificate_not_psd(analysis, ell):
+            return CertificateResult(min_eigenvalue=-1.0, tolerance=1e-8, verdict=NOT_PSD)
+
+        def chain_broken(analysis, ell):
+            chain = real_check_chain(analysis, ell)
+            return dataclasses.replace(chain, links_hold=(True, False, True))
+
+        monkeypatch.setattr(cli, "evaluate_all", evaluate_all_wrong)
+        monkeypatch.setattr(cli, "certify_g1_matrix", certificate_not_psd)
+        monkeypatch.setattr(cli, "certify_g2_matrix", certificate_not_psd)
+        monkeypatch.setattr(cli, "check_chain", chain_broken)
+
+    def expected(self) -> tuple[list[tuple[int, int, str, str | None]], list[str]]:
+        """(trial, ell, kind, detail) per violation, and each trial's edge list.
+
+        The graphs are regenerated, and connectivity and diameters come from
+        the Floyd-Warshall oracle.
+        """
+        config = self.CONFIG
+        rng = np.random.default_rng(config.seed)
+        rows, graphs = [], []
+        for trial in range(config.trials):
+            g = generate(config.family, config.n, p=config.p, seed=rng)
+            graphs.append(serialize_edge_list(g))
+            fw = oracles.floyd_warshall(g.adjacency_matrix())
+            if not np.isfinite(fw).all():
+                rows += [
+                    (trial, 2, "disconnected_s_ell_nonzero", "s_ell=1"),
+                    (trial, 2, "disconnected_bound_nonzero", "bound_g1=0.25"),
+                    (trial, 2, "disconnected_lambda2_nonzero", "lambda2=0.5"),
+                ]
+                continue
+            for ell in range(2, max(2, int(fw.max())) + 1):
+                rows += [
+                    (trial, ell, "bound_violation", None),
+                    (trial, ell, "certificate_g1_not_psd", "min eigenvalue -1.0 below -1e-08"),
+                    (trial, ell, "certificate_g2_not_psd", "min eigenvalue -1.0 below -1e-08"),
+                    (trial, ell, "chain_violation", "links_hold=(True, False, True)"),
+                ]
+        return rows, graphs
+
+    def test_every_kind_flagged_with_trial_ell_and_graph(self, failing_checks):
+        rows, graphs = self.expected()
+        kinds = {kind for _, _, kind, _ in rows}
+        assert {"bound_violation", "disconnected_lambda2_nonzero"} <= kinds
+
+        violations = cli.run_campaign(self.CONFIG).violations
+        assert [(v["trial"], v["ell"], v["kind"]) for v in violations] == [r[:3] for r in rows]
+        for v, (_, _, kind, detail) in zip(violations, rows):
+            assert v["graph"] == graphs[v["trial"]]
+            if kind == "bound_violation":
+                assert v["detail"].startswith("bound_mohar=") and "exceeds lambda2=" in v["detail"]
+            else:
+                assert v["detail"] == detail
+
+    def test_verify_exits_1(self, failing_checks, capsys):
+        assert cli.main(self.ARGS) == 1
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["violations"] == len(obj["violation_details"]) == len(self.expected()[0])
 
 
 #: sha256 of stdout for fixed command lines, recorded before computation was

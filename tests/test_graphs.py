@@ -64,6 +64,10 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_edge_list("n 3\n0 1 2")
 
+    def test_non_integer_endpoint(self):
+        with pytest.raises(ParseError, match="line 2: non-integer endpoint"):
+            parse_edge_list("n 3\n0 x")
+
     def test_index_out_of_range(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_edge_list("n 2\n0 5")

@@ -181,10 +181,13 @@ class TestPowerGraph:
 
 
 class TestIsConnected:
-    def test_matches_diameter_marker(self):
+    def test_matches_floyd_warshall(self):
         for g in random_sample(max_n=7, seeds=range(8)):
-            e = eccentricity_profile(all_pairs_distances(g))
-            assert is_connected(g) == (e.diameter != UNREACHABLE)
+            fw = oracles.floyd_warshall(g.adjacency_matrix())
+            assert is_connected(g) == bool(np.isfinite(fw).all())
 
     def test_single_node_connected(self):
         assert is_connected(Graph.from_edges(1, []))
+
+    def test_empty_graph_connected(self):
+        assert is_connected(Graph.from_adjacency(np.zeros((0, 0), dtype=bool)))
