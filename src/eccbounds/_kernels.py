@@ -5,7 +5,8 @@
 of ceil(n/64) uint64 words, and one level widens every row by OR-ing its
 neighbours' rows over the CSR lists. That costs O(diameter * m * n/64) word
 operations and uses no BLAS, so distances do not depend on the BLAS build
-or thread count. ``jacobi_sweeps`` applies plane rotations row-cyclically.
+or thread count. ``jacobi_sweeps`` rotates n // 2 disjoint pairs per numpy
+step in round-robin order (Brent & Luk, 1985), n - 1 O(n^2) steps a sweep.
 """
 
 from __future__ import annotations
@@ -92,38 +93,53 @@ def _unpack(bits, n):
     return np.unpackbits(as_bytes, axis=1, count=n, bitorder="little")
 
 
+def round_robin(n):
+    """One Jacobi sweep's pairs as (p, q) int arrays of shape (rounds, n // 2), p < q.
+
+    Circle method: node 0 stays, the others turn one place per round; for odd
+    n a dummy node n joins and its partner sits the round out. That is n - 1
+    rounds (n for odd n) of disjoint pairs, covering every p < q exactly once.
+    """
+    m = max(n + n % 2, 2)
+    circle = np.zeros((m - 1, m), dtype=np.int64)
+    circle[:, 1:] = 1 + (np.arange(m - 1)[:, None] + np.arange(m - 1)) % (m - 1)
+    first, second = circle[:, : m // 2], circle[:, : m // 2 - 1 : -1]
+    p, q = np.minimum(first, second), np.maximum(first, second)
+    return p[q < n].reshape(m - 1, n // 2), q[q < n].reshape(m - 1, n // 2)
+
+
+@np.errstate(over="ignore")  # a subnormal a[p, q] gives theta = inf: the overflow branch
 def jacobi_sweeps(a, v, off_tol, max_sweeps):
-    """Row-cyclic Jacobi sweeps with vectorized rotation application."""
-    n = a.shape[0]
+    """Cyclic Jacobi sweeps in round-robin order; updates a and v, returns (sweeps, converged).
+
+    A round's pairs are disjoint, so their rotations touch separate 2 x 2 blocks
+    and commute: every (c, s) comes from the matrix at the round's start (pairs
+    with a[p, q] == 0 are skipped), then one column, row and V update each.
+    """
+    p_rounds, q_rounds = round_robin(a.shape[0])
     for sweep in range(1, max_sweeps + 1):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if abs(theta) > _THETA_OVERFLOW:
-                    t = 0.5 / theta
-                elif theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (np.sqrt(theta * theta + 1.0) - theta)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+        for p, q in zip(p_rounds, q_rounds):
+            apq = a[p, q]
+            keep = apq != 0.0
+            p, q, apq = p[keep], q[keep], apq[keep]
+            theta = 0.5 * (a[q, q] - a[p, p]) / apq
+            big = np.abs(theta) > _THETA_OVERFLOW
+            th = np.where(big, 0.0, theta)
+            # the textbook root, bitwise; theta >= 0.0 (-0.0 included) takes the positive one
+            t = np.where(th >= 0.0, 1.0, -1.0) / (np.abs(th) + np.sqrt(th * th + 1.0))
+            t[big] = 0.5 / theta[big]
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            ap, aq = a[:, p], a[:, q]
+            a[:, p] = c * ap - s * aq
+            a[:, q] = s * ap + c * aq
+            ap, aq, cr, sr = a[p], a[q], c[:, None], s[:, None]
+            a[p] = cr * ap - sr * aq
+            a[q] = sr * ap + cr * aq
+            a[p, q] = a[q, p] = 0.0
+            vp, vq = v[:, p], v[:, q]
+            v[:, p] = c * vp - s * vq
+            v[:, q] = s * vp + c * vq
         off = np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))
         if off <= off_tol:
             return sweep, True

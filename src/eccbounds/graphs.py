@@ -74,6 +74,8 @@ class Graph:
         n = adj.shape[0]
         if adj.shape != (n, n):
             raise ValueError("adjacency matrix must be square")
+        if n < 1:
+            raise ValueError(f"node count must be >= 1, got {n}")
         if adj.diagonal().any():
             raise ValueError("adjacency matrix has a nonzero diagonal (self-loop)")
         if not np.array_equal(adj, adj.T):

@@ -1,10 +1,11 @@
 """Dense symmetric eigensolver and spectral queries on graph Laplacians.
 
-The eigensolver is a row-cyclic Jacobi rotation method: backward stable for
-symmetric matrices, no dependency on an external LAPACK routine, and fast
-enough at verification scale. Every decomposition records its residual and
-eigenvector-orthogonality error in a process-global diagnostics accumulator so
-test suites can assert numerical quality over everything they ran.
+The eigensolver is a cyclic Jacobi rotation method in round-robin order: each
+sweep is n - 1 vectorised rounds of n // 2 disjoint rotations, O(n^2) work a
+round, backward stable and with no LAPACK dependency. Every decomposition
+records its residual and eigenvector-orthogonality error in a process-global
+diagnostics accumulator so test suites can assert numerical quality over
+everything they ran.
 """
 
 from __future__ import annotations
@@ -94,10 +95,11 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def eigen_decompose(a: np.ndarray) -> SpectralSummary:
-    """Full symmetric eigendecomposition by cyclic Jacobi sweeps.
+    """Full symmetric eigendecomposition by round-robin cyclic Jacobi sweeps.
 
-    Raises JacobiConvergenceError if the sweep cap is hit, and ValueError for
-    a non-square or non-symmetric input.
+    A sweep is n - 1 vectorised rounds (n for odd n) of disjoint rotations,
+    O(n^2) work each. Raises JacobiConvergenceError if the sweep cap is hit,
+    and ValueError for a non-square or non-symmetric input.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

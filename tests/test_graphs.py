@@ -144,6 +144,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph.from_adjacency(np.zeros((2, 3)))
 
+    def test_from_adjacency_rejects_empty(self):
+        # the same rule as from_edges: an n = 0 graph would reach the BFS kernel
+        with pytest.raises(ValueError, match=r"^node count must be >= 1, got 0$"):
+            Graph.from_adjacency(np.zeros((0, 0), dtype=bool))
+        with pytest.raises(ValueError, match="node count must be >= 1, got 0"):
+            Graph.from_edges(0, [])
+
     def test_neighbors_sorted_and_read_only(self):
         g = Graph.from_edges(4, [(2, 0), (3, 0), (0, 1)])
         nbrs = g.neighbors(0)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 import eccbounds._kernels as kernels
-from eccbounds.graphs import Graph, path_graph
-from eccbounds.spectral import MAX_SWEEPS, OFF_DIAG_REL_TOL
+from eccbounds.graphs import Graph, complete_graph, erdos_renyi, path_graph
+from eccbounds.spectral import MAX_SWEEPS, OFF_DIAG_REL_TOL, laplacian
 
 
 def sample_matrices() -> list[np.ndarray]:
@@ -57,7 +57,18 @@ def run_jacobi(a: np.ndarray):
     vecs = np.eye(a.shape[0])
     off_tol = OFF_DIAG_REL_TOL * float(np.linalg.norm(a))
     sweeps, converged = kernels.jacobi_sweeps(work, vecs, off_tol, MAX_SWEEPS)
-    return np.sort(np.diag(work)), vecs, sweeps, converged
+    return np.diag(work), vecs, sweeps, converged
+
+
+def assert_decomposes(a: np.ndarray) -> int:
+    """Eigenvalues match the LAPACK oracle and every column of V is an eigenvector."""
+    diag, vecs, sweeps, converged = run_jacobi(a)
+    assert converged
+    scale = max(1.0, np.abs(a).sum(axis=1).max())
+    assert np.allclose(np.sort(diag), oracles.sorted_eigenvalues(a), rtol=0, atol=1e-10 * scale)
+    assert np.abs(a @ vecs - vecs * diag).max() <= 1e-10 * scale
+    assert np.abs(vecs.T @ vecs - np.eye(a.shape[0])).max() <= 1e-12
+    return sweeps
 
 
 class TestBfsKernels:
@@ -120,7 +131,59 @@ class TestBfsKernels:
 class TestJacobiKernels:
     def test_numpy_fallback_converges(self):
         for a in sample_matrices():
-            eigs, vecs, sweeps, converged = run_jacobi(a)
+            diag, vecs, sweeps, converged = run_jacobi(a)
             assert converged and sweeps <= MAX_SWEEPS
-            assert np.allclose(eigs, np.linalg.eigvalsh(a), atol=1e-9 * max(1.0, np.abs(a).max()))
+            assert np.allclose(np.sort(diag), np.linalg.eigvalsh(a), atol=1e-9 * max(1.0, np.abs(a).max()))
             assert np.allclose(vecs.T @ vecs, np.eye(a.shape[0]), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 13])
+    def test_random_symmetric_matches_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        a = rng.normal(size=(n, n)) * 3.0
+        assert_decomposes((a + a.T) / 2.0)
+
+    def test_repeated_eigenvalue(self):
+        # L(K_9) has eigenvalue 9 with multiplicity 8
+        assert_decomposes(laplacian(complete_graph(9)))
+
+    def test_diagonal_input_untouched(self):
+        a = np.diag([4.0, -2.0, 0.0, 7.5, 1.0])
+        work, vecs = a.copy(), np.eye(5)
+        assert kernels.jacobi_sweeps(work, vecs, 0.0, MAX_SWEEPS) == (1, True)
+        assert np.array_equal(work, a) and np.array_equal(vecs, np.eye(5))
+
+    def test_theta_overflow_branch(self):
+        # theta = 0.5 * (a_qq - a_pp) / a_pq is +-5e159, past _THETA_OVERFLOW,
+        # so tan(angle/2) is taken as 1 / (2 theta)
+        positive = [[0.0, 1e-160], [1e-160, 1.0]]
+        negative = [[0.0, -1e-160, 0.5], [-1e-160, 1.0, 0.0], [0.5, 0.0, 2.0]]
+        for a in map(np.array, (positive, negative)):
+            assert abs(0.5 * (a[1, 1] - a[0, 0]) / a[0, 1]) > kernels._THETA_OVERFLOW
+            assert_decomposes(a)
+
+    def test_equal_diagonal_negative_off_diagonal(self):
+        # theta = 0 / -2 = -0.0, which takes the positive root t = 1
+        a = np.array([[1.0, -2.0], [-2.0, 1.0]])
+        assert np.signbit(0.5 * (a[1, 1] - a[0, 0]) / a[0, 1])
+        assert_decomposes(a)
+        assert np.allclose(run_jacobi(a)[0], [3.0, -1.0], rtol=0, atol=1e-14)
+
+    def test_sweeps_on_er50_laplacians(self):
+        graphs = [erdos_renyi(50, 6.0 / 49, seed) for seed in range(20)]
+        sweeps = [assert_decomposes(laplacian(g)) for g in graphs]
+        assert max(sweeps) <= 9
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("n", range(71))
+    def test_rounds_disjoint_and_cover_every_pair_once(self, n):
+        p, q = kernels.round_robin(n)
+        assert p.shape == q.shape and p.shape[1] == n // 2
+        if n >= 2:
+            assert p.shape[0] == (n - 1 if n % 2 == 0 else n)
+        for rp, rq in zip(p, q):
+            nodes = np.concatenate([rp, rq])
+            assert np.unique(nodes).size == nodes.size
+        assert np.all(p < q) and np.all((p >= 0) & (q < n))
+        pairs = sorted(zip(p.ravel().tolist(), q.ravel().tolist()))
+        assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -190,4 +190,5 @@ class TestIsConnected:
         assert is_connected(Graph.from_edges(1, []))
 
     def test_empty_graph_connected(self):
-        assert is_connected(Graph.from_adjacency(np.zeros((0, 0), dtype=bool)))
+        # from_adjacency and from_edges reject n = 0, so build the CSR arrays directly
+        assert is_connected(Graph(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)))
