@@ -7,6 +7,8 @@ neighbours' rows over the CSR lists. That costs O(diameter * m * n/64) word
 operations and uses no BLAS, so distances do not depend on the BLAS build
 or thread count. ``jacobi_sweeps`` rotates n // 2 disjoint pairs per numpy
 step in round-robin order (Brent & Luk, 1985), n - 1 O(n^2) steps a sweep.
+``spectral.eigen_decompose`` calls it on a matrix already diagonalised up to
+roundoff by LAPACK's ``eigh``, where it normally converges in one sweep.
 """
 
 from __future__ import annotations

@@ -44,6 +44,8 @@ class EccentricityProfile:
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every node; exact distances, UNREACHABLE across components."""
+    if g.n < 1:
+        raise ValueError(f"node count must be >= 1, got {g.n}")
     dist = _kernels.bfs_all_pairs(g.indptr, g.indices, g.n)
     return DistanceMatrix(g.n, dist)
 

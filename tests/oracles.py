@@ -1,9 +1,10 @@
 """Independent reference implementations used as oracles by the test suite.
 
 Nothing here shares code with the package under test: distances come from
-Floyd-Warshall instead of BFS, spectra come from numpy.linalg or integer
-characteristic-polynomial arithmetic instead of the package's Jacobi solver,
-and expected eigenvalues come from closed forms.
+Floyd-Warshall instead of BFS, spectra come from scipy's implicit-QR LAPACK
+driver (``dsyev``) or integer characteristic-polynomial arithmetic instead of
+the package's numpy ``eigh`` (divide and conquer, ``dsyevd``) and Jacobi
+sweeps, and expected eigenvalues come from closed forms.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
 
 def floyd_warshall(adj: np.ndarray) -> np.ndarray:
@@ -36,8 +38,12 @@ def eccentricities(adj: np.ndarray) -> np.ndarray:
 
 
 def sorted_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """LAPACK eigenvalues, ascending — independent of the package's solver."""
-    return np.linalg.eigvalsh(a)
+    """Eigenvalues, ascending, by implicit QR (scipy's own LAPACK ``dsyev``).
+
+    The package seeds its solver with numpy's divide-and-conquer ``eigh``; a
+    different algorithm from a different build keeps the oracle independent.
+    """
+    return scipy.linalg.eigvalsh(a, driver="ev")
 
 
 def char_poly_value(a: np.ndarray, lam: int) -> Fraction:

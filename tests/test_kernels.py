@@ -133,7 +133,7 @@ class TestJacobiKernels:
         for a in sample_matrices():
             diag, vecs, sweeps, converged = run_jacobi(a)
             assert converged and sweeps <= MAX_SWEEPS
-            assert np.allclose(np.sort(diag), np.linalg.eigvalsh(a), atol=1e-9 * max(1.0, np.abs(a).max()))
+            assert np.allclose(np.sort(diag), oracles.sorted_eigenvalues(a), atol=1e-9 * max(1.0, np.abs(a).max()))
             assert np.allclose(vecs.T @ vecs, np.eye(a.shape[0]), atol=1e-10)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 13])

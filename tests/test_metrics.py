@@ -75,6 +75,11 @@ class TestAllPairsDistances:
         with pytest.raises(ValueError):
             d.dist[0, 0] = 5
 
+    def test_rejects_empty_graph(self):
+        empty = Graph(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"^node count must be >= 1, got 0$"):
+            all_pairs_distances(empty)
+
 
 class TestEccentricityProfile:
     def test_path(self):

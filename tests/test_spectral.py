@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from eccbounds.bounds import gamma
 from eccbounds.graphs import (
     Graph,
     complete_graph,
@@ -15,7 +16,7 @@ from eccbounds.graphs import (
     random_tree,
     star_graph,
 )
-from eccbounds.metrics import is_connected
+from eccbounds.metrics import all_pairs_distances, is_connected, power_graph
 from eccbounds.spectral import (
     NOT_PSD,
     PSD,
@@ -151,6 +152,58 @@ class TestEigenDecompose:
     def test_sweep_count_bounded(self):
         s = eigen_decompose(random_symmetric(20))
         assert 1 <= s.sweeps <= 100
+
+
+def assert_matches_oracle(a: np.ndarray):
+    """Eigenvalues agree with the oracle; residual and orthogonality near roundoff."""
+    s = eigen_decompose(a)
+    scale = max(1.0, inf_norm(a))
+    assert np.allclose(s.eigenvalues, oracles.sorted_eigenvalues(a), rtol=0, atol=1e-10 * scale)
+    assert s.residual <= 1e-12 * scale
+    assert s.orthogonality_error <= 1e-12
+    return s
+
+
+class TestLapackSeededStart:
+    """The solve starts from eigh's basis, so Jacobi only polishes roundoff."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            laplacian(complete_graph(9)),  # eigenvalue 9, multiplicity 8
+            laplacian(star_graph(15)),  # eigenvalue 1, multiplicity 13
+            laplacian(cycle_graph(12)),  # five double eigenvalues
+            np.zeros((5, 5)),
+            np.array([[-2.5]]),
+            np.array([[1.0, -1.0], [-1.0, 1.0]]),
+        ],
+        ids=["K9", "star15", "C12", "zero5", "n1", "n2"],
+    )
+    def test_degenerate_and_edge_spectra(self, a):
+        assert_matches_oracle(a)
+
+    def test_three_triangles_have_a_triple_zero(self):
+        triangles = [(i + j, i + k) for i in (0, 3, 6) for j, k in ((0, 1), (1, 2), (0, 2))]
+        s = assert_matches_oracle(laplacian(Graph.from_edges(9, triangles)))
+        assert np.allclose(s.eigenvalues, [0.0] * 3 + [3.0] * 6, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [12, 50, 100])
+    def test_one_sweep_on_er_laplacians(self, n):
+        # an identity start takes 5-9 sweeps on these; one sweep pins the eigh seed
+        for seed in range(5):
+            g = erdos_renyi(n, min(0.3, 6.0 / (n - 1)), seed=seed)
+            assert assert_matches_oracle(laplacian(g)).sweeps == 1
+
+    @pytest.mark.parametrize("shrink", [1.0, 4.0])
+    def test_certificate_matrix(self, shrink):
+        g = erdos_renyi(12, 0.3, seed=3)
+        assert is_connected(g)
+        power = laplacian(power_graph(g, all_pairs_distances(g), 2))
+        s = assert_matches_oracle(gamma(g.n, 2) / shrink * laplacian(g) - power)
+        if shrink == 1.0:  # the g1 certificate: PSD, with the all-ones null vector
+            assert abs(s.eigenvalues[0]) <= 1e-9 and s.eigenvalues[1] > 1.0
+        else:  # (gamma / 4) L(G) - L(G^2) is indefinite
+            assert s.eigenvalues[0] < -1.0 and s.eigenvalues[-1] > 1.0
 
 
 class TestLambda2:
