@@ -7,8 +7,10 @@ neighbours' rows over the CSR lists. That costs O(diameter * m * n/64) word
 operations and uses no BLAS, so distances do not depend on the BLAS build
 or thread count. ``jacobi_sweeps`` rotates n // 2 disjoint pairs per numpy
 step in round-robin order (Brent & Luk, 1985), n - 1 O(n^2) steps a sweep.
-``spectral.eigen_decompose`` calls it on a matrix already diagonalised up to
-roundoff by LAPACK's ``eigh``, where it normally converges in one sweep.
+It tests the stopping rule before every sweep, so on the matrix
+``spectral.eigen_decompose`` gives it, already diagonalised up to roundoff
+by LAPACK's ``eigh``, it normally returns after 0 sweeps, without building
+the round-robin schedule or rotating anything.
 """
 
 from __future__ import annotations
@@ -114,13 +116,23 @@ def round_robin(n):
 def jacobi_sweeps(a, v, off_tol, max_sweeps):
     """Cyclic Jacobi sweeps in round-robin order; updates a and v, returns (sweeps, converged).
 
+    The stopping rule sqrt(2 * sum(triu(a, 1)**2)) <= off_tol is tested before
+    each sweep: an input that already meets it returns (0, True) with a and v
+    untouched, and the schedule is built only once a sweep has to run.
+
     A round's pairs are disjoint, so their rotations touch separate 2 x 2 blocks
     and commute: every (c, s) comes from the matrix at the round's start (pairs
     with a[p, q] == 0 are skipped), then one column, row and V update each.
     """
-    p_rounds, q_rounds = round_robin(a.shape[0])
-    for sweep in range(1, max_sweeps + 1):
-        for p, q in zip(p_rounds, q_rounds):
+    sweeps = 0
+    rounds = None
+    # "not <=" so that a NaN norm counts as unconverged
+    while not np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2)) <= off_tol:
+        if sweeps == max_sweeps:
+            return sweeps, False
+        if rounds is None:
+            rounds = round_robin(a.shape[0])
+        for p, q in zip(*rounds):
             apq = a[p, q]
             keep = apq != 0.0
             p, q, apq = p[keep], q[keep], apq[keep]
@@ -142,7 +154,5 @@ def jacobi_sweeps(a, v, off_tol, max_sweeps):
             vp, vq = v[:, p], v[:, q]
             v[:, p] = c * vp - s * vq
             v[:, q] = s * vp + c * vq
-        off = np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))
-        if off <= off_tol:
-            return sweep, True
-    return max_sweeps, False
+        sweeps += 1
+    return sweeps, True

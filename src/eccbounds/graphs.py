@@ -139,18 +139,40 @@ def validate(g: Graph) -> None:
     """Check the structural invariants; raises AssertionError on violation.
 
     Intended for tests and for vetting graphs built by external code paths.
+    Every check runs on whole arrays; a failure names the first offending row
+    or edge.
     """
-    assert g.n >= 1
-    assert g.indptr.shape == (g.n + 1,)
-    assert g.indptr[0] == 0 and g.indptr[-1] == g.indices.shape[0]
-    assert 2 * g.m == g.indices.shape[0]
-    for i in range(g.n):
-        row = g.neighbors(i)
-        assert np.all(np.diff(row) > 0), f"row {i} not strictly sorted (dup or unsorted)"
-        assert i not in row, f"self-loop at {i}"
-        assert np.all((row >= 0) & (row < g.n))
-        for j in row:
-            assert g.has_edge(int(j), i), f"asymmetric edge ({i}, {j})"
+    n, indptr, indices = g.n, g.indptr, g.indices
+    if not (
+        n >= 1
+        and indptr.shape == (n + 1,)
+        and indptr[0] == 0
+        and indptr[-1] == indices.shape[0] == 2 * g.m
+        and np.all(np.diff(indptr) >= 0)
+    ):
+        raise AssertionError(f"malformed CSR arrays for n={n}")
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    unsorted = np.flatnonzero((rows[1:] == rows[:-1]) & (indices[1:] <= indices[:-1]))
+    if unsorted.size:
+        raise AssertionError(f"row {rows[unsorted[0]]} not strictly sorted (dup or unsorted)")
+    loops = np.flatnonzero(rows == indices)
+    if loops.size:
+        raise AssertionError(f"self-loop at {rows[loops[0]]}")
+    outside = np.flatnonzero((indices < 0) | (indices >= n))
+    if outside.size:
+        k = outside[0]
+        raise AssertionError(f"row {rows[k]} has neighbor {indices[k]} outside [0, {n})")
+    # the (row, col) pairs are lexsorted already; symmetric iff the (col, row)
+    # pairs, lexsorted, are the same list
+    order = np.lexsort((rows, indices))
+    t_rows, t_cols = indices[order], rows[order]
+    mismatch = np.flatnonzero((t_rows != rows) | (t_cols != indices))
+    if mismatch.size:
+        k = mismatch[0]
+        # the smaller pair at the first mismatch lacks its reverse
+        edge, reverse = (rows[k], indices[k]), (t_rows[k], t_cols[k])
+        u, v = edge if edge < reverse else reverse[::-1]
+        raise AssertionError(f"asymmetric edge ({u}, {v})")
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -171,6 +171,25 @@ class TestConstruction:
         for u, v in g.edges():
             assert g.has_edge(u, v) and g.has_edge(v, u)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[2, 1], [0, 2], [0, 1]], r"row 0 not strictly sorted"),
+            ([[1, 2], [0, 2, 2], [0, 1, 1]], r"row 1 not strictly sorted"),
+            ([[1], [0, 1], [2]], r"self-loop at 1"),
+            ([[], [0, 2]], r"row 1 has neighbor 2 outside \[0, 2\)"),
+            ([[-1], [0]], r"row 0 has neighbor -1 outside \[0, 2\)"),
+            ([[1], [2], []], r"asymmetric edge \(0, 1\)"),
+            ([[2], [0], []], r"asymmetric edge \(1, 0\)"),
+        ],
+        ids=["unsorted", "duplicate", "self-loop", "above-range", "negative", "asymmetric", "missing-reverse"],
+    )
+    def test_validate_rejects_broken_csr(self, rows, message):
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        indices = np.array([j for r in rows for j in r], dtype=np.int64)
+        with pytest.raises(AssertionError, match=message):
+            validate(Graph(len(rows), indptr, indices))
+
 
 class TestGenerators:
     def test_path(self):

@@ -149,8 +149,20 @@ class TestJacobiKernels:
     def test_diagonal_input_untouched(self):
         a = np.diag([4.0, -2.0, 0.0, 7.5, 1.0])
         work, vecs = a.copy(), np.eye(5)
-        assert kernels.jacobi_sweeps(work, vecs, 0.0, MAX_SWEEPS) == (1, True)
+        assert kernels.jacobi_sweeps(work, vecs, 0.0, MAX_SWEEPS) == (0, True)
         assert np.array_equal(work, a) and np.array_equal(vecs, np.eye(5))
+
+    def test_sweep_cap_reached_before_any_rotation(self):
+        a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.0, -1.0, 1.0]])
+        v = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, -0.8, 0.6]])
+        work, vecs = a.copy(), v.copy()
+        assert kernels.jacobi_sweeps(work, vecs, 0.0, 0) == (0, False)
+        assert np.array_equal(work, a) and np.array_equal(vecs, v)
+
+    def test_nan_never_converges(self):
+        a = np.full((3, 3), np.nan)
+        np.fill_diagonal(a, [1.0, 2.0, 3.0])
+        assert kernels.jacobi_sweeps(a, np.eye(3), 1.0, 3) == (3, False)
 
     def test_theta_overflow_branch(self):
         # theta = 0.5 * (a_qq - a_pp) / a_pq is +-5e159, past _THETA_OVERFLOW,
@@ -171,7 +183,19 @@ class TestJacobiKernels:
     def test_sweeps_on_er50_laplacians(self):
         graphs = [erdos_renyi(50, 6.0 / 49, seed) for seed in range(20)]
         sweeps = [assert_decomposes(laplacian(g)) for g in graphs]
-        assert max(sweeps) <= 9
+        assert 1 <= min(sweeps) and max(sweeps) <= 9
+
+    def test_identity_start_builds_the_schedule_once(self, monkeypatch):
+        built = []
+        round_robin = kernels.round_robin
+
+        def counted(n):
+            built.append(n)
+            return round_robin(n)
+
+        monkeypatch.setattr(kernels, "round_robin", counted)
+        assert assert_decomposes(laplacian(erdos_renyi(50, 6.0 / 49, 0))) > 1
+        assert built == [50]
 
 
 class TestRoundRobin:

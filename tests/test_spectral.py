@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from eccbounds import _kernels, spectral
 from eccbounds.bounds import gamma
 from eccbounds.graphs import (
     Graph,
@@ -20,6 +21,7 @@ from eccbounds.metrics import all_pairs_distances, is_connected, power_graph
 from eccbounds.spectral import (
     NOT_PSD,
     PSD,
+    JacobiConvergenceError,
     eigen_decompose,
     inf_norm,
     is_psd,
@@ -151,7 +153,7 @@ class TestEigenDecompose:
 
     def test_sweep_count_bounded(self):
         s = eigen_decompose(random_symmetric(20))
-        assert 1 <= s.sweeps <= 100
+        assert s.sweeps == 0
 
 
 def assert_matches_oracle(a: np.ndarray):
@@ -188,11 +190,27 @@ class TestLapackSeededStart:
         assert np.allclose(s.eigenvalues, [0.0] * 3 + [3.0] * 6, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [12, 50, 100])
-    def test_one_sweep_on_er_laplacians(self, n):
-        # an identity start takes 5-9 sweeps on these; one sweep pins the eigh seed
+    def test_no_sweep_on_er_laplacians(self, n):
+        # an identity start takes 5-9 sweeps on these; 0 sweeps pins the eigh
+        # seed and the stopping rule tested before the first sweep
         for seed in range(5):
             g = erdos_renyi(n, min(0.3, 6.0 / (n - 1)), seed=seed)
-            assert assert_matches_oracle(laplacian(g)).sweeps == 1
+            assert assert_matches_oracle(laplacian(g)).sweeps == 0
+
+    @pytest.mark.parametrize("n", [12, 50])
+    def test_schedule_not_built_without_a_sweep(self, monkeypatch, n):
+        def no_schedule(size):
+            raise AssertionError("round-robin schedule built")
+
+        monkeypatch.setattr(_kernels, "round_robin", no_schedule)
+        for seed in range(5):
+            assert_matches_oracle(laplacian(erdos_renyi(n, min(0.3, 6.0 / (n - 1)), seed=seed)))
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "OFF_DIAG_REL_TOL", 0.0)
+        monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
+        with pytest.raises(JacobiConvergenceError, match=r"after 0 sweeps \(n=12, .*target 0\.000e\+00\)"):
+            eigen_decompose(laplacian(erdos_renyi(12, 0.3, seed=1)))
 
     @pytest.mark.parametrize("shrink", [1.0, 4.0])
     def test_certificate_matrix(self, shrink):
