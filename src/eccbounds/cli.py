@@ -11,9 +11,12 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification violation, 2 usage or input error.
 Reports are deterministic: the same command line and seed produce byte
-identical output. Reals are printed with 12 significant digits; fields that
-do not apply (diameter-based bounds on disconnected graphs) are empty in CSV
-and null in JSON.
+identical output. Every report value goes through one pair of formatters,
+``_csv_cell`` and ``_json_value``: reals are printed with 12 significant
+digits, and fields that do not apply (diameter-based bounds on disconnected
+graphs) are empty in CSV and null in JSON. The argument parser is built once,
+at import; each ``_cmd_*`` returns its report text and exit code, and ``main``
+writes the text.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -34,57 +37,46 @@ from .spectral import PSD
 #: Families usable with the tightness sweep (deterministic, connected).
 TIGHTNESS_FAMILIES = ("path", "cycle", "star", "complete")
 
-#: Integer columns of analyze reports; diameter is None when disconnected.
-_INT_COLUMNS = ("n", "m", "ell", "s1", "s2", "s_ell", "diameter", "e_power", "e_complement")
-#: Real columns of analyze reports; slack columns mirror the bound columns.
-_REAL_COLUMNS = (
-    "lambda2",
+#: Column order for analyze reports; diameter is None when disconnected, and
+#: the slack columns mirror the bound columns.
+CSV_COLUMNS = (
+    *("n", "m", "ell", "s1", "s2", "s_ell", "diameter", "e_power", "e_complement", "lambda2"),
     *(f"bound_{name}" for name in BOUND_NAMES),
     *(f"slack_{name}" for name in BOUND_NAMES),
 )
-#: Column order for analyze reports.
-CSV_COLUMNS = _INT_COLUMNS + _REAL_COLUMNS
 
 
-def _fmt_real(x: float | None) -> str:
-    """Render a real with 12 significant digits; None becomes the empty field."""
-    return "" if x is None else f"{x:.12g}"
+def _csv_cell(x: object) -> str:
+    """One CSV field: None is empty, a real has 12 significant digits."""
+    if x is None:
+        return ""
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
-def _json_real(x: float | None) -> float | None:
-    """Round a real to 12 significant digits for stable JSON output."""
-    return None if x is None else float(f"{x:.12g}")
+def _json_value(x: object) -> object:
+    """One JSON value: a real is rounded to 12 significant digits."""
+    return float(f"{x:.12g}") if isinstance(x, float) else x
 
 
 def _report_row(report: BoundReport) -> dict[str, object]:
     """The analyze report's values keyed by column, in CSV_COLUMNS order."""
+    per_bound = {"bound": report.bounds, "slack": report.slacks}
     row: dict[str, object] = {}
     for column in CSV_COLUMNS:
         kind, _, name = column.partition("_")
-        if kind == "bound":
-            row[column] = report.bounds[name]
-        elif kind == "slack":
-            row[column] = report.slacks[name]
-        else:
-            row[column] = getattr(report, column)
+        row[column] = per_bound[kind][name] if kind in per_bound else getattr(report, column)
     return row
 
 
 def report_csv(report: BoundReport) -> str:
     """One header line plus one data row in the pinned column order."""
-    fields = [
-        _fmt_real(value) if column in _REAL_COLUMNS else "" if value is None else str(value)
-        for column, value in _report_row(report).items()
-    ]
-    return ",".join(CSV_COLUMNS) + "\n" + ",".join(fields) + "\n"
+    cells = map(_csv_cell, _report_row(report).values())
+    return ",".join(CSV_COLUMNS) + "\n" + ",".join(cells) + "\n"
 
 
 def report_json(report: BoundReport) -> str:
     """JSON object with the same fields as the CSV plus the tight-bound list."""
-    obj = {
-        column: _json_real(value) if column in _REAL_COLUMNS else value  # type: ignore[arg-type]
-        for column, value in _report_row(report).items()
-    }
+    obj = {column: _json_value(value) for column, value in _report_row(report).items()}
     obj["tight"] = [name for name in BOUND_NAMES if report.tight.get(name, False)]
     return json.dumps(obj, indent=2) + "\n"
 
@@ -143,8 +135,8 @@ class _BoundStats:
         return {
             "checks": self.count,
             "tight_count": self.tight_count,
-            "min_slack": _json_real(self.min_slack),
-            "mean_slack": _json_real(mean),
+            "min_slack": _json_value(self.min_slack),
+            "mean_slack": _json_value(mean),
         }
 
 
@@ -263,29 +255,20 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
 
 def summary_json(summary: CampaignSummary) -> str:
     """Deterministic JSON rendering of a campaign summary."""
-    config = summary.config
     worst = summary.worst_slack
-    if worst is not None:
-        worst = dict(worst)
-        worst["slack"] = _json_real(worst["slack"])  # type: ignore[arg-type]
-        worst["lambda2"] = _json_real(worst["lambda2"])  # type: ignore[arg-type]
     obj = {
         "config": {
-            "family": config.family,
-            "n": config.n,
-            "p": config.p,
-            "trials": config.trials,
-            "seed": config.seed,
-            "ell": config.ell_policy,
+            "ell" if key == "ell_policy" else key: value
+            for key, value in asdict(summary.config).items()
         },
-        "trials": config.trials,
+        "trials": summary.config.trials,
         "connected_trials": summary.connected_trials,
         "disconnected_trials": summary.disconnected_trials,
         "checks": summary.checks,
         "violations": summary.violation_count,
         "violation_details": summary.violations,
         "bounds": {name: summary.bound_stats[name].as_dict() for name in BOUND_NAMES},
-        "worst_slack": worst,
+        "worst_slack": None if worst is None else {k: _json_value(v) for k, v in worst.items()},
     }
     return json.dumps(obj, indent=2) + "\n"
 
@@ -325,45 +308,21 @@ def run_tightness(family: str, n_max: int, ell_policy: int | str = "all") -> lis
                 value = report.bounds[name]
                 if value is None:
                     continue
-                records.append(
-                    TightnessRecord(
-                        family=family,
-                        n=n,
-                        ell=ell,
-                        bound=name,
-                        value=value,
-                        lambda2=report.lambda2,
-                        ratio=value / report.lambda2,
-                    )
-                )
+                lam = report.lambda2
+                records.append(TightnessRecord(family, n, ell, name, value, lam, value / lam))
     order = {name: i for i, name in enumerate(BOUND_NAMES)}
-    records.sort(key=lambda r: (-_json_real(r.ratio), r.n, r.ell, order[r.bound]))
+    records.sort(key=lambda r: (-_json_value(r.ratio), r.n, r.ell, order[r.bound]))
     return records
 
 
 def tightness_csv(records: list[TightnessRecord]) -> str:
-    lines = ["family,n,ell,bound,value,lambda2,ratio"]
-    for r in records:
-        lines.append(
-            f"{r.family},{r.n},{r.ell},{r.bound},"
-            f"{_fmt_real(r.value)},{_fmt_real(r.lambda2)},{_fmt_real(r.ratio)}"
-        )
+    lines = [",".join(f.name for f in fields(TightnessRecord))]
+    lines += (",".join(map(_csv_cell, astuple(r))) for r in records)
     return "\n".join(lines) + "\n"
 
 
 def tightness_json(records: list[TightnessRecord]) -> str:
-    objs = [
-        {
-            "family": r.family,
-            "n": r.n,
-            "ell": r.ell,
-            "bound": r.bound,
-            "value": _json_real(r.value),
-            "lambda2": _json_real(r.lambda2),
-            "ratio": _json_real(r.ratio),
-        }
-        for r in records
-    ]
+    objs = [{key: _json_value(value) for key, value in asdict(r).items()} for r in records]
     return json.dumps(objs, indent=2) + "\n"
 
 
@@ -384,15 +343,12 @@ def _parse_ell_policy(raw: str) -> int | str:
         raise ValueError(f"--ell must be an integer or 'all', got {raw!r}") from None
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    g = load_edge_list(args.path)
-    report = evaluate_all(g, args.ell)
-    text = report_json(report) if args.format == "json" else report_csv(report)
-    _emit(text, args.out)
-    return 0
+def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int]:
+    report = evaluate_all(load_edge_list(args.path), args.ell)
+    return (report_json(report) if args.format == "json" else report_csv(report)), 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     config = CampaignConfig(
         family=args.family,
         n=args.n,
@@ -402,24 +358,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ell_policy=_parse_ell_policy(args.ell),
     )
     summary = run_campaign(config)
-    _emit(summary_json(summary), args.out)
-    return 1 if summary.violation_count else 0
+    return summary_json(summary), 1 if summary.violation_count else 0
 
 
-def _cmd_tightness(args: argparse.Namespace) -> int:
+def _cmd_tightness(args: argparse.Namespace) -> tuple[str, int]:
     records = run_tightness(args.family, args.n_max, _parse_ell_policy(args.ell))
     text = tightness_json(records) if args.format == "json" else tightness_csv(records)
-    _emit(text, args.out)
-    return 1 if any(r.ratio > 1.0 + TIGHTNESS_REL_TOL for r in records) else 0
+    return text, 1 if any(r.ratio > 1.0 + TIGHTNESS_REL_TOL for r in records) else 0
 
 
-def _cmd_power(args: argparse.Namespace) -> int:
+def _cmd_power(args: argparse.Namespace) -> tuple[str, int]:
     g = load_edge_list(args.path)
     if args.ell < 1:
         raise ValueError(f"ell must be >= 1, got {args.ell}")
-    power = power_graph(g, all_pairs_distances(g), args.ell)
-    _emit(serialize_edge_list(power), args.out)
-    return 0
+    return serialize_edge_list(power_graph(g, all_pairs_distances(g), args.ell)), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,17 +415,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once per process; ``main`` only parses with it.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        _emit(text, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 def entry() -> None:

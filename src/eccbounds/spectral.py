@@ -5,10 +5,9 @@ in which the matrix is diagonal up to roundoff, and cyclic Jacobi sweeps in
 round-robin order (n - 1 vectorised rounds of n // 2 disjoint rotations,
 O(n^2) work a round) finish from there when needed: the stopping rule is
 tested before the first sweep, and the ``eigh`` start normally meets it
-already, so a solve runs 0 sweeps. Every
-decomposition records its residual and eigenvector-orthogonality error in a
-process-global diagnostics accumulator so test suites can assert numerical
-quality over everything they ran.
+already, so a solve runs 0 sweeps. Each decomposition reports its own
+residual and eigenvector-orthogonality error in its ``SpectralSummary``; the
+module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .graphs import Graph
 OFF_DIAG_REL_TOL = 1e-12
 #: Hard cap on full cyclic sweeps before giving up.
 MAX_SWEEPS = 100
-#: PSD verdicts use tolerance PSD_REL_TOL * max(1, ||A||_inf) unless overridden.
+#: PSD verdicts use tolerance PSD_REL_TOL * max(1, ||A||_inf).
 PSD_REL_TOL = 1e-8
 
 PSD = "PSD"
@@ -61,27 +60,6 @@ class CertificateResult:
     min_eigenvalue: float
     tolerance: float
     verdict: str  # PSD | NOT_PSD
-
-
-@dataclass
-class SpectralDiagnostics:
-    """Worst-case numerical quality over all decompositions since the last reset."""
-
-    decompositions: int = 0
-    max_relative_residual: float = 0.0
-    max_orthogonality_error: float = 0.0
-
-    def record(self, relative_residual: float, orthogonality_error: float) -> None:
-        self.decompositions += 1
-        self.max_relative_residual = max(self.max_relative_residual, relative_residual)
-        self.max_orthogonality_error = max(self.max_orthogonality_error, orthogonality_error)
-
-
-_diagnostics = SpectralDiagnostics()
-
-
-def diagnostics() -> SpectralDiagnostics:
-    return _diagnostics
 
 
 def inf_norm(a: np.ndarray) -> float:
@@ -134,7 +112,6 @@ def eigen_decompose(a: np.ndarray) -> SpectralSummary:
     vectors = vectors[:, order]
     residual = float(np.abs(a @ vectors - vectors * eigenvalues).max()) if n else 0.0
     orthogonality_error = float(np.abs(vectors.T @ vectors - np.eye(n)).max()) if n else 0.0
-    _diagnostics.record(residual / max(1.0, inf_norm(a)), orthogonality_error)
     eigenvalues.flags.writeable = False
     vectors.flags.writeable = False
     return SpectralSummary(
@@ -160,17 +137,13 @@ def psd_tolerance(a: np.ndarray) -> float:
     return PSD_REL_TOL * max(1.0, inf_norm(a))
 
 
-def is_psd(a: np.ndarray, tol: float | None = None) -> CertificateResult:
+def is_psd(a: np.ndarray) -> CertificateResult:
     """Certify positive semi-definiteness via the minimum eigenvalue.
 
-    ``tol`` defaults to the shared scaled tolerance; the result records the
-    tolerance actually applied.
+    The tolerance is ``psd_tolerance(a)``; the result records it.
     """
-    if tol is None:
-        tol = psd_tolerance(a)
-    if tol < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
+    tol = psd_tolerance(a)
     summary = eigen_decompose(a)
     min_eigenvalue = float(summary.eigenvalues[0])
     verdict = PSD if min_eigenvalue >= -tol else NOT_PSD
-    return CertificateResult(min_eigenvalue=min_eigenvalue, tolerance=float(tol), verdict=verdict)
+    return CertificateResult(min_eigenvalue=min_eigenvalue, tolerance=tol, verdict=verdict)

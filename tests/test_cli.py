@@ -286,6 +286,44 @@ def test_golden_report(command, digest, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+#: sha256 of stdout for analyze and power on files the test writes: ``{er20}``
+#: is ``erdos_renyi(20, 0.3, seed=0)`` (connected, diameter 4), ``{split}`` is
+#: two disjoint edges, whose lambda2 prints as an exact 0 and whose diameter
+#: columns print empty (CSV) and null (JSON). Same digests at 1 and 2 BLAS threads.
+GOLDEN_FILE_REPORTS = [
+    (
+        "analyze {er20} --ell 2",
+        "fe5d37d20b47a91356989b969dac6fb3dbdbe050f8a0fdf7af8a78b9697fe86a",
+    ),
+    (
+        "analyze {er20} --ell 3 --format json",
+        "6b9cf4d4c056ea4c902d9d4c7ae712e172e769925d7bc476b31a1e6b5cbb445a",
+    ),
+    (
+        "analyze {split} --ell 2",
+        "f0d491db5cfdad278cef276ec0805366d5f7893c69cbb71b650402b736bdca28",
+    ),
+    (
+        "analyze {split} --ell 2 --format json",
+        "b003c2010c9d4401ac8eac880ea6aac34b5d84e46aec156f1ae7893504e710fc",
+    ),
+    (
+        "power {er20} --ell 2",
+        "ce2f370030f9fd3f6e00fc41aa77cb2497cc3c1f905b65d9b0fec4e2ce15a10e",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN_FILE_REPORTS)
+def test_golden_file_report(command, digest, tmp_path, capsys):
+    er20, split = tmp_path / "er20.txt", tmp_path / "split.txt"
+    er20.write_text(serialize_edge_list(generate("erdos_renyi", 20, p=0.3, seed=0)), encoding="utf-8")
+    split.write_text(DISCONNECTED_TEXT, encoding="utf-8")
+    assert cli.main(command.format(er20=er20, split=split).split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestTightness:
     def test_complete_family_s1_always_tight(self, capsys):
         assert cli.main(["tightness", "--family", "complete", "--n-max", "8"]) == 0
@@ -356,6 +394,23 @@ class TestPower:
 class TestEntryPoints:
     def test_no_subcommand_exits_2(self, capsys):
         assert cli.main([]) == 2
+
+    def test_parser_built_once_at_import(self, p4_file, monkeypatch, capsys):
+        def no_rebuild():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_rebuild)
+        assert cli.main(["analyze", p4_file, "--ell", "2"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "{p4}", "--ell", "2"], ["verify", "--family", "path", "--n", "4", "--trials", "1"]],
+    )
+    def test_out_in_missing_directory_exits_2(self, argv, p4_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.txt"
+        assert cli.main([a.format(p4=p4_file) for a in argv] + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
 
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0

@@ -250,13 +250,13 @@ class TestLambda2:
 
 class TestIsPsd:
     def test_identity(self):
-        res = is_psd(np.eye(3), tol=1e-8)
+        res = is_psd(np.eye(3))
         assert res.verdict == PSD
         assert abs(res.min_eigenvalue - 1.0) <= 1e-12
         assert res.tolerance == 1e-8
 
     def test_indefinite_diagonal(self):
-        res = is_psd(np.diag([1.0, -1.0]), tol=1e-8)
+        res = is_psd(np.diag([1.0, -1.0]))
         assert res.verdict == NOT_PSD
         assert abs(res.min_eigenvalue + 1.0) <= 1e-12
 
@@ -277,7 +277,3 @@ class TestIsPsd:
                 continue
             res = is_psd(laplacian(g))
             assert (res.verdict == PSD) == (res.min_eigenvalue >= -res.tolerance)
-
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            is_psd(np.eye(2), tol=-1.0)
