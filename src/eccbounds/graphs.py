@@ -7,6 +7,7 @@ deterministic and membership tests are O(log deg).
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -42,12 +43,15 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from (u, v) pairs; duplicates and orientation collapse."""
+        """Build a graph from integer (u, v) pairs; duplicates and orientation collapse."""
         if n < 1:
             raise ValueError(f"node count must be >= 1, got {n}")
         seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
+        for edge in edges:
+            try:
+                u, v = map(operator.index, edge)
+            except TypeError:
+                raise ValueError(f"non-integer endpoint in edge {edge!r}") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:

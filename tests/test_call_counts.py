@@ -7,7 +7,8 @@ import pytest
 
 import oracles
 from eccbounds import _kernels, spectral
-from eccbounds.bounds import evaluate_all
+from eccbounds.bounds import GraphAnalysis, evaluate_all
+from eccbounds.certify import check_chain
 from eccbounds.cli import CampaignConfig, run_campaign, run_tightness
 from eccbounds.graphs import generate, path_graph
 
@@ -48,12 +49,21 @@ def test_evaluate_all_on_a_graph_makes_one_bfs_and_one_eigensolve(kernel_calls):
     assert kernel_calls == {"bfs_all_pairs": 1, "jacobi_sweeps": 1}
 
 
+def test_check_chain_on_a_built_analysis_makes_no_bfs(kernel_calls):
+    analysis = GraphAnalysis(path_graph(7))
+    assert kernel_calls["bfs_all_pairs"] == 1
+    for ell in range(2, 8):
+        assert check_chain(analysis, ell).all_hold
+    assert kernel_calls["bfs_all_pairs"] == 1
+
+
 class TestKernelCallCounts:
-    """One BFS and one L(G) eigensolve per graph; per connected (graph, ell)
-    check, one BFS of G^ell (chain link 3) and three eigensolves (two
-    certificates and lambda2(G^ell)). L(G) is built once inside lambda2(G) and,
-    for a connected graph, once more for the certificates; L(G^ell) is built
-    once per connected check and shared by both certificates and the chain."""
+    """One BFS per graph, whatever ell is checked: chain link 3 reads s1(G^ell)
+    from the power graph's degrees. One L(G) eigensolve per graph, plus per
+    connected (graph, ell) check three eigensolves (two certificates and
+    lambda2(G^ell)). L(G) is built once inside lambda2(G) and, for a connected
+    graph, once more for the certificates; L(G^ell) is built once per connected
+    check and shared by both certificates and the chain."""
 
     @pytest.mark.parametrize("ell_policy", ["all", 3])
     def test_campaign(self, kernel_calls, laplacian_builds, ell_policy):
@@ -76,7 +86,7 @@ class TestKernelCallCounts:
         summary = run_campaign(config)
         assert summary.violation_count == 0
         assert summary.checks == connected_checks + disconnected
-        assert kernel_calls["bfs_all_pairs"] == config.trials + connected_checks
+        assert kernel_calls["bfs_all_pairs"] == config.trials
         assert kernel_calls["jacobi_sweeps"] == config.trials + 3 * connected_checks
         connected_graphs = config.trials - disconnected
         assert laplacian_builds[0] == config.trials + connected_graphs + connected_checks

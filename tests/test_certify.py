@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from eccbounds.bounds import bound_g1, gamma
+import oracles
+from eccbounds.bounds import GraphAnalysis, bound_g1, gamma
 from eccbounds.certify import (
     CHAIN_REL_TOL,
     certify_g1_matrix,
@@ -15,6 +16,7 @@ from eccbounds.graphs import (
     complete_graph,
     cycle_graph,
     erdos_renyi,
+    generate,
     path_graph,
     random_tree,
 )
@@ -145,6 +147,43 @@ class TestCheckChain:
         # lambda2(P7^2) just above its floor: links must use the documented slack
         c = check_chain(path_graph(7), 2)
         assert c.lambda2_g >= c.lambda2_power / c.gamma_val - CHAIN_REL_TOL * max(1.0, c.lambda2_g)
+
+    @pytest.mark.parametrize("family", ["erdos_renyi", "random_tree"])
+    def test_s1_power_matches_oracle(self, family):
+        # s1(G^ell) from Floyd-Warshall eccentricities of the brute-force power
+        # graph, for every ell up to diameter + 1 (where G^ell = K_n)
+        rng = np.random.default_rng(31)
+        complete = partial = 0
+        for n in range(2, 21):
+            for _ in range(2):
+                g = generate(family, n, p=0.35, seed=rng)
+                adj = g.adjacency_matrix().astype(np.int64)
+                fw = oracles.floyd_warshall(adj)
+                if not np.isfinite(fw).all():
+                    continue
+                for ell in range(2, int(fw.max()) + 2):
+                    ecc = oracles.eccentricities(oracles.power_adjacency(adj, ell))
+                    expected = int(np.count_nonzero(ecc <= 1))
+                    c = check_chain(g, ell)
+                    assert c.s1_power == expected, (n, ell)
+                    assert c.links_hold[2]
+                    complete += expected == n
+                    partial += 0 < expected < n
+        assert complete >= 20 and partial >= 5
+
+    @pytest.mark.parametrize(
+        ("g", "ell", "edge"), [(path_graph(4), 3, (0, 1)), (path_graph(5), 2, (0, 2))]
+    )
+    def test_link3_fails_when_power_graph_drops_an_edge(self, monkeypatch, g, ell, edge):
+        # negative control: an edge missing at a universal node of G^ell
+        a = GraphAnalysis(g)
+        full = a.power(ell)
+        assert full.degree(edge[1]) == g.n - 1 and full.has_edge(*edge)
+        broken = Graph.from_edges(g.n, [e for e in full.edges() if e != edge])
+        monkeypatch.setattr(a, "power", lambda _ell: broken)
+        c = check_chain(a, ell)
+        assert c.s1_power < c.s_ell
+        assert c.links_hold == (True, True, False)
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):

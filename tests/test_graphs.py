@@ -116,6 +116,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(1, 1)])
 
+    @pytest.mark.parametrize("edge", [(0, 1.9), (0, "1"), (1.0, 2), (0, np.float64(2.0))])
+    def test_from_edges_rejects_non_integer_endpoints(self, edge):
+        # neither truncated nor parsed: the error names the whole edge
+        with pytest.raises(ValueError, match="non-integer endpoint in edge") as info:
+            Graph.from_edges(3, [(0, 2), edge])
+        assert repr(edge) in str(info.value)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_from_edges_accepts_numpy_integers(self, dtype):
+        g = Graph.from_edges(3, [(dtype(0), dtype(1)), (dtype(2), dtype(1))])
+        assert g == Graph.from_edges(3, [(0, 1), (1, 2)])
+
     def test_from_edges_deduplicates_and_symmetrizes(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
         assert g.m == 1
