@@ -5,8 +5,10 @@
 of ceil(n/64) uint64 words, and one level widens every row by OR-ing its
 neighbours' rows over the CSR lists. That costs O(diameter * m * n/64) word
 operations and uses no BLAS, so distances do not depend on the BLAS build
-or thread count. ``jacobi_sweeps`` rotates n // 2 disjoint pairs per numpy
-step in round-robin order (Brent & Luk, 1985), n - 1 O(n^2) steps a sweep.
+or thread count. After k levels a row holds exactly the nodes within k, so
+G^ell needs only a search bounded at ell levels, at O(ell * m * n/64).
+``jacobi_sweeps`` rotates n // 2 disjoint pairs per numpy step in
+round-robin order (Brent & Luk, 1985), n - 1 O(n^2) steps a sweep.
 It tests the stopping rule before every sweep, so on the matrix
 ``spectral.eigen_decompose`` gives it, already diagonalised up to roundoff
 by LAPACK's ``eigh``, it normally returns after 0 sweeps, without building
@@ -21,28 +23,29 @@ _THETA_OVERFLOW = 1.0e150  # beyond this, tan(angle/2) collapses to 1/(2*theta)
 _GATHER_WORDS = 1 << 20  # cap on the neighbour rows gathered at once (8 MB)
 
 
-def bfs_all_pairs(indptr, indices, n):
+def bfs_all_pairs(indptr, indices, n, depth=None):
     """All-pairs BFS distances from CSR lists, n searches in parallel as bitsets.
 
     Row i of ``reach`` holds, one bit per node, the nodes within ``level`` of
     node i. A level ORs each row with its neighbours' rows; the bits that
     appear are the nodes at distance ``level + 1``. The search stops at the
     first level that adds no bit, after diameter + 1 levels (the largest
-    component's diameter when the graph is disconnected).
+    component's diameter when the graph is disconnected), or after ``depth``
+    levels if sooner: pairs farther apart than ``depth`` then read -1.
 
     ``reduceat`` returns the element itself for an empty segment, so an
     isolated node is given one neighbour: row n of ``reach``, which stays
     zero. Distances are kept packed: bit b of each new node's distance goes
     into bit plane b, so the n x n matrix is unpacked once per plane
-    (ceil(log2(diameter + 1)) planes) rather than once per level.
+    (ceil(log2(min(diameter, depth) + 1)) planes) rather than once per level.
 
-    Cost: O((diameter + 1) * (m + n) * n/64) word operations. Memory: the
-    (n, n) int64 result plus an n x n byte buffer while unpacking, the reach
-    set and each plane at n * n/8 bytes, and a neighbour gather of at most
-    8 MB.
+    Cost: O(min(diameter + 1, depth) * (m + n) * n/64) word operations.
+    Memory: the (n, n) int64 result plus an n x n byte buffer while
+    unpacking, the reach set and each plane at n * n/8 bytes, and a neighbour
+    gather of at most 8 MB.
 
     Returns an (n, n) int64 matrix with 0 on the diagonal and -1 where no
-    path exists.
+    path exists (of at most ``depth`` edges, if given).
     """
     words = (n + 63) // 64
     nodes = np.arange(n)
@@ -67,7 +70,7 @@ def bfs_all_pairs(indptr, indices, n):
     new = np.empty((n, words), dtype=np.uint64)
     planes = []
     level = 0
-    while True:
+    while level != depth:
         for a, b, run_nbrs, starts in runs:
             buf = gathered[: run_nbrs.size]
             reach.take(run_nbrs, axis=0, out=buf)

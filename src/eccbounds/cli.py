@@ -365,7 +365,7 @@ def _cmd_power(args: argparse.Namespace) -> tuple[str, int]:
     g = load_edge_list(args.path)
     if args.ell < 1:
         raise ValueError(f"ell must be >= 1, got {args.ell}")
-    return serialize_edge_list(power_graph(g, all_pairs_distances(g), args.ell)), 0
+    return serialize_edge_list(power_graph(g, all_pairs_distances(g, args.ell), args.ell)), 0
 
 
 def build_parser() -> argparse.ArgumentParser:

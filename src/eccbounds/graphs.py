@@ -84,11 +84,10 @@ class Graph:
             raise ValueError("adjacency matrix has a nonzero diagonal (self-loop)")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency matrix is not symmetric")
-        rows, cols = np.nonzero(adj)
+        rows, cols = np.divmod(np.flatnonzero(adj), n)  # row-major: each row's columns sorted
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        # np.nonzero returns row-major order, so each row's columns are sorted
-        return cls(n, indptr, cols.astype(np.int64))
+        return cls(n, indptr, cols)
 
     def degree(self, i: int) -> int:
         return int(self.indptr[i + 1] - self.indptr[i])
@@ -183,7 +182,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: header line ``n <count>``, then ``u v`` lines.
 
     Lines starting with '#' and blank lines are skipped. Node indices are
-    0-based. Duplicate edges (in either orientation) collapse.
+    0-based. Duplicate edges (in either orientation) collapse. Numbers are
+    ASCII digits with an optional leading '-' (``int`` alone takes '+3', '1_0', '٤').
     """
     n: int | None = None
     edge_set: set[tuple[int, int]] = set()
@@ -196,6 +196,8 @@ def parse_edge_list(text: str) -> Graph:
             if len(tokens) != 2 or tokens[0] != "n":
                 raise ParseError(line_no, f"expected header 'n <count>', got {line!r}")
             try:
+                if not tokens[1].isascii() or "+" in line or "_" in line:
+                    raise ValueError
                 n = int(tokens[1])
             except ValueError:
                 raise ParseError(line_no, f"node count is not an integer: {tokens[1]!r}") from None
@@ -205,6 +207,8 @@ def parse_edge_list(text: str) -> Graph:
         if len(tokens) != 2:
             raise ParseError(line_no, f"expected 'u v', got {line!r}")
         try:
+            if not (tokens[0].isascii() and tokens[1].isascii()) or "+" in line or "_" in line:
+                raise ValueError
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ParseError(line_no, f"non-integer endpoint in {line!r}") from None

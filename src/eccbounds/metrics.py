@@ -18,10 +18,11 @@ UNREACHABLE: Final[int] = -1
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Exact unweighted shortest-path distances; UNREACHABLE marks absent paths."""
+    """Exact BFS distances; UNREACHABLE marks no path, or none within ``within`` edges."""
 
     n: int
     dist: np.ndarray  # (n, n) int64
+    within: int | None = None
 
     def __post_init__(self):
         self.dist.flags.writeable = False
@@ -42,15 +43,19 @@ class EccentricityProfile:
         self.ecc.flags.writeable = False
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every node; exact distances, UNREACHABLE across components."""
+def all_pairs_distances(g: Graph, within: int | None = None) -> DistanceMatrix:
+    """BFS from every node, at most ``within`` levels deep; UNREACHABLE across components."""
     if g.n < 1:
         raise ValueError(f"node count must be >= 1, got {g.n}")
-    dist = _kernels.bfs_all_pairs(g.indptr, g.indices, g.n)
-    return DistanceMatrix(g.n, dist)
+    if within is not None and within < 1:
+        raise ValueError(f"within must be >= 1, got {within}")
+    dist = _kernels.bfs_all_pairs(g.indptr, g.indices, g.n, within)
+    return DistanceMatrix(g.n, dist, within)
 
 
 def eccentricity_profile(d: DistanceMatrix) -> EccentricityProfile:
+    if d.within is not None:
+        raise ValueError(f"eccentricities need a full search, not one within {d.within}")
     has_unreachable = (d.dist == UNREACHABLE).any(axis=1)
     ecc = d.dist.max(axis=1)
     ecc[has_unreachable] = UNREACHABLE
@@ -74,6 +79,8 @@ def power_graph(g: Graph, d: DistanceMatrix, ell: int) -> Graph:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if d.n != g.n:
         raise ValueError(f"distance matrix is for n={d.n}, graph has n={g.n}")
+    if d.within is not None and ell > d.within:
+        raise ValueError(f"ell={ell} exceeds the search depth within={d.within}")
     adj = (d.dist >= 1) & (d.dist <= ell)
     return Graph.from_adjacency(adj)
 

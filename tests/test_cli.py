@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from eccbounds.graphs import (
     load_edge_list,
     parse_edge_list,
     path_graph,
+    random_tree,
     serialize_edge_list,
 )
 from eccbounds.metrics import all_pairs_distances, power_graph
@@ -389,6 +391,32 @@ class TestPower:
 
     def test_ell_zero_exits_2(self, p4_file, capsys):
         assert cli.main(["power", p4_file, "--ell", "0"]) == 2
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Records the ``within`` of every all-pairs search cli makes."""
+        calls = []
+        signature = inspect.signature(all_pairs_distances)
+
+        def spy(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs).arguments.get("within"))
+            return all_pairs_distances(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "all_pairs_distances", spy)
+        return calls
+
+    def test_search_bounded_at_ell(self, tmp_path, searches, capsys):
+        g = random_tree(40, seed=3)
+        path = tmp_path / "tree.txt"
+        path.write_text(serialize_edge_list(g))
+        assert cli.main(["power", str(path), "--ell", "3"]) == 0
+        assert searches == [3]
+        assert parse_edge_list(capsys.readouterr().out) == power_graph(g, all_pairs_distances(g), 3)
+
+    def test_ell_zero_exits_before_any_search(self, p4_file, searches, capsys):
+        assert cli.main(["power", p4_file, "--ell", "0"]) == 2
+        assert searches == []
+        assert "ell must be >= 1" in capsys.readouterr().err
 
 
 class TestEntryPoints:

@@ -1,5 +1,7 @@
 """Graph construction, parsing, generation, and complement."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,30 @@ class TestParse:
     def test_index_out_of_range(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_edge_list("n 2\n0 5")
+
+    @pytest.mark.parametrize("endpoint", ["1_0", "+3", "\u0664", "1\u0660", "\uff13"])
+    def test_endpoint_only_ascii_digits(self, endpoint):
+        # int() alone reads these as 10, 3, 4, 10 and 3
+        for line in (f"{endpoint} 2", f"2 {endpoint}"):
+            with pytest.raises(ParseError, match=rf"^line 3: non-integer endpoint in '{re.escape(line)}'$"):
+                parse_edge_list(f"n 20\n0 1\n{line}\n")
+
+    @pytest.mark.parametrize("count", ["\u0664", "1_0", "+3"])
+    def test_node_count_only_ascii_digits(self, count):
+        with pytest.raises(ParseError, match=rf"^line 2: node count is not an integer: '{re.escape(count)}'$"):
+            parse_edge_list(f"# header next\nn {count}\n0 1\n")
+
+    def test_leading_minus_still_reads_as_a_number(self):
+        with pytest.raises(ParseError, match=r"^line 2: endpoint out of range \[0, 3\) in '-1 2'$"):
+            parse_edge_list("n 3\n-1 2\n")
+        with pytest.raises(ParseError, match=r"^line 1: node count must be >= 1, got -1$"):
+            parse_edge_list("n -1\n")
+        with pytest.raises(ParseError, match=r"^line 2: non-integer endpoint in '--1 2'$"):
+            parse_edge_list("n 3\n--1 2\n")
+
+    def test_leading_zeros_and_non_ascii_comments_accepted(self):
+        g = parse_edge_list("# \u0664 nodes, 1_0 + more\nn 04\n00 03\n")
+        assert g.n == 4 and list(g.edges()) == [(0, 3)]
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
@@ -155,6 +181,19 @@ class TestConstruction:
             Graph.from_adjacency(np.array([[1, 0], [0, 0]]))
         with pytest.raises(ValueError):
             Graph.from_adjacency(np.zeros((2, 3)))
+
+    @given(st.integers(min_value=1, max_value=40), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_from_adjacency_matches_from_edges(self, n, p, rnd):
+        # sparse draws leave isolated nodes, dense ones almost none
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < p]
+        adj = np.zeros((n, n), dtype=bool)
+        for i, j in edges:
+            adj[i, j] = adj[j, i] = True
+        g = Graph.from_adjacency(adj)
+        validate(g)
+        assert g == Graph.from_edges(n, edges)
+        assert g.indices.dtype == np.int64 and g.indptr.dtype == np.int64
 
     def test_from_adjacency_rejects_empty(self):
         # the same rule as from_edges: an n = 0 graph would reach the BFS kernel

@@ -128,6 +128,48 @@ class TestBfsKernels:
         assert_bfs_matches_floyd_warshall(*graph)
 
 
+def assert_bounded_bfs_matches_floyd_warshall(n: int, edges) -> int:
+    """For every depth 1..diameter + 1: Floyd-Warshall with distances above depth set to -1.
+
+    Returns the diameter (of the largest component when disconnected).
+    """
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1
+    full = oracles.floyd_warshall(adj)
+    diameter = int(full[np.isfinite(full)].max())
+    g = Graph.from_edges(n, edges)
+    for depth in range(1, diameter + 2):
+        expected = np.where(full <= depth, full, -1).astype(np.int64)
+        dist = kernels.bfs_all_pairs(g.indptr, g.indices, g.n, depth=depth)
+        assert dist.dtype == np.int64 and dist.shape == (n, n)
+        assert np.array_equal(dist, expected), depth
+    return diameter
+
+
+class TestBoundedBfs:
+    @pytest.mark.parametrize("n", [2, 12, 64, 65, 130])
+    def test_seeded_erdos_renyi(self, n):
+        rng = np.random.default_rng(100 + n)
+        assert_bounded_bfs_matches_floyd_warshall(n, random_edges(n, 3.0 / n, rng))
+
+    @pytest.mark.parametrize("n", [3, 40, 65, 150])
+    def test_seeded_trees(self, n):
+        rng = np.random.default_rng(200 + n)
+        assert assert_bounded_bfs_matches_floyd_warshall(n, random_tree_edges(n, rng)) >= 2
+
+    def test_disconnected(self):
+        rng = np.random.default_rng(5)
+        edges = [(u + 30, v + 30) for u, v in random_tree_edges(40, rng)]
+        edges += [(i, i + 1) for i in range(20)] + [(22, 23)]
+        assert assert_bounded_bfs_matches_floyd_warshall(75, edges) >= 20
+
+    def test_single_node(self):
+        assert assert_bounded_bfs_matches_floyd_warshall(1, []) == 0
+        g = Graph.from_edges(1, [])
+        assert kernels.bfs_all_pairs(g.indptr, g.indices, 1, depth=5).tolist() == [[0]]
+
+
 class TestJacobiKernels:
     def test_numpy_fallback_converges(self):
         for a in sample_matrices():

@@ -185,6 +185,44 @@ class TestPowerGraph:
             power_graph(g, other, 2)
 
 
+class TestBoundedSearch:
+    GRAPHS = [
+        erdos_renyi(30, 0.1, seed=1),
+        erdos_renyi(70, 0.05, seed=2),
+        random_tree(50, seed=3),
+        path_graph(12),
+        Graph.from_edges(9, [(0, 1), (1, 2), (2, 3), (5, 6), (6, 7)]),
+        Graph.from_edges(1, []),
+    ]
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=repr)
+    def test_power_graph_matches_full_search(self, g):
+        full = all_pairs_distances(g)
+        top = max(int(full.dist.max()), 1) + 1
+        for within in range(1, top + 1):
+            bounded = all_pairs_distances(g, within)
+            assert bounded.within == within and full.within is None
+            for ell in range(1, within + 1):
+                assert power_graph(g, bounded, ell) == power_graph(g, full, ell)
+
+    def test_rejects_depth_below_one(self):
+        for within in (0, -1):
+            with pytest.raises(ValueError, match=rf"^within must be >= 1, got {within}$"):
+                all_pairs_distances(path_graph(3), within)
+
+    def test_eccentricities_need_a_full_search(self):
+        # even a bound past the diameter is refused: the matrix does not record it
+        g = path_graph(4)
+        with pytest.raises(ValueError, match="eccentricities need a full search"):
+            eccentricity_profile(all_pairs_distances(g, 9))
+
+    def test_power_graph_rejects_ell_beyond_the_bound(self):
+        g = path_graph(6)
+        d = all_pairs_distances(g, 2)
+        with pytest.raises(ValueError, match=r"^ell=3 exceeds the search depth within=2$"):
+            power_graph(g, d, 3)
+
+
 class TestIsConnected:
     def test_matches_floyd_warshall(self):
         for g in random_sample(max_n=7, seeds=range(8)):
