@@ -27,8 +27,17 @@ from .spectral import lambda2, laplacian
 #: Fixed report order for bound values, slacks, and tightness flags.
 BOUND_NAMES = ("s1", "s2_over_n", "g1", "g1_diam", "mohar", "g2", "lu")
 
-#: A bound is flagged tight when slack <= TIGHTNESS_REL_TOL * max(1, lambda2).
+#: Relative size of ``tolerance``.
 TIGHTNESS_REL_TOL = 1e-9
+
+
+def tolerance(x: float) -> float:
+    """Float cut of every scalar theorem check about x: TIGHTNESS_REL_TOL * max(1, x).
+
+    Absolute below 1, so unlike a pure ratio cut it never drops under the eigensolver's
+    roundoff (about eps * ||L||). PSD verdicts keep the matrix-scaled ``psd_tolerance``.
+    """
+    return TIGHTNESS_REL_TOL * max(1.0, x)
 
 
 def gamma(n: int, ell: int) -> float:
@@ -224,8 +233,7 @@ def evaluate_all(g: Graph | GraphAnalysis, ell: int) -> BoundReport:
     slacks: dict[str, float | None] = {
         name: (lam - value) if value is not None else None for name, value in bounds.items()
     }
-    tight_cut = TIGHTNESS_REL_TOL * max(1.0, lam)
-    tight = {name: slack <= tight_cut for name, slack in slacks.items() if slack is not None}
+    tight = {name: slack <= tolerance(lam) for name, slack in slacks.items() if slack is not None}
     return BoundReport(
         n=a.n,
         m=a.m,

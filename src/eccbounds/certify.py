@@ -6,8 +6,8 @@ Each eccentricity-count bound rests on a matrix being positive semi-definite:
 * ``(1 + ell * (e(G^ell) - m)) * L(G) - L(G^ell)`` for the edge-growth bound.
 
 This module builds those matrices on concrete graphs and certifies them via
-the eigensolver. ``check_chain`` verifies the spectral chain connecting the
-two Laplacians: lambda2(G) >= lambda2(G^ell) / gamma >= s1(G^ell) / gamma,
+the eigensolver. ``check_chain`` verifies, within ``bounds.tolerance``, the spectral chain
+connecting the two Laplacians: lambda2(G) >= lambda2(G^ell) / gamma >= s1(G^ell) / gamma,
 where s1(G^ell) = s_ell(G) counts the nodes of degree n - 1 (eccentricity <= 1).
 """
 
@@ -15,14 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import GraphAnalysis, analysis_for, gamma
+from .bounds import GraphAnalysis, analysis_for, gamma, tolerance
 from .graphs import Graph
 # unused here, but perfbench/test_perfbench.py asserts this all_pairs_distances import site
 from .metrics import all_pairs_distances, count_s_ell  # noqa: F401
 from .spectral import CertificateResult, eigen_decompose, is_psd
-
-#: Relative tolerance for the two inequality links of the spectral chain.
-CHAIN_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -31,8 +28,8 @@ class ChainCheck:
 
     The links, in order:
 
-    1. lambda2_g >= lambda2_power / gamma_val  (within tolerance)
-    2. lambda2_power >= s1_power               (within tolerance)
+    1. lambda2_g >= lambda2_power / gamma_val  (within bounds.tolerance(lambda2_g))
+    2. lambda2_power >= s1_power               (within bounds.tolerance(lambda2_power))
     3. s1_power == s_ell                       (exact integer equality)
     """
 
@@ -86,12 +83,11 @@ def check_chain(g: Graph | GraphAnalysis, ell: int) -> ChainCheck:
     s1_power = int((a.power(ell).degrees() == a.n - 1).sum())
 
     lambda2_g = a.lambda2
-    lambda2_power = eigen_decompose(a.power_laplacian(ell)).lambda2
+    lambda2_power = float(eigen_decompose(a.power_laplacian(ell)).eigenvalues[1])
     gamma_val = gamma(a.n, ell)
-    assert lambda2_power is not None
 
-    link1 = lambda2_g >= lambda2_power / gamma_val - CHAIN_REL_TOL * max(1.0, lambda2_g)
-    link2 = lambda2_power >= s1_power - CHAIN_REL_TOL * max(1.0, lambda2_power)
+    link1 = lambda2_g >= lambda2_power / gamma_val - tolerance(lambda2_g)
+    link2 = lambda2_power >= s1_power - tolerance(lambda2_power)
     link3 = s1_power == s_ell
     return ChainCheck(
         lambda2_g=lambda2_g,

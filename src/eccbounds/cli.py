@@ -28,7 +28,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .bounds import BOUND_NAMES, TIGHTNESS_REL_TOL, BoundReport, GraphAnalysis, evaluate_all
+from .bounds import BOUND_NAMES, BoundReport, GraphAnalysis, evaluate_all, tolerance
 from .certify import certify_g1_matrix, certify_g2_matrix, check_chain
 from .graphs import FAMILIES, generate, load_edge_list, serialize_edge_list
 from .metrics import all_pairs_distances, power_graph
@@ -154,10 +154,6 @@ class CampaignSummary:
     )
     worst_slack: dict[str, object] | None = None
 
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
-
 
 def _policy_ells(policy: int | str, diameter: int) -> list[int]:
     """The ells to check; a disconnected graph (diameter UNREACHABLE) gets ell=2."""
@@ -194,7 +190,7 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
         for ell in _policy_ells(config.ell_policy, analysis.profile.diameter):
             report = evaluate_all(analysis, ell)
             summary.checks += 1
-            tol = TIGHTNESS_REL_TOL * max(1.0, report.lambda2)
+            tol = tolerance(report.lambda2)
 
             for name in BOUND_NAMES:
                 slack = report.slacks[name]
@@ -242,7 +238,7 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
                             f"bound_{name}={report.bounds[name]!r}",
                             ell,
                         )
-                if abs(report.lambda2) > TIGHTNESS_REL_TOL:
+                if abs(report.lambda2) > tolerance(0.0):
                     flag("disconnected_lambda2_nonzero", f"lambda2={report.lambda2!r}", ell)
     return summary
 
@@ -259,7 +255,7 @@ def summary_json(summary: CampaignSummary) -> str:
         "connected_trials": summary.connected_trials,
         "disconnected_trials": summary.disconnected_trials,
         "checks": summary.checks,
-        "violations": summary.violation_count,
+        "violations": len(summary.violations),
         "violation_details": summary.violations,
         "bounds": {name: summary.bound_stats[name].as_dict() for name in BOUND_NAMES},
         "worst_slack": None if worst is None else {k: _json_value(v) for k, v in worst.items()},
@@ -352,13 +348,13 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         ell_policy=_parse_ell_policy(args.ell),
     )
     summary = run_campaign(config)
-    return summary_json(summary), 1 if summary.violation_count else 0
+    return summary_json(summary), 1 if summary.violations else 0
 
 
 def _cmd_tightness(args: argparse.Namespace) -> tuple[str, int]:
     records = run_tightness(args.family, args.n_max, _parse_ell_policy(args.ell))
     text = tightness_json(records) if args.format == "json" else tightness_csv(records)
-    return text, 1 if any(r.ratio > 1.0 + TIGHTNESS_REL_TOL for r in records) else 0
+    return text, 1 if any(r.value - r.lambda2 > tolerance(r.lambda2) for r in records) else 0
 
 
 def _cmd_power(args: argparse.Namespace) -> tuple[str, int]:

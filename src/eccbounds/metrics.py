@@ -16,7 +16,7 @@ from .graphs import Graph
 UNREACHABLE: Final[int] = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Exact BFS distances; UNREACHABLE marks no path, or none within ``within`` edges."""
 
@@ -28,7 +28,7 @@ class DistanceMatrix:
         self.dist.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EccentricityProfile:
     """Per-node eccentricities and the diameter.
 
@@ -83,7 +83,3 @@ def power_graph(g: Graph, d: DistanceMatrix, ell: int) -> Graph:
         raise ValueError(f"ell={ell} exceeds the search depth within={d.within}")
     adj = (d.dist >= 1) & (d.dist <= ell)
     return Graph.from_adjacency(adj)
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n < 2 or eccentricity_profile(all_pairs_distances(g)).diameter != UNREACHABLE

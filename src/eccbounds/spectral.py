@@ -46,7 +46,6 @@ class SpectralSummary:
     """
 
     eigenvalues: np.ndarray
-    lambda2: float | None
     residual: float
     orthogonality_error: float
     vectors: np.ndarray
@@ -116,7 +115,6 @@ def eigen_decompose(a: np.ndarray) -> SpectralSummary:
     vectors.flags.writeable = False
     return SpectralSummary(
         eigenvalues=eigenvalues,
-        lambda2=float(eigenvalues[1]) if n >= 2 else None,
         residual=residual,
         orthogonality_error=orthogonality_error,
         vectors=vectors,

@@ -26,6 +26,11 @@ def floyd_warshall(adj: np.ndarray) -> np.ndarray:
     return dist
 
 
+def connected(adj: np.ndarray) -> bool:
+    """Every pair joined by a path, by Floyd-Warshall."""
+    return bool(np.isfinite(floyd_warshall(adj)).all())
+
+
 def power_adjacency(adj: np.ndarray, ell: int) -> np.ndarray:
     """Brute-force power graph: edge wherever 1 <= distance <= ell."""
     dist = floyd_warshall(adj)

@@ -68,22 +68,19 @@ class EllRecord:
 def corpus():
     """1000 connected ER graphs (n<=16, p in {0.2,0.4,0.7}) + 500 trees (n<=12)."""
     rng = np.random.default_rng(20260819)
-    graphs: list[eb.Graph] = []
+    analyses: list[eb.GraphAnalysis] = []
     ps = (0.2, 0.4, 0.7)
-    count = 0
-    while count < 1000:
-        n = 4 + count % 13  # 4..16
-        g = eb.erdos_renyi(n, ps[count % 3], seed=rng)
-        if not eb.is_connected(g):
-            continue
-        graphs.append(g)
-        count += 1
+    while len(analyses) < 1000:
+        n = 4 + len(analyses) % 13  # 4..16
+        analysis = eb.GraphAnalysis(eb.erdos_renyi(n, ps[len(analyses) % 3], seed=rng))
+        if analysis.connected:
+            analyses.append(analysis)
     for i in range(500):
-        graphs.append(eb.random_tree(3 + i % 10, seed=rng))  # 3..12
+        analyses.append(eb.GraphAnalysis(eb.random_tree(3 + i % 10, seed=rng)))  # 3..12
 
     records: list[EllRecord] = []
-    for g in graphs:
-        analysis = eb.GraphAnalysis(g)
+    for analysis in analyses:
+        g = analysis.graph
         for ell in range(2, analysis.profile.diameter + 1):
             s_ell = eb.count_s_ell(analysis.profile, ell)
             records.append(
@@ -100,7 +97,7 @@ def corpus():
                     chain=eb.check_chain(analysis, ell),
                 )
             )
-    return graphs, records
+    return [a.graph for a in analyses], records
 
 
 def test_criterion_1_closed_form_spectra():

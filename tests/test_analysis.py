@@ -38,6 +38,16 @@ class TestGraphAnalysis:
         assert a.lambda2 == first
         assert a.power(2) is a.power(2)
 
+    def test_connected_matches_floyd_warshall(self):
+        for seed in range(8):
+            for p in (0.2, 0.5, 0.8):
+                for n in range(2, 8):
+                    g = erdos_renyi(n, p, seed=seed * 1000 + n)
+                    assert GraphAnalysis(g).connected == oracles.connected(g.adjacency_matrix())
+
+    def test_single_node_connected(self):
+        assert GraphAnalysis(Graph.from_edges(1, [])).connected
+
     def test_disconnected(self):
         a = GraphAnalysis(TWO_DISJOINT_EDGES)
         assert not a.connected

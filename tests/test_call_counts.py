@@ -84,7 +84,7 @@ class TestKernelCallCounts:
         assert disconnected > 0 and connected_checks > 0
 
         summary = run_campaign(config)
-        assert summary.violation_count == 0
+        assert summary.violations == []
         assert summary.checks == connected_checks + disconnected
         assert kernel_calls["bfs_all_pairs"] == config.trials
         assert kernel_calls["jacobi_sweeps"] == config.trials + 3 * connected_checks

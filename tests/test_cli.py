@@ -259,9 +259,61 @@ class TestCampaignViolations:
         assert obj["violations"] == len(obj["violation_details"]) == len(self.expected()[0])
 
 
-#: sha256 of stdout for fixed command lines, recorded before computation was
-#: shared through GraphAnalysis (OPENBLAS_NUM_THREADS=1); reports must not move.
+class TestToleranceCut:
+    """Each scalar verdict of the CLI sits on the one cut 1e-9 * max(1, x)."""
+
+    def campaign_kinds(self, monkeypatch, slack_factor=None, disconnected_lambda2=None):
+        """Violation kinds of TestCampaignViolations.CONFIG with one value moved onto the cut.
+
+        Connected reports get slack_mohar = slack_factor * 1e-9 * max(1, lambda2);
+        disconnected reports get lambda2 = disconnected_lambda2.
+        """
+        real_evaluate_all = cli.evaluate_all
+
+        def evaluate_all_moved(analysis, ell):
+            report = real_evaluate_all(analysis, ell)
+            if analysis.connected and slack_factor is not None:
+                slack = slack_factor * 1e-9 * max(1.0, report.lambda2)
+                return dataclasses.replace(report, slacks=dict(report.slacks, mohar=slack))
+            if not analysis.connected and disconnected_lambda2 is not None:
+                return dataclasses.replace(report, lambda2=disconnected_lambda2)
+            return report
+
+        monkeypatch.setattr(cli, "evaluate_all", evaluate_all_moved)
+        return {v["kind"] for v in cli.run_campaign(TestCampaignViolations.CONFIG).violations}
+
+    @pytest.mark.parametrize("factor, flagged", [(-0.5, False), (-2.0, True)])
+    def test_bound_violation(self, monkeypatch, factor, flagged):
+        kinds = self.campaign_kinds(monkeypatch, slack_factor=factor)
+        assert kinds == ({"bound_violation"} if flagged else set())
+
+    @pytest.mark.parametrize(
+        "lam, flagged", [(5e-10, False), (-5e-10, False), (2e-9, True), (-2e-9, True)]
+    )
+    def test_disconnected_lambda2(self, monkeypatch, lam, flagged):
+        kinds = self.campaign_kinds(monkeypatch, disconnected_lambda2=lam)
+        assert kinds == ({"disconnected_lambda2_nonzero"} if flagged else set())
+
+    @pytest.mark.parametrize("excess, code", [(5e-10, 0), (2e-9, 1)])
+    def test_tightness_exit_code_below_lambda2_one(self, monkeypatch, capsys, excess, code):
+        # at lambda2 = 0.05 the cut is the absolute 1e-9; a ratio cut of 1 + 1e-9
+        # would flag an excess of 5e-10, below the eigensolver's roundoff on L
+        lam = 0.05
+        record = cli.TightnessRecord("path", 40, 2, "g1", lam + excess, lam, (lam + excess) / lam)
+        monkeypatch.setattr(cli, "run_tightness", lambda family, n_max, ell_policy: [record])
+        assert cli.main(["tightness", "--family", "path", "--n-max", "40"]) == code
+
+
+#: sha256 of stdout for fixed command lines; reports must not move. The first
+#: two verify and tightness entries were recorded before computation was shared
+#: through GraphAnalysis (OPENBLAS_NUM_THREADS=1), the 100-trial campaign and the
+#: star and complete sweeps before every scalar verdict went through
+#: ``bounds.tolerance`` (same digests at 1 and 2 BLAS threads).
 GOLDEN_REPORTS = [
+    (
+        "verify --family erdos_renyi --n 12 --p 0.3 --trials 100 --seed 42",
+        "a106dbece9c2e2835ec8e6ad1dbb7bb8673261cc9b4729451ebf461c31769544",
+    ),
     (
         "verify --family erdos_renyi --n 10 --p 0.4 --trials 25 --seed 7",
         "804e38307d3afebfbe2a56f53f5546614fd427af20b369c6acd54455d0ec2017",
@@ -277,6 +329,14 @@ GOLDEN_REPORTS = [
     (
         "tightness --family cycle --n-max 10",
         "1883922870ba1ceaaca376cc8073d17c64124e7607dbe0eaebba0959d7658b93",
+    ),
+    (
+        "tightness --family star --n-max 12",
+        "d0c002f1c41e7b2d744423e3fea04e012d75b40592a20743f5f3fab0251a56f2",
+    ),
+    (
+        "tightness --family complete --n-max 10 --format json",
+        "13cd9f64017b1fd0c1c718b36dfbdc6e4bd403ad412bb29e53837ffca5dc2fb5",
     ),
 ]
 

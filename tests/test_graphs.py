@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from eccbounds.graphs import (
     FAMILIES,
     Graph,
@@ -24,7 +25,6 @@ from eccbounds.graphs import (
     star_graph,
     validate,
 )
-from eccbounds.metrics import is_connected
 
 
 @st.composite
@@ -285,7 +285,7 @@ class TestGenerators:
         g = random_tree(n, seed=seed)
         validate(g)
         assert g.m == n - 1
-        assert is_connected(g)
+        assert oracles.connected(g.adjacency_matrix())
 
     def test_random_tree_deterministic_per_seed(self):
         assert random_tree(10, seed=7) == random_tree(10, seed=7)
