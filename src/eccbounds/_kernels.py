@@ -40,12 +40,14 @@ def bfs_all_pairs(indptr, indices, n, depth=None):
     (ceil(log2(min(diameter, depth) + 1)) planes) rather than once per level.
 
     Cost: O(min(diameter + 1, depth) * (m + n) * n/64) word operations.
-    Memory: the (n, n) int64 result plus an n x n byte buffer while
-    unpacking, the reach set and each plane at n * n/8 bytes, and a neighbour
-    gather of at most 8 MB.
+    Memory: the (n, n) result at 1 byte per pair (2 beyond 127 levels) plus
+    an n x n byte buffer while unpacking, the reach set and each plane at
+    n * n/8 bytes, and a neighbour gather of at most 8 MB.
 
-    Returns an (n, n) int64 matrix with 0 on the diagonal and -1 where no
-    path exists (of at most ``depth`` edges, if given).
+    Returns an (n, n) matrix in the narrowest signed type that holds the
+    levels searched: int8 while the diameter (or ``depth``, if smaller) is at
+    most 127, int16 up to 32767, and so on. It has 0 on the diagonal and -1
+    where no path exists (of at most ``depth`` edges, if given).
     """
     words = (n + 63) // 64
     nodes = np.arange(n)
@@ -85,19 +87,23 @@ def bfs_all_pairs(indptr, indices, n, depth=None):
         for b, plane in enumerate(planes):
             if level >> b & 1:
                 plane |= new
-    # assemble in the narrowest signed type that holds the planes, then widen
+    # assemble in the narrowest signed type that holds the planes, in place:
+    # each fresh n x n array costs page faults, and numpy's int8 shift is slow
     small = np.min_scalar_type(-(1 << len(planes)))
-    dist = _unpack(rows, n).astype(small)
+    dist = _unpack(rows, n, small)
     dist -= 1  # -1 where unreached; reached pairs start at 0
     for b, plane in enumerate(planes):
-        dist |= _unpack(plane, n).astype(small) << b
-    return dist.astype(np.int64)
+        bit = _unpack(plane, n, small)
+        bit *= 1 << b
+        dist |= bit
+    return dist
 
 
-def _unpack(bits, n):
-    """(n, words) little-endian uint64 bitsets -> (n, n) uint8 0/1 matrix."""
+def _unpack(bits, n, dtype):
+    """(n, words) little-endian uint64 bitsets -> (n, n) 0/1 matrix of a signed ``dtype``."""
     as_bytes = bits.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(as_bytes, axis=1, count=n, bitorder="little")
+    flags = np.unpackbits(as_bytes, axis=1, count=n, bitorder="little")
+    return flags.view(dtype) if dtype.itemsize == 1 else flags.astype(dtype)
 
 
 def round_robin(n):

@@ -31,7 +31,7 @@ import numpy as np
 from .bounds import BOUND_NAMES, BoundReport, GraphAnalysis, evaluate_all, tolerance
 from .certify import certify_g1_matrix, certify_g2_matrix, check_chain
 from .graphs import FAMILIES, generate, load_edge_list, serialize_edge_list
-from .metrics import all_pairs_distances, power_graph
+from .metrics import all_pairs_distances, check_node_count, power_graph
 from .spectral import PSD
 
 #: Families usable with the tightness sweep (deterministic, connected).
@@ -109,6 +109,7 @@ class CampaignConfig:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.n < 2:
             raise ValueError(f"campaign needs n >= 2, got {self.n}")
+        check_node_count(self.n)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         _check_ell_policy(self.ell_policy)
@@ -287,6 +288,7 @@ def run_tightness(family: str, n_max: int, ell_policy: int | str = "all") -> lis
         raise ValueError(f"unknown family {family!r}; choose from {TIGHTNESS_FAMILIES}")
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
+    check_node_count(n_max)
     _check_ell_policy(ell_policy)
 
     records: list[TightnessRecord] = []

@@ -8,12 +8,17 @@ deterministic and membership tests are O(log deg).
 from __future__ import annotations
 
 import operator
+import re
 from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
 
 FAMILIES = ("path", "cycle", "complete", "star", "erdos_renyi", "random_tree")
+
+#: Largest n whose CSR entry keys row * n + column fit int64 (isqrt(2**63 - 1)).
+#: Its indptr alone would take 24 GB.
+_MAX_KEYED_NODES = 3_037_000_499
 
 
 class ParseError(ValueError):
@@ -46,7 +51,7 @@ class Graph:
         """Build a graph from integer (u, v) pairs; duplicates and orientation collapse."""
         if n < 1:
             raise ValueError(f"node count must be >= 1, got {n}")
-        seen: set[tuple[int, int]] = set()
+        pairs: list[tuple[int, int]] = []
         for edge in edges:
             try:
                 u, v = map(operator.index, edge)
@@ -56,21 +61,30 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            seen.add((u, v) if u < v else (v, u))
-        return cls._from_edge_set(n, seen)
+            pairs.append((u, v))
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+        return cls._from_pairs(n, flat.reshape(-1, 2))
 
     @classmethod
-    def _from_edge_set(cls, n: int, edge_set: set[tuple[int, int]]) -> "Graph":
-        pairs = np.fromiter(
-            chain.from_iterable(edge_set), dtype=np.int64, count=2 * len(edge_set)
-        ).reshape(-1, 2)
-        # each edge {u, v} becomes the entries u -> v and v -> u; sorting them by
-        # (row, column) leaves every neighbor list sorted
-        rows = pairs.ravel()
-        cols = pairs[:, ::-1].ravel()
+    def _from_pairs(cls, n: int, pairs: np.ndarray) -> "Graph":
+        """CSR from an (m, 2) int64 array of in-range endpoints without self-loops.
+
+        Duplicate pairs and orientation collapse.
+        """
+        if n > _MAX_KEYED_NODES:
+            raise ValueError(f"node count must be <= {_MAX_KEYED_NODES}, got {n}")
+        # each pair {u, v} becomes the entries u -> v and v -> u; sorted by the key
+        # row * n + column, every neighbor list is sorted and repeats are adjacent
+        entries = np.concatenate((pairs, pairs[:, ::-1]))
+        keys = entries[:, 0] * n + entries[:, 1]
+        keys.sort()
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        rows, cols = np.divmod(keys[first], n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls(n, indptr, cols[np.lexsort((cols, rows))])
+        return cls(n, indptr, cols)
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "Graph":
@@ -178,54 +192,96 @@ def validate(g: Graph) -> None:
         raise AssertionError(f"asymmetric edge ({u}, {v})")
 
 
+#: A number of the edge-list format: ASCII digits with an optional leading '-'.
+_INTEGER = re.compile(r"-?[0-9]+")
+#: Stripped edge lines joined by "\n": two numbers a line, split by other whitespace.
+_EDGE_LINES = re.compile(r"(?:-?[0-9]+[^\S\n]+-?[0-9]+(?:\n-?[0-9]+[^\S\n]+-?[0-9]+)*)?")
+
+
+def _read_int(token: str) -> int:
+    """``int`` on a number of the format; ValueError otherwise ('+3', '1_0', '٤', too long)."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
+def _node_count(line_no: int, line: str) -> int:
+    """The count of a stripped header line ``n <count>``, or the ParseError naming it."""
+    tokens = line.split()
+    if len(tokens) != 2 or tokens[0] != "n":
+        raise ParseError(line_no, f"expected header 'n <count>', got {line!r}")
+    try:
+        n = _read_int(tokens[1])
+    except ValueError:
+        raise ParseError(line_no, f"node count is not an integer: {tokens[1]!r}") from None
+    if n < 1:
+        raise ParseError(line_no, f"node count must be >= 1, got {n}")
+    return n
+
+
+def _edge(line_no: int, line: str, n: int) -> tuple[int, int]:
+    """The endpoints of a stripped edge line ``u v``, or the ParseError naming it."""
+    tokens = line.split()
+    if len(tokens) != 2:
+        raise ParseError(line_no, f"expected 'u v', got {line!r}")
+    try:
+        u, v = _read_int(tokens[0]), _read_int(tokens[1])
+    except ValueError:
+        raise ParseError(line_no, f"non-integer endpoint in {line!r}") from None
+    if not (0 <= u < n and 0 <= v < n):
+        raise ParseError(line_no, f"endpoint out of range [0, {n}) in {line!r}")
+    if u == v:
+        raise ParseError(line_no, f"self-loop at node {u}")
+    return u, v
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: header line ``n <count>``, then ``u v`` lines.
 
-    Lines starting with '#' and blank lines are skipped. Node indices are
-    0-based. Duplicate edges (in either orientation) collapse. Numbers are
-    ASCII digits with an optional leading '-' (``int`` alone takes '+3', '1_0', '٤').
+    Lines starting with '#' and blank lines are skipped; lines end wherever
+    ``str.splitlines`` ends them. Node indices are 0-based. Duplicate edges
+    (in either orientation) collapse. Numbers are ASCII digits with an
+    optional leading '-' (``int`` alone takes '+3', '1_0', '٤').
+
+    The edge lines are checked in bulk: one regex match over all of them, one
+    numpy conversion, and range and self-loop tests on whole arrays. Only when
+    a bulk check fails are the lines read one by one, to name the first bad one.
     """
-    n: int | None = None
-    edge_set: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if n is None:
-            if len(tokens) != 2 or tokens[0] != "n":
-                raise ParseError(line_no, f"expected header 'n <count>', got {line!r}")
-            try:
-                if not tokens[1].isascii() or "+" in line or "_" in line:
-                    raise ValueError
-                n = int(tokens[1])
-            except ValueError:
-                raise ParseError(line_no, f"node count is not an integer: {tokens[1]!r}") from None
-            if n < 1:
-                raise ParseError(line_no, f"node count must be >= 1, got {n}")
-            continue
-        if len(tokens) != 2:
-            raise ParseError(line_no, f"expected 'u v', got {line!r}")
-        try:
-            if not (tokens[0].isascii() and tokens[1].isascii()) or "+" in line or "_" in line:
-                raise ValueError
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(line_no, f"non-integer endpoint in {line!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(line_no, f"endpoint out of range [0, {n}) in {line!r}")
-        if u == v:
-            raise ParseError(line_no, f"self-loop at node {u}")
-        edge_set.add((u, v) if u < v else (v, u))
-    if n is None:
+    lines = text.splitlines()
+    for start, header in enumerate(map(str.strip, lines), start=1):
+        if header and header[0] != "#":
+            break
+    else:
         raise ParseError(0, "empty input: missing 'n <count>' header")
-    return Graph._from_edge_set(n, edge_set)
+    n = _node_count(start, header)
+    body = [line for line in map(str.strip, lines[start:]) if line and line[0] != "#"]
+    joined = "\n".join(body)
+    if _EDGE_LINES.fullmatch(joined):
+        try:
+            pairs = np.array(joined.split(), dtype=np.int64).reshape(-1, 2)
+        except (OverflowError, ValueError):  # beyond int64, or past int's digit limit
+            pass
+        else:
+            if ((pairs >= 0) & (pairs < n)).all() and (pairs[:, 0] != pairs[:, 1]).all():
+                return Graph._from_pairs(n, pairs)
+    # a bulk check failed: read the lines one by one, so the first bad one raises
+    numbered = enumerate(map(str.strip, lines[start:]), start=start + 1)
+    return Graph.from_edges(n, [_edge(i, line, n) for i, line in numbered if line and line[0] != "#"])
 
 
 def serialize_edge_list(g: Graph) -> str:
-    """Inverse of parse_edge_list; edges emitted in lexicographic order."""
-    flat = np.column_stack(g._upper_edges()).ravel().tolist()
-    return f"n {g.n}\n" + ("%d %d\n" * g.m) % tuple(flat)
+    """Inverse of parse_edge_list; edges emitted in lexicographic order.
+
+    Each node's ``"u "`` and ``"v\n"`` strings are built once, and the edge
+    lines are gathered from that table by the endpoint arrays.
+    """
+    n = g.n
+    table = np.array([f"{i} " for i in range(n)] + [f"{i}\n" for i in range(n)], dtype=object)
+    us, vs = g._upper_edges()
+    cells = np.empty((us.size, 2), dtype=np.int64)
+    cells[:, 0] = us
+    np.add(vs, n, out=cells[:, 1])
+    return f"n {n}\n" + "".join(table.take(cells.ravel()).tolist())
 
 
 def load_edge_list(path: str) -> Graph:

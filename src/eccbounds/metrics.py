@@ -15,13 +15,30 @@ from .graphs import Graph
 #: naive comparisons like ``d <= ell`` must mask it out explicitly.
 UNREACHABLE: Final[int] = -1
 
+#: Largest node count the dense n x n computations accept. At 5,000 nodes the
+#: int8 distance matrix takes 25 MB and a float64 Laplacian 200 MB, and one
+#: eigensolve, 3.3 s at n = 2,000 and O(n^3), takes about 50 s. Ten times as many
+#: nodes would take 2.5 GB of distances, 20 GB per Laplacian and half a day per solve.
+MAX_NODES: Final[int] = 5000
+
+
+def check_node_count(n: int) -> None:
+    """Refuse n above MAX_NODES, before any n x n array is allocated."""
+    if n > MAX_NODES:
+        raise ValueError(f"n={n} exceeds the limit of {MAX_NODES} nodes for dense n x n computations")
+
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Exact BFS distances; UNREACHABLE marks no path, or none within ``within`` edges."""
+    """Exact BFS distances; UNREACHABLE marks no path, or none within ``within`` edges.
+
+    ``dist`` is in the narrowest signed integer type that holds the largest
+    distance found (int8 up to 127, so 1 byte per pair on most graphs): compare
+    it with Python ints, and widen it before arithmetic that could leave that range.
+    """
 
     n: int
-    dist: np.ndarray  # (n, n) int64
+    dist: np.ndarray  # (n, n), int8 while every distance is <= 127, else int16 or wider
     within: int | None = None
 
     def __post_init__(self):
@@ -36,7 +53,7 @@ class EccentricityProfile:
     diameter is UNREACHABLE exactly when the graph is disconnected (n >= 2).
     """
 
-    ecc: np.ndarray  # (n,) int64
+    ecc: np.ndarray  # (n,), the integer type of the distance matrix it was read from
     diameter: int
 
     def __post_init__(self):
@@ -47,6 +64,7 @@ def all_pairs_distances(g: Graph, within: int | None = None) -> DistanceMatrix:
     """BFS from every node, at most ``within`` levels deep; UNREACHABLE across components."""
     if g.n < 1:
         raise ValueError(f"node count must be >= 1, got {g.n}")
+    check_node_count(g.n)
     if within is not None and within < 1:
         raise ValueError(f"within must be >= 1, got {within}")
     dist = _kernels.bfs_all_pairs(g.indptr, g.indices, g.n, within)
@@ -81,5 +99,6 @@ def power_graph(g: Graph, d: DistanceMatrix, ell: int) -> Graph:
         raise ValueError(f"distance matrix is for n={d.n}, graph has n={g.n}")
     if d.within is not None and ell > d.within:
         raise ValueError(f"ell={ell} exceeds the search depth within={d.within}")
-    adj = (d.dist >= 1) & (d.dist <= ell)
+    adj = d.dist >= 1
+    adj &= d.dist <= ell
     return Graph.from_adjacency(adj)

@@ -4,13 +4,16 @@ Nothing here shares code with the package under test: distances come from
 Floyd-Warshall instead of BFS, spectra come from scipy's implicit-QR LAPACK
 driver (``dsyev``) or integer characteristic-polynomial arithmetic instead of
 the package's numpy ``eigh`` (divide and conquer, ``dsyevd``) and Jacobi
-sweeps, and expected eigenvalues come from closed forms.
+sweeps, and expected eigenvalues come from closed forms. The edge-list
+reader and writer are the line-at-a-time ``int`` and ``"%d %d\n"`` versions
+that the package's bulk parser and table-driven serializer replaced.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import scipy.linalg
@@ -89,3 +92,56 @@ def lambda2_complete(n: int) -> float:
 def lambda2_star(n: int) -> float:
     del n
     return 1.0
+
+
+class EdgeListError(ValueError):
+    """The reference parser's rejection, numbered and worded as the package's ``ParseError``."""
+
+    def __init__(self, line_no: int, message: str):
+        self.line_no = line_no
+        super().__init__(f"line {line_no}: {message}")
+
+
+def parse_edge_list(text: str) -> tuple[int, set[tuple[int, int]]]:
+    """The node count and the edges (u < v) of an edge list, one line at a time."""
+    n: int | None = None
+    edge_set: set[tuple[int, int]] = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if n is None:
+            if len(tokens) != 2 or tokens[0] != "n":
+                raise EdgeListError(line_no, f"expected header 'n <count>', got {line!r}")
+            try:
+                if not tokens[1].isascii() or "+" in line or "_" in line:
+                    raise ValueError
+                n = int(tokens[1])
+            except ValueError:
+                raise EdgeListError(line_no, f"node count is not an integer: {tokens[1]!r}") from None
+            if n < 1:
+                raise EdgeListError(line_no, f"node count must be >= 1, got {n}")
+            continue
+        if len(tokens) != 2:
+            raise EdgeListError(line_no, f"expected 'u v', got {line!r}")
+        try:
+            if not (tokens[0].isascii() and tokens[1].isascii()) or "+" in line or "_" in line:
+                raise ValueError
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise EdgeListError(line_no, f"non-integer endpoint in {line!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeListError(line_no, f"endpoint out of range [0, {n}) in {line!r}")
+        if u == v:
+            raise EdgeListError(line_no, f"self-loop at node {u}")
+        edge_set.add((u, v) if u < v else (v, u))
+    if n is None:
+        raise EdgeListError(0, "empty input: missing 'n <count>' header")
+    return n, edge_set
+
+
+def serialize_edge_list(n: int, edges: set[tuple[int, int]]) -> str:
+    """The edge-list text of n nodes and edges (u < v), in lexicographic order."""
+    flat = tuple(chain.from_iterable(sorted(edges)))
+    return f"n {n}\n" + ("%d %d\n" * len(edges)) % flat

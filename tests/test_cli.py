@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import oracles
-from eccbounds import cli
+from eccbounds import _kernels as kernels
+from eccbounds import cli, metrics
 from eccbounds.bounds import BOUND_NAMES, evaluate_all
 from eccbounds.graphs import (
     complete_graph,
@@ -351,7 +352,9 @@ def test_golden_report(command, digest, capsys):
 #: sha256 of stdout for analyze and power on files the test writes: ``{er20}``
 #: is ``erdos_renyi(20, 0.3, seed=0)`` (connected, diameter 4), ``{split}`` is
 #: two disjoint edges, whose lambda2 prints as an exact 0 and whose diameter
-#: columns print empty (CSV) and null (JSON). Same digests at 1 and 2 BLAS threads.
+#: columns print empty (CSV) and null (JSON). ``{tree480}`` is
+#: ``random_tree(480, seed=0)`` (int8 distances) and ``{p200}`` the path on 200
+#: nodes, whose search to 130 levels needs int16. Same digests at 1 and 2 BLAS threads.
 GOLDEN_FILE_REPORTS = [
     (
         "analyze {er20} --ell 2",
@@ -373,15 +376,28 @@ GOLDEN_FILE_REPORTS = [
         "power {er20} --ell 2",
         "ce2f370030f9fd3f6e00fc41aa77cb2497cc3c1f905b65d9b0fec4e2ce15a10e",
     ),
+    (
+        "power {tree480} --ell 3",
+        "524639b0bcd1d280d89e6e8ff683262a0987f5653e22c4bef0960c0381f6d249",
+    ),
+    (
+        "power {p200} --ell 130",
+        "d78e6f61ef07fcc0f6a1a4258cd427b07aaeba242df2b0839a330e233ffb1415",
+    ),
 ]
 
 
 @pytest.mark.parametrize("command, digest", GOLDEN_FILE_REPORTS)
 def test_golden_file_report(command, digest, tmp_path, capsys):
-    er20, split = tmp_path / "er20.txt", tmp_path / "split.txt"
-    er20.write_text(serialize_edge_list(generate("erdos_renyi", 20, p=0.3, seed=0)), encoding="utf-8")
-    split.write_text(DISCONNECTED_TEXT, encoding="utf-8")
-    assert cli.main(command.format(er20=er20, split=split).split()) == 0
+    files = {
+        "er20": serialize_edge_list(generate("erdos_renyi", 20, p=0.3, seed=0)),
+        "split": DISCONNECTED_TEXT,
+        "tree480": serialize_edge_list(generate("random_tree", 480, seed=0)),
+        "p200": serialize_edge_list(generate("path", 200)),
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+    assert cli.main(command.format(**{name: tmp_path / f"{name}.txt" for name in files}).split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
@@ -477,6 +493,59 @@ class TestPower:
         assert cli.main(["power", p4_file, "--ell", "0"]) == 2
         assert searches == []
         assert "ell must be >= 1" in capsys.readouterr().err
+
+    def test_huge_ell_prints_the_complete_graph(self, tmp_path, capsys):
+        # int8 distances compared with an ell far outside their range
+        path = tmp_path / "g10.txt"
+        path.write_text(serialize_edge_list(random_tree(10, seed=1)), encoding="utf-8")
+        for ell in ("127", "128", "1000", str(10**20)):
+            assert cli.main(["power", str(path), "--ell", ell]) == 0
+            assert capsys.readouterr().out == serialize_edge_list(complete_graph(10))
+
+
+class TestSizeGuard:
+    """Above MAX_NODES every command exits 2 before allocating an n x n array."""
+
+    MESSAGE = "error: n=1000000 exceeds the limit of 5000 nodes for dense n x n computations\n"
+
+    @pytest.fixture
+    def no_dense_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense work started above MAX_NODES")
+
+        monkeypatch.setattr(kernels, "bfs_all_pairs", refuse)
+        monkeypatch.setattr(cli, "generate", refuse)
+
+    @pytest.mark.parametrize("argv", [["power", "--ell", "2"], ["analyze", "--ell", "2"]])
+    def test_large_file_exits_2_before_the_bfs(self, argv, tmp_path, no_dense_work, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("n 1000000\n0 1\n", encoding="utf-8")
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", self.MESSAGE)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "erdos_renyi", "--n", "1000000", "--p", "0.1"],
+            ["verify", "--family", "path", "--n", "1000000"],
+            ["tightness", "--family", "complete", "--n-max", "1000000"],
+        ],
+    )
+    def test_large_generated_graphs_exit_2_before_generating(self, argv, no_dense_work, capsys):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", self.MESSAGE)
+
+    def test_limit_is_inclusive(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(metrics, "MAX_NODES", 6)
+        for n, code in ((6, 0), (7, 2)):
+            path = tmp_path / f"p{n}.txt"
+            path.write_text(serialize_edge_list(path_graph(n)), encoding="utf-8")
+            assert cli.main(["power", str(path), "--ell", "2"]) == code
+            assert cli.main(["analyze", str(path), "--ell", "2"]) == code
+            assert cli.main(["verify", "--family", "path", "--n", str(n), "--trials", "1"]) == code
+            assert cli.main(["tightness", "--family", "path", "--n-max", str(n)]) == code
+            err = capsys.readouterr().err
+            assert err == ("" if code == 0 else 4 * f"error: n={n} exceeds the limit of 6 nodes for dense n x n computations\n")
 
 
 class TestEntryPoints:

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -133,6 +133,124 @@ class TestParse:
         assert load_edge_list(str(path)) == path_graph(3)
 
 
+#: Line breaks ``str.splitlines`` honours, and whitespace ``str.split`` honours
+BREAKS = ["\n"] * 6 + ["\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", "\u2028"]
+SPACES = [" "] * 6 + ["\t", "  ", "\u00a0", "\u2003", "\x1f"]
+#: Tokens the format rejects or that read oddly: signs, separators, other digits,
+#: numbers past int64 (zero-padded ones are still in range), words
+ODD_NUMBERS = [
+    "+3", "1_0", "\u0664", "\uff13", "-1", "-0", "--1", "3.0", "x", "0x1",
+    "9" * 19, "1" + "0" * 19, "-" + "9" * 20, "0" * 20 + "1", "0" * 30,
+]
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Edge-list text, mostly well formed, with the odd lines the format must judge."""
+    n = draw(st.integers(1, 12))
+    odd = draw(st.sampled_from([0.0, 0.0, 0.03, 0.3]))
+
+    def chance(p: float) -> bool:
+        return draw(st.floats(0.0, 1.0)) < p
+
+    def number(k: int) -> str:
+        if chance(odd):
+            return draw(st.sampled_from(ODD_NUMBERS + [str(n)] * 5 + [str(n + 1)]))
+        return "0" * draw(st.sampled_from([0, 0, 0, 1, 3])) + str(k)
+
+    def endpoints() -> tuple[str, str]:
+        u = draw(st.integers(0, n - 1))
+        v = (u + draw(st.integers(1, n - 1))) % n if n > 1 else u
+        return number(u), number(v)
+
+    def line() -> str:
+        kind = draw(st.sampled_from(["edge"] * 8 + ["comment", "blank", "loop", "three", "one"]))
+        sep = draw(st.sampled_from(SPACES))
+        pad = draw(st.sampled_from(["", "", "", " ", "\t", "\u00a0"]))
+        if kind == "comment":
+            return pad + "#" + draw(st.sampled_from(["", " note", " \u0664 nodes, 1_0 + more", " \u00e9t\u00e9"]))
+        if kind == "blank":
+            return draw(st.sampled_from(["", " ", "\t", "\u2003"]))
+        if kind == "loop" and chance(odd * 2):
+            k = draw(st.integers(0, n - 1))
+            return f"{pad}{k}{sep}{k}"
+        if kind in ("three", "one") and chance(odd * 2):
+            return pad + sep.join([*endpoints(), number(0)][: 3 if kind == "three" else 1])
+        u, v = endpoints()
+        return f"{pad}{u}{sep}{v}{pad}"
+
+    header = [f"n {'0' * draw(st.sampled_from([0, 0, 1])) + str(n)}"]
+    if chance(odd):
+        header = draw(st.sampled_from([[], ["n +3"], ["n \u0664"], ["n 1_0"], ["n -1"], ["n 0"], ["n 3 4"], ["m 3"]]))
+    lines = [line() for _ in range(draw(st.integers(0, 3)))] if chance(0.3) else []
+    lines = [ln for ln in lines if not ln.strip() or ln.strip().startswith("#")]  # before the header
+    lines += header + [line() for _ in range(draw(st.integers(0, 14)))]
+    breaks = [draw(st.sampled_from(BREAKS)) for _ in lines]
+    return "".join(ln + br for ln, br in zip(lines, breaks))[: None if chance(0.8) else -1]
+
+
+def parse_outcome(text: str):
+    """The package parser's graph as (n, edge set), or its error as (line number, message)."""
+    try:
+        g = parse_edge_list(text)
+    except ParseError as exc:
+        return "error", exc.line_no, str(exc)
+    validate(g)
+    return "graph", g.n, set(g.edges())
+
+
+def reference_outcome(text: str):
+    try:
+        n, edges = oracles.parse_edge_list(text)
+    except oracles.EdgeListError as exc:
+        return "error", exc.line_no, str(exc)
+    return "graph", n, edges
+
+
+class TestEdgeListAgainstReference:
+    """The bulk parser and the table serializer against the line-at-a-time originals."""
+
+    @given(edge_list_texts())
+    @settings(max_examples=300, deadline=None)
+    @example("n 3\r\n0 1\r1\u00a02\x0c# \u0664\n\n")
+    @example("n 1\n")
+    @example("n 3\n0 1 2\n")
+    @example("0 1\n")
+    @example("# only a comment")
+    @example("n 5\n0 " + "0" * 25 + "4\n")
+    @example("n 5\n0 " + "9" * 19 + "\n")
+    @example("n 5\n0 " + "1" * 5000 + "\n")
+    @example("n 5\n1\x1f2\n3\u20034\n")
+    @example("n 3\n0 1\n1 3\n")
+    @example("n 3\n3 0\n")
+    def test_parse_matches_reference(self, text):
+        assert parse_outcome(text) == reference_outcome(text)
+
+    @given(st.text(alphabet="n 0123456789-+_#x\n\r\t\u00a0\u0664\x0c", max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_matches_reference_on_any_text(self, text):
+        assert parse_outcome(text) == reference_outcome(text)
+
+    def test_error_names_the_first_bad_line(self):
+        # every line after the first bad one is bad too, in another way
+        text = "n 4\n0 1\n1 2\n2 9\n3 3\n0 +1\n1 2 3\n"
+        assert parse_outcome(text) == ("error", 4, "line 4: endpoint out of range [0, 4) in '2 9'")
+        assert parse_outcome(text) == reference_outcome(text)
+
+    @given(st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    @example(1, 0.5, 0)
+    @example(5, 0.0, 0)
+    def test_serialize_matches_reference(self, n, p, seed):
+        # sparse draws leave isolated nodes, p = 0 leaves no edge
+        iu, ju = np.triu_indices(n, k=1)
+        keep = np.random.default_rng(seed).random(iu.size) < p
+        edges = set(zip(iu[keep].tolist(), ju[keep].tolist()))
+        g = Graph.from_edges(n, edges)
+        assert serialize_edge_list(g) == oracles.serialize_edge_list(n, edges)
+        assert reference_outcome(serialize_edge_list(g)) == ("graph", n, edges)
+
+
 class TestConstruction:
     def test_from_edges_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -153,6 +271,20 @@ class TestConstruction:
     def test_from_edges_accepts_numpy_integers(self, dtype):
         g = Graph.from_edges(3, [(dtype(0), dtype(1)), (dtype(2), dtype(1))])
         assert g == Graph.from_edges(3, [(0, 1), (1, 2)])
+
+    def test_sparse_graph_on_a_million_nodes(self):
+        # entry keys row * n + column reach 10**12, past int32
+        n = 10**6
+        g = Graph.from_edges(n, [(n - 1, 0), (5, n - 2), (n - 2, 5), (n - 1, n - 2)])
+        validate(g)
+        assert list(g.edges()) == [(0, n - 1), (5, n - 2), (n - 2, n - 1)]
+        assert parse_edge_list(f"n {n}\n{n - 1} 0\n5 {n - 2}\n{n - 1} {n - 2}\n") == g
+
+    def test_node_count_beyond_int64_keys_rejected(self):
+        # (n - 1) * n + (n - 1) must fit int64; refused before allocating anything
+        for build in (lambda n: Graph.from_edges(n, []), lambda n: parse_edge_list(f"n {n}\n")):
+            with pytest.raises(ValueError, match=r"^node count must be <= 3037000499, got 3037000500$"):
+                build(3_037_000_500)
 
     def test_from_edges_deduplicates_and_symmetrizes(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])

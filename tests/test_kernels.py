@@ -29,9 +29,14 @@ def assert_bfs_matches_floyd_warshall(n: int, edges) -> np.ndarray:
     expected = np.where(np.isinf(expected), -1, expected).astype(np.int64)
     g = Graph.from_edges(n, edges)
     dist = kernels.bfs_all_pairs(g.indptr, g.indices, g.n)
-    assert dist.dtype == np.int64 and dist.shape == (n, n)
+    assert dist.dtype == narrow_type(expected.max()) and dist.shape == (n, n)
     assert np.array_equal(dist, expected)
     return dist
+
+
+def narrow_type(longest: int):
+    """The distance type for a search whose longest distance found is ``longest``."""
+    return np.int8 if longest <= 127 else np.int16
 
 
 def random_tree_edges(n: int, rng) -> list[tuple[int, int]]:
@@ -104,9 +109,22 @@ class TestBfsKernels:
         edges += [(i, j) for i in range(60, 70) for j in range(i + 1, 70)]
         assert_bfs_matches_floyd_warshall(140, edges)
 
+    def test_components_with_int16_distances(self):
+        # a 200-node path sets int16; a triangle and an isolated node beside it read -1
+        edges = [(i, i + 1) for i in range(199)] + [(200, 201), (201, 202), (200, 202)]
+        assert assert_bfs_matches_floyd_warshall(204, edges).dtype == np.int16
+
     def test_long_path_uses_nine_bit_planes(self):
         dist = assert_bfs_matches_floyd_warshall(300, [(i, i + 1) for i in range(299)])
         assert dist.max() == 299
+
+    def test_paths_get_the_narrowest_type(self):
+        # P_n has diameter n - 1: up to 127 fits int8 (7 bit planes), 128 needs int16
+        for n in [*range(2, 131), 300]:
+            g = path_graph(n)
+            dist = kernels.bfs_all_pairs(g.indptr, g.indices, n)
+            assert dist.dtype == (np.int8 if n <= 128 else np.int16), n
+            assert np.array_equal(dist, np.abs(np.subtract.outer(np.arange(n), np.arange(n)))), n
 
     def test_star_complete_and_random_trees(self):
         assert_bfs_matches_floyd_warshall(100, [(0, i) for i in range(1, 100)])
@@ -142,7 +160,7 @@ def assert_bounded_bfs_matches_floyd_warshall(n: int, edges) -> int:
     for depth in range(1, diameter + 2):
         expected = np.where(full <= depth, full, -1).astype(np.int64)
         dist = kernels.bfs_all_pairs(g.indptr, g.indices, g.n, depth=depth)
-        assert dist.dtype == np.int64 and dist.shape == (n, n)
+        assert dist.dtype == narrow_type(expected.max()) and dist.shape == (n, n)
         assert np.array_equal(dist, expected), depth
     return diameter
 

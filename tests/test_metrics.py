@@ -232,3 +232,39 @@ class TestArrayRecords:
         assert (e == eccentricity_profile(d)) is False
         assert d == d and e == e
         assert hash(d) == hash(d) and hash(e) == hash(e)
+
+
+class TestNarrowDistances:
+    """Distances stay in int8 (int16 past 127): comparisons with large ells still hold."""
+
+    LONG = [path_graph(10), random_tree(60, seed=4), path_graph(200)]
+
+    @pytest.mark.parametrize("g", LONG, ids=repr)
+    def test_huge_ell_counts_every_node(self, g):
+        d = all_pairs_distances(g)
+        assert d.dist.dtype == (np.int16 if g.n == 200 else np.int8)
+        e = eccentricity_profile(d)
+        assert e.ecc.dtype == d.dist.dtype
+        assert count_s_ell(e, e.diameter - 1) < g.n
+        for ell in (e.diameter, 1000, 10**6, 10**20):
+            assert count_s_ell(e, ell) == g.n
+
+    @pytest.mark.parametrize("g", LONG, ids=repr)
+    def test_huge_ell_power_is_complete(self, g):
+        for within in (None, 10**6):
+            d = all_pairs_distances(g, within)
+            assert power_graph(g, d, 1000) == complete_graph(g.n)
+            assert power_graph(g, d, 10**6) == complete_graph(g.n)
+
+    @pytest.mark.parametrize("tail", [5, 150])
+    def test_disconnected_keeps_unreachable(self, tail):
+        # a path of ``tail`` nodes plus an isolated node: int8 for 5, int16 for 150
+        g = Graph.from_edges(tail + 1, [(i, i + 1) for i in range(tail - 1)])
+        d = all_pairs_distances(g)
+        assert d.dist.dtype == (np.int8 if tail <= 128 else np.int16)
+        assert (d.dist[tail, :tail] == UNREACHABLE).all() and d.dist[0, tail - 1] == tail - 1
+        e = eccentricity_profile(d)
+        assert (e.ecc == UNREACHABLE).all() and e.diameter == UNREACHABLE
+        assert count_s_ell(e, 10**6) == 0
+        p = power_graph(g, d, 10**6)
+        assert p.degree(tail) == 0 and p.m == tail * (tail - 1) // 2
