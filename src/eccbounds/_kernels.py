@@ -9,10 +9,12 @@ or thread count. After k levels a row holds exactly the nodes within k, so
 G^ell needs only a search bounded at ell levels, at O(ell * m * n/64).
 ``jacobi_sweeps`` rotates n // 2 disjoint pairs per numpy step in
 round-robin order (Brent & Luk, 1985), n - 1 O(n^2) steps a sweep.
-It tests the stopping rule before every sweep, so on the matrix
-``spectral.eigen_decompose`` gives it, already diagonalised up to roundoff
-by LAPACK's ``eigh``, it normally returns after 0 sweeps, without building
-the round-robin schedule or rotating anything.
+It tests the stopping rule before every sweep, so on the matrices
+``spectral.eigen_decompose_stack`` gives it, already diagonalised up to
+roundoff by LAPACK's ``eigh``, it normally returns after 0 sweeps, without
+building the round-robin schedule or rotating anything. It takes a whole
+(B, n, n) stack at once: one pass tests the rule for every member, and only
+the members that fail it are swept.
 """
 
 from __future__ import annotations
@@ -129,6 +131,43 @@ def jacobi_sweeps(a, v, off_tol, max_sweeps):
     each sweep: an input that already meets it returns (0, True) with a and v
     untouched, and the schedule is built only once a sweep has to run.
 
+    ``a`` and ``v`` may also be (B, n, n) stacks, with ``off_tol`` a (B,) array
+    of per-member tolerances. The rule is then tested for all members in one
+    pass, only the members that fail it are swept (each in place, until it
+    meets its own tolerance or the cap), and the others are left untouched.
+    A stack returns (sweeps, member_sweeps, converged): the sweeps run in all,
+    then per member, as (B,) arrays, the sweeps run and whether it converged.
+    """
+    if a.ndim == 2:
+        return _sweep(a, v, off_tol, max_sweeps, _off_norms(a[None])[0])
+    member_sweeps = np.zeros(len(a), dtype=np.int64)
+    norms = _off_norms(a)
+    # "<=" so that a NaN norm counts as unconverged
+    converged = norms <= off_tol
+    if converged.all():
+        return 0, member_sweeps, converged
+    for i in np.flatnonzero(~converged):
+        member_sweeps[i], converged[i] = _sweep(a[i], v[i], off_tol[i], max_sweeps, norms[i])
+    return int(member_sweeps.sum()), member_sweeps, converged
+
+
+def _off_norms(a):
+    """Off-diagonal Frobenius norms sqrt(2 * sum(triu(a, 1)**2)) of a (B, n, n) stack's members.
+
+    The entries on and below the diagonal stay 0, as ``np.triu`` leaves them,
+    so each member sums the same n * n terms in the same order.
+    """
+    nodes = np.arange(a.shape[-1])
+    upper = np.where(nodes[:, None] < nodes, a, 0.0)
+    upper *= upper
+    norms = upper.reshape(len(a), -1).sum(axis=1)
+    norms *= 2.0
+    return np.sqrt(norms, out=norms)
+
+
+def _sweep(a, v, off_tol, max_sweeps, off):
+    """Sweep one (n, n) matrix from off-diagonal norm ``off``; returns (sweeps, converged).
+
     A round's pairs are disjoint, so their rotations touch separate 2 x 2 blocks
     and commute: every (c, s) comes from the matrix at the round's start (pairs
     with a[p, q] == 0 are skipped), then one column, row and V update each.
@@ -136,7 +175,7 @@ def jacobi_sweeps(a, v, off_tol, max_sweeps):
     sweeps = 0
     rounds = None
     # "not <=" so that a NaN norm counts as unconverged
-    while not np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2)) <= off_tol:
+    while not off <= off_tol:
         if sweeps == max_sweeps:
             return sweeps, False
         if rounds is None:
@@ -164,4 +203,5 @@ def jacobi_sweeps(a, v, off_tol, max_sweeps):
             v[:, p] = c * vp - s * vq
             v[:, q] = s * vp + c * vq
         sweeps += 1
+        off = _off_norms(a[None])[0]
     return sweeps, True

@@ -2,15 +2,18 @@
 
 Every bound here is a guaranteed lower bound on lambda2 for simple undirected
 graphs. ``GraphAnalysis`` holds what every bound and certificate of one graph
-is computed from (distances, eccentricities, power graphs, L(G) and lambda2),
-each computed once. ``evaluate_all`` reads one analysis and collects the bound
-values, slacks, and tightness flags into a single report.
+is computed from (distances, eccentricities, power graphs, Laplacians and
+their spectra), each computed once; ``solve`` decomposes all the spectra of
+one graph's checks in stacked eigensolves. ``evaluate_all`` reads one
+analysis and collects the bound values, slacks, and tightness flags into a
+single report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .metrics import (
     eccentricity_profile,
     power_graph,
 )
-from .spectral import lambda2, laplacian
+from .spectral import CertificateResult, eigen_decompose_stack, lambda2, laplacian, psd_certificate
 
 #: Fixed report order for bound values, slacks, and tightness flags.
 BOUND_NAMES = ("s1", "s2_over_n", "g1", "g1_diam", "mohar", "g2", "lu")
@@ -157,14 +160,27 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+#: Budget of input matrices per stacked eigensolve (1 MB): 900 matrices at
+#: n = 12, one at n = 362; a larger matrix is solved alone. The solve's
+#: temporaries are a few times its stack, so this bounds its memory too.
+_STACK_BYTES = 1 << 20
+#: Kinds of the spectra solved per ell: the g1 and g2 certificate matrices and L(G^ell).
+_PER_ELL = ("g1", "g2", "power")
+#: Key of L(G) among an analysis's solved spectra; the others are (kind, ell).
+_LAMBDA2 = ("lambda2", 0)
+
+
 class GraphAnalysis:
-    """The distance matrix, eccentricity profile, power graphs and Laplacians of one graph.
+    """The distance matrix, eccentricity profile, power graphs and spectra of one graph.
 
     Distances and the profile are computed on construction; ``power(ell)`` and
     ``power_laplacian(ell)`` (L(G^ell), read-only) are memoised per ell;
-    ``laplacian`` (L(G), read-only) and ``lambda2`` are computed on first use.
-    Pass one analysis to ``evaluate_all``, the certificates and ``check_chain``
-    so they share this work instead of each repeating it.
+    ``laplacian`` (L(G), read-only) is computed on first use. ``solve(ells)``
+    decomposes every spectrum the checks of those ells read, in stacked
+    calls, and memoises only the results: lambda2, the g1 and g2
+    ``CertificateResult`` and lambda2(G^ell) per ell. Pass one analysis to
+    ``evaluate_all``, the certificates and ``check_chain`` so they share this
+    work instead of each repeating it.
     """
 
     def __init__(self, g: Graph):
@@ -176,6 +192,7 @@ class GraphAnalysis:
         self.connected = self.profile.diameter != UNREACHABLE
         self._powers: dict[int, Graph] = {}
         self._power_laplacians: dict[int, np.ndarray] = {}
+        self._solved: dict[tuple[str, int], float | CertificateResult] = {}
 
     def power(self, ell: int) -> Graph:
         if ell not in self._powers:
@@ -191,9 +208,69 @@ class GraphAnalysis:
     def laplacian(self) -> np.ndarray:
         return _read_only(laplacian(self.graph))
 
-    @cached_property
+    @property
     def lambda2(self) -> float:
-        return lambda2(self.graph)
+        """lambda2(G): from ``solve`` if it ran, else from one ``spectral.lambda2`` solve."""
+        if _LAMBDA2 not in self._solved:
+            self._solved[_LAMBDA2] = lambda2(self.graph)
+        return self._solved[_LAMBDA2]
+
+    def solve(self, ells: Iterable[int]) -> None:
+        """Decompose, in stacked calls, each spectrum still unknown that the checks of ``ells`` read.
+
+        That is L(G) if lambda2 is not known yet and, for a connected graph,
+        the g1 matrix, the g2 matrix and L(G^ell) of each ell. The matrices
+        are built a stack at a time; only the results are kept.
+        """
+        if self.n < 2:
+            raise ValueError(f"solve needs n >= 2, got n={self.n}")
+        keys = [] if _LAMBDA2 in self._solved else [_LAMBDA2]
+        if self.connected:
+            keys += [(kind, ell) for ell in dict.fromkeys(ells) for kind in _PER_ELL]
+        self._decompose([key for key in keys if key not in self._solved])
+
+    def spectrum(self, kind: str, ell: int) -> float | CertificateResult:
+        """The ``CertificateResult`` of the g1 or g2 matrix, or lambda2(G^ell) for "power".
+
+        Read from the memo; a miss runs ``solve([ell])``, or, for the g2
+        matrix at ell = 1 or on a disconnected graph, a solve of that matrix.
+        """
+        key = (kind, ell)
+        if key not in self._solved:
+            if self.connected and ell >= 2:
+                self.solve([ell])
+            else:
+                self._decompose([key])
+        return self._solved[key]
+
+    def _decompose(self, keys: list[tuple[str, int]]) -> None:
+        """Solve the spectra of ``keys`` in stacks of at most _STACK_BYTES, each built when solved."""
+        per_stack = max(1, _STACK_BYTES // (8 * self.n * self.n))
+        for start in range(0, len(keys), per_stack):
+            self._decompose_stack(keys[start : start + per_stack])
+
+    def _decompose_stack(self, keys: list[tuple[str, int]]) -> None:
+        """Build the matrices of ``keys`` into one stack and solve it; a lone matrix is not copied.
+
+        Only the results are kept: the stack and its summaries go on return.
+        """
+        matrices = [self._matrix(*key) for key in keys]
+        stack = np.stack(matrices) if len(matrices) > 1 else matrices[0][None]
+        for key, a, summary in zip(keys, stack, eigen_decompose_stack(stack)):
+            certificate = key[0] in ("g1", "g2")
+            self._solved[key] = psd_certificate(a, summary) if certificate else float(summary.eigenvalues[1])
+
+    def _matrix(self, kind: str, ell: int) -> np.ndarray:
+        """The matrix of one solved kind: L(G), L(G^ell), or the g1 or g2 matrix."""
+        if kind == "lambda2":
+            return self.laplacian
+        if kind == "power":
+            return self.power_laplacian(ell)
+        if kind == "g1":
+            coeff = gamma(self.n, ell)
+        else:
+            coeff = float(1 + ell * (self.power(ell).m - self.m))
+        return coeff * self.laplacian - self.power_laplacian(ell)
 
 
 def analysis_for(task: str, g: Graph | GraphAnalysis, ell: int, min_ell: int) -> GraphAnalysis:

@@ -5,10 +5,12 @@ Each eccentricity-count bound rests on a matrix being positive semi-definite:
 * ``gamma(n, ell) * L(G) - L(G^ell)`` for the gamma-scaled bound, and
 * ``(1 + ell * (e(G^ell) - m)) * L(G) - L(G^ell)`` for the edge-growth bound.
 
-This module builds those matrices on concrete graphs and certifies them via
-the eigensolver. ``check_chain`` verifies, within ``bounds.tolerance``, the spectral chain
-connecting the two Laplacians: lambda2(G) >= lambda2(G^ell) / gamma >= s1(G^ell) / gamma,
-where s1(G^ell) = s_ell(G) counts the nodes of degree n - 1 (eccentricity <= 1).
+A ``GraphAnalysis`` builds those matrices on concrete graphs and certifies
+them with the eigensolver, stacked with the graph's other spectra
+(``GraphAnalysis.solve``); the functions here read its memo. ``check_chain``
+verifies, within ``bounds.tolerance``, the spectral chain connecting the two
+Laplacians: lambda2(G) >= lambda2(G^ell) / gamma >= s1(G^ell) / gamma, where
+s1(G^ell) = s_ell(G) counts the nodes of degree n - 1 (eccentricity <= 1).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .bounds import GraphAnalysis, analysis_for, gamma, tolerance
 from .graphs import Graph
 # unused here, but perfbench/test_perfbench.py asserts this all_pairs_distances import site
 from .metrics import all_pairs_distances, count_s_ell  # noqa: F401
-from .spectral import CertificateResult, eigen_decompose, is_psd
+from .spectral import CertificateResult
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ def certify_g1_matrix(g: Graph | GraphAnalysis, ell: int) -> CertificateResult:
     a = analysis_for("certificate", g, ell, 2)
     if not a.connected:
         raise ValueError("certify_g1_matrix requires a connected graph")
-    return is_psd(gamma(a.n, ell) * a.laplacian - a.power_laplacian(ell))
+    return a.spectrum("g1", ell)
 
 
 def certify_g2_matrix(g: Graph | GraphAnalysis, ell: int) -> CertificateResult:
@@ -64,9 +66,7 @@ def certify_g2_matrix(g: Graph | GraphAnalysis, ell: int) -> CertificateResult:
     Valid for ell >= 1 and for disconnected graphs as well; at ell = 1 the
     matrix is identically zero. The verdict uses the scaled PSD tolerance.
     """
-    a = analysis_for("certificate", g, ell, 1)
-    coeff = 1 + ell * (a.power(ell).m - a.m)
-    return is_psd(float(coeff) * a.laplacian - a.power_laplacian(ell))
+    return analysis_for("certificate", g, ell, 1).spectrum("g2", ell)
 
 
 def check_chain(g: Graph | GraphAnalysis, ell: int) -> ChainCheck:
@@ -82,8 +82,8 @@ def check_chain(g: Graph | GraphAnalysis, ell: int) -> ChainCheck:
     s_ell = count_s_ell(a.profile, ell)
     s1_power = int((a.power(ell).degrees() == a.n - 1).sum())
 
+    lambda2_power = a.spectrum("power", ell)
     lambda2_g = a.lambda2
-    lambda2_power = float(eigen_decompose(a.power_laplacian(ell)).eigenvalues[1])
     gamma_val = gamma(a.n, ell)
 
     link1 = lambda2_g >= lambda2_power / gamma_val - tolerance(lambda2_g)

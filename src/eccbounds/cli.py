@@ -169,7 +169,8 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     Disconnected graphs are not skipped outright: the degenerate claims
     (zero eccentricity counts, zero bounds, lambda2 = 0) are still checked;
     only the connectivity-dependent certificates and chain are omitted. Each
-    graph gets one ``GraphAnalysis``, shared by every check on it.
+    graph gets one ``GraphAnalysis``, shared by every check on it, and one
+    ``solve`` of all its spectra before the checks read them.
     """
     summary = CampaignSummary(config=config)
     rng = np.random.default_rng(config.seed)
@@ -188,7 +189,9 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
         else:
             summary.disconnected_trials += 1
 
-        for ell in _policy_ells(config.ell_policy, analysis.profile.diameter):
+        ells = _policy_ells(config.ell_policy, analysis.profile.diameter)
+        analysis.solve(ells)
+        for ell in ells:
             report = evaluate_all(analysis, ell)
             summary.checks += 1
             tol = tolerance(report.lambda2)
@@ -336,7 +339,7 @@ def _parse_ell_policy(raw: str) -> int | str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int]:
-    report = evaluate_all(load_edge_list(args.path), args.ell)
+    report = evaluate_all(load_edge_list(args.path, check_node_count), args.ell)
     return (report_json(report) if args.format == "json" else report_csv(report)), 0
 
 
@@ -360,7 +363,7 @@ def _cmd_tightness(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_power(args: argparse.Namespace) -> tuple[str, int]:
-    g = load_edge_list(args.path)
+    g = load_edge_list(args.path, check_node_count)
     if args.ell < 1:
         raise ValueError(f"ell must be >= 1, got {args.ell}")
     return serialize_edge_list(power_graph(g, all_pairs_distances(g, args.ell), args.ell)), 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 import re
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -235,8 +235,11 @@ def _edge(line_no: int, line: str, n: int) -> tuple[int, int]:
     return u, v
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, check_count: Callable[[int], object] | None = None) -> Graph:
     """Parse the edge-list format: header line ``n <count>``, then ``u v`` lines.
+
+    ``check_count``, if given, is called with the header's count before
+    anything of that size is built, and refuses it by raising.
 
     Lines starting with '#' and blank lines are skipped; lines end wherever
     ``str.splitlines`` ends them. Node indices are 0-based. Duplicate edges
@@ -254,6 +257,8 @@ def parse_edge_list(text: str) -> Graph:
     else:
         raise ParseError(0, "empty input: missing 'n <count>' header")
     n = _node_count(start, header)
+    if check_count is not None:
+        check_count(n)
     body = [line for line in map(str.strip, lines[start:]) if line and line[0] != "#"]
     joined = "\n".join(body)
     if _EDGE_LINES.fullmatch(joined):
@@ -284,9 +289,9 @@ def serialize_edge_list(g: Graph) -> str:
     return f"n {n}\n" + "".join(table.take(cells.ravel()).tolist())
 
 
-def load_edge_list(path: str) -> Graph:
+def load_edge_list(path: str, check_count: Callable[[int], object] | None = None) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        return parse_edge_list(fh.read(), check_count)
 
 
 def path_graph(n: int) -> Graph:

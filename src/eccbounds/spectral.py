@@ -5,9 +5,15 @@ in which the matrix is diagonal up to roundoff, and cyclic Jacobi sweeps in
 round-robin order (n - 1 vectorised rounds of n // 2 disjoint rotations,
 O(n^2) work a round) finish from there when needed: the stopping rule is
 tested before the first sweep, and the ``eigh`` start normally meets it
-already, so a solve runs 0 sweeps. Each decomposition reports its own
-residual and eigenvector-orthogonality error in its ``SpectralSummary``; the
-module keeps no state between calls.
+already, so a solve runs 0 sweeps.
+
+One core, ``eigen_decompose_stack``, runs these steps once over a (B, n, n)
+stack of matrices: one symmetry test, one ``eigh`` call, one Jacobi kernel
+call that sweeps only the members that need it, and the residual and
+orthogonality checks of every member. Each member gets its own
+``SpectralSummary``, bitwise the one it gets when solved alone;
+``eigen_decompose`` is the core on a stack of one. The module keeps no
+state between calls.
 """
 
 from __future__ import annotations
@@ -76,50 +82,81 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def eigen_decompose(a: np.ndarray) -> SpectralSummary:
-    """Full symmetric eigendecomposition: an ``eigh`` basis polished by Jacobi sweeps.
+    """Full symmetric eigendecomposition of one matrix: the stacked core on a stack of one.
 
-    With Q from ``np.linalg.eigh(a)``, B = Q^T A Q is diagonal up to roundoff;
-    round-robin Jacobi sweeps on B, rotating Q along, run until its
-    off-diagonal norm is under OFF_DIAG_REL_TOL * ||A||_F (n - 1 vectorised
-    rounds of disjoint rotations a sweep, O(n^2) work each). B normally meets
-    that rule already, so normally 0 sweeps run and the cost is one ``eigh``,
-    two matrix products and the O(n^2) norm test. The eigenvalues are the
-    sorted diagonal and the eigenvectors the (rotated) Q, checked against
-    ``a`` itself. Raises JacobiConvergenceError if the sweep cap is hit, and
-    ValueError for a non-square or non-symmetric input.
+    Raises ValueError for an input that is not a square matrix; every other
+    step, check and error is ``eigen_decompose_stack``'s. The input stays 2-D
+    at this boundary, so a per-call wrapper sees one n x n matrix.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
+    return eigen_decompose_stack(a[None])[0]
+
+
+def eigen_decompose_stack(stack: np.ndarray) -> list[SpectralSummary]:
+    """Full symmetric eigendecomposition of each member of a (B, n, n) stack.
+
+    An ``eigh`` basis polished by Jacobi sweeps, each step run once over the
+    whole stack. With Q from ``np.linalg.eigh``, B = Q^T A Q is diagonal up
+    to roundoff; one ``_kernels.jacobi_sweeps`` call tests the stopping rule
+    (off-diagonal norm under OFF_DIAG_REL_TOL * ||A||_F, each member against
+    its own norm) for all members at once and runs round-robin sweeps,
+    rotating Q along, only on the members that fail it. B normally meets that
+    rule already, so normally 0 sweeps run and the cost is one ``eigh``, two
+    matrix products and the O(n^2) norm test per member. The eigenvalues are
+    each member's sorted diagonal and the eigenvectors its (rotated) Q,
+    checked against the member itself.
+
+    Returns one ``SpectralSummary`` per member, with that member's own sweep
+    count, residual and orthogonality error; every step treats the members
+    independently, so each summary is bitwise the one a stack of that member
+    alone gives. The summaries' arrays are read-only views into arrays of the
+    whole stack. Raises JacobiConvergenceError, naming the first member that
+    hit the sweep cap, and ValueError if the input is not a stack of square
+    matrices or any member is not exactly symmetric.
+    """
+    a = np.asarray(stack, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    if not (a == a.transpose(0, 2, 1)).all():
         raise ValueError("matrix is not exactly symmetric")
-    n = a.shape[0]
+    count, n = a.shape[:2]
     _, basis = np.linalg.eigh(a)
-    work = basis.T @ a @ basis
-    work = 0.5 * (work + work.T)  # exactly symmetric: x + y == y + x in floating point
+    work = basis.transpose(0, 2, 1) @ a @ basis
+    work = 0.5 * (work + work.transpose(0, 2, 1))  # exactly symmetric: x + y == y + x
     vectors = np.ascontiguousarray(basis)
-    off_tol = OFF_DIAG_REL_TOL * float(np.linalg.norm(a, "fro"))
-    sweeps, converged = _kernels.jacobi_sweeps(work, vectors, off_tol, MAX_SWEEPS)
-    if not converged:
-        off = float(np.sqrt(2.0 * np.sum(np.triu(work, 1) ** 2)))
+    flat = a.reshape(count, 1, -1)
+    # the BLAS dot of each member with itself, bitwise np.linalg.norm(member, "fro")
+    off_tol = OFF_DIAG_REL_TOL * np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
+    _, sweeps, converged = _kernels.jacobi_sweeps(work, vectors, off_tol, MAX_SWEEPS)
+    if not converged.all():
+        i = int(np.argmin(converged))
+        off = float(np.sqrt(2.0 * np.sum(np.triu(work[i], 1) ** 2)))
         raise JacobiConvergenceError(
             f"no convergence after {MAX_SWEEPS} sweeps (n={n}, "
-            f"off-diagonal norm {off:.3e}, target {off_tol:.3e})"
+            f"off-diagonal norm {off:.3e}, target {off_tol[i]:.3e})"
         )
-    order = np.argsort(np.diagonal(work), kind="stable")
-    eigenvalues = np.diagonal(work)[order].copy()
-    vectors = vectors[:, order]
-    residual = float(np.abs(a @ vectors - vectors * eigenvalues).max()) if n else 0.0
-    orthogonality_error = float(np.abs(vectors.T @ vectors - np.eye(n)).max()) if n else 0.0
+    eigenvalues = np.diagonal(work, axis1=1, axis2=2).copy()
+    # the stable sort of an ascending diagonal is the identity, as it normally is after eigh
+    if not (eigenvalues[:, 1:] >= eigenvalues[:, :-1]).all():
+        order = np.argsort(eigenvalues, axis=1, kind="stable")
+        eigenvalues = np.take_along_axis(eigenvalues, order, axis=1)
+        vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+    # A Q - Q diag(w) and Q^T Q - I side by side, so one abs and one max serve both
+    checks = np.empty((2, count, n, n))
+    np.matmul(a, vectors, out=checks[0])
+    checks[0] -= vectors * eigenvalues[:, None, :]
+    np.matmul(vectors.transpose(0, 2, 1), vectors, out=checks[1])
+    checks[1].reshape(count, -1)[:, :: n + 1] -= 1.0  # minus I
+    worst = np.abs(checks, out=checks).reshape(2, count, -1).max(axis=2, initial=0.0)
     eigenvalues.flags.writeable = False
     vectors.flags.writeable = False
-    return SpectralSummary(
-        eigenvalues=eigenvalues,
-        residual=residual,
-        orthogonality_error=orthogonality_error,
-        vectors=vectors,
-        sweeps=sweeps,
-    )
+    (residual, orthogonality_error), sweeps = worst.tolist(), sweeps.tolist()
+    return [
+        SpectralSummary(eigenvalues[i], residual[i], orthogonality_error[i], vectors[i], sweeps[i])
+        for i in range(count)
+    ]
 
 
 def lambda2(g: Graph) -> float:
@@ -135,13 +172,18 @@ def psd_tolerance(a: np.ndarray) -> float:
     return PSD_REL_TOL * max(1.0, inf_norm(a))
 
 
-def is_psd(a: np.ndarray) -> CertificateResult:
-    """Certify positive semi-definiteness via the minimum eigenvalue.
+def psd_certificate(a: np.ndarray, summary: SpectralSummary) -> CertificateResult:
+    """The PSD verdict on ``a`` from its decomposition: min eigenvalue >= -psd_tolerance(a).
 
-    The tolerance is ``psd_tolerance(a)``; the result records it.
+    The one verdict rule of ``is_psd`` and of the stacked certificates; the
+    result records the tolerance.
     """
     tol = psd_tolerance(a)
-    summary = eigen_decompose(a)
     min_eigenvalue = float(summary.eigenvalues[0])
     verdict = PSD if min_eigenvalue >= -tol else NOT_PSD
     return CertificateResult(min_eigenvalue=min_eigenvalue, tolerance=tol, verdict=verdict)
+
+
+def is_psd(a: np.ndarray) -> CertificateResult:
+    """Certify positive semi-definiteness via the minimum eigenvalue (``psd_certificate``)."""
+    return psd_certificate(a, eigen_decompose(a))

@@ -44,6 +44,22 @@ def laplacian_builds(monkeypatch):
     return count
 
 
+@pytest.fixture
+def stacked_matrices(monkeypatch):
+    """Counts the matrices through ``spectral.eigen_decompose_stack``, via every module importing it."""
+    original = spectral.eigen_decompose_stack
+    count = [0]
+
+    def counted(stack):
+        count[0] += len(stack)
+        return original(stack)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "eccbounds" and getattr(module, "eigen_decompose_stack", None) is original:
+            monkeypatch.setattr(module, "eigen_decompose_stack", counted)
+    return count
+
+
 def test_evaluate_all_on_a_graph_makes_one_bfs_and_one_eigensolve(kernel_calls):
     evaluate_all(path_graph(6), 3)
     assert kernel_calls == {"bfs_all_pairs": 1, "jacobi_sweeps": 1}
@@ -59,14 +75,14 @@ def test_check_chain_on_a_built_analysis_makes_no_bfs(kernel_calls):
 
 class TestKernelCallCounts:
     """One BFS per graph, whatever ell is checked: chain link 3 reads s1(G^ell)
-    from the power graph's degrees. One L(G) eigensolve per graph, plus per
-    connected (graph, ell) check three eigensolves (two certificates and
-    lambda2(G^ell)). L(G) is built once inside lambda2(G) and, for a connected
-    graph, once more for the certificates; L(G^ell) is built once per connected
-    check and shared by both certificates and the chain."""
+    from the power graph's degrees. One stacked eigensolve per graph, so one
+    Jacobi kernel call: it holds L(G) and, per connected (graph, ell) check,
+    the two certificate matrices and L(G^ell), each spectrum once. L(G) is
+    built once per graph and L(G^ell) once per connected check, shared by both
+    certificates and the chain."""
 
     @pytest.mark.parametrize("ell_policy", ["all", 3])
-    def test_campaign(self, kernel_calls, laplacian_builds, ell_policy):
+    def test_campaign(self, kernel_calls, laplacian_builds, stacked_matrices, ell_policy):
         config = CampaignConfig(
             family="erdos_renyi", n=8, p=0.3, trials=12, seed=5, ell_policy=ell_policy
         )
@@ -87,9 +103,9 @@ class TestKernelCallCounts:
         assert summary.violations == []
         assert summary.checks == connected_checks + disconnected
         assert kernel_calls["bfs_all_pairs"] == config.trials
-        assert kernel_calls["jacobi_sweeps"] == config.trials + 3 * connected_checks
-        connected_graphs = config.trials - disconnected
-        assert laplacian_builds[0] == config.trials + connected_graphs + connected_checks
+        assert kernel_calls["jacobi_sweeps"] == config.trials
+        assert stacked_matrices[0] == config.trials + 3 * connected_checks
+        assert laplacian_builds[0] == config.trials + connected_checks
 
     @pytest.mark.parametrize("family", ["path", "cycle", "star", "complete"])
     def test_tightness_solves_each_member_once(self, kernel_calls, family):

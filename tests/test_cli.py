@@ -16,6 +16,7 @@ from eccbounds import _kernels as kernels
 from eccbounds import cli, metrics
 from eccbounds.bounds import BOUND_NAMES, evaluate_all
 from eccbounds.graphs import (
+    Graph,
     complete_graph,
     generate,
     load_edge_list,
@@ -522,6 +523,21 @@ class TestSizeGuard:
         path.write_text("n 1000000\n0 1\n", encoding="utf-8")
         assert cli.main([argv[0], str(path), *argv[1:]]) == 2
         assert capsys.readouterr() == ("", self.MESSAGE)
+
+    @pytest.mark.parametrize("count", [10**7, 10**9])
+    @pytest.mark.parametrize("command", ["power", "analyze"])
+    def test_header_count_refused_before_parsing_edges(self, command, count, tmp_path, monkeypatch, capsys):
+        # the count alone would size the parser's O(n) arrays: 8 GB at 10**9
+        def refuse(*args, **kwargs):
+            raise AssertionError("graph built above MAX_NODES")
+
+        monkeypatch.setattr(Graph, "_from_pairs", classmethod(refuse))
+        monkeypatch.setattr(Graph, "from_edges", classmethod(refuse))
+        path = tmp_path / "big.txt"
+        path.write_text(f"n {count}\n0 1\n", encoding="utf-8")
+        assert cli.main([command, str(path), "--ell", "2"]) == 2
+        message = f"error: n={count} exceeds the limit of 5000 nodes for dense n x n computations\n"
+        assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize(
         "argv",
