@@ -232,15 +232,11 @@ class GraphAnalysis:
     def spectrum(self, kind: str, ell: int) -> float | CertificateResult:
         """The ``CertificateResult`` of the g1 or g2 matrix, or lambda2(G^ell) for "power".
 
-        Read from the memo; a miss runs ``solve([ell])``, or, for the g2
-        matrix at ell = 1 or on a disconnected graph, a solve of that matrix.
+        Read from the memo; a miss solves that one matrix alone.
         """
         key = (kind, ell)
         if key not in self._solved:
-            if self.connected and ell >= 2:
-                self.solve([ell])
-            else:
-                self._decompose([key])
+            self._decompose([key])
         return self._solved[key]
 
     def _decompose(self, keys: list[tuple[str, int]]) -> None:

@@ -6,8 +6,9 @@ Each eccentricity-count bound rests on a matrix being positive semi-definite:
 * ``(1 + ell * (e(G^ell) - m)) * L(G) - L(G^ell)`` for the edge-growth bound.
 
 A ``GraphAnalysis`` builds those matrices on concrete graphs and certifies
-them with the eigensolver, stacked with the graph's other spectra
-(``GraphAnalysis.solve``); the functions here read its memo. ``check_chain``
+them with the eigensolver; the functions here read its memo, which
+``GraphAnalysis.solve`` fills in stacked calls, and solve a missing matrix
+alone. ``check_chain``
 verifies, within ``bounds.tolerance``, the spectral chain connecting the two
 Laplacians: lambda2(G) >= lambda2(G^ell) / gamma >= s1(G^ell) / gamma, where
 s1(G^ell) = s_ell(G) counts the nodes of degree n - 1 (eccentricity <= 1).

@@ -28,6 +28,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
+from . import metrics
 from .bounds import BOUND_NAMES, BoundReport, GraphAnalysis, evaluate_all, tolerance
 from .certify import certify_g1_matrix, certify_g2_matrix, check_chain
 from .graphs import FAMILIES, generate, load_edge_list, serialize_edge_list
@@ -339,7 +340,7 @@ def _parse_ell_policy(raw: str) -> int | str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int]:
-    report = evaluate_all(load_edge_list(args.path, check_node_count), args.ell)
+    report = evaluate_all(load_edge_list(args.path, metrics.MAX_NODES), args.ell)
     return (report_json(report) if args.format == "json" else report_csv(report)), 0
 
 
@@ -363,7 +364,7 @@ def _cmd_tightness(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_power(args: argparse.Namespace) -> tuple[str, int]:
-    g = load_edge_list(args.path, check_node_count)
+    g = load_edge_list(args.path, metrics.MAX_NODES)
     if args.ell < 1:
         raise ValueError(f"ell must be >= 1, got {args.ell}")
     return serialize_edge_list(power_graph(g, all_pairs_distances(g, args.ell), args.ell)), 0

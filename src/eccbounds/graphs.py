@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 import re
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -235,11 +235,17 @@ def _edge(line_no: int, line: str, n: int) -> tuple[int, int]:
     return u, v
 
 
-def parse_edge_list(text: str, check_count: Callable[[int], object] | None = None) -> Graph:
+def check_node_limit(n: int, max_nodes: int) -> None:
+    """Refuse n above max_nodes, before any n x n array is allocated."""
+    if n > max_nodes:
+        raise ValueError(f"n={n} exceeds the limit of {max_nodes} nodes for dense n x n computations")
+
+
+def parse_edge_list(text: str, max_nodes: int | None = None) -> Graph:
     """Parse the edge-list format: header line ``n <count>``, then ``u v`` lines.
 
-    ``check_count``, if given, is called with the header's count before
-    anything of that size is built, and refuses it by raising.
+    A header count above ``max_nodes``, if given, is refused with ValueError
+    (``check_node_limit``) before anything of that size is built.
 
     Lines starting with '#' and blank lines are skipped; lines end wherever
     ``str.splitlines`` ends them. Node indices are 0-based. Duplicate edges
@@ -257,8 +263,8 @@ def parse_edge_list(text: str, check_count: Callable[[int], object] | None = Non
     else:
         raise ParseError(0, "empty input: missing 'n <count>' header")
     n = _node_count(start, header)
-    if check_count is not None:
-        check_count(n)
+    if max_nodes is not None:
+        check_node_limit(n, max_nodes)
     body = [line for line in map(str.strip, lines[start:]) if line and line[0] != "#"]
     joined = "\n".join(body)
     if _EDGE_LINES.fullmatch(joined):
@@ -289,9 +295,9 @@ def serialize_edge_list(g: Graph) -> str:
     return f"n {n}\n" + "".join(table.take(cells.ravel()).tolist())
 
 
-def load_edge_list(path: str, check_count: Callable[[int], object] | None = None) -> Graph:
+def load_edge_list(path: str, max_nodes: int | None = None) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read(), check_count)
+        return parse_edge_list(fh.read(), max_nodes)
 
 
 def path_graph(n: int) -> Graph:

@@ -8,7 +8,7 @@ from typing import Final
 import numpy as np
 
 from . import _kernels
-from .graphs import Graph
+from .graphs import Graph, check_node_limit
 
 #: Sentinel for "no path exists" in distance and eccentricity arrays.
 #: Kept negative so it can never be mistaken for a true distance, and so that
@@ -24,8 +24,7 @@ MAX_NODES: Final[int] = 5000
 
 def check_node_count(n: int) -> None:
     """Refuse n above MAX_NODES, before any n x n array is allocated."""
-    if n > MAX_NODES:
-        raise ValueError(f"n={n} exceeds the limit of {MAX_NODES} nodes for dense n x n computations")
+    check_node_limit(n, MAX_NODES)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,23 +28,27 @@ def _report(num: int, ok: bool, detail: str = "") -> None:
 def decompositions():
     """(relative residual, orthogonality error) of each eigendecomposition in this module.
 
-    Wraps ``spectral.eigen_decompose`` through every eccbounds module that
-    imports it, as ``laplacian_builds`` in test_call_counts.py does for
-    ``laplacian``; the residual is relative to ``max(1, ||A||_inf)``.
+    Wraps the solver's one core, ``spectral.eigen_decompose_stack``, through
+    every eccbounds module that imports it, as ``laplacian_builds`` in
+    test_call_counts.py does for ``laplacian``, and records every member of
+    each stack. ``eigen_decompose`` solves through that core too, so each
+    matrix is recorded once, whether solved alone or stacked. The residual
+    is relative to ``max(1, ||A||_inf)`` of that member.
     """
-    original = spectral.eigen_decompose
+    original = spectral.eigen_decompose_stack
     quality: list[tuple[float, float]] = []
 
-    def recorded(a):
-        summary = original(a)
-        relative = summary.residual / max(1.0, spectral.inf_norm(a))
-        quality.append((relative, summary.orthogonality_error))
-        return summary
+    def recorded(stack):
+        summaries = original(stack)
+        for a, summary in zip(stack, summaries):
+            relative = summary.residual / max(1.0, spectral.inf_norm(a))
+            quality.append((relative, summary.orthogonality_error))
+        return summaries
 
     with pytest.MonkeyPatch.context() as mp:
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "eccbounds" and getattr(module, "eigen_decompose", None) is original:
-                mp.setattr(module, "eigen_decompose", recorded)
+            if name.split(".")[0] == "eccbounds" and getattr(module, "eigen_decompose_stack", None) is original:
+                mp.setattr(module, "eigen_decompose_stack", recorded)
         yield quality
 
 

@@ -52,6 +52,13 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_edge_list("n 2\n0 0")
 
+    def test_header_count_above_max_nodes_refused(self):
+        text = "n 10\n0 1\n0 99\n"  # the bad edge line is never read
+        with pytest.raises(ValueError, match=r"^n=10 exceeds the limit of 9 nodes for dense n x n computations$"):
+            parse_edge_list(text, max_nodes=9)
+        with pytest.raises(ParseError, match="line 3"):
+            parse_edge_list(text, max_nodes=10)
+
     def test_comments_and_blank_lines_ignored(self):
         g = parse_edge_list("# leading comment\nn 3\n\n# middle\n0 1\n")
         assert g.n == 3 and g.m == 1

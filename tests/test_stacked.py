@@ -202,6 +202,16 @@ class TestGraphAnalysisSolve:
         a.solve([2, 3, 4])
         assert [len(stack) for stack, _ in solves] == [7, 3]
 
+    def test_a_miss_solves_only_the_missing_matrix(self, solves):
+        g = erdos_renyi(30, 0.2, seed=3)
+        assert GraphAnalysis(g).connected
+        certify_g1_matrix(g, 2), certify_g2_matrix(g, 2), check_chain(g, 2)
+        # one solve per lone certificate, two (L(G) and L(G^2)) for the chain
+        assert [len(stack) for stack, _ in solves] == [1, 1, 1, 1]
+        a = GraphAnalysis(g)
+        certify_g2_matrix(a, 3)
+        assert list(a._solved) == [("g2", 3)]
+
     def test_small_budget_gives_the_same_results_in_more_calls(self, monkeypatch, solves):
         graphs = campaign_graphs()
         default = []
