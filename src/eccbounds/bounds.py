@@ -281,9 +281,9 @@ def analysis_for(task: str, g: Graph | GraphAnalysis, ell: int, min_ell: int) ->
 def evaluate_all(g: Graph | GraphAnalysis, ell: int) -> BoundReport:
     """Evaluate every bound on one graph, reusing ``g``'s analysis if given one.
 
-    Disconnected graphs are reported, not rejected: the eccentricity counts
-    are all zero, the count-based bounds evaluate to 0, and the
-    diameter-dependent bounds are marked not applicable.
+    Disconnected graphs are reported, not rejected: lambda2 is exactly 0, the
+    eccentricity counts are all zero, the count-based bounds evaluate to 0, and
+    the diameter-dependent bounds are marked not applicable.
     """
     a = analysis_for("bound evaluation", g, ell, 2)
     s1 = count_s_ell(a.profile, 1)
@@ -291,7 +291,7 @@ def evaluate_all(g: Graph | GraphAnalysis, ell: int) -> BoundReport:
     s_ell = count_s_ell(a.profile, ell)
     power = a.power(ell)
     e_complement = a.n * (a.n - 1) // 2 - a.m
-    lam = a.lambda2
+    lam = a.lambda2 if a.connected else 0.0
     d = a.profile.diameter if a.connected else None
 
     bounds: dict[str, float | None] = {

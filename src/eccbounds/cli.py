@@ -28,11 +28,10 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from . import metrics
 from .bounds import BOUND_NAMES, BoundReport, GraphAnalysis, evaluate_all, tolerance
 from .certify import certify_g1_matrix, certify_g2_matrix, check_chain
-from .graphs import FAMILIES, generate, load_edge_list, serialize_edge_list
-from .metrics import all_pairs_distances, check_node_count, power_graph
+from .graphs import FAMILIES, check_node_count, generate, load_edge_list, serialize_edge_list
+from .metrics import all_pairs_distances, power_graph
 from .spectral import PSD
 
 #: Families usable with the tightness sweep (deterministic, connected).
@@ -168,7 +167,7 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     """Generate graphs and verify every bound, certificate, and chain link.
 
     Disconnected graphs are not skipped outright: the degenerate claims
-    (zero eccentricity counts, zero bounds, lambda2 = 0) are still checked;
+    (zero eccentricity counts, zero bounds, an eigensolver lambda2 of 0) are still checked;
     only the connectivity-dependent certificates and chain are omitted. Each
     graph gets one ``GraphAnalysis``, shared by every check on it, and one
     ``solve`` of all its spectra before the checks read them.
@@ -243,8 +242,8 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
                             f"bound_{name}={report.bounds[name]!r}",
                             ell,
                         )
-                if abs(report.lambda2) > tolerance(0.0):
-                    flag("disconnected_lambda2_nonzero", f"lambda2={report.lambda2!r}", ell)
+                if abs(analysis.lambda2) > tolerance(0.0):
+                    flag("disconnected_lambda2_nonzero", f"lambda2={analysis.lambda2!r}", ell)
     return summary
 
 
@@ -340,7 +339,7 @@ def _parse_ell_policy(raw: str) -> int | str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int]:
-    report = evaluate_all(load_edge_list(args.path, metrics.MAX_NODES), args.ell)
+    report = evaluate_all(load_edge_list(args.path), args.ell)
     return (report_json(report) if args.format == "json" else report_csv(report)), 0
 
 
@@ -364,7 +363,7 @@ def _cmd_tightness(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_power(args: argparse.Namespace) -> tuple[str, int]:
-    g = load_edge_list(args.path, metrics.MAX_NODES)
+    g = load_edge_list(args.path)
     if args.ell < 1:
         raise ValueError(f"ell must be >= 1, got {args.ell}")
     return serialize_edge_list(power_graph(g, all_pairs_distances(g, args.ell), args.ell)), 0

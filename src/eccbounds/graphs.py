@@ -3,18 +3,27 @@
 Graphs are immutable after construction and stored in CSR form (``indptr``,
 ``indices``) with neighbor lists sorted per node, so iteration order is
 deterministic and membership tests are O(log deg).
+``check_node_count`` refuses n above ``MAX_NODES``, the node limit of every
+dense n x n computation; the edge-list reader applies it to the header count.
 """
 
 from __future__ import annotations
 
+import heapq
 import operator
 import re
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Final, Iterable, Iterator
 
 import numpy as np
 
 FAMILIES = ("path", "cycle", "complete", "star", "erdos_renyi", "random_tree")
+
+#: Largest node count the dense n x n computations accept. At 5,000 nodes the
+#: int8 distance matrix takes 25 MB and a float64 Laplacian 200 MB, and one
+#: eigensolve, 3.3 s at n = 2,000 and O(n^3), takes about 50 s. Ten times as many
+#: nodes would take 2.5 GB of distances, 20 GB per Laplacian and half a day per solve.
+MAX_NODES: Final[int] = 5000
 
 #: Largest n whose CSR entry keys row * n + column fit int64 (isqrt(2**63 - 1)).
 #: Its indptr alone would take 24 GB.
@@ -235,17 +244,17 @@ def _edge(line_no: int, line: str, n: int) -> tuple[int, int]:
     return u, v
 
 
-def check_node_limit(n: int, max_nodes: int) -> None:
-    """Refuse n above max_nodes, before any n x n array is allocated."""
-    if n > max_nodes:
-        raise ValueError(f"n={n} exceeds the limit of {max_nodes} nodes for dense n x n computations")
+def check_node_count(n: int) -> None:
+    """Refuse n above MAX_NODES (read at call time), before any n x n array is allocated."""
+    if n > MAX_NODES:
+        raise ValueError(f"n={n} exceeds the limit of {MAX_NODES} nodes for dense n x n computations")
 
 
-def parse_edge_list(text: str, max_nodes: int | None = None) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: header line ``n <count>``, then ``u v`` lines.
 
-    A header count above ``max_nodes``, if given, is refused with ValueError
-    (``check_node_limit``) before anything of that size is built.
+    A header count above ``MAX_NODES`` is refused with ValueError
+    (``check_node_count``) before any edge line is read.
 
     Lines starting with '#' and blank lines are skipped; lines end wherever
     ``str.splitlines`` ends them. Node indices are 0-based. Duplicate edges
@@ -263,8 +272,7 @@ def parse_edge_list(text: str, max_nodes: int | None = None) -> Graph:
     else:
         raise ParseError(0, "empty input: missing 'n <count>' header")
     n = _node_count(start, header)
-    if max_nodes is not None:
-        check_node_limit(n, max_nodes)
+    check_node_count(n)
     body = [line for line in map(str.strip, lines[start:]) if line and line[0] != "#"]
     joined = "\n".join(body)
     if _EDGE_LINES.fullmatch(joined):
@@ -295,9 +303,9 @@ def serialize_edge_list(g: Graph) -> str:
     return f"n {n}\n" + "".join(table.take(cells.ravel()).tolist())
 
 
-def load_edge_list(path: str, max_nodes: int | None = None) -> Graph:
+def load_edge_list(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read(), max_nodes)
+        return parse_edge_list(fh.read())
 
 
 def path_graph(n: int) -> Graph:
@@ -341,37 +349,21 @@ def erdos_renyi(n: int, p: float, seed=None) -> Graph:
 
 
 def random_tree(n: int, seed=None) -> Graph:
-    """Uniform random labeled tree, built by decoding a random Prüfer sequence."""
+    """Uniform random labeled tree: a random Prüfer sequence, decoded with a min-heap of leaves."""
     if n < 1:
         raise ValueError(f"random_tree needs n >= 1, got {n}")
     if n == 1:
         return Graph.from_edges(1, [])
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
-    rng = np.random.default_rng(seed)
-    seq = rng.integers(0, n, size=n - 2)
-    deg = np.ones(n, dtype=np.int64)
-    for x in seq:
-        deg[x] += 1
+    seq = np.random.default_rng(seed).integers(0, n, size=n - 2)
+    deg = (np.bincount(seq, minlength=n) + 1).tolist()
+    leaves = [i for i, d in enumerate(deg) if d == 1]  # ascending, so already a heap
     edges = []
-    # linear-time decode: walk a pointer over the smallest available leaf
-    ptr = 0
-    while deg[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for x in seq:
-        x = int(x)
-        edges.append((leaf, x))
+    for x in seq.tolist():
+        edges.append((heapq.heappop(leaves), x))
         deg[x] -= 1
-        if deg[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            ptr += 1
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, n - 1))
-    return Graph.from_edges(n, edges)
+        if deg[x] == 1:
+            heapq.heappush(leaves, x)
+    return Graph.from_edges(n, [*edges, (leaves[0], leaves[1])])  # the last two nodes left
 
 
 def generate(family: str, n: int, p: float | None = None, seed=None) -> Graph:

@@ -1,4 +1,7 @@
-"""Shortest-path distances, eccentricities, threshold counts, and graph powers."""
+"""Shortest-path distances, eccentricities, threshold counts, and graph powers.
+
+``all_pairs_distances`` refuses n above ``graphs.MAX_NODES`` before its search.
+"""
 
 from __future__ import annotations
 
@@ -8,24 +11,12 @@ from typing import Final
 import numpy as np
 
 from . import _kernels
-from .graphs import Graph, check_node_limit
+from .graphs import Graph, check_node_count
 
 #: Sentinel for "no path exists" in distance and eccentricity arrays.
 #: Kept negative so it can never be mistaken for a true distance, and so that
 #: naive comparisons like ``d <= ell`` must mask it out explicitly.
 UNREACHABLE: Final[int] = -1
-
-#: Largest node count the dense n x n computations accept. At 5,000 nodes the
-#: int8 distance matrix takes 25 MB and a float64 Laplacian 200 MB, and one
-#: eigensolve, 3.3 s at n = 2,000 and O(n^3), takes about 50 s. Ten times as many
-#: nodes would take 2.5 GB of distances, 20 GB per Laplacian and half a day per solve.
-MAX_NODES: Final[int] = 5000
-
-
-def check_node_count(n: int) -> None:
-    """Refuse n above MAX_NODES, before any n x n array is allocated."""
-    check_node_limit(n, MAX_NODES)
-
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:

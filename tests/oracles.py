@@ -6,12 +6,18 @@ driver (``dsyev``) or integer characteristic-polynomial arithmetic instead of
 the package's numpy ``eigh`` (divide and conquer, ``dsyevd``) and Jacobi
 sweeps, and expected eigenvalues come from closed forms. The edge-list
 reader and writer are the line-at-a-time ``int`` and ``"%d %d\n"`` versions
-that the package's bulk parser and table-driven serializer replaced.
+that the package's bulk parser and table-driven serializer replaced, and
+random trees come from the pointer-walk Prüfer decode that the package's
+min-heap decode replaced.
+
+``patch_everywhere`` is the suite's one way to wrap a package function: at
+every eccbounds module that imports it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import chain
 
@@ -102,8 +108,60 @@ class EdgeListError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-def parse_edge_list(text: str) -> tuple[int, set[tuple[int, int]]]:
-    """The node count and the edges (u < v) of an edge list, one line at a time."""
+def patch_everywhere(mp, original, replacement) -> None:
+    """Set ``replacement`` in place of ``original`` at every eccbounds module holding it by name.
+
+    ``mp`` is a ``pytest.MonkeyPatch``. Fails if no module holds ``original``,
+    so a wrapper cannot silently see none of the calls.
+    """
+    name = original.__name__
+    modules = [
+        module
+        for key, module in list(sys.modules.items())
+        if key.split(".")[0] == "eccbounds" and getattr(module, name, None) is original
+    ]
+    assert modules, f"no eccbounds module holds {name}"
+    for module in modules:
+        mp.setattr(module, name, replacement)
+
+
+def prufer_tree_edges(n: int, seed) -> set[tuple[int, int]]:
+    """Edges (u < v) of the tree decoded from ``integers(0, n, size=n - 2)`` of ``default_rng(seed)``.
+
+    Linear-time decode: a pointer walks over the smallest available leaf.
+    """
+    if n <= 2:
+        return {(0, 1)} if n == 2 else set()
+    seq = np.random.default_rng(seed).integers(0, n, size=n - 2)
+    deg = np.ones(n, dtype=np.int64)
+    for x in seq:
+        deg[x] += 1
+    edges = []
+    ptr = 0
+    while deg[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    for x in seq:
+        x = int(x)
+        edges.append((leaf, x))
+        deg[x] -= 1
+        if deg[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, n - 1))
+    return {(min(e), max(e)) for e in edges}
+
+
+def parse_edge_list(text: str, limit: int | None = None) -> tuple[int, set[tuple[int, int]]]:
+    """The node count and the edges (u < v) of an edge list, one line at a time.
+
+    A header count above ``limit``, if given, raises a plain ValueError
+    (worded as the package's size guard) before any edge line is read.
+    """
     n: int | None = None
     edge_set: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -122,6 +180,8 @@ def parse_edge_list(text: str) -> tuple[int, set[tuple[int, int]]]:
                 raise EdgeListError(line_no, f"node count is not an integer: {tokens[1]!r}") from None
             if n < 1:
                 raise EdgeListError(line_no, f"node count must be >= 1, got {n}")
+            if limit is not None and n > limit:
+                raise ValueError(f"n={n} exceeds the limit of {limit} nodes for dense n x n computations")
             continue
         if len(tokens) != 2:
             raise EdgeListError(line_no, f"expected 'u v', got {line!r}")

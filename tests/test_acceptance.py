@@ -8,7 +8,6 @@ numerical quality of every eigendecomposition the earlier criteria triggered,
 as recorded by the module's ``decompositions`` fixture.
 """
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +27,12 @@ def _report(num: int, ok: bool, detail: str = "") -> None:
 def decompositions():
     """(relative residual, orthogonality error) of each eigendecomposition in this module.
 
-    Wraps the solver's one core, ``spectral.eigen_decompose_stack``, through
-    every eccbounds module that imports it, as ``laplacian_builds`` in
-    test_call_counts.py does for ``laplacian``, and records every member of
-    each stack. ``eigen_decompose`` solves through that core too, so each
-    matrix is recorded once, whether solved alone or stacked. The residual
-    is relative to ``max(1, ||A||_inf)`` of that member.
+    Wraps the solver's one core, ``spectral.eigen_decompose_stack``, at
+    every eccbounds module that imports it (``oracles.patch_everywhere``),
+    and records every member of each stack. ``eigen_decompose`` solves
+    through that core too, so each matrix is recorded once, whether solved
+    alone or stacked. The residual is relative to ``max(1, ||A||_inf)`` of
+    that member.
     """
     original = spectral.eigen_decompose_stack
     quality: list[tuple[float, float]] = []
@@ -46,9 +45,7 @@ def decompositions():
         return summaries
 
     with pytest.MonkeyPatch.context() as mp:
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "eccbounds" and getattr(module, "eigen_decompose_stack", None) is original:
-                mp.setattr(module, "eigen_decompose_stack", recorded)
+        oracles.patch_everywhere(mp, original, recorded)
         yield quality
 
 

@@ -1,7 +1,5 @@
 """Kernel call counts: each distance matrix, Laplacian and L(G) spectrum once per graph."""
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -38,9 +36,7 @@ def laplacian_builds(monkeypatch):
         count[0] += 1
         return original(g)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "eccbounds" and getattr(module, "laplacian", None) is original:
-            monkeypatch.setattr(module, "laplacian", counted)
+    oracles.patch_everywhere(monkeypatch, original, counted)
     return count
 
 
@@ -54,9 +50,7 @@ def stacked_matrices(monkeypatch):
         count[0] += len(stack)
         return original(stack)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "eccbounds" and getattr(module, "eigen_decompose_stack", None) is original:
-            monkeypatch.setattr(module, "eigen_decompose_stack", counted)
+    oracles.patch_everywhere(monkeypatch, original, counted)
     return count
 
 
@@ -113,3 +107,9 @@ class TestKernelCallCounts:
         assert records
         members = 9 - 3 + 1
         assert kernel_calls == {"bfs_all_pairs": members, "jacobi_sweeps": members}
+
+
+def test_patch_everywhere_fails_when_no_module_holds_the_function(monkeypatch):
+    # a counter wrapped around a function the package does not import would count nothing
+    with pytest.raises(AssertionError, match="no eccbounds module holds floyd_warshall"):
+        oracles.patch_everywhere(monkeypatch, oracles.floyd_warshall, None)

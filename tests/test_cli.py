@@ -13,8 +13,8 @@ import pytest
 
 import oracles
 from eccbounds import _kernels as kernels
-from eccbounds import cli, metrics
-from eccbounds.bounds import BOUND_NAMES, evaluate_all
+from eccbounds import cli, graphs
+from eccbounds.bounds import BOUND_NAMES, GraphAnalysis, evaluate_all
 from eccbounds.graphs import (
     Graph,
     complete_graph,
@@ -87,6 +87,28 @@ class TestAnalyze:
         assert cli.main(["analyze", str(path), "--ell", "2", "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["diameter"] is None and obj["bound_lu"] is None
+
+    @pytest.mark.parametrize(
+        "text",
+        ["n 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n", "n 5\n0 1\n1 2\n2 3\n"],
+        ids=["two-triangles", "path-and-isolated-node"],
+    )
+    def test_disconnected_lambda2_prints_exactly_zero(self, text, tmp_path, capsys):
+        # lambda2 of a disconnected graph is 0, not the eigensolver's roundoff
+        path = tmp_path / "d.txt"
+        path.write_text(text, encoding="utf-8")
+        count_bounds = ("s1", "s2_over_n", "g1", "g2")
+        assert cli.main(["analyze", str(path), "--ell", "2"]) == 0
+        header, row = capsys.readouterr().out.strip().split("\n")
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["lambda2"] == "0"
+        assert [fields[f"slack_{name}"] for name in count_bounds] == ["0"] * 4
+
+        assert cli.main(["analyze", str(path), "--ell", "2", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert '"lambda2": 0.0,' in out
+        obj = json.loads(out)
+        assert [obj[f"slack_{name}"] for name in count_bounds] == [0.0] * 4
 
     def test_out_file_matches_stdout(self, p4_file, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -190,6 +212,7 @@ class TestCampaignViolations:
     @pytest.fixture
     def failing_checks(self, monkeypatch):
         real_evaluate_all, real_check_chain = cli.evaluate_all, cli.check_chain
+        real_lambda2 = GraphAnalysis.lambda2
 
         def evaluate_all_wrong(analysis, ell):
             report = real_evaluate_all(analysis, ell)
@@ -198,7 +221,7 @@ class TestCampaignViolations:
                 slacks = dict(report.slacks, mohar=-1.0)
                 return dataclasses.replace(report, bounds=bounds, slacks=slacks)
             bounds = dict(report.bounds, g1=0.25)
-            return dataclasses.replace(report, s_ell=1, lambda2=0.5, bounds=bounds)
+            return dataclasses.replace(report, s_ell=1, bounds=bounds)
 
         def certificate_not_psd(analysis, ell):
             return CertificateResult(min_eigenvalue=-1.0, tolerance=1e-8, verdict=NOT_PSD)
@@ -208,6 +231,9 @@ class TestCampaignViolations:
             return dataclasses.replace(chain, links_hold=(True, False, True))
 
         monkeypatch.setattr(cli, "evaluate_all", evaluate_all_wrong)
+        # the eigensolver's lambda2 of a disconnected graph, which the report prints as 0
+        disconnected_lambda2 = property(lambda a: real_lambda2.fget(a) if a.connected else 0.5)
+        monkeypatch.setattr(GraphAnalysis, "lambda2", disconnected_lambda2)
         monkeypatch.setattr(cli, "certify_g1_matrix", certificate_not_psd)
         monkeypatch.setattr(cli, "certify_g2_matrix", certificate_not_psd)
         monkeypatch.setattr(cli, "check_chain", chain_broken)
@@ -268,20 +294,24 @@ class TestToleranceCut:
         """Violation kinds of TestCampaignViolations.CONFIG with one value moved onto the cut.
 
         Connected reports get slack_mohar = slack_factor * 1e-9 * max(1, lambda2);
-        disconnected reports get lambda2 = disconnected_lambda2.
+        disconnected analyses get the eigensolver lambda2 = disconnected_lambda2.
         """
-        real_evaluate_all = cli.evaluate_all
+        real_evaluate_all, real_lambda2 = cli.evaluate_all, GraphAnalysis.lambda2
 
         def evaluate_all_moved(analysis, ell):
             report = real_evaluate_all(analysis, ell)
             if analysis.connected and slack_factor is not None:
                 slack = slack_factor * 1e-9 * max(1.0, report.lambda2)
                 return dataclasses.replace(report, slacks=dict(report.slacks, mohar=slack))
-            if not analysis.connected and disconnected_lambda2 is not None:
-                return dataclasses.replace(report, lambda2=disconnected_lambda2)
             return report
 
+        def lambda2_moved(analysis):
+            if not analysis.connected and disconnected_lambda2 is not None:
+                return disconnected_lambda2
+            return real_lambda2.fget(analysis)
+
         monkeypatch.setattr(cli, "evaluate_all", evaluate_all_moved)
+        monkeypatch.setattr(GraphAnalysis, "lambda2", property(lambda2_moved))
         return {v["kind"] for v in cli.run_campaign(TestCampaignViolations.CONFIG).violations}
 
     @pytest.mark.parametrize("factor, flagged", [(-0.5, False), (-2.0, True)])
@@ -552,7 +582,7 @@ class TestSizeGuard:
         assert capsys.readouterr() == ("", self.MESSAGE)
 
     def test_limit_is_inclusive(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(metrics, "MAX_NODES", 6)
+        monkeypatch.setattr(graphs, "MAX_NODES", 6)
         for n, code in ((6, 0), (7, 2)):
             path = tmp_path / f"p{n}.txt"
             path.write_text(serialize_edge_list(path_graph(n)), encoding="utf-8")

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from eccbounds import graphs
 from eccbounds.graphs import (
     FAMILIES,
     Graph,
@@ -52,12 +53,16 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_edge_list("n 2\n0 0")
 
-    def test_header_count_above_max_nodes_refused(self):
+    def test_header_count_above_max_nodes_refused(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"^n=5001 exceeds the limit of 5000 nodes for dense n x n computations$"):
+            parse_edge_list("n 5001\n")
         text = "n 10\n0 1\n0 99\n"  # the bad edge line is never read
+        monkeypatch.setattr(graphs, "MAX_NODES", 9)  # read at call time
         with pytest.raises(ValueError, match=r"^n=10 exceeds the limit of 9 nodes for dense n x n computations$"):
-            parse_edge_list(text, max_nodes=9)
+            parse_edge_list(text)
+        monkeypatch.setattr(graphs, "MAX_NODES", 10)
         with pytest.raises(ParseError, match="line 3"):
-            parse_edge_list(text, max_nodes=10)
+            parse_edge_list(text)
 
     def test_comments_and_blank_lines_ignored(self):
         g = parse_edge_list("# leading comment\nn 3\n\n# middle\n0 1\n")
@@ -202,15 +207,19 @@ def parse_outcome(text: str):
         g = parse_edge_list(text)
     except ParseError as exc:
         return "error", exc.line_no, str(exc)
+    except ValueError as exc:  # the header count is above MAX_NODES
+        return "refused", str(exc)
     validate(g)
     return "graph", g.n, set(g.edges())
 
 
 def reference_outcome(text: str):
     try:
-        n, edges = oracles.parse_edge_list(text)
+        n, edges = oracles.parse_edge_list(text, limit=graphs.MAX_NODES)
     except oracles.EdgeListError as exc:
         return "error", exc.line_no, str(exc)
+    except ValueError as exc:
+        return "refused", str(exc)
     return "graph", n, edges
 
 
@@ -230,6 +239,7 @@ class TestEdgeListAgainstReference:
     @example("n 5\n1\x1f2\n3\u20034\n")
     @example("n 3\n0 1\n1 3\n")
     @example("n 3\n3 0\n")
+    @example("n 5001\n0 1\n1 x\n")
     def test_parse_matches_reference(self, text):
         assert parse_outcome(text) == reference_outcome(text)
 
@@ -285,13 +295,14 @@ class TestConstruction:
         g = Graph.from_edges(n, [(n - 1, 0), (5, n - 2), (n - 2, 5), (n - 1, n - 2)])
         validate(g)
         assert list(g.edges()) == [(0, n - 1), (5, n - 2), (n - 2, n - 1)]
-        assert parse_edge_list(f"n {n}\n{n - 1} 0\n5 {n - 2}\n{n - 1} {n - 2}\n") == g
+        # the edge-list reader refuses the header count before building anything
+        with pytest.raises(ValueError, match=r"^n=1000000 exceeds the limit of 5000 nodes"):
+            parse_edge_list(f"n {n}\n{n - 1} 0\n5 {n - 2}\n{n - 1} {n - 2}\n")
 
     def test_node_count_beyond_int64_keys_rejected(self):
         # (n - 1) * n + (n - 1) must fit int64; refused before allocating anything
-        for build in (lambda n: Graph.from_edges(n, []), lambda n: parse_edge_list(f"n {n}\n")):
-            with pytest.raises(ValueError, match=r"^node count must be <= 3037000499, got 3037000500$"):
-                build(3_037_000_500)
+        with pytest.raises(ValueError, match=r"^node count must be <= 3037000499, got 3037000500$"):
+            Graph.from_edges(3_037_000_500, [])
 
     def test_from_edges_deduplicates_and_symmetrizes(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
@@ -428,6 +439,17 @@ class TestGenerators:
 
     def test_random_tree_deterministic_per_seed(self):
         assert random_tree(10, seed=7) == random_tree(10, seed=7)
+
+    def test_random_tree_matches_pointer_walk_decode(self):
+        for n in range(1, 81):
+            for seed in range(100):
+                assert set(random_tree(n, seed=seed).edges()) == oracles.prufer_tree_edges(n, seed)
+        for seed in range(3):
+            assert set(random_tree(2000, seed=seed).edges()) == oracles.prufer_tree_edges(2000, seed)
+        # a campaign passes its Generator: the same draws, n = 1 and 2 drawing none
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        for n in (2, 5, 1, 30, 2, 7):
+            assert set(random_tree(n, seed=a).edges()) == oracles.prufer_tree_edges(n, b)
 
     def test_generate_dispatch(self):
         assert generate("path", 4) == path_graph(4)

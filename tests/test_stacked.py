@@ -1,7 +1,5 @@
 """The stacked eigensolver core and the per-graph stacked solve of GraphAnalysis."""
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -40,9 +38,7 @@ def solves(monkeypatch):
         calls.append((stack, summaries))
         return summaries
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "eccbounds" and getattr(module, "eigen_decompose_stack", None) is original:
-            monkeypatch.setattr(module, "eigen_decompose_stack", recorded)
+    oracles.patch_everywhere(monkeypatch, original, recorded)
     return calls
 
 
