@@ -96,7 +96,8 @@ def bfs_all_pairs(indptr, indices, n, depth=None):
     dist -= 1  # -1 where unreached; reached pairs start at 0
     for b, plane in enumerate(planes):
         bit = _unpack(plane, n, small)
-        bit *= 1 << b
+        if b:
+            bit *= 1 << b
         dist |= bit
     return dist
 

@@ -97,7 +97,13 @@ class Graph:
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "Graph":
-        """Build from a boolean adjacency matrix (must be symmetric, zero diagonal)."""
+        """Build from an adjacency matrix (must be exactly symmetric, zero diagonal).
+
+        Every nonzero entry is an edge. Symmetry is tested on the nonzeros only,
+        ``adj[i, j] == adj[j, i]`` for each nonzero (i, j), read by flat index
+        in O(m): an entry whose mirror is zero or another value (NaN is never
+        equal) fails it, so the verdict is that of ``np.array_equal(adj, adj.T)``.
+        """
         n = adj.shape[0]
         if adj.shape != (n, n):
             raise ValueError("adjacency matrix must be square")
@@ -105,9 +111,10 @@ class Graph:
             raise ValueError(f"node count must be >= 1, got {n}")
         if adj.diagonal().any():
             raise ValueError("adjacency matrix has a nonzero diagonal (self-loop)")
-        if not np.array_equal(adj, adj.T):
+        flat = np.flatnonzero(adj)  # row-major: each row's columns sorted
+        rows, cols = np.divmod(flat, n)
+        if not np.array_equal(adj.take(flat), adj.take(cols * n + rows)):
             raise ValueError("adjacency matrix is not symmetric")
-        rows, cols = np.divmod(np.flatnonzero(adj), n)  # row-major: each row's columns sorted
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(n, indptr, cols)
@@ -203,8 +210,11 @@ def validate(g: Graph) -> None:
 
 #: A number of the edge-list format: ASCII digits with an optional leading '-'.
 _INTEGER = re.compile(r"-?[0-9]+")
-#: Stripped edge lines joined by "\n": two numbers a line, split by other whitespace.
-_EDGE_LINES = re.compile(r"(?:-?[0-9]+[^\S\n]+-?[0-9]+(?:\n-?[0-9]+[^\S\n]+-?[0-9]+)*)?")
+#: Stripped edge lines joined by "\n": two numbers a line, split by spaces and tabs.
+#: At most 18 digits a number, so int64 holds every one (numpy saturates beyond it).
+_EDGE_LINES = re.compile(
+    r"(?:-?[0-9]{1,18}[ \t]+-?[0-9]{1,18}(?:\n-?[0-9]{1,18}[ \t]+-?[0-9]{1,18})*)?"
+)
 
 
 def _read_int(token: str) -> int:
@@ -261,9 +271,12 @@ def parse_edge_list(text: str) -> Graph:
     (in either orientation) collapse. Numbers are ASCII digits with an
     optional leading '-' (``int`` alone takes '+3', '1_0', '٤').
 
-    The edge lines are checked in bulk: one regex match over all of them, one
-    numpy conversion, and range and self-loop tests on whole arrays. Only when
-    a bulk check fails are the lines read one by one, to name the first bad one.
+    The edge lines are checked in bulk: one regex match over all of them (two
+    numbers of at most 18 digits a line, split by spaces and tabs), one
+    ``np.fromstring`` conversion that must give two numbers a line, and range
+    and self-loop tests on whole arrays. Anything else (other separators,
+    longer numbers) or a failed check sends the lines to the line-at-a-time
+    reader, which gives the same graph or names the first bad line.
     """
     lines = text.splitlines()
     for start, header in enumerate(map(str.strip, lines), start=1):
@@ -276,11 +289,9 @@ def parse_edge_list(text: str) -> Graph:
     body = [line for line in map(str.strip, lines[start:]) if line and line[0] != "#"]
     joined = "\n".join(body)
     if _EDGE_LINES.fullmatch(joined):
-        try:
-            pairs = np.array(joined.split(), dtype=np.int64).reshape(-1, 2)
-        except (OverflowError, ValueError):  # beyond int64, or past int's digit limit
-            pass
-        else:
+        flat = np.fromstring(joined, dtype=np.int64, sep=" ")  # any whitespace separates
+        if flat.size == 2 * len(body):
+            pairs = flat.reshape(-1, 2)
             if ((pairs >= 0) & (pairs < n)).all() and (pairs[:, 0] != pairs[:, 1]).all():
                 return Graph._from_pairs(n, pairs)
     # a bulk check failed: read the lines one by one, so the first bad one raises

@@ -82,13 +82,18 @@ def count_s_ell(e: EccentricityProfile, ell: int) -> int:
 
 
 def power_graph(g: Graph, d: DistanceMatrix, ell: int) -> Graph:
-    """Graph on the same nodes with an edge wherever 1 <= distance <= ell."""
+    """Graph on the same nodes with an edge wherever 1 <= distance <= ell.
+
+    A search bounded at ``within == ell`` already marks every farther pair
+    UNREACHABLE, so there the mask is one pass, ``dist > 0``.
+    """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if d.n != g.n:
         raise ValueError(f"distance matrix is for n={d.n}, graph has n={g.n}")
     if d.within is not None and ell > d.within:
         raise ValueError(f"ell={ell} exceeds the search depth within={d.within}")
-    adj = d.dist >= 1
-    adj &= d.dist <= ell
+    adj = d.dist > 0
+    if d.within != ell:
+        adj &= d.dist <= ell
     return Graph.from_adjacency(adj)

@@ -240,6 +240,9 @@ class TestEdgeListAgainstReference:
     @example("n 3\n0 1\n1 3\n")
     @example("n 3\n3 0\n")
     @example("n 5001\n0 1\n1 x\n")
+    @example("n 5\n" + "0" * 17 + "3 " + "9" * 18 + "\n")
+    @example("n 5\n" + "0" * 17 + "3\t" + "0" * 18 + "4\n")
+    @example("n 5\n" + "0" * 26 + " 2\n" + "0" * 17 + "1 3\n")
     def test_parse_matches_reference(self, text):
         assert parse_outcome(text) == reference_outcome(text)
 
@@ -247,6 +250,23 @@ class TestEdgeListAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_parse_matches_reference_on_any_text(self, text):
         assert parse_outcome(text) == reference_outcome(text)
+
+    @pytest.mark.parametrize("form", ["canonical", "tabs", "blank-and-comment-lines"])
+    def test_bulk_path_reads_well_formed_files(self, monkeypatch, form):
+        # the line-at-a-time reader is only for files the bulk checks refuse
+        g = Graph.from_edges(200, list(erdos_renyi(200, 0.06, seed=17).edges())[:1000])
+        assert g.m == 1000
+        text = serialize_edge_list(g)
+        if form == "tabs":
+            text = text.replace(" ", "\t")
+        elif form == "blank-and-comment-lines":
+            text = "# edges\n\n" + text.replace("\n", "\n\n  # note\n")
+
+        def refuse(*args):
+            raise AssertionError("line-at-a-time reader called")
+
+        monkeypatch.setattr(graphs, "_edge", refuse)
+        assert parse_edge_list(text) == g
 
     def test_error_names_the_first_bad_line(self):
         # every line after the first bad one is bad too, in another way
@@ -331,6 +351,18 @@ class TestConstruction:
             Graph.from_adjacency(np.array([[1, 0], [0, 0]]))
         with pytest.raises(ValueError):
             Graph.from_adjacency(np.zeros((2, 3)))
+
+    def test_from_adjacency_requires_exact_symmetry(self):
+        # symmetric in pattern but not in value: each nonzero must equal its mirror
+        nan = float("nan")
+        for adj in (np.array([[0, 2], [1, 0]]), np.array([[0.0, nan, 0.0], [nan, 0.0, 1.0], [0.0, 1.0, 0.0]])):
+            with pytest.raises(ValueError, match="^adjacency matrix is not symmetric$"):
+                Graph.from_adjacency(adj)
+        rng = np.random.default_rng(600)
+        upper = np.triu(rng.random((600, 600)) < 0.01, k=1)
+        g = Graph.from_adjacency(upper | upper.T)
+        validate(g)
+        assert g == Graph.from_edges(600, zip(*np.nonzero(upper)))
 
     @given(st.integers(min_value=1, max_value=40), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
