@@ -126,21 +126,17 @@ def round_robin(n):
 
 @np.errstate(over="ignore")  # a subnormal a[p, q] gives theta = inf: the overflow branch
 def jacobi_sweeps(a, v, off_tol, max_sweeps):
-    """Cyclic Jacobi sweeps in round-robin order; updates a and v, returns (sweeps, converged).
+    """Cyclic Jacobi sweeps in round-robin order on (B, n, n) stacks ``a`` and ``v``, in place.
 
-    The stopping rule sqrt(2 * sum(triu(a, 1)**2)) <= off_tol is tested before
-    each sweep: an input that already meets it returns (0, True) with a and v
-    untouched, and the schedule is built only once a sweep has to run.
-
-    ``a`` and ``v`` may also be (B, n, n) stacks, with ``off_tol`` a (B,) array
-    of per-member tolerances. The rule is then tested for all members in one
-    pass, only the members that fail it are swept (each in place, until it
-    meets its own tolerance or the cap), and the others are left untouched.
-    A stack returns (sweeps, member_sweeps, converged): the sweeps run in all,
-    then per member, as (B,) arrays, the sweeps run and whether it converged.
+    ``off_tol`` is a (B,) array of per-member tolerances. The stopping rule
+    sqrt(2 * sum(triu(a[i], 1)**2)) <= off_tol[i] is tested for all members in
+    one pass before any sweep: a member that meets it is left untouched, and
+    the schedule is built only once a sweep has to run. Each other member is
+    swept in place, retesting the rule before each sweep, until it meets its
+    own tolerance or the cap. Returns (sweeps, member_sweeps, converged): the
+    sweeps run in all, then per member, as (B,) arrays, the sweeps run and
+    whether it converged.
     """
-    if a.ndim == 2:
-        return _sweep(a, v, off_tol, max_sweeps, _off_norms(a[None])[0])
     member_sweeps = np.zeros(len(a), dtype=np.int64)
     norms = _off_norms(a)
     # "<=" so that a NaN norm counts as unconverged

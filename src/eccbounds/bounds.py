@@ -173,14 +173,14 @@ _LAMBDA2 = ("lambda2", 0)
 class GraphAnalysis:
     """The distance matrix, eccentricity profile, power graphs and spectra of one graph.
 
-    Distances and the profile are computed on construction; ``power(ell)`` and
-    ``power_laplacian(ell)`` (L(G^ell), read-only) are memoised per ell;
-    ``laplacian`` (L(G), read-only) is computed on first use. ``solve(ells)``
-    decomposes every spectrum the checks of those ells read, in stacked
-    calls, and memoises only the results: lambda2, the g1 and g2
-    ``CertificateResult`` and lambda2(G^ell) per ell. Pass one analysis to
-    ``evaluate_all``, the certificates and ``check_chain`` so they share this
-    work instead of each repeating it.
+    Distances and the profile are computed on construction; ``power(ell)``, read
+    from the distances alone, and ``power_laplacian(ell)`` (L(G^ell), read-only)
+    are memoised per ell; ``laplacian`` (L(G), read-only) is computed on first
+    use. ``solve(ells)`` decomposes every spectrum the checks of those ells
+    read, in stacks of at most 1 MB, and memoises only the results: lambda2,
+    the g1 and g2 ``CertificateResult`` and lambda2(G^ell) per ell. Pass one
+    analysis to ``evaluate_all``, the certificates and ``check_chain`` so they
+    share this work instead of each repeating it.
     """
 
     def __init__(self, g: Graph):
@@ -196,7 +196,7 @@ class GraphAnalysis:
 
     def power(self, ell: int) -> Graph:
         if ell not in self._powers:
-            self._powers[ell] = power_graph(self.graph, self.dist, ell)
+            self._powers[ell] = power_graph(self.dist, ell)
         return self._powers[ell]
 
     def power_laplacian(self, ell: int) -> np.ndarray:
@@ -243,18 +243,12 @@ class GraphAnalysis:
         """Solve the spectra of ``keys`` in stacks of at most _STACK_BYTES, each built when solved."""
         per_stack = max(1, _STACK_BYTES // (8 * self.n * self.n))
         for start in range(0, len(keys), per_stack):
-            self._decompose_stack(keys[start : start + per_stack])
-
-    def _decompose_stack(self, keys: list[tuple[str, int]]) -> None:
-        """Build the matrices of ``keys`` into one stack and solve it; a lone matrix is not copied.
-
-        Only the results are kept: the stack and its summaries go on return.
-        """
-        matrices = [self._matrix(*key) for key in keys]
-        stack = np.stack(matrices) if len(matrices) > 1 else matrices[0][None]
-        for key, a, summary in zip(keys, stack, eigen_decompose_stack(stack)):
-            certificate = key[0] in ("g1", "g2")
-            self._solved[key] = psd_certificate(a, summary) if certificate else float(summary.eigenvalues[1])
+            chunk = keys[start : start + per_stack]
+            matrices = [self._matrix(*key) for key in chunk]
+            stack = np.stack(matrices) if len(matrices) > 1 else matrices[0][None]
+            for key, a, summary in zip(chunk, stack, eigen_decompose_stack(stack)):
+                certificate = key[0] in ("g1", "g2")
+                self._solved[key] = psd_certificate(a, summary) if certificate else float(summary.eigenvalues[1])
 
     def _matrix(self, kind: str, ell: int) -> np.ndarray:
         """The matrix of one solved kind: L(G), L(G^ell), or the g1 or g2 matrix."""

@@ -301,8 +301,6 @@ def run_tightness(family: str, n_max: int, ell_policy: int | str = "all") -> lis
             report = evaluate_all(analysis, ell)
             for name in BOUND_NAMES:
                 value = report.bounds[name]
-                if value is None:
-                    continue
                 lam = report.lambda2
                 records.append(TightnessRecord(family, n, ell, name, value, lam, value / lam))
     order = {name: i for i, name in enumerate(BOUND_NAMES)}
@@ -366,7 +364,7 @@ def _cmd_power(args: argparse.Namespace) -> tuple[str, int]:
     g = load_edge_list(args.path)
     if args.ell < 1:
         raise ValueError(f"ell must be >= 1, got {args.ell}")
-    return serialize_edge_list(power_graph(g, all_pairs_distances(g, args.ell), args.ell)), 0
+    return serialize_edge_list(power_graph(all_pairs_distances(g, args.ell), args.ell)), 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -320,8 +320,6 @@ def load_edge_list(path: str) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"path graph needs n >= 1, got {n}")
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -332,15 +330,11 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"complete graph needs n >= 1, got {n}")
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def star_graph(n: int) -> Graph:
     """Star with center 0 and n-1 leaves."""
-    if n < 1:
-        raise ValueError(f"star graph needs n >= 1, got {n}")
     return Graph.from_edges(n, [(0, i) for i in range(1, n)])
 
 

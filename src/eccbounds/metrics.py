@@ -22,12 +22,11 @@ UNREACHABLE: Final[int] = -1
 class DistanceMatrix:
     """Exact BFS distances; UNREACHABLE marks no path, or none within ``within`` edges.
 
-    ``dist`` is in the narrowest signed integer type that holds the largest
-    distance found (int8 up to 127, so 1 byte per pair on most graphs): compare
-    it with Python ints, and widen it before arithmetic that could leave that range.
+    ``dist`` (n x n, the one record of n) is in the narrowest signed integer type
+    holding the largest distance found (int8 up to 127, 1 byte a pair on most
+    graphs): compare it with Python ints, and widen it before arithmetic that could overflow.
     """
 
-    n: int
     dist: np.ndarray  # (n, n), int8 while every distance is <= 127, else int16 or wider
     within: int | None = None
 
@@ -58,7 +57,7 @@ def all_pairs_distances(g: Graph, within: int | None = None) -> DistanceMatrix:
     if within is not None and within < 1:
         raise ValueError(f"within must be >= 1, got {within}")
     dist = _kernels.bfs_all_pairs(g.indptr, g.indices, g.n, within)
-    return DistanceMatrix(g.n, dist, within)
+    return DistanceMatrix(dist, within)
 
 
 def eccentricity_profile(d: DistanceMatrix) -> EccentricityProfile:
@@ -81,16 +80,14 @@ def count_s_ell(e: EccentricityProfile, ell: int) -> int:
     return int(np.count_nonzero((e.ecc >= 0) & (e.ecc <= ell)))
 
 
-def power_graph(g: Graph, d: DistanceMatrix, ell: int) -> Graph:
-    """Graph on the same nodes with an edge wherever 1 <= distance <= ell.
+def power_graph(d: DistanceMatrix, ell: int) -> Graph:
+    """G^ell from G's distance matrix alone: an edge wherever 1 <= distance <= ell.
 
     A search bounded at ``within == ell`` already marks every farther pair
     UNREACHABLE, so there the mask is one pass, ``dist > 0``.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    if d.n != g.n:
-        raise ValueError(f"distance matrix is for n={d.n}, graph has n={g.n}")
     if d.within is not None and ell > d.within:
         raise ValueError(f"ell={ell} exceeds the search depth within={d.within}")
     adj = d.dist > 0

@@ -25,7 +25,7 @@ class TestGraphAnalysis:
         np.testing.assert_array_equal(a.laplacian, laplacian(g))
         assert a.lambda2 == lambda2(g)
         for ell in (1, 2, 3):
-            assert a.power(ell) == power_graph(g, all_pairs_distances(g), ell)
+            assert a.power(ell) == power_graph(all_pairs_distances(g), ell)
 
     def test_power_and_spectrum_are_computed_once(self, monkeypatch):
         a = GraphAnalysis(path_graph(6))

@@ -85,6 +85,8 @@ class TestSimpleBounds:
         assert bound_s2_over_n(2, 4) == 0.5
         with pytest.raises(ValueError):
             bound_s2_over_n(5, 4)
+        with pytest.raises(ValueError, match=r"^bound_s2_over_n needs n >= 2, got 1$"):
+            bound_s2_over_n(1, 1)
 
 
 class TestBoundG1:

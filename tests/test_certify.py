@@ -39,7 +39,7 @@ class TestCertifyG1:
 
     def test_cycle5_ell2_power_is_complete(self):
         g = cycle_graph(5)
-        assert power_graph(g, all_pairs_distances(g), 2) == complete_graph(5)
+        assert power_graph(all_pairs_distances(g), 2) == complete_graph(5)
         assert gamma(5, 2) == 5.0
         res = certify_g1_matrix(g, 2)
         assert res.verdict == PSD
@@ -82,7 +82,7 @@ class TestCertifyG2:
 
     def test_path4_ell2(self):
         g = path_graph(4)
-        power = power_graph(g, all_pairs_distances(g), 2)
+        power = power_graph(all_pairs_distances(g), 2)
         assert power.m == 5
         res = certify_g2_matrix(g, 2)
         assert res.verdict == PSD

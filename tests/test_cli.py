@@ -202,6 +202,23 @@ class TestVerify:
             cli.run_tightness("path", 5, policy)
         assert str(campaign.value) == str(tightness.value) == message
 
+    @pytest.mark.parametrize(
+        "family, n, message",
+        [
+            ("petersen", 5, r"^unknown family 'petersen'; choose from \('path', 'cycle', "),
+            ("path", 1, r"^campaign needs n >= 2, got 1$"),
+        ],
+    )
+    def test_campaign_rejects_family_and_size(self, family, n, message):
+        with pytest.raises(ValueError, match=message):
+            cli.CampaignConfig(family=family, n=n)
+
+    def test_tightness_rejects_a_random_family(self):
+        # argparse's choices stop this at the command line; the library call checks it itself
+        message = r"^unknown family 'erdos_renyi'; choose from \('path', 'cycle', 'star', 'complete'\)$"
+        with pytest.raises(ValueError, match=message):
+            cli.run_tightness("erdos_renyi", 5)
+
 
 class TestCampaignViolations:
     """Every check of ``run_campaign`` is made to fail; each must be flagged."""
@@ -485,7 +502,7 @@ class TestPower:
         assert cli.main(["power", p4_file, "--ell", "2", "--out", str(out)]) == 0
         reparsed = load_edge_list(str(out))
         g = path_graph(4)
-        assert reparsed == power_graph(g, all_pairs_distances(g), 2)
+        assert reparsed == power_graph(all_pairs_distances(g), 2)
         assert reparsed.m == 5
 
     def test_ell_one_identity(self, p4_file, capsys):
@@ -518,7 +535,7 @@ class TestPower:
         path.write_text(serialize_edge_list(g))
         assert cli.main(["power", str(path), "--ell", "3"]) == 0
         assert searches == [3]
-        assert parse_edge_list(capsys.readouterr().out) == power_graph(g, all_pairs_distances(g), 3)
+        assert parse_edge_list(capsys.readouterr().out) == power_graph(all_pairs_distances(g), 3)
 
     def test_ell_zero_exits_before_any_search(self, p4_file, searches, capsys):
         assert cli.main(["power", p4_file, "--ell", "0"]) == 2

@@ -377,6 +377,13 @@ class TestConstruction:
         assert g == Graph.from_edges(n, edges)
         assert g.indices.dtype == np.int64 and g.indptr.dtype == np.int64
 
+    def test_equality_and_hash(self):
+        g = path_graph(4)
+        same = Graph.from_edges(4, [(3, 2), (1, 0), (1, 2), (0, 1)])
+        assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+        assert g.__eq__("n 4") is NotImplemented
+        assert g != "n 4"
+
     def test_from_adjacency_rejects_empty(self):
         # the same rule as from_edges: an n = 0 graph would reach the BFS kernel
         with pytest.raises(ValueError, match=r"^node count must be >= 1, got 0$"):
@@ -403,6 +410,22 @@ class TestConstruction:
         assert degs.sum() == 2 * g.m
         for u, v in g.edges():
             assert g.has_edge(u, v) and g.has_edge(v, u)
+
+    @pytest.mark.parametrize(
+        "indptr, indices",
+        [
+            ([0, 1], [1, 0]),  # indptr too short for n = 2
+            ([1, 2, 2], [1, 0]),  # indptr does not start at 0
+            ([0, 1, 3], [1, 0]),  # indptr ends past the neighbour list
+            ([0, 3, 2], [1, 0]),  # indptr decreases
+            ([0, 1, 3], [1, 0, 0]),  # an odd entry count: no whole number of edges
+        ],
+        ids=["short", "offset", "overrun", "decreasing", "odd"],
+    )
+    def test_validate_rejects_malformed_arrays(self, indptr, indices):
+        g = Graph(2, np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64))
+        with pytest.raises(AssertionError, match=r"^malformed CSR arrays for n=2$"):
+            validate(g)
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -444,6 +467,18 @@ class TestGenerators:
         g = star_graph(4)
         assert (g.n, g.m) == (4, 3)
         assert g.degree(0) == 3 and all(g.degree(i) == 1 for i in range(1, 4))
+
+    @pytest.mark.parametrize("make", [path_graph, complete_graph, star_graph])
+    def test_deterministic_families_leave_n_below_one_to_from_edges(self, make):
+        with pytest.raises(ValueError, match=r"^node count must be >= 1, got 0$"):
+            make(0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_random_families_reject_n_below_one(self, n):
+        with pytest.raises(ValueError, match=rf"^erdos_renyi needs n >= 1, got {n}$"):
+            erdos_renyi(n, 0.5, seed=0)
+        with pytest.raises(ValueError, match=rf"^random_tree needs n >= 1, got {n}$"):
+            random_tree(n, seed=0)
 
     def test_erdos_renyi_deterministic_per_seed(self):
         a = erdos_renyi(12, 0.3, seed=42)

@@ -57,11 +57,18 @@ def graphs_up_to_70(draw):
     return n, edges
 
 
+def jacobi_one(a: np.ndarray, v: np.ndarray, off_tol: float, max_sweeps: int) -> tuple[int, bool]:
+    """The kernel on a stack of one, updating ``a`` and ``v`` through views: (sweeps, converged)."""
+    total, sweeps, converged = kernels.jacobi_sweeps(a[None], v[None], np.array([off_tol]), max_sweeps)
+    assert sweeps.tolist() == [total]
+    return total, bool(converged[0])
+
+
 def run_jacobi(a: np.ndarray):
     work = np.array(a, dtype=np.float64, copy=True)
     vecs = np.eye(a.shape[0])
     off_tol = OFF_DIAG_REL_TOL * float(np.linalg.norm(a))
-    sweeps, converged = kernels.jacobi_sweeps(work, vecs, off_tol, MAX_SWEEPS)
+    sweeps, converged = jacobi_one(work, vecs, off_tol, MAX_SWEEPS)
     return np.diag(work), vecs, sweeps, converged
 
 
@@ -209,20 +216,20 @@ class TestJacobiKernels:
     def test_diagonal_input_untouched(self):
         a = np.diag([4.0, -2.0, 0.0, 7.5, 1.0])
         work, vecs = a.copy(), np.eye(5)
-        assert kernels.jacobi_sweeps(work, vecs, 0.0, MAX_SWEEPS) == (0, True)
+        assert jacobi_one(work, vecs, 0.0, MAX_SWEEPS) == (0, True)
         assert np.array_equal(work, a) and np.array_equal(vecs, np.eye(5))
 
     def test_sweep_cap_reached_before_any_rotation(self):
         a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.0, -1.0, 1.0]])
         v = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, -0.8, 0.6]])
         work, vecs = a.copy(), v.copy()
-        assert kernels.jacobi_sweeps(work, vecs, 0.0, 0) == (0, False)
+        assert jacobi_one(work, vecs, 0.0, 0) == (0, False)
         assert np.array_equal(work, a) and np.array_equal(vecs, v)
 
     def test_nan_never_converges(self):
         a = np.full((3, 3), np.nan)
         np.fill_diagonal(a, [1.0, 2.0, 3.0])
-        assert kernels.jacobi_sweeps(a, np.eye(3), 1.0, 3) == (3, False)
+        assert jacobi_one(a, np.eye(3), 1.0, 3) == (3, False)
 
     def test_theta_overflow_branch(self):
         # theta = 0.5 * (a_qq - a_pp) / a_pq is +-5e159, past _THETA_OVERFLOW,

@@ -137,30 +137,30 @@ class TestCountSEll:
 class TestPowerGraph:
     def test_path_squared(self):
         g = path_graph(4)
-        p = power_graph(g, all_pairs_distances(g), 2)
+        p = power_graph(all_pairs_distances(g), 2)
         assert set(p.edges()) == {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
         assert p.m == 5
 
     def test_path_cubed_is_complete(self):
         g = path_graph(4)
-        assert power_graph(g, all_pairs_distances(g), 3) == complete_graph(4)
+        assert power_graph(all_pairs_distances(g), 3) == complete_graph(4)
 
     def test_ell_one_is_identity(self):
         for g in (path_graph(5), cycle_graph(6), TWO_DISJOINT_EDGES, random_tree(9, seed=2)):
-            assert power_graph(g, all_pairs_distances(g), 1) == g
+            assert power_graph(all_pairs_distances(g), 1) == g
 
     def test_matches_bruteforce_oracle(self):
         for g in random_sample(max_n=7, seeds=range(6)):
             d = all_pairs_distances(g)
             for ell in (1, 2, 3, 5):
                 expected = oracles.power_adjacency(g.adjacency_matrix(), ell)
-                assert np.array_equal(power_graph(g, d, ell).adjacency_matrix(), expected)
+                assert np.array_equal(power_graph(d, ell).adjacency_matrix(), expected)
 
     def test_edge_count_monotone_in_ell(self):
         for seed in range(6):
             g = erdos_renyi(9, 0.3, seed=seed)
             d = all_pairs_distances(g)
-            counts = [power_graph(g, d, ell).m for ell in range(1, 10)]
+            counts = [power_graph(d, ell).m for ell in range(1, 10)]
             assert counts[0] == g.m
             assert counts == sorted(counts)
 
@@ -170,7 +170,7 @@ class TestPowerGraph:
             d = all_pairs_distances(g)
             e = eccentricity_profile(d)
             for ell in range(1, e.diameter + 1):
-                p = power_graph(g, d, ell)
+                p = power_graph(d, ell)
                 full = int((p.degrees() == g.n - 1).sum())
                 assert full == count_s_ell(e, ell)
 
@@ -178,10 +178,7 @@ class TestPowerGraph:
         g = path_graph(3)
         d = all_pairs_distances(g)
         with pytest.raises(ValueError):
-            power_graph(g, d, 0)
-        other = all_pairs_distances(path_graph(4))
-        with pytest.raises(ValueError):
-            power_graph(g, other, 2)
+            power_graph(d, 0)
 
 
 class TestBoundedSearch:
@@ -202,7 +199,7 @@ class TestBoundedSearch:
             bounded = all_pairs_distances(g, within)
             assert bounded.within == within and full.within is None
             for ell in range(1, within + 1):
-                assert power_graph(g, bounded, ell) == power_graph(g, full, ell)
+                assert power_graph(bounded, ell) == power_graph(full, ell)
 
     def test_rejects_depth_below_one(self):
         for within in (0, -1):
@@ -219,7 +216,7 @@ class TestBoundedSearch:
         g = path_graph(6)
         d = all_pairs_distances(g, 2)
         with pytest.raises(ValueError, match=r"^ell=3 exceeds the search depth within=2$"):
-            power_graph(g, d, 3)
+            power_graph(d, 3)
 
 
 class TestArrayRecords:
@@ -253,8 +250,8 @@ class TestNarrowDistances:
     def test_huge_ell_power_is_complete(self, g):
         for within in (None, 10**6):
             d = all_pairs_distances(g, within)
-            assert power_graph(g, d, 1000) == complete_graph(g.n)
-            assert power_graph(g, d, 10**6) == complete_graph(g.n)
+            assert power_graph(d, 1000) == complete_graph(g.n)
+            assert power_graph(d, 10**6) == complete_graph(g.n)
 
     @pytest.mark.parametrize("tail", [5, 150])
     def test_disconnected_keeps_unreachable(self, tail):
@@ -266,5 +263,5 @@ class TestNarrowDistances:
         e = eccentricity_profile(d)
         assert (e.ecc == UNREACHABLE).all() and e.diameter == UNREACHABLE
         assert count_s_ell(e, 10**6) == 0
-        p = power_graph(g, d, 10**6)
+        p = power_graph(d, 10**6)
         assert p.degree(tail) == 0 and p.m == tail * (tail - 1) // 2

@@ -157,9 +157,10 @@ class TestStackedKernel:
         assert converged.all() and total == sweeps.sum()
         assert sweeps[1] == 1 and sweeps[0] > 1 and sweeps[2] > 1
         for i in range(3):
-            w, v = a[i].copy(), np.eye(6)
-            assert _kernels.jacobi_sweeps(w, v, tols[i], 100) == (sweeps[i], True)
-            assert np.array_equal(w, work[i]) and np.array_equal(v, vecs[i])
+            w, v = a[i : i + 1].copy(), np.eye(6)[None]
+            alone = _kernels.jacobi_sweeps(w, v, tols[i : i + 1], 100)
+            assert (alone[0], alone[1].tolist(), alone[2].tolist()) == (sweeps[i], [sweeps[i]], [True])
+            assert np.array_equal(w[0], work[i]) and np.array_equal(v[0], vecs[i])
 
 
 def campaign_graphs() -> list[Graph]:
