@@ -58,8 +58,6 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from integer (u, v) pairs; duplicates and orientation collapse."""
-        if n < 1:
-            raise ValueError(f"node count must be >= 1, got {n}")
         pairs: list[tuple[int, int]] = []
         for edge in edges:
             try:
@@ -78,8 +76,11 @@ class Graph:
     def _from_pairs(cls, n: int, pairs: np.ndarray) -> "Graph":
         """CSR from an (m, 2) int64 array of in-range endpoints without self-loops.
 
-        Duplicate pairs and orientation collapse.
+        Duplicate pairs and orientation collapse. The one check of n >= 1 for
+        every graph built from pairs.
         """
+        if n < 1:
+            raise ValueError(f"node count must be >= 1, got {n}")
         if n > _MAX_KEYED_NODES:
             raise ValueError(f"node count must be <= {_MAX_KEYED_NODES}, got {n}")
         # each pair {u, v} becomes the entries u -> v and v -> u; sorted by the key
@@ -296,7 +297,8 @@ def parse_edge_list(text: str) -> Graph:
                 return Graph._from_pairs(n, pairs)
     # a bulk check failed: read the lines one by one, so the first bad one raises
     numbered = enumerate(map(str.strip, lines[start:]), start=start + 1)
-    return Graph.from_edges(n, [_edge(i, line, n) for i, line in numbered if line and line[0] != "#"])
+    pairs = [_edge(i, line, n) for i, line in numbered if line and line[0] != "#"]
+    return Graph._from_pairs(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -320,22 +322,25 @@ def load_edge_list(path: str) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    i = np.arange(n - 1)
+    return Graph._from_pairs(n, np.column_stack((i, i + 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle graph needs n >= 3, got {n}")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    i = np.arange(n)
+    return Graph._from_pairs(n, np.column_stack((i, (i + 1) % n)))
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph._from_pairs(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
 def star_graph(n: int) -> Graph:
     """Star with center 0 and n-1 leaves."""
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+    leaves = np.arange(1, n)
+    return Graph._from_pairs(n, np.column_stack((np.zeros_like(leaves), leaves)))
 
 
 def erdos_renyi(n: int, p: float, seed=None) -> Graph:
@@ -350,7 +355,7 @@ def erdos_renyi(n: int, p: float, seed=None) -> Graph:
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(iu.shape[0]) < p
-    return Graph.from_edges(n, zip(iu[mask].tolist(), ju[mask].tolist()))
+    return Graph._from_pairs(n, np.column_stack((iu[mask], ju[mask])))
 
 
 def random_tree(n: int, seed=None) -> Graph:
@@ -358,7 +363,7 @@ def random_tree(n: int, seed=None) -> Graph:
     if n < 1:
         raise ValueError(f"random_tree needs n >= 1, got {n}")
     if n == 1:
-        return Graph.from_edges(1, [])
+        return path_graph(1)
     seq = np.random.default_rng(seed).integers(0, n, size=n - 2)
     deg = (np.bincount(seq, minlength=n) + 1).tolist()
     leaves = [i for i, d in enumerate(deg) if d == 1]  # ascending, so already a heap
@@ -368,7 +373,8 @@ def random_tree(n: int, seed=None) -> Graph:
         deg[x] -= 1
         if deg[x] == 1:
             heapq.heappush(leaves, x)
-    return Graph.from_edges(n, [*edges, (leaves[0], leaves[1])])  # the last two nodes left
+    edges.append((leaves[0], leaves[1]))  # the last two nodes left
+    return Graph._from_pairs(n, np.array(edges, dtype=np.int64))
 
 
 def generate(family: str, n: int, p: float | None = None, seed=None) -> Graph:

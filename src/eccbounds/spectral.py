@@ -1,19 +1,12 @@
 """Dense symmetric eigensolver and spectral queries on graph Laplacians.
 
-The eigensolver is preconditioned Jacobi: LAPACK's ``eigh`` supplies a basis
-in which the matrix is diagonal up to roundoff, and cyclic Jacobi sweeps in
-round-robin order (n - 1 vectorised rounds of n // 2 disjoint rotations,
-O(n^2) work a round) finish from there when needed: the stopping rule is
-tested before the first sweep, and the ``eigh`` start normally meets it
-already, so a solve runs 0 sweeps.
-
-One core, ``eigen_decompose_stack``, runs these steps once over a (B, n, n)
-stack of matrices: one symmetry test, one ``eigh`` call, one Jacobi kernel
-call that sweeps only the members that need it, and the residual and
-orthogonality checks of every member. Each member gets its own
-``SpectralSummary``, bitwise the one it gets when solved alone;
-``eigen_decompose`` is the core on a stack of one. The module keeps no
-state between calls.
+One core, ``eigen_decompose_stack``, solves a (B, n, n) stack of symmetric
+matrices: one symmetry test, one LAPACK ``eigh`` call, one
+``_kernels.jacobi_sweeps`` call, which owns the Jacobi polish and returns
+ascending eigenpairs, and the residual and orthogonality checks of every
+member. Each member gets its own ``SpectralSummary``, bitwise the one it
+gets when solved alone; ``eigen_decompose`` is the core on a stack of one.
+The module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -23,21 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import JacobiConvergenceError  # re-exported: the solver's one failure
 from .graphs import Graph
 
-#: Convergence: off-diagonal Frobenius norm <= this factor times ||A||_F.
-OFF_DIAG_REL_TOL = 1e-12
-#: Hard cap on full cyclic sweeps before giving up.
-MAX_SWEEPS = 100
 #: PSD verdicts use tolerance PSD_REL_TOL * max(1, ||A||_inf).
 PSD_REL_TOL = 1e-8
 
 PSD = "PSD"
 NOT_PSD = "NOT_PSD"
-
-
-class JacobiConvergenceError(RuntimeError):
-    """The sweep cap was reached before the off-diagonal mass vanished."""
 
 
 @dataclass(frozen=True)
@@ -47,15 +33,13 @@ class SpectralSummary:
     ``vectors[:, i]`` is the unit eigenvector paired with ``eigenvalues[i]``;
     eigenvalues are sorted ascending. ``residual`` is the elementwise max of
     |A q - w q| over all pairs; ``orthogonality_error`` the elementwise max of
-    |Q^T Q - I|. ``sweeps`` counts the Jacobi sweeps run from the ``eigh``
-    start; it is normally 0.
+    |Q^T Q - I|.
     """
 
     eigenvalues: np.ndarray
     residual: float
     orthogonality_error: float
     vectors: np.ndarray
-    sweeps: int
 
 
 @dataclass(frozen=True)
@@ -97,24 +81,13 @@ def eigen_decompose(a: np.ndarray) -> SpectralSummary:
 def eigen_decompose_stack(stack: np.ndarray) -> list[SpectralSummary]:
     """Full symmetric eigendecomposition of each member of a (B, n, n) stack.
 
-    An ``eigh`` basis polished by Jacobi sweeps, each step run once over the
-    whole stack. With Q from ``np.linalg.eigh``, B = Q^T A Q is diagonal up
-    to roundoff; one ``_kernels.jacobi_sweeps`` call tests the stopping rule
-    (off-diagonal norm under OFF_DIAG_REL_TOL * ||A||_F, each member against
-    its own norm) for all members at once and runs round-robin sweeps,
-    rotating Q along, only on the members that fail it. B normally meets that
-    rule already, so normally 0 sweeps run and the cost is one ``eigh``, two
-    matrix products and the O(n^2) norm test per member. The eigenvalues are
-    each member's sorted diagonal and the eigenvectors its (rotated) Q,
-    checked against the member itself.
-
-    Returns one ``SpectralSummary`` per member, with that member's own sweep
-    count, residual and orthogonality error; every step treats the members
-    independently, so each summary is bitwise the one a stack of that member
-    alone gives. The summaries' arrays are read-only views into arrays of the
-    whole stack. Raises JacobiConvergenceError, naming the first member that
-    hit the sweep cap, and ValueError if the input is not a stack of square
-    matrices or any member is not exactly symmetric.
+    One ``eigh`` call, then one ``_kernels.jacobi_sweeps`` call for the
+    ascending eigenpairs, each checked against its member. Every step treats
+    the members independently, so each ``SpectralSummary`` is bitwise the one
+    a stack of that member alone gives; its arrays are read-only views into
+    arrays of the whole stack. Raises ValueError if the input is not a stack
+    of square matrices or a member is not exactly symmetric, and the kernel's
+    JacobiConvergenceError.
     """
     a = np.asarray(stack, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -122,30 +95,7 @@ def eigen_decompose_stack(stack: np.ndarray) -> list[SpectralSummary]:
     if not (a == a.transpose(0, 2, 1)).all():
         raise ValueError("matrix is not exactly symmetric")
     count, n = a.shape[:2]
-    _, basis = np.linalg.eigh(a)
-    work = basis.transpose(0, 2, 1) @ a @ basis
-    work = 0.5 * (work + work.transpose(0, 2, 1))  # exactly symmetric: x + y == y + x
-    vectors = np.ascontiguousarray(basis)
-    flat = a.reshape(count, 1, -1)
-    # the BLAS dot of each member with itself, bitwise np.linalg.norm(member, "fro")
-    off_tol = OFF_DIAG_REL_TOL * np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
-    _, sweeps, converged = _kernels.jacobi_sweeps(work, vectors, off_tol, MAX_SWEEPS)
-    if not converged.all():
-        i = int(np.argmin(converged))
-        off = float(np.sqrt(2.0 * np.sum(np.triu(work[i], 1) ** 2)))
-        raise JacobiConvergenceError(
-            f"no convergence after {MAX_SWEEPS} sweeps (n={n}, "
-            f"off-diagonal norm {off:.3e}, target {off_tol[i]:.3e})"
-        )
-    eigenvalues = np.diagonal(work, axis1=1, axis2=2).copy()
-    # the stable sort of an ascending diagonal is the identity, so it runs only where one is
-    # not: in 92 of the 100 stacks of the 100-trial ER n = 12 campaign (seed 42), for 202 of
-    # 817 members, 192 of them among its 239 L(G^ell), but for none of 200 connected ER n = 50
-    # Laplacians of mean degree 6, where the skip saves about 40 us of a 1.5 ms analyze
-    if not (eigenvalues[:, 1:] >= eigenvalues[:, :-1]).all():
-        order = np.argsort(eigenvalues, axis=1, kind="stable")
-        eigenvalues = np.take_along_axis(eigenvalues, order, axis=1)
-        vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+    _, eigenvalues, vectors = _kernels.jacobi_sweeps(a, np.linalg.eigh(a)[1])
     # A Q - Q diag(w) and Q^T Q - I side by side, so one abs and one max serve both
     checks = np.empty((2, count, n, n))
     np.matmul(a, vectors, out=checks[0])
@@ -155,10 +105,9 @@ def eigen_decompose_stack(stack: np.ndarray) -> list[SpectralSummary]:
     worst = np.abs(checks, out=checks).reshape(2, count, -1).max(axis=2, initial=0.0)
     eigenvalues.flags.writeable = False
     vectors.flags.writeable = False
-    (residual, orthogonality_error), sweeps = worst.tolist(), sweeps.tolist()
+    residual, orthogonality_error = worst.tolist()
     return [
-        SpectralSummary(eigenvalues[i], residual[i], orthogonality_error[i], vectors[i], sweeps[i])
-        for i in range(count)
+        SpectralSummary(eigenvalues[i], residual[i], orthogonality_error[i], vectors[i]) for i in range(count)
     ]
 
 

@@ -100,6 +100,15 @@ def lambda2_star(n: int) -> float:
     return 1.0
 
 
+def hypercube_edges(k: int) -> list[tuple[int, int]]:
+    """Edges (u < v) of the hypercube Q_k on 2**k nodes, joining labels one bit apart.
+
+    Closed forms: lambda2 = 2, diameter and every eccentricity k, and
+    sum(comb(k, i) for i in 1..ell) neighbours within ell of each node.
+    """
+    return [(u, u | 1 << b) for u in range(1 << k) for b in range(k) if not u >> b & 1]
+
+
 class EdgeListError(ValueError):
     """The reference parser's rejection, numbered and worded as the package's ``ParseError``."""
 

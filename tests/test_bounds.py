@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from eccbounds import _kernels
 from eccbounds.bounds import (
     BOUND_NAMES,
     bound_g1,
@@ -270,6 +271,24 @@ class TestEvaluateAll:
             for name, slack in r.slacks.items():
                 if slack is not None:
                     assert r.tight[name] == (slack <= cut)
+
+    def test_hypercube_q10_closed_form(self, monkeypatch):
+        # n = 1,024: the eigensolver's large-n path against lambda2(Q_k) = 2
+        kernel, sweeps = _kernels.jacobi_sweeps, []
+
+        def recorded(a, basis):
+            result = kernel(a, basis)
+            sweeps.append(result[0])
+            return result
+
+        monkeypatch.setattr(_kernels, "jacobi_sweeps", recorded)
+        r = evaluate_all(Graph.from_edges(1024, oracles.hypercube_edges(10)), 2)
+        assert sweeps == [0]
+        assert abs(r.lambda2 - 2.0) <= 1e-12
+        assert (r.m, r.diameter, r.e_power) == (1024 * 10 // 2, 10, 1024 * (10 + 45) // 2)
+        assert (r.s1, r.s2, r.s_ell) == (0, 0, 0)  # every eccentricity is 10
+        assert all(value <= r.lambda2 for value in r.bounds.values())
+        assert r.bounds["mohar"] == 4.0 / (10 * 1024)
 
     def test_lambda2_matches_spectral_module(self):
         g = erdos_renyi(9, 0.5, seed=77)

@@ -13,16 +13,22 @@ from eccbounds.graphs import generate, path_graph
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts calls of the BFS and Jacobi kernels made through ``_kernels``."""
-    counts = {"bfs_all_pairs": 0, "jacobi_sweeps": 0}
-    for name in counts:
-        original = getattr(_kernels, name)
+    """Counts BFS kernel calls made through ``_kernels`` and stacked eigensolves, with the
+    matrices they hold, made through every eccbounds module importing the solver core."""
+    counts = {"bfs_all_pairs": 0, "eigen_decompose_stack": 0, "matrices": 0}
+    bfs, solve = _kernels.bfs_all_pairs, spectral.eigen_decompose_stack
 
-        def counted(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
+    def counted_bfs(*args):
+        counts["bfs_all_pairs"] += 1
+        return bfs(*args)
 
-        monkeypatch.setattr(_kernels, name, counted)
+    def counted_solve(stack):
+        counts["eigen_decompose_stack"] += 1
+        counts["matrices"] += len(stack)
+        return solve(stack)
+
+    monkeypatch.setattr(_kernels, "bfs_all_pairs", counted_bfs)
+    oracles.patch_everywhere(monkeypatch, solve, counted_solve)
     return counts
 
 
@@ -40,23 +46,9 @@ def laplacian_builds(monkeypatch):
     return count
 
 
-@pytest.fixture
-def stacked_matrices(monkeypatch):
-    """Counts the matrices through ``spectral.eigen_decompose_stack``, via every module importing it."""
-    original = spectral.eigen_decompose_stack
-    count = [0]
-
-    def counted(stack):
-        count[0] += len(stack)
-        return original(stack)
-
-    oracles.patch_everywhere(monkeypatch, original, counted)
-    return count
-
-
 def test_evaluate_all_on_a_graph_makes_one_bfs_and_one_eigensolve(kernel_calls):
     evaluate_all(path_graph(6), 3)
-    assert kernel_calls == {"bfs_all_pairs": 1, "jacobi_sweeps": 1}
+    assert kernel_calls == {"bfs_all_pairs": 1, "eigen_decompose_stack": 1, "matrices": 1}
 
 
 def test_check_chain_on_a_built_analysis_makes_no_bfs(kernel_calls):
@@ -69,14 +61,13 @@ def test_check_chain_on_a_built_analysis_makes_no_bfs(kernel_calls):
 
 class TestKernelCallCounts:
     """One BFS per graph, whatever ell is checked: chain link 3 reads s1(G^ell)
-    from the power graph's degrees. One stacked eigensolve per graph, so one
-    Jacobi kernel call: it holds L(G) and, per connected (graph, ell) check,
-    the two certificate matrices and L(G^ell), each spectrum once. L(G) is
-    built once per graph and L(G^ell) once per connected check, shared by both
-    certificates and the chain."""
+    from the power graph's degrees. One stacked eigensolve per graph: it holds
+    L(G) and, per connected (graph, ell) check, the two certificate matrices
+    and L(G^ell), each spectrum once. L(G) is built once per graph and L(G^ell)
+    once per connected check, shared by both certificates and the chain."""
 
     @pytest.mark.parametrize("ell_policy", ["all", 3])
-    def test_campaign(self, kernel_calls, laplacian_builds, stacked_matrices, ell_policy):
+    def test_campaign(self, kernel_calls, laplacian_builds, ell_policy):
         config = CampaignConfig(
             family="erdos_renyi", n=8, p=0.3, trials=12, seed=5, ell_policy=ell_policy
         )
@@ -97,8 +88,8 @@ class TestKernelCallCounts:
         assert summary.violations == []
         assert summary.checks == connected_checks + disconnected
         assert kernel_calls["bfs_all_pairs"] == config.trials
-        assert kernel_calls["jacobi_sweeps"] == config.trials
-        assert stacked_matrices[0] == config.trials + 3 * connected_checks
+        assert kernel_calls["eigen_decompose_stack"] == config.trials
+        assert kernel_calls["matrices"] == config.trials + 3 * connected_checks
         assert laplacian_builds[0] == config.trials + connected_checks
 
     @pytest.mark.parametrize("family", ["path", "cycle", "star", "complete"])
@@ -106,7 +97,7 @@ class TestKernelCallCounts:
         records = run_tightness(family, 9)
         assert records
         members = 9 - 3 + 1
-        assert kernel_calls == {"bfs_all_pairs": members, "jacobi_sweeps": members}
+        assert kernel_calls == {"bfs_all_pairs": members, "eigen_decompose_stack": members, "matrices": members}
 
 
 def test_patch_everywhere_fails_when_no_module_holds_the_function(monkeypatch):

@@ -518,6 +518,31 @@ class TestGenerators:
         for n in (2, 5, 1, 30, 2, 7):
             assert set(random_tree(n, seed=a).edges()) == oracles.prufer_tree_edges(n, b)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 33, 64, 65])
+    def test_each_generator_equals_its_from_edges_build(self, n):
+        # the generators hand arrays to the CSR builder; from_edges checks Python pairs one by one
+        built = {
+            path_graph: [(i, i + 1) for i in range(n - 1)],
+            complete_graph: [(i, j) for i in range(n) for j in range(i + 1, n)],
+            star_graph: [(0, i) for i in range(1, n)],
+        }
+        if n >= 3:
+            built[cycle_graph] = [(i, (i + 1) % n) for i in range(n)]
+        for make, edges in built.items():
+            g = make(n)
+            validate(g)
+            assert g == Graph.from_edges(n, edges), make.__name__
+        for seed, p in enumerate((0.0, 0.1, 0.3, 0.5, 1.0)):
+            iu, ju = np.triu_indices(n, k=1)
+            keep = np.random.default_rng(seed).random(iu.size) < p
+            assert erdos_renyi(n, p, seed=seed) == Graph.from_edges(n, zip(iu[keep].tolist(), ju[keep].tolist()))
+            assert random_tree(n, seed=seed) == Graph.from_edges(n, oracles.prufer_tree_edges(n, seed))
+
+    def test_large_complete_graph(self):
+        g = complete_graph(2000)
+        assert (g.n, g.m) == (2000, 1_999_000)
+        assert (g.degrees() == 1999).all()
+
     def test_generate_dispatch(self):
         assert generate("path", 4) == path_graph(4)
         assert generate("complete", 4) == complete_graph(4)

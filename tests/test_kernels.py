@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 import eccbounds._kernels as kernels
 from eccbounds.graphs import Graph, complete_graph, erdos_renyi, path_graph
-from eccbounds.spectral import MAX_SWEEPS, OFF_DIAG_REL_TOL, laplacian
+from eccbounds.spectral import laplacian
 
 
 def sample_matrices() -> list[np.ndarray]:
@@ -57,28 +57,21 @@ def graphs_up_to_70(draw):
     return n, edges
 
 
-def jacobi_one(a: np.ndarray, v: np.ndarray, off_tol: float, max_sweeps: int) -> tuple[int, bool]:
-    """The kernel on a stack of one, updating ``a`` and ``v`` through views: (sweeps, converged)."""
-    total, sweeps, converged = kernels.jacobi_sweeps(a[None], v[None], np.array([off_tol]), max_sweeps)
-    assert sweeps.tolist() == [total]
-    return total, bool(converged[0])
-
-
-def run_jacobi(a: np.ndarray):
-    work = np.array(a, dtype=np.float64, copy=True)
-    vecs = np.eye(a.shape[0])
-    off_tol = OFF_DIAG_REL_TOL * float(np.linalg.norm(a))
-    sweeps, converged = jacobi_one(work, vecs, off_tol, MAX_SWEEPS)
-    return np.diag(work), vecs, sweeps, converged
+def run_jacobi(a: np.ndarray, basis: np.ndarray | None = None) -> tuple[int, np.ndarray, np.ndarray]:
+    """The kernel on a stack of one from ``basis`` (the identity by default): (sweeps, eigenvalues, vectors)."""
+    basis = np.eye(a.shape[0]) if basis is None else basis
+    sweeps, eigenvalues, vectors = kernels.jacobi_sweeps(np.asarray(a, dtype=np.float64)[None], basis[None].copy())
+    assert eigenvalues.shape == (1, a.shape[0]) and vectors.shape == (1, *a.shape)
+    return sweeps, eigenvalues[0], vectors[0]
 
 
 def assert_decomposes(a: np.ndarray) -> int:
-    """Eigenvalues match the LAPACK oracle and every column of V is an eigenvector."""
-    diag, vecs, sweeps, converged = run_jacobi(a)
-    assert converged
+    """Eigenvalues ascending and matching the LAPACK oracle, each column of V its eigenvector."""
+    sweeps, w, vecs = run_jacobi(a)
     scale = max(1.0, np.abs(a).sum(axis=1).max())
-    assert np.allclose(np.sort(diag), oracles.sorted_eigenvalues(a), rtol=0, atol=1e-10 * scale)
-    assert np.abs(a @ vecs - vecs * diag).max() <= 1e-10 * scale
+    assert np.all(w[1:] >= w[:-1])
+    assert np.allclose(w, oracles.sorted_eigenvalues(a), rtol=0, atol=1e-10 * scale)
+    assert np.abs(a @ vecs - vecs * w).max() <= 1e-10 * scale
     assert np.abs(vecs.T @ vecs - np.eye(a.shape[0])).max() <= 1e-12
     return sweeps
 
@@ -198,9 +191,9 @@ class TestBoundedBfs:
 class TestJacobiKernels:
     def test_numpy_fallback_converges(self):
         for a in sample_matrices():
-            diag, vecs, sweeps, converged = run_jacobi(a)
-            assert converged and sweeps <= MAX_SWEEPS
-            assert np.allclose(np.sort(diag), oracles.sorted_eigenvalues(a), atol=1e-9 * max(1.0, np.abs(a).max()))
+            sweeps, w, vecs = run_jacobi(a)
+            assert sweeps <= kernels.MAX_SWEEPS
+            assert np.allclose(w, oracles.sorted_eigenvalues(a), atol=1e-9 * max(1.0, np.abs(a).max()))
             assert np.allclose(vecs.T @ vecs, np.eye(a.shape[0]), atol=1e-10)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 13])
@@ -213,23 +206,32 @@ class TestJacobiKernels:
         # L(K_9) has eigenvalue 9 with multiplicity 8
         assert_decomposes(laplacian(complete_graph(9)))
 
-    def test_diagonal_input_untouched(self):
+    def test_diagonal_input_untouched(self, monkeypatch):
+        # a zero tolerance still passes a zero off-diagonal norm: the diagonal is only sorted
+        monkeypatch.setattr(kernels, "OFF_DIAG_REL_TOL", 0.0)
         a = np.diag([4.0, -2.0, 0.0, 7.5, 1.0])
-        work, vecs = a.copy(), np.eye(5)
-        assert jacobi_one(work, vecs, 0.0, MAX_SWEEPS) == (0, True)
-        assert np.array_equal(work, a) and np.array_equal(vecs, np.eye(5))
+        work, vecs = a[None].copy(), np.eye(5)[None]
+        sweeps, w, v = kernels.jacobi_sweeps(work, vecs)
+        assert sweeps == 0 and w.tolist() == [[-2.0, 0.0, 1.0, 4.0, 7.5]]
+        assert np.array_equal(v[0], np.eye(5)[:, [1, 2, 4, 0, 3]])
+        assert np.array_equal(work[0], a) and np.array_equal(vecs[0], np.eye(5))
 
-    def test_sweep_cap_reached_before_any_rotation(self):
+    def test_sweep_cap_reached_before_any_rotation(self, monkeypatch):
+        monkeypatch.setattr(kernels, "OFF_DIAG_REL_TOL", 0.0)
+        monkeypatch.setattr(kernels, "MAX_SWEEPS", 0)
         a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.0, -1.0, 1.0]])
         v = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, -0.8, 0.6]])
-        work, vecs = a.copy(), v.copy()
-        assert jacobi_one(work, vecs, 0.0, 0) == (0, False)
-        assert np.array_equal(work, a) and np.array_equal(vecs, v)
+        work, vecs = a[None].copy(), v[None].copy()
+        with pytest.raises(kernels.JacobiConvergenceError, match=r"^no convergence after 0 sweeps \(n=3, .*target 0\.000e\+00\)$"):
+            kernels.jacobi_sweeps(work, vecs)
+        assert np.array_equal(work[0], a) and np.array_equal(vecs[0], v)
 
-    def test_nan_never_converges(self):
+    def test_nan_never_converges(self, monkeypatch):
+        monkeypatch.setattr(kernels, "MAX_SWEEPS", 3)
         a = np.full((3, 3), np.nan)
         np.fill_diagonal(a, [1.0, 2.0, 3.0])
-        assert jacobi_one(a, np.eye(3), 1.0, 3) == (3, False)
+        with pytest.raises(kernels.JacobiConvergenceError, match=r"^no convergence after 3 sweeps \(n=3, off-diagonal norm nan, "):
+            run_jacobi(a)
 
     def test_theta_overflow_branch(self):
         # theta = 0.5 * (a_qq - a_pp) / a_pq is +-5e159, past _THETA_OVERFLOW,
@@ -245,7 +247,11 @@ class TestJacobiKernels:
         a = np.array([[1.0, -2.0], [-2.0, 1.0]])
         assert np.signbit(0.5 * (a[1, 1] - a[0, 0]) / a[0, 1])
         assert_decomposes(a)
-        assert np.allclose(run_jacobi(a)[0], [3.0, -1.0], rtol=0, atol=1e-14)
+        # with t = 1, column p = (1, -1)/sqrt(2) takes eigenvalue 3, which sorts last
+        _, w, vecs = run_jacobi(a)
+        r = np.sqrt(0.5)
+        assert np.allclose(w, [-1.0, 3.0], rtol=0, atol=1e-14)
+        assert np.allclose(vecs, [[r, r], [r, -r]], rtol=0, atol=1e-15)
 
     def test_sweeps_on_er50_laplacians(self):
         graphs = [erdos_renyi(50, 6.0 / 49, seed) for seed in range(20)]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from eccbounds import _kernels, spectral
+import eccbounds
+from eccbounds import _kernels
 from eccbounds.bounds import gamma
 from eccbounds.graphs import (
     Graph,
@@ -157,8 +158,15 @@ class TestEigenDecompose:
             eigen_decompose(np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]]))
 
     def test_sweep_count_bounded(self):
-        s = eigen_decompose(random_symmetric(20))
-        assert s.sweeps == 0
+        assert eigh_start_sweeps(random_symmetric(20)) == 0
+
+
+def eigh_start_sweeps(a: np.ndarray) -> int:
+    """The kernel's sweeps from ``eigh``'s basis, as the solver runs it; its pairs are bitwise the solver's."""
+    sweeps, w, v = _kernels.jacobi_sweeps(a[None], np.linalg.eigh(a[None])[1])
+    s = eigen_decompose(a)
+    assert np.array_equal(w[0], s.eigenvalues) and np.array_equal(v[0], s.vectors)
+    return sweeps
 
 
 def assert_matches_oracle(a: np.ndarray):
@@ -200,7 +208,14 @@ class TestLapackSeededStart:
         # seed and the stopping rule tested before the first sweep
         for seed in range(5):
             g = erdos_renyi(n, min(0.3, 6.0 / (n - 1)), seed=seed)
-            assert assert_matches_oracle(laplacian(g)).sweeps == 0
+            assert_matches_oracle(laplacian(g))
+            assert eigh_start_sweeps(laplacian(g)) == 0
+
+    def test_stopping_rule_is_relative_to_each_member(self):
+        # an absolute 1e-12 would sweep the scaled-up member, which cannot get below it
+        lap = laplacian(erdos_renyi(12, 0.3, seed=1))
+        stack = np.stack([lap * 1e-6, lap, lap * 1e6])
+        assert _kernels.jacobi_sweeps(stack, np.linalg.eigh(stack)[1])[0] == 0
 
     @pytest.mark.parametrize("n", [12, 50])
     def test_schedule_not_built_without_a_sweep(self, monkeypatch, n):
@@ -212,8 +227,10 @@ class TestLapackSeededStart:
             assert_matches_oracle(laplacian(erdos_renyi(n, min(0.3, 6.0 / (n - 1)), seed=seed)))
 
     def test_sweep_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(spectral, "OFF_DIAG_REL_TOL", 0.0)
-        monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
+        # the kernel owns the error; the package re-exports that one class
+        assert JacobiConvergenceError is _kernels.JacobiConvergenceError is eccbounds.JacobiConvergenceError
+        monkeypatch.setattr(_kernels, "OFF_DIAG_REL_TOL", 0.0)
+        monkeypatch.setattr(_kernels, "MAX_SWEEPS", 0)
         with pytest.raises(JacobiConvergenceError, match=r"after 0 sweeps \(n=12, .*target 0\.000e\+00\)"):
             eigen_decompose(laplacian(erdos_renyi(12, 0.3, seed=1)))
 

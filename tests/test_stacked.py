@@ -66,11 +66,7 @@ def members_of_order(n: int) -> list[np.ndarray]:
 def assert_same_summary(stacked, alone):
     assert np.array_equal(stacked.eigenvalues, alone.eigenvalues)
     assert np.array_equal(stacked.vectors, alone.vectors)
-    assert (stacked.residual, stacked.orthogonality_error, stacked.sweeps) == (
-        alone.residual,
-        alone.orthogonality_error,
-        alone.sweeps,
-    )
+    assert (stacked.residual, stacked.orthogonality_error) == (alone.residual, alone.orthogonality_error)
 
 
 class TestStackedCore:
@@ -103,11 +99,22 @@ class TestStackedCore:
             q[2] = np.eye(a.shape[-1])  # an unpreconditioned start: Jacobi must sweep
             return w, q
 
+        kernel = _kernels.jacobi_sweeps
+        results = []
+
+        def recorded(a, basis):
+            results.append(kernel(a, basis))
+            return results[-1]
+
         monkeypatch.setattr(np.linalg, "eigh", identity_start_for_member_2)
+        monkeypatch.setattr(_kernels, "jacobi_sweeps", recorded)
         stacked = eigen_decompose_stack(np.stack(members))
+        # every sweep of the stack is member 2's, as many as it runs alone from the identity
+        sweeps, w, v = kernel(members[2][None], np.eye(12)[None])
+        assert len(results) == 1 and results[0][0] == sweeps > 0
         for i, (s, single) in enumerate(zip(stacked, alone)):
             if i == 2:
-                assert s.sweeps > 0
+                assert np.array_equal(s.eigenvalues, w[0]) and np.array_equal(s.vectors, v[0])
                 assert np.allclose(s.eigenvalues, oracles.sorted_eigenvalues(members[i]), rtol=0, atol=1e-10)
                 assert s.residual <= 1e-10 and s.orthogonality_error <= 1e-12
             else:
@@ -125,8 +132,8 @@ class TestStackedCore:
             eigen_decompose_stack(np.zeros(shape))
 
     def test_sweep_cap_names_the_member(self, monkeypatch):
-        monkeypatch.setattr(spectral, "OFF_DIAG_REL_TOL", 0.0)
-        monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
+        monkeypatch.setattr(_kernels, "OFF_DIAG_REL_TOL", 0.0)
+        monkeypatch.setattr(_kernels, "MAX_SWEEPS", 0)
         stack = np.stack([np.diag([1.0, 2.0, 3.0]), laplacian(path_graph(3))])
         with pytest.raises(JacobiConvergenceError, match=r"after 0 sweeps \(n=3, .*target 0\.000e\+00\)"):
             eigen_decompose_stack(stack)
@@ -140,27 +147,25 @@ class TestStackedKernel:
     def test_converged_members_are_left_untouched(self):
         a = np.stack([np.diag([4.0, -2.0, 1.0]), np.array([[2.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.0, -1.0, 1.0]])])
         work, vecs = a.copy(), np.stack([np.eye(3), np.eye(3)])
-        total, sweeps, converged = _kernels.jacobi_sweeps(work, vecs, np.array([1e-12, 1e-12]), 100)
-        assert converged.tolist() == [True, True]
-        assert sweeps[0] == 0 and sweeps[1] > 0 and total == sweeps[1]
-        assert np.array_equal(work[0], a[0]) and np.array_equal(vecs[0], np.eye(3))
-        assert np.allclose(np.sort(np.diag(work[1])), oracles.sorted_eigenvalues(a[1]), atol=1e-12)
+        sweeps, w, v = _kernels.jacobi_sweeps(work, vecs)
+        # every sweep is member 1's: member 0 meets the rule and is only sorted
+        assert sweeps == _kernels.jacobi_sweeps(a[1:].copy(), np.eye(3)[None])[0] > 0
+        assert w[0].tolist() == [-2.0, 1.0, 4.0] and np.array_equal(v[0], np.eye(3)[:, [1, 2, 0]])
+        assert np.array_equal(work, a) and np.array_equal(vecs[0], np.eye(3))
+        assert np.allclose(w[1], oracles.sorted_eigenvalues(a[1]), atol=1e-12)
 
     def test_stacked_member_sweeps_as_alone(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(3, 6, 6))
         a = a + a.transpose(0, 2, 1)
-        work, vecs = a.copy(), np.stack([np.eye(6)] * 3)
-        tols = 1e-12 * np.linalg.norm(a, axis=(1, 2))
-        tols[1] = np.sqrt(np.sum(np.triu(a[1], 1) ** 2))  # half the start's norm: one sweep meets it
-        total, sweeps, converged = _kernels.jacobi_sweeps(work, vecs, tols, 100)
-        assert converged.all() and total == sweeps.sum()
-        assert sweeps[1] == 1 and sweeps[0] > 1 and sweeps[2] > 1
-        for i in range(3):
-            w, v = a[i : i + 1].copy(), np.eye(6)[None]
-            alone = _kernels.jacobi_sweeps(w, v, tols[i : i + 1], 100)
-            assert (alone[0], alone[1].tolist(), alone[2].tolist()) == (sweeps[i], [sweeps[i]], [True])
-            assert np.array_equal(w[0], work[i]) and np.array_equal(v[0], vecs[i])
+        noise = rng.normal(size=(6, 6)) * 1e-4
+        a[1] = np.diag(np.arange(1.0, 7.0)) + noise + noise.T  # nearly diagonal: fewer sweeps
+        sweeps, w, v = _kernels.jacobi_sweeps(a.copy(), np.stack([np.eye(6)] * 3))
+        alone = [_kernels.jacobi_sweeps(a[i : i + 1].copy(), np.eye(6)[None]) for i in range(3)]
+        counts = [r[0] for r in alone]
+        assert 1 <= counts[1] < min(counts[0], counts[2]) and sweeps == sum(counts)
+        for i, (_, lone_w, lone_v) in enumerate(alone):
+            assert np.array_equal(lone_w[0], w[i]) and np.array_equal(lone_v[0], v[i])
 
 
 def campaign_graphs() -> list[Graph]:
