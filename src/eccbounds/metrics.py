@@ -1,6 +1,6 @@
 """Shortest-path distances, eccentricities, threshold counts, and graph powers.
 
-``all_pairs_distances`` refuses n above ``graphs.MAX_NODES`` before its search.
+``all_pairs_distances`` and ``power_edges`` refuse n above ``graphs.MAX_NODES`` before searching.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ UNREACHABLE: Final[int] = -1
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Exact BFS distances; UNREACHABLE marks no path, or none within ``within`` edges.
+    """Exact BFS distances; UNREACHABLE marks no path.
 
     ``dist`` (n x n, the one record of n) is in the narrowest signed integer type
     holding the largest distance found (int8 up to 127, 1 byte a pair on most
@@ -28,7 +28,6 @@ class DistanceMatrix:
     """
 
     dist: np.ndarray  # (n, n), int8 while every distance is <= 127, else int16 or wider
-    within: int | None = None
 
     def __post_init__(self):
         self.dist.flags.writeable = False
@@ -49,20 +48,15 @@ class EccentricityProfile:
         self.ecc.flags.writeable = False
 
 
-def all_pairs_distances(g: Graph, within: int | None = None) -> DistanceMatrix:
-    """BFS from every node, at most ``within`` levels deep; UNREACHABLE across components."""
+def all_pairs_distances(g: Graph) -> DistanceMatrix:
+    """BFS from every node; UNREACHABLE across components."""
     if g.n < 1:
         raise ValueError(f"node count must be >= 1, got {g.n}")
     check_node_count(g.n)
-    if within is not None and within < 1:
-        raise ValueError(f"within must be >= 1, got {within}")
-    dist = _kernels.bfs_all_pairs(g.indptr, g.indices, g.n, within)
-    return DistanceMatrix(dist, within)
+    return DistanceMatrix(_kernels.bfs_all_pairs(g.indptr, g.indices, g.n))
 
 
 def eccentricity_profile(d: DistanceMatrix) -> EccentricityProfile:
-    if d.within is not None:
-        raise ValueError(f"eccentricities need a full search, not one within {d.within}")
     has_unreachable = (d.dist == UNREACHABLE).any(axis=1)
     ecc = d.dist.max(axis=1)
     ecc[has_unreachable] = UNREACHABLE
@@ -81,16 +75,17 @@ def count_s_ell(e: EccentricityProfile, ell: int) -> int:
 
 
 def power_graph(d: DistanceMatrix, ell: int) -> Graph:
-    """G^ell from G's distance matrix alone: an edge wherever 1 <= distance <= ell.
-
-    A search bounded at ``within == ell`` already marks every farther pair
-    UNREACHABLE, so there the mask is one pass, ``dist > 0``.
-    """
+    """G^ell from G's distance matrix alone: an edge wherever 1 <= distance <= ell."""
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    if d.within is not None and ell > d.within:
-        raise ValueError(f"ell={ell} exceeds the search depth within={d.within}")
     adj = d.dist > 0
-    if d.within != ell:
-        adj &= d.dist <= ell
+    adj &= d.dist <= ell
     return Graph.from_adjacency(adj)
+
+
+def power_edges(g: Graph, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """``power_graph(d, ell)._upper_edges()`` without d: read from ell levels of the BFS."""
+    check_node_count(g.n)
+    if ell < 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
+    return _kernels.power_pairs(g.indptr, g.indices, g.n, ell)

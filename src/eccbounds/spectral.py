@@ -85,13 +85,17 @@ def eigen_decompose_stack(stack: np.ndarray) -> list[SpectralSummary]:
     ascending eigenpairs, each checked against its member. Every step treats
     the members independently, so each ``SpectralSummary`` is bitwise the one
     a stack of that member alone gives; its arrays are read-only views into
-    arrays of the whole stack. Raises ValueError if the input is not a stack
-    of square matrices or a member is not exactly symmetric, and the kernel's
-    JacobiConvergenceError.
+    arrays of the whole stack; an empty stack gives []. Raises ValueError if
+    the input is not a stack of square matrices or a member is not finite or
+    not exactly symmetric, and the kernel's JacobiConvergenceError.
     """
     a = np.asarray(stack, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    if not len(a):
+        return []
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry (inf or NaN)")
     if not (a == a.transpose(0, 2, 1)).all():
         raise ValueError("matrix is not exactly symmetric")
     count, n = a.shape[:2]

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import inspect
 import json
 import os
 import subprocess
@@ -18,6 +17,7 @@ from eccbounds.bounds import BOUND_NAMES, GraphAnalysis, evaluate_all
 from eccbounds.graphs import (
     Graph,
     complete_graph,
+    erdos_renyi,
     generate,
     load_edge_list,
     parse_edge_list,
@@ -518,15 +518,20 @@ class TestPower:
 
     @pytest.fixture
     def searches(self, monkeypatch):
-        """Records the ``within`` of every all-pairs search cli makes."""
+        """Records every search the kernels start: the ell of ``power_pairs``, None for a full one."""
         calls = []
-        signature = inspect.signature(all_pairs_distances)
+        power_pairs, bfs_all_pairs = kernels.power_pairs, kernels.bfs_all_pairs
 
-        def spy(*args, **kwargs):
-            calls.append(signature.bind(*args, **kwargs).arguments.get("within"))
-            return all_pairs_distances(*args, **kwargs)
+        def bounded(indptr, indices, n, ell):
+            calls.append(ell)
+            return power_pairs(indptr, indices, n, ell)
 
-        monkeypatch.setattr(cli, "all_pairs_distances", spy)
+        def full(*args):
+            calls.append(None)
+            return bfs_all_pairs(*args)
+
+        monkeypatch.setattr(kernels, "power_pairs", bounded)
+        monkeypatch.setattr(kernels, "bfs_all_pairs", full)
         return calls
 
     def test_search_bounded_at_ell(self, tmp_path, searches, capsys):
@@ -535,7 +540,17 @@ class TestPower:
         path.write_text(serialize_edge_list(g))
         assert cli.main(["power", str(path), "--ell", "3"]) == 0
         assert searches == [3]
-        assert parse_edge_list(capsys.readouterr().out) == power_graph(all_pairs_distances(g), 3)
+        assert capsys.readouterr().out == serialize_edge_list(power_graph(all_pairs_distances(g), 3))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    def test_output_is_the_power_graphs_edge_list(self, n, tmp_path, capsys):
+        g = erdos_renyi(n, 3.0 / n, seed=n)
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_edge_list(g), encoding="utf-8")
+        d = all_pairs_distances(g)
+        for ell in range(1, int(d.dist.max()) + 2):
+            assert cli.main(["power", str(path), "--ell", str(ell)]) == 0
+            assert capsys.readouterr().out == serialize_edge_list(power_graph(d, ell))
 
     def test_ell_zero_exits_before_any_search(self, p4_file, searches, capsys):
         assert cli.main(["power", p4_file, "--ell", "0"]) == 2
@@ -562,6 +577,7 @@ class TestSizeGuard:
             raise AssertionError("dense work started above MAX_NODES")
 
         monkeypatch.setattr(kernels, "bfs_all_pairs", refuse)
+        monkeypatch.setattr(kernels, "power_pairs", refuse)
         monkeypatch.setattr(cli, "generate", refuse)
 
     @pytest.mark.parametrize("argv", [["power", "--ell", "2"], ["analyze", "--ell", "2"]])

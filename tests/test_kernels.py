@@ -147,7 +147,8 @@ class TestBfsKernels:
 
 
 def assert_bounded_bfs_matches_floyd_warshall(n: int, edges) -> int:
-    """For every depth 1..diameter + 1: Floyd-Warshall with distances above depth set to -1.
+    """For every depth 1..diameter + 1 and 10**20: ``power_pairs`` gives, in lexicographic
+    order, the pairs u < v that Floyd-Warshall puts at most depth apart.
 
     Returns the diameter (of the largest component when disconnected).
     """
@@ -157,15 +158,16 @@ def assert_bounded_bfs_matches_floyd_warshall(n: int, edges) -> int:
     full = oracles.floyd_warshall(adj)
     diameter = int(full[np.isfinite(full)].max())
     g = Graph.from_edges(n, edges)
-    for depth in range(1, diameter + 2):
-        expected = np.where(full <= depth, full, -1).astype(np.int64)
-        dist = kernels.bfs_all_pairs(g.indptr, g.indices, g.n, depth=depth)
-        assert dist.dtype == narrow_type(expected.max()) and dist.shape == (n, n)
-        assert np.array_equal(dist, expected), depth
+    for depth in [*range(1, diameter + 2), 10**20]:
+        us, vs = kernels.power_pairs(g.indptr, g.indices, g.n, depth)
+        expected = np.nonzero(np.triu(full <= depth, k=1))  # row-major: lexicographic
+        assert np.array_equal(us, expected[0]) and np.array_equal(vs, expected[1]), depth
     return diameter
 
 
 class TestBoundedBfs:
+    """``power_pairs``: the search stopped after ell levels, its rows read as G^ell's edges."""
+
     @pytest.mark.parametrize("n", [2, 12, 64, 65, 130])
     def test_seeded_erdos_renyi(self, n):
         rng = np.random.default_rng(100 + n)
@@ -185,7 +187,31 @@ class TestBoundedBfs:
     def test_single_node(self):
         assert assert_bounded_bfs_matches_floyd_warshall(1, []) == 0
         g = Graph.from_edges(1, [])
-        assert kernels.bfs_all_pairs(g.indptr, g.indices, 1, depth=5).tolist() == [[0]]
+        assert [a.tolist() for a in kernels.power_pairs(g.indptr, g.indices, 1, 5)] == [[], []]
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    def test_complete_rows_cut_at_every_bit(self, n):
+        # every row full: the cut above node u clears bit u % 64 of its word, bit 63 too
+        assert_bounded_bfs_matches_floyd_warshall(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+    def test_stops_at_ell_levels(self, monkeypatch):
+        levels = []
+        original = kernels._levels
+
+        def counted(*args):
+            for level in original(*args):
+                levels.append(len(levels))
+                yield level
+
+        monkeypatch.setattr(kernels, "_levels", counted)
+        g = path_graph(40)
+        kernels.power_pairs(g.indptr, g.indices, g.n, 3)
+        assert levels == [0, 1, 2, 3]
+
+    @given(graphs_up_to_70())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_floyd_warshall_on_random_graphs(self, graph):
+        assert_bounded_bfs_matches_floyd_warshall(*graph)
 
 
 class TestJacobiKernels:

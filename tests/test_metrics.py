@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from eccbounds import graphs
 from eccbounds.graphs import (
     Graph,
     complete_graph,
@@ -13,12 +14,16 @@ from eccbounds.graphs import (
     erdos_renyi,
     path_graph,
     random_tree,
+    serialize_edge_list,
+    serialize_edges,
+    star_graph,
 )
 from eccbounds.metrics import (
     UNREACHABLE,
     all_pairs_distances,
     count_s_ell,
     eccentricity_profile,
+    power_edges,
     power_graph,
 )
 
@@ -181,7 +186,33 @@ class TestPowerGraph:
             power_graph(d, 0)
 
 
+def assert_power_edges_match(g: Graph, ells) -> None:
+    """``power_edges`` gives ``power_graph``'s upper edges and, serialized, its edge list."""
+    d = all_pairs_distances(g)
+    for ell in ells:
+        us, vs = power_edges(g, ell)
+        want = power_graph(d, ell)
+        assert all(np.array_equal(a, b) for a, b in zip((us, vs), want._upper_edges())), ell
+        assert serialize_edges(g.n, us, vs) == serialize_edge_list(want), ell
+
+
+def word_boundary_graphs(n: int) -> list[Graph]:
+    """Sparse and dense ER, a tree, a star, and a split graph with isolated nodes, on n nodes."""
+    split = Graph.from_edges(n, [(i, i + 1) for i in range(n - 3) if i + 1 != n // 2])
+    return [*(erdos_renyi(n, p, seed=n) for p in (min(1.0, 2.0 / n), 0.5)), random_tree(n, seed=n), star_graph(n), split]
+
+
+@st.composite
+def graphs_up_to(draw, max_n: int) -> Graph:
+    """Any graph on 1..max_n nodes with up to 3n drawn edges (repeats collapse)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return Graph.from_edges(n, draw(st.lists(pair, max_size=3 * n)) if n > 1 else [])
+
+
 class TestBoundedSearch:
+    """``power_edges``: G^ell read from a search stopped after ell levels, no distance matrix."""
+
     GRAPHS = [
         erdos_renyi(30, 0.1, seed=1),
         erdos_renyi(70, 0.05, seed=2),
@@ -193,30 +224,30 @@ class TestBoundedSearch:
 
     @pytest.mark.parametrize("g", GRAPHS, ids=repr)
     def test_power_graph_matches_full_search(self, g):
-        full = all_pairs_distances(g)
-        top = max(int(full.dist.max()), 1) + 1
-        for within in range(1, top + 1):
-            bounded = all_pairs_distances(g, within)
-            assert bounded.within == within and full.within is None
-            for ell in range(1, within + 1):
-                assert power_graph(bounded, ell) == power_graph(full, ell)
+        top = max(int(all_pairs_distances(g).dist.max()), 1) + 1
+        assert_power_edges_match(g, range(1, top + 1))
 
     def test_rejects_depth_below_one(self):
-        for within in (0, -1):
-            with pytest.raises(ValueError, match=rf"^within must be >= 1, got {within}$"):
-                all_pairs_distances(path_graph(3), within)
+        for ell in (0, -1):
+            with pytest.raises(ValueError, match=rf"^ell must be >= 1, got {ell}$"):
+                power_edges(path_graph(3), ell)
 
-    def test_eccentricities_need_a_full_search(self):
-        # even a bound past the diameter is refused: the matrix does not record it
-        g = path_graph(4)
-        with pytest.raises(ValueError, match="eccentricities need a full search"):
-            eccentricity_profile(all_pairs_distances(g, 9))
+    def test_refuses_n_above_the_limit_before_searching(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_NODES", 5)
+        with pytest.raises(ValueError, match=r"^n=6 exceeds the limit of 5 nodes"):
+            power_edges(path_graph(6), 2)
 
-    def test_power_graph_rejects_ell_beyond_the_bound(self):
-        g = path_graph(6)
-        d = all_pairs_distances(g, 2)
-        with pytest.raises(ValueError, match=r"^ell=3 exceeds the search depth within=2$"):
-            power_graph(d, 3)
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129])
+    def test_word_boundaries(self, n):
+        for g in word_boundary_graphs(n):
+            diameter = int(all_pairs_distances(g).dist.max())
+            assert_power_edges_match(g, [*range(1, diameter + 2), 10**20])
+
+    @given(graphs_up_to(70))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_power_graph_on_random_graphs(self, g):
+        diameter = int(all_pairs_distances(g).dist.max())
+        assert_power_edges_match(g, [*range(1, diameter + 2), 10**20])
 
 
 class TestArrayRecords:
@@ -248,10 +279,10 @@ class TestNarrowDistances:
 
     @pytest.mark.parametrize("g", LONG, ids=repr)
     def test_huge_ell_power_is_complete(self, g):
-        for within in (None, 10**6):
-            d = all_pairs_distances(g, within)
-            assert power_graph(d, 1000) == complete_graph(g.n)
-            assert power_graph(d, 10**6) == complete_graph(g.n)
+        d = all_pairs_distances(g)
+        for ell in (1000, 10**6):
+            assert power_graph(d, ell) == complete_graph(g.n)
+            assert_power_edges_match(g, [ell])
 
     @pytest.mark.parametrize("tail", [5, 150])
     def test_disconnected_keeps_unreachable(self, tail):

@@ -160,6 +160,13 @@ class TestEigenDecompose:
     def test_sweep_count_bounded(self):
         assert eigh_start_sweeps(random_symmetric(20)) == 0
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        # without the test, [[1, inf], [inf, 1]] passes as symmetric and solves to NaN pairs
+        for a in (np.array([[bad]]), np.array([[1.0, bad], [bad, 1.0]]), np.diag([0.0, bad, 2.0])):
+            with pytest.raises(ValueError, match=r"^matrix has a non-finite entry \(inf or NaN\)$"):
+                eigen_decompose(a)
+
 
 def eigh_start_sweeps(a: np.ndarray) -> int:
     """The kernel's sweeps from ``eigh``'s basis, as the solver runs it; its pairs are bitwise the solver's."""
@@ -287,6 +294,13 @@ class TestIsPsd:
         res = is_psd(m)
         assert res.verdict == PSD
         assert res.tolerance == psd_tolerance(m)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gets_no_verdict(self, bad):
+        # [[inf]] read PSD, with min eigenvalue and tolerance inf
+        for a in (np.array([[bad]]), np.array([[1.0, bad], [bad, 1.0]])):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                is_psd(a)
 
     def test_default_tolerance_scales_with_norm(self):
         big = 1e6 * np.eye(4)

@@ -131,6 +131,17 @@ class TestStackedCore:
         with pytest.raises(ValueError, match="expected a stack of square matrices"):
             eigen_decompose_stack(np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_member_raises(self, bad):
+        # inf == inf passes the symmetry test; NaN would be named asymmetric
+        members = [laplacian(path_graph(3)), laplacian(cycle_graph(3))]
+        members[1][0, 1] = members[1][1, 0] = bad
+        with pytest.raises(ValueError, match=r"^matrix has a non-finite entry \(inf or NaN\)$"):
+            eigen_decompose_stack(np.stack(members))
+
+    def test_empty_stack_gives_no_summaries(self):
+        assert eigen_decompose_stack(np.zeros((0, 3, 3))) == []
+
     def test_sweep_cap_names_the_member(self, monkeypatch):
         monkeypatch.setattr(_kernels, "OFF_DIAG_REL_TOL", 0.0)
         monkeypatch.setattr(_kernels, "MAX_SWEEPS", 0)
