@@ -3,34 +3,17 @@
 The package computes lower bounds on lambda2 (the second-smallest Laplacian
 eigenvalue) from eccentricity counts, verifies them against exactly computed
 spectra, and numerically certifies the matrix inequalities they rest on.
+The names below are the public API; every other name is importable from its
+own submodule (``eccbounds.bounds``, ``.certify``, ``.graphs``, ``.metrics``,
+``.spectral``).
 """
 
-from .bounds import (
-    BOUND_NAMES,
-    TIGHTNESS_REL_TOL,
-    BoundReport,
-    GraphAnalysis,
-    bound_g1,
-    bound_g1_diam,
-    bound_g2,
-    bound_lu,
-    bound_mohar,
-    bound_s1,
-    bound_s2_over_n,
-    evaluate_all,
-    gamma,
-)
-from .certify import (
-    ChainCheck,
-    certify_g1_matrix,
-    certify_g2_matrix,
-    check_chain,
-)
+from .bounds import BOUND_NAMES, BoundReport, GraphAnalysis, evaluate_all
+from .certify import ChainCheck, certify_g1_matrix, certify_g2_matrix, check_chain
 from .graphs import (
     FAMILIES,
     Graph,
     ParseError,
-    complement,
     complete_graph,
     cycle_graph,
     erdos_renyi,
@@ -41,29 +24,9 @@ from .graphs import (
     random_tree,
     serialize_edge_list,
     star_graph,
-    validate,
 )
-from .metrics import (
-    UNREACHABLE,
-    DistanceMatrix,
-    EccentricityProfile,
-    all_pairs_distances,
-    count_s_ell,
-    eccentricity_profile,
-    power_graph,
-)
-from .spectral import (
-    NOT_PSD,
-    PSD,
-    CertificateResult,
-    JacobiConvergenceError,
-    SpectralSummary,
-    eigen_decompose,
-    is_psd,
-    lambda2,
-    laplacian,
-    psd_tolerance,
-)
+from .metrics import all_pairs_distances
+from .spectral import NOT_PSD, PSD, CertificateResult, lambda2
 
 __version__ = "0.1.0"
 
@@ -72,50 +35,27 @@ __all__ = [
     "FAMILIES",
     "NOT_PSD",
     "PSD",
-    "TIGHTNESS_REL_TOL",
-    "UNREACHABLE",
     "BoundReport",
     "CertificateResult",
     "ChainCheck",
-    "DistanceMatrix",
-    "EccentricityProfile",
     "Graph",
     "GraphAnalysis",
-    "JacobiConvergenceError",
     "ParseError",
-    "SpectralSummary",
     "all_pairs_distances",
-    "bound_g1",
-    "bound_g1_diam",
-    "bound_g2",
-    "bound_lu",
-    "bound_mohar",
-    "bound_s1",
-    "bound_s2_over_n",
     "certify_g1_matrix",
     "certify_g2_matrix",
     "check_chain",
-    "complement",
     "complete_graph",
-    "count_s_ell",
     "cycle_graph",
-    "eccentricity_profile",
-    "eigen_decompose",
     "erdos_renyi",
     "evaluate_all",
-    "gamma",
     "generate",
-    "is_psd",
     "lambda2",
-    "laplacian",
     "load_edge_list",
     "parse_edge_list",
     "path_graph",
-    "power_graph",
-    "psd_tolerance",
     "random_tree",
     "serialize_edge_list",
     "star_graph",
-    "validate",
     "__version__",
 ]

@@ -1,8 +1,8 @@
-"""Simple undirected graphs: construction, parsing, generators, complement.
+"""Simple undirected graphs: construction, parsing, serializing and generators.
 
 Graphs are immutable after construction and stored in CSR form (``indptr``,
 ``indices``) with neighbor lists sorted per node, so iteration order is
-deterministic and membership tests are O(log deg).
+deterministic.
 ``check_node_count`` refuses n above ``MAX_NODES``, the node limit of every
 dense n x n computation; the edge-list reader applies it to the header count.
 """
@@ -120,20 +120,8 @@ class Graph:
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(n, indptr, cols)
 
-    def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """Sorted neighbor indices of node i (read-only view)."""
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        k = np.searchsorted(row, v)
-        return k < row.shape[0] and row[k] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in lexicographic order."""
@@ -167,46 +155,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def validate(g: Graph) -> None:
-    """Check the structural invariants; raises AssertionError on violation.
-
-    Intended for tests and for vetting graphs built by external code paths.
-    Every check runs on whole arrays; a failure names the first offending row
-    or edge.
-    """
-    n, indptr, indices = g.n, g.indptr, g.indices
-    if not (
-        n >= 1
-        and indptr.shape == (n + 1,)
-        and indptr[0] == 0
-        and indptr[-1] == indices.shape[0] == 2 * g.m
-        and np.all(np.diff(indptr) >= 0)
-    ):
-        raise AssertionError(f"malformed CSR arrays for n={n}")
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    unsorted = np.flatnonzero((rows[1:] == rows[:-1]) & (indices[1:] <= indices[:-1]))
-    if unsorted.size:
-        raise AssertionError(f"row {rows[unsorted[0]]} not strictly sorted (dup or unsorted)")
-    loops = np.flatnonzero(rows == indices)
-    if loops.size:
-        raise AssertionError(f"self-loop at {rows[loops[0]]}")
-    outside = np.flatnonzero((indices < 0) | (indices >= n))
-    if outside.size:
-        k = outside[0]
-        raise AssertionError(f"row {rows[k]} has neighbor {indices[k]} outside [0, {n})")
-    # the (row, col) pairs are lexsorted already; symmetric iff the (col, row)
-    # pairs, lexsorted, are the same list
-    order = np.lexsort((rows, indices))
-    t_rows, t_cols = indices[order], rows[order]
-    mismatch = np.flatnonzero((t_rows != rows) | (t_cols != indices))
-    if mismatch.size:
-        k = mismatch[0]
-        # the smaller pair at the first mismatch lacks its reverse
-        edge, reverse = (rows[k], indices[k]), (t_rows[k], t_cols[k])
-        u, v = edge if edge < reverse else reverse[::-1]
-        raise AssertionError(f"asymmetric edge ({u}, {v})")
 
 
 #: A number of the edge-list format: ASCII digits with an optional leading '-'.
@@ -397,11 +345,3 @@ def generate(family: str, n: int, p: float | None = None, seed=None) -> Graph:
     if family == "random_tree":
         return random_tree(n, seed)
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
-def complement(g: Graph) -> Graph:
-    """Graph with edge {i, j} exactly where g has none (i != j)."""
-    adj = g.adjacency_matrix()
-    comp = ~adj
-    np.fill_diagonal(comp, False)
-    return Graph.from_adjacency(comp)

@@ -18,20 +18,6 @@ from .graphs import Graph, check_node_count
 #: naive comparisons like ``d <= ell`` must mask it out explicitly.
 UNREACHABLE: Final[int] = -1
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Exact BFS distances; UNREACHABLE marks no path.
-
-    ``dist`` (n x n, the one record of n) is in the narrowest signed integer type
-    holding the largest distance found (int8 up to 127, 1 byte a pair on most
-    graphs): compare it with Python ints, and widen it before arithmetic that could overflow.
-    """
-
-    dist: np.ndarray  # (n, n), int8 while every distance is <= 127, else int16 or wider
-
-    def __post_init__(self):
-        self.dist.flags.writeable = False
-
 
 @dataclass(frozen=True, eq=False)
 class EccentricityProfile:
@@ -48,17 +34,24 @@ class EccentricityProfile:
         self.ecc.flags.writeable = False
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every node; UNREACHABLE across components."""
+def all_pairs_distances(g: Graph) -> np.ndarray:
+    """BFS from every node: the read-only (n, n) distance matrix, UNREACHABLE across components.
+
+    It is in the narrowest signed integer type holding the largest distance
+    found (int8 up to 127, 1 byte a pair on most graphs): compare it with
+    Python ints, and widen it before arithmetic that could overflow.
+    """
     if g.n < 1:
         raise ValueError(f"node count must be >= 1, got {g.n}")
     check_node_count(g.n)
-    return DistanceMatrix(_kernels.bfs_all_pairs(g.indptr, g.indices, g.n))
+    dist = _kernels.bfs_all_pairs(g.indptr, g.indices, g.n)
+    dist.flags.writeable = False
+    return dist
 
 
-def eccentricity_profile(d: DistanceMatrix) -> EccentricityProfile:
-    has_unreachable = (d.dist == UNREACHABLE).any(axis=1)
-    ecc = d.dist.max(axis=1)
+def eccentricity_profile(dist: np.ndarray) -> EccentricityProfile:
+    has_unreachable = (dist == UNREACHABLE).any(axis=1)
+    ecc = dist.max(axis=1)
     ecc[has_unreachable] = UNREACHABLE
     diameter = UNREACHABLE if has_unreachable.any() else int(ecc.max())
     return EccentricityProfile(ecc, diameter)
@@ -74,17 +67,17 @@ def count_s_ell(e: EccentricityProfile, ell: int) -> int:
     return int(np.count_nonzero((e.ecc >= 0) & (e.ecc <= ell)))
 
 
-def power_graph(d: DistanceMatrix, ell: int) -> Graph:
+def power_graph(dist: np.ndarray, ell: int) -> Graph:
     """G^ell from G's distance matrix alone: an edge wherever 1 <= distance <= ell."""
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    adj = d.dist > 0
-    adj &= d.dist <= ell
+    adj = dist > 0
+    adj &= dist <= ell
     return Graph.from_adjacency(adj)
 
 
 def power_edges(g: Graph, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """``power_graph(d, ell)._upper_edges()`` without d: read from ell levels of the BFS."""
+    """``power_graph(dist, ell)._upper_edges()`` without dist: read from ell levels of the BFS."""
     check_node_count(g.n)
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")

@@ -8,7 +8,9 @@ sweeps, and expected eigenvalues come from closed forms. The edge-list
 reader and writer are the line-at-a-time ``int`` and ``"%d %d\n"`` versions
 that the package's bulk parser and table-driven serializer replaced, and
 random trees come from the pointer-walk Prüfer decode that the package's
-min-heap decode replaced.
+min-heap decode replaced. ``csr`` builds a graph's compressed rows from
+Python lists; a valid edge set has exactly one, so comparing a graph's arrays
+with it checks every structural invariant at once.
 
 ``patch_everywhere`` is the suite's one way to wrap a package function: at
 every eccbounds module that imports it.
@@ -208,6 +210,18 @@ def parse_edge_list(text: str, limit: int | None = None) -> tuple[int, set[tuple
     if n is None:
         raise EdgeListError(0, "empty input: missing 'n <count>' header")
     return n, edge_set
+
+
+def csr(n: int, edges) -> tuple[list[int], list[int]]:
+    """The one CSR (indptr, indices) of n nodes and distinct edges (u, v): sorted neighbour lists."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    indptr = [0]
+    for row in rows:
+        indptr.append(indptr[-1] + len(row))
+    return indptr, [v for row in rows for v in sorted(row)]
 
 
 def serialize_edge_list(n: int, edges: set[tuple[int, int]]) -> str:

@@ -16,6 +16,8 @@ import pytest
 import eccbounds as eb
 import oracles
 from eccbounds import cli, spectral
+from eccbounds.bounds import bound_g1, bound_g1_diam, bound_g2, bound_mohar, gamma
+from eccbounds.metrics import count_s_ell, eccentricity_profile
 
 
 def _report(num: int, ok: bool, detail: str = "") -> None:
@@ -83,16 +85,16 @@ def corpus():
     for analysis in analyses:
         g = analysis.graph
         for ell in range(2, analysis.profile.diameter + 1):
-            s_ell = eb.count_s_ell(analysis.profile, ell)
+            s_ell = count_s_ell(analysis.profile, ell)
             records.append(
                 EllRecord(
                     graph=g,
                     ell=ell,
                     lam=analysis.lambda2,
                     s_ell=s_ell,
-                    gamma_val=eb.gamma(g.n, ell),
-                    b_g1=eb.bound_g1(g.n, ell, s_ell),
-                    b_g2=eb.bound_g2(s_ell, ell, analysis.power(ell).m, g.m),
+                    gamma_val=gamma(g.n, ell),
+                    b_g1=bound_g1(g.n, ell, s_ell),
+                    b_g2=bound_g2(s_ell, ell, analysis.power(ell).m, g.m),
                     cert1=eb.certify_g1_matrix(analysis, ell),
                     cert2=eb.certify_g2_matrix(analysis, ell),
                     chain=eb.check_chain(analysis, ell),
@@ -151,16 +153,16 @@ def test_criterion_5_reduction_identities():
     for i in range(100):
         n = 2 + i % 19  # 2..20
         g = eb.erdos_renyi(n, (0.15, 0.45, 0.8)[i % 3], seed=rng)
-        e = eb.eccentricity_profile(eb.all_pairs_distances(g))
-        s1 = eb.count_s_ell(e, 1)
-        s2 = eb.count_s_ell(e, 2)
-        got = eb.bound_g1(g.n, 2, s2)
+        e = eccentricity_profile(eb.all_pairs_distances(g))
+        s1 = count_s_ell(e, 1)
+        s2 = count_s_ell(e, 2)
+        got = bound_g1(g.n, 2, s2)
         expected = s2 / g.n
         if expected == 0.0:
             ok = ok and got == 0.0
         else:
             worst_rel = max(worst_rel, abs(got - expected) / abs(expected))
-        ok = ok and eb.bound_g2(s1, 1, g.m, g.m) == float(s1)
+        ok = ok and bound_g2(s1, 1, g.m, g.m) == float(s1)
     _report(
         5,
         ok and worst_rel <= 1e-15,
@@ -173,7 +175,7 @@ def test_criterion_6_dominance():
         (n, d)
         for n in range(2, 201)
         for d in range(1, n)
-        if eb.bound_g1_diam(n, d) < eb.bound_mohar(n, d)
+        if bound_g1_diam(n, d) < bound_mohar(n, d)
     ]
     _report(6, not bad, f"dominance fails at {bad[:5]}..." if bad else "")
 

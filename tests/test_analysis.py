@@ -19,7 +19,7 @@ class TestGraphAnalysis:
         g = erdos_renyi(11, 0.35, seed=3)
         a = GraphAnalysis(g)
         assert a.graph is g and a.n == g.n and a.m == g.m
-        np.testing.assert_array_equal(a.dist.dist, all_pairs_distances(g).dist)
+        np.testing.assert_array_equal(a.dist, all_pairs_distances(g))
         fw = oracles.floyd_warshall(g.adjacency_matrix())
         assert a.connected == bool(np.isfinite(fw).all())
         np.testing.assert_array_equal(a.laplacian, laplacian(g))

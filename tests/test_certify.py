@@ -143,6 +143,18 @@ class TestCheckChain:
         c = check_chain(path_graph(7), 2)
         assert c.lambda2_g >= c.lambda2_power / c.gamma_val - 1e-9 * max(1.0, c.lambda2_g)
 
+    @pytest.mark.parametrize(("scale", "holds"), [(1.0, True), (1 + 1e-6, False)])
+    def test_link1_fails_just_above_gamma_times_lambda2(self, monkeypatch, scale, holds):
+        # negative control: lambda2(G^ell) = scale * gamma * lambda2(G) on P7 at ell 2;
+        # a relative 1e-6 excess is far above link 1's slack of 1e-9 * max(1, lambda2(G))
+        a = GraphAnalysis(path_graph(7))
+        solved = a.spectrum
+        power = scale * gamma(7, 2) * a.lambda2
+        monkeypatch.setattr(a, "spectrum", lambda kind, ell: power if kind == "power" else solved(kind, ell))
+        c = check_chain(a, 2)
+        assert c.lambda2_power == power
+        assert c.links_hold[0] == holds and c.links_hold[1:] == (True, True)
+
     @pytest.mark.parametrize("family", ["erdos_renyi", "random_tree"])
     def test_s1_power_matches_oracle(self, family):
         # s1(G^ell) from Floyd-Warshall eccentricities of the brute-force power
@@ -173,7 +185,7 @@ class TestCheckChain:
         # negative control: an edge missing at a universal node of G^ell
         a = GraphAnalysis(g)
         full = a.power(ell)
-        assert full.degree(edge[1]) == g.n - 1 and full.has_edge(*edge)
+        assert full.degrees()[edge[1]] == g.n - 1 and edge in full.edges()
         broken = Graph.from_edges(g.n, [e for e in full.edges() if e != edge])
         monkeypatch.setattr(a, "power", lambda _ell: broken)
         c = check_chain(a, ell)

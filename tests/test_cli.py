@@ -548,7 +548,7 @@ class TestPower:
         path = tmp_path / "g.txt"
         path.write_text(serialize_edge_list(g), encoding="utf-8")
         d = all_pairs_distances(g)
-        for ell in range(1, int(d.dist.max()) + 2):
+        for ell in range(1, int(d.max()) + 2):
             assert cli.main(["power", str(path), "--ell", str(ell)]) == 0
             assert capsys.readouterr().out == serialize_edge_list(power_graph(d, ell))
 

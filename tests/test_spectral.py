@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import oracles
-import eccbounds
 from eccbounds import _kernels
 from eccbounds.bounds import gamma
 from eccbounds.graphs import (
@@ -234,8 +233,8 @@ class TestLapackSeededStart:
             assert_matches_oracle(laplacian(erdos_renyi(n, min(0.3, 6.0 / (n - 1)), seed=seed)))
 
     def test_sweep_cap_raises(self, monkeypatch):
-        # the kernel owns the error; the package re-exports that one class
-        assert JacobiConvergenceError is _kernels.JacobiConvergenceError is eccbounds.JacobiConvergenceError
+        # the kernel owns the error; spectral re-exports that one class
+        assert JacobiConvergenceError is _kernels.JacobiConvergenceError
         monkeypatch.setattr(_kernels, "OFF_DIAG_REL_TOL", 0.0)
         monkeypatch.setattr(_kernels, "MAX_SWEEPS", 0)
         with pytest.raises(JacobiConvergenceError, match=r"after 0 sweeps \(n=12, .*target 0\.000e\+00\)"):
