@@ -3,10 +3,11 @@
 Every bound here is a guaranteed lower bound on lambda2 for simple undirected
 graphs. ``GraphAnalysis`` holds what every bound and certificate of one graph
 is computed from (distances, eccentricities, power graphs, Laplacians and
-their spectra), each computed once; ``solve`` decomposes all the spectra of
-one graph's checks in stacked eigensolves. ``evaluate_all`` reads one
-analysis and collects the bound values, slacks, and tightness flags into a
-single report.
+their spectra), each computed once. ``solve_stacked`` decomposes the spectra
+that the checks of several analyses of one order read, in shared stacked
+eigensolves; ``GraphAnalysis.solve`` is that call on one analysis.
+``evaluate_all`` reads one analysis and collects the bound values, slacks,
+and tightness flags into a single report.
 """
 
 from __future__ import annotations
@@ -170,6 +171,11 @@ _PER_ELL = ("g1", "g2", "power")
 _LAMBDA2 = ("lambda2", 0)
 
 
+def stack_members(n: int) -> int:
+    """How many n x n matrices one stacked eigensolve holds: _STACK_BYTES // (8 n^2), at least 1."""
+    return max(1, _STACK_BYTES // (8 * n * n))
+
+
 class GraphAnalysis:
     """The distance matrix, eccentricity profile, power graphs and spectra of one graph.
 
@@ -178,7 +184,8 @@ class GraphAnalysis:
     are memoised per ell; ``laplacian`` (L(G), read-only) is computed on first
     use. ``solve(ells)`` decomposes every spectrum the checks of those ells
     read, in stacks of at most 1 MB, and memoises only the results: lambda2,
-    the g1 and g2 ``CertificateResult`` and lambda2(G^ell) per ell. Pass one
+    the g1 and g2 ``CertificateResult`` and lambda2(G^ell) per ell;
+    ``solve_stacked`` does the same for several analyses at once. Pass one
     analysis to ``evaluate_all``, the certificates and ``check_chain`` so they
     share this work instead of each repeating it.
     """
@@ -215,19 +222,25 @@ class GraphAnalysis:
             self._solved[_LAMBDA2] = lambda2(self.graph)
         return self._solved[_LAMBDA2]
 
-    def solve(self, ells: Iterable[int]) -> None:
-        """Decompose, in stacked calls, each spectrum still unknown that the checks of ``ells`` read.
+    def pending(self, ells: Iterable[int]) -> list[tuple[str, int]]:
+        """The keys of the spectra still unknown that the checks of ``ells`` read, in solve order.
 
         That is L(G) if lambda2 is not known yet and, for a connected graph,
-        the g1 matrix, the g2 matrix and L(G^ell) of each ell. The matrices
-        are built a stack at a time; only the results are kept.
+        the g1 matrix, the g2 matrix and L(G^ell) of each ell.
         """
         if self.n < 2:
             raise ValueError(f"solve needs n >= 2, got n={self.n}")
         keys = [] if _LAMBDA2 in self._solved else [_LAMBDA2]
         if self.connected:
             keys += [(kind, ell) for ell in dict.fromkeys(ells) for kind in _PER_ELL]
-        self._decompose([key for key in keys if key not in self._solved])
+        return [key for key in keys if key not in self._solved]
+
+    def solve(self, ells: Iterable[int]) -> None:
+        """Decompose, in stacked calls, each spectrum still unknown that the checks of ``ells`` read.
+
+        ``solve_stacked`` on this analysis alone.
+        """
+        solve_stacked([(self, ells)])
 
     def spectrum(self, kind: str, ell: int) -> float | CertificateResult:
         """The ``CertificateResult`` of the g1 or g2 matrix, or lambda2(G^ell) for "power".
@@ -236,19 +249,8 @@ class GraphAnalysis:
         """
         key = (kind, ell)
         if key not in self._solved:
-            self._decompose([key])
+            _decompose([(self, key)])
         return self._solved[key]
-
-    def _decompose(self, keys: list[tuple[str, int]]) -> None:
-        """Solve the spectra of ``keys`` in stacks of at most _STACK_BYTES, each built when solved."""
-        per_stack = max(1, _STACK_BYTES // (8 * self.n * self.n))
-        for start in range(0, len(keys), per_stack):
-            chunk = keys[start : start + per_stack]
-            matrices = [self._matrix(*key) for key in chunk]
-            stack = np.stack(matrices) if len(matrices) > 1 else matrices[0][None]
-            for key, a, summary in zip(chunk, stack, eigen_decompose_stack(stack)):
-                certificate = key[0] in ("g1", "g2")
-                self._solved[key] = psd_certificate(a, summary) if certificate else float(summary.eigenvalues[1])
 
     def _matrix(self, kind: str, ell: int) -> np.ndarray:
         """The matrix of one solved kind: L(G), L(G^ell), or the g1 or g2 matrix."""
@@ -261,6 +263,36 @@ class GraphAnalysis:
         else:
             coeff = float(1 + ell * (self.power(ell).m - self.m))
         return coeff * self.laplacian - self.power_laplacian(ell)
+
+
+def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
+    """Decompose the pending spectra of every (analysis, ells) pair in shared stacked eigensolves.
+
+    The keys are taken analysis by analysis, each in ``pending`` order, and cut
+    into stacks of ``stack_members(n)``; a stack may hold several analyses'
+    matrices, and each result goes into its own analysis's memo. Every member
+    is bitwise the one a lone solve gives, so grouping never changes a result.
+    Raises ValueError if the analyses differ in n or one has n < 2.
+    """
+    pairs = list(pairs)
+    orders = {a.n for a, _ in pairs}
+    if len(orders) > 1:
+        raise ValueError(f"solve_stacked needs analyses of one order, got n in {sorted(orders)}")
+    _decompose([(a, key) for a, ells in pairs for key in a.pending(ells)])
+
+
+def _decompose(items: list[tuple[GraphAnalysis, tuple[str, int]]]) -> None:
+    """Solve the spectra of the (analysis, key) items in stacks of ``stack_members``, each built when solved."""
+    if not items:
+        return
+    per_stack = stack_members(items[0][0].n)
+    for start in range(0, len(items), per_stack):
+        chunk = items[start : start + per_stack]
+        matrices = [a._matrix(*key) for a, key in chunk]
+        stack = np.stack(matrices) if len(matrices) > 1 else matrices[0][None]
+        for (a, key), m, summary in zip(chunk, stack, eigen_decompose_stack(stack)):
+            certificate = key[0] in ("g1", "g2")
+            a._solved[key] = psd_certificate(m, summary) if certificate else float(summary.eigenvalues[1])
 
 
 def analysis_for(task: str, g: Graph | GraphAnalysis, ell: int, min_ell: int) -> GraphAnalysis:

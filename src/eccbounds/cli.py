@@ -28,7 +28,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .bounds import BOUND_NAMES, BoundReport, GraphAnalysis, evaluate_all, tolerance
+from .bounds import BOUND_NAMES, BoundReport, GraphAnalysis, evaluate_all, solve_stacked, stack_members, tolerance
 from .certify import certify_g1_matrix, certify_g2_matrix, check_chain
 from .graphs import FAMILIES, check_node_count, generate, load_edge_list, serialize_edge_list, serialize_edges
 # unused here, but perfbench/test_perfbench.py asserts this all_pairs_distances import site
@@ -170,82 +170,99 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     Disconnected graphs are not skipped outright: the degenerate claims
     (zero eccentricity counts, zero bounds, an eigensolver lambda2 of 0) are still checked;
     only the connectivity-dependent certificates and chain are omitted. Each
-    graph gets one ``GraphAnalysis``, shared by every check on it, and one
-    ``solve`` of all its spectra before the checks read them.
+    graph gets one ``GraphAnalysis``, shared by every check on it. Trials are
+    generated in order into a group until the group's pending spectra fill one
+    stack (``bounds.stack_members``); one ``solve_stacked`` call decomposes them
+    all, the checks then run trial by trial, and the group is dropped. So memory
+    stays within one stack's budget plus one trial, and a group whose first
+    trial fills a stack is that trial alone.
     """
     summary = CampaignSummary(config=config)
     rng = np.random.default_rng(config.seed)
+    per_stack = stack_members(config.n)
+    group: list[tuple[int, GraphAnalysis, list[int]]] = []
+    pending = 0
 
     for trial in range(config.trials):
-        g = generate(config.family, config.n, p=config.p, seed=rng)
-        analysis = GraphAnalysis(g)
+        analysis = GraphAnalysis(generate(config.family, config.n, p=config.p, seed=rng))
+        ells = _policy_ells(config.ell_policy, analysis.profile.diameter)
+        group.append((trial, analysis, ells))
+        pending += len(analysis.pending(ells))
+        if pending >= per_stack or trial + 1 == config.trials:
+            solve_stacked((a, ells) for _, a, ells in group)
+            for member in group:
+                _check_trial(summary, *member)
+            group, pending = [], 0
+    return summary
 
-        def flag(kind: str, detail: str, ell: int | None) -> None:
-            summary.violations.append(
-                dict(trial=trial, ell=ell, kind=kind, detail=detail, graph=serialize_edge_list(g))
-            )
+
+def _check_trial(summary: CampaignSummary, trial: int, analysis: GraphAnalysis, ells: list[int]) -> None:
+    """Record one solved trial's checks, violations and slack statistics in ``summary``."""
+    g = analysis.graph
+
+    def flag(kind: str, detail: str, ell: int | None) -> None:
+        summary.violations.append(
+            dict(trial=trial, ell=ell, kind=kind, detail=detail, graph=serialize_edge_list(g))
+        )
+
+    if analysis.connected:
+        summary.connected_trials += 1
+    else:
+        summary.disconnected_trials += 1
+
+    for ell in ells:
+        report = evaluate_all(analysis, ell)
+        summary.checks += 1
+        tol = tolerance(report.lambda2)
+
+        for name in BOUND_NAMES:
+            slack = report.slacks[name]
+            if slack is None:
+                continue
+            if slack < -tol:
+                flag(
+                    "bound_violation",
+                    f"bound_{name}={report.bounds[name]!r} exceeds "
+                    f"lambda2={report.lambda2!r}",
+                    ell,
+                )
+            if analysis.connected:
+                summary.bound_stats[name].add(slack, report.tight[name])
+                worst = summary.worst_slack
+                if worst is None or slack > worst["slack"]:  # type: ignore[operator]
+                    summary.worst_slack = {
+                        "bound": name,
+                        "slack": slack,
+                        "trial": trial,
+                        "ell": ell,
+                        "lambda2": report.lambda2,
+                        "graph": serialize_edge_list(g),
+                    }
 
         if analysis.connected:
-            summary.connected_trials += 1
-        else:
-            summary.disconnected_trials += 1
-
-        ells = _policy_ells(config.ell_policy, analysis.profile.diameter)
-        analysis.solve(ells)
-        for ell in ells:
-            report = evaluate_all(analysis, ell)
-            summary.checks += 1
-            tol = tolerance(report.lambda2)
-
-            for name in BOUND_NAMES:
-                slack = report.slacks[name]
-                if slack is None:
-                    continue
-                if slack < -tol:
+            for name, certify in (("g1", certify_g1_matrix), ("g2", certify_g2_matrix)):
+                cert = certify(analysis, ell)
+                if cert.verdict != PSD:
                     flag(
-                        "bound_violation",
-                        f"bound_{name}={report.bounds[name]!r} exceeds "
-                        f"lambda2={report.lambda2!r}",
+                        f"certificate_{name}_not_psd",
+                        f"min eigenvalue {cert.min_eigenvalue!r} below -{cert.tolerance!r}",
                         ell,
                     )
-                if analysis.connected:
-                    summary.bound_stats[name].add(slack, report.tight[name])
-                    worst = summary.worst_slack
-                    if worst is None or slack > worst["slack"]:  # type: ignore[operator]
-                        summary.worst_slack = {
-                            "bound": name,
-                            "slack": slack,
-                            "trial": trial,
-                            "ell": ell,
-                            "lambda2": report.lambda2,
-                            "graph": serialize_edge_list(g),
-                        }
-
-            if analysis.connected:
-                for name, certify in (("g1", certify_g1_matrix), ("g2", certify_g2_matrix)):
-                    cert = certify(analysis, ell)
-                    if cert.verdict != PSD:
-                        flag(
-                            f"certificate_{name}_not_psd",
-                            f"min eigenvalue {cert.min_eigenvalue!r} below -{cert.tolerance!r}",
-                            ell,
-                        )
-                chain = check_chain(analysis, ell)
-                if not chain.all_hold:
-                    flag("chain_violation", f"links_hold={chain.links_hold}", ell)
-            else:
-                if report.s_ell != 0:
-                    flag("disconnected_s_ell_nonzero", f"s_ell={report.s_ell}", ell)
-                for name in ("s1", "s2_over_n", "g1", "g2"):
-                    if report.bounds[name] != 0.0:
-                        flag(
-                            "disconnected_bound_nonzero",
-                            f"bound_{name}={report.bounds[name]!r}",
-                            ell,
-                        )
-                if abs(analysis.lambda2) > tolerance(0.0):
-                    flag("disconnected_lambda2_nonzero", f"lambda2={analysis.lambda2!r}", ell)
-    return summary
+            chain = check_chain(analysis, ell)
+            if not chain.all_hold:
+                flag("chain_violation", f"links_hold={chain.links_hold}", ell)
+        else:
+            if report.s_ell != 0:
+                flag("disconnected_s_ell_nonzero", f"s_ell={report.s_ell}", ell)
+            for name in ("s1", "s2_over_n", "g1", "g2"):
+                if report.bounds[name] != 0.0:
+                    flag(
+                        "disconnected_bound_nonzero",
+                        f"bound_{name}={report.bounds[name]!r}",
+                        ell,
+                    )
+            if abs(analysis.lambda2) > tolerance(0.0):
+                flag("disconnected_lambda2_nonzero", f"lambda2={analysis.lambda2!r}", ell)
 
 
 def summary_json(summary: CampaignSummary) -> str:

@@ -258,12 +258,15 @@ def serialize_edges(n: int, us: np.ndarray, vs: np.ndarray) -> str:
     """The edge-list text of n nodes and the edges (us[k], vs[k]), in the order given.
 
     Each node's ``"u "`` and ``"v\n"`` strings are built once, and the edge
-    lines are gathered from that table by the endpoint arrays.
+    lines are gathered from that table by the endpoint arrays, as cells in the
+    narrowest unsigned type that holds the table's 2n indices (16 bits at
+    ``MAX_NODES``).
     """
     table = np.array([f"{i} " for i in range(n)] + [f"{i}\n" for i in range(n)], dtype=object)
-    cells = np.empty((us.size, 2), dtype=np.int64)
+    cells = np.empty((us.size, 2), dtype=np.min_scalar_type(2 * n - 1))
     cells[:, 0] = us
-    np.add(vs, n, out=cells[:, 1])
+    cells[:, 1] = vs
+    cells[:, 1] += n
     return f"n {n}\n" + "".join(table.take(cells.ravel()).tolist())
 
 

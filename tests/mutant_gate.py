@@ -36,6 +36,17 @@ class Mutant(NamedTuple):
 BOUNDS = ("tests/test_bounds.py",)
 CHAIN = ("tests/test_certify.py::TestCheckChain",)
 POWER = ("tests/test_metrics.py::TestBoundedSearch", "tests/test_kernels.py::TestBoundedBfs")
+PAIRING = ("tests/test_cli.py::test_golden_report", "tests/test_stacked.py::TestCampaignGroups::test_memo_equals_a_fresh_solve")
+GROUPS = ("tests/test_stacked.py::TestCampaignGroups::test_a_five_matrix_budget_gives_the_same_report",)
+
+#: ``_levels`` returning before it yields its last level: it first looks one level ahead
+LEVELS_STOP = "        new &= ~rows\n        if not new.any():\n            return\n"
+LEVELS_STOP_EARLY = LEVELS_STOP + """\
+        ahead = reach.copy()
+        ahead[:n] |= new
+        if not (np.bitwise_or.reduceat(ahead.take(nbrs, axis=0), seg[:-1], axis=0) & ~ahead[:n]).any():
+            return
+"""
 
 MUTANTS = (
     Mutant("gamma 4/n", "bounds.py",
@@ -64,6 +75,12 @@ MUTANTS = (
            "if level == ell:", "if level == ell + 1:", POWER),
     Mutant("power_pairs mask drops bit 63", "_kernels.py",
            "np.left_shift(~np.uint64(1),", "np.left_shift(np.uint64(0x7FFFFFFFFFFFFFFE),", POWER),
+    Mutant("_levels stops one level early", "_kernels.py", LEVELS_STOP, LEVELS_STOP_EARLY, ("tests/test_kernels.py",)),
+    Mutant("stacked results paired with the wrong (analysis, key)", "bounds.py",
+           "zip(chunk, stack, eigen_decompose_stack(stack))", "zip(chunk[::-1], stack, eigen_decompose_stack(stack))",
+           PAIRING),
+    Mutant("campaign group closes only at the end", "cli.py",
+           "if pending >= per_stack or trial + 1 == config.trials:", "if trial + 1 == config.trials:", GROUPS),
 )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from eccbounds import _kernels, spectral
-from eccbounds.bounds import GraphAnalysis, evaluate_all
+from eccbounds.bounds import GraphAnalysis, evaluate_all, stack_members
 from eccbounds.certify import check_chain
 from eccbounds.cli import CampaignConfig, run_campaign, run_tightness
 from eccbounds.graphs import generate, path_graph
@@ -61,10 +61,12 @@ def test_check_chain_on_a_built_analysis_makes_no_bfs(kernel_calls):
 
 class TestKernelCallCounts:
     """One BFS per graph, whatever ell is checked: chain link 3 reads s1(G^ell)
-    from the power graph's degrees. One stacked eigensolve per graph: it holds
-    L(G) and, per connected (graph, ell) check, the two certificate matrices
-    and L(G^ell), each spectrum once. L(G) is built once per graph and L(G^ell)
-    once per connected check, shared by both certificates and the chain."""
+    from the power graph's degrees. Each spectrum is solved once: L(G) and,
+    per connected (graph, ell) check, the two certificate matrices and
+    L(G^ell), stacked across trials up to the stack budget, so a campaign whose
+    matrices fit one stack makes one stacked eigensolve. L(G) is built once per
+    graph and L(G^ell) once per connected check, shared by both certificates
+    and the chain."""
 
     @pytest.mark.parametrize("ell_policy", ["all", 3])
     def test_campaign(self, kernel_calls, laplacian_builds, ell_policy):
@@ -88,8 +90,10 @@ class TestKernelCallCounts:
         assert summary.violations == []
         assert summary.checks == connected_checks + disconnected
         assert kernel_calls["bfs_all_pairs"] == config.trials
-        assert kernel_calls["eigen_decompose_stack"] == config.trials
         assert kernel_calls["matrices"] == config.trials + 3 * connected_checks
+        # every matrix of the campaign fits one stack (2,048 members at n = 8)
+        assert kernel_calls["matrices"] < stack_members(config.n)
+        assert kernel_calls["eigen_decompose_stack"] == 1
         assert laplacian_builds[0] == config.trials + connected_checks
 
     @pytest.mark.parametrize("family", ["path", "cycle", "star", "complete"])

@@ -357,11 +357,21 @@ class TestToleranceCut:
 #: two verify and tightness entries were recorded before computation was shared
 #: through GraphAnalysis (OPENBLAS_NUM_THREADS=1), the 100-trial campaign and the
 #: star and complete sweeps before every scalar verdict went through
-#: ``bounds.tolerance`` (same digests at 1 and 2 BLAS threads).
+#: ``bounds.tolerance`` (same digests at 1 and 2 BLAS threads). The 300-trial
+#: n = 12 and the 60-trial n = 30 campaigns span several stacked-solve groups;
+#: their digests were recorded while each graph was still solved on its own.
 GOLDEN_REPORTS = [
     (
         "verify --family erdos_renyi --n 12 --p 0.3 --trials 100 --seed 42",
         "a106dbece9c2e2835ec8e6ad1dbb7bb8673261cc9b4729451ebf461c31769544",
+    ),
+    (
+        "verify --family erdos_renyi --n 12 --p 0.3 --trials 300 --seed 7",
+        "14e5174552165f1609d968993dbcbad0f0bc58dc6d158a29cd3872d3bbf677b8",
+    ),
+    (
+        "verify --family erdos_renyi --n 30 --p 0.2 --trials 60 --seed 3",
+        "a4dc63ee5a3d931ed0ad7ed0285462fef6cadda790b8e20302cc4c0632bdabff",
     ),
     (
         "verify --family erdos_renyi --n 10 --p 0.4 --trials 25 --seed 7",

@@ -1,12 +1,12 @@
-"""The stacked eigensolver core and the per-graph stacked solve of GraphAnalysis."""
+"""The stacked eigensolver core, the stacked solve of GraphAnalysis and the campaign's groups of trials."""
 
 import numpy as np
 import pytest
 
 import oracles
-from eccbounds import _kernels, bounds, spectral
-from eccbounds.bounds import GraphAnalysis, gamma
-from eccbounds.cli import CampaignConfig, run_campaign
+from eccbounds import _kernels, bounds, cli, spectral
+from eccbounds.bounds import GraphAnalysis, gamma, solve_stacked
+from eccbounds.cli import CampaignConfig, run_campaign, summary_json
 from eccbounds.certify import certify_g1_matrix, certify_g2_matrix, check_chain
 from eccbounds.graphs import (
     Graph,
@@ -260,6 +260,125 @@ class TestGraphAnalysisSolve:
     def test_solve_refuses_a_single_node(self):
         with pytest.raises(ValueError, match="solve needs n >= 2, got n=1"):
             GraphAnalysis(Graph.from_edges(1, [])).solve([2])
+
+
+def fresh_memo(g: Graph, ells) -> dict:
+    a = GraphAnalysis(g)
+    a.solve(ells)
+    return a._solved
+
+
+class TestSolveStacked:
+    ELLS = range(2, 5)
+
+    def test_each_analysis_gets_its_own_results(self, solves):
+        graphs = campaign_graphs()[:8]
+        analyses = [GraphAnalysis(g) for g in graphs]
+        solve_stacked((a, self.ELLS) for a in analyses)
+        assert len(solves) == 1
+        for g, a in zip(graphs, analyses):
+            assert a._solved == fresh_memo(g, self.ELLS)
+
+    def test_stacks_cross_analysis_boundaries(self, monkeypatch, solves):
+        graphs = campaign_graphs()[:8]
+        expected = [fresh_memo(g, self.ELLS) for g in graphs]
+        monkeypatch.setattr(bounds, "_STACK_BYTES", 5 * 8 * 12 * 12)
+        del solves[:]
+        analyses = [GraphAnalysis(g) for g in graphs]
+        solve_stacked((a, self.ELLS) for a in analyses)
+        pending = sum(len(a) for a in expected)
+        assert [len(stack) for stack, _ in solves] == [5] * (pending // 5) + ([pending % 5] if pending % 5 else [])
+        assert [a._solved for a in analyses] == expected
+
+    def test_only_pending_keys_are_solved(self, solves):
+        a, b = GraphAnalysis(erdos_renyi(12, 0.3, seed=3)), GraphAnalysis(erdos_renyi(12, 0.3, seed=4))
+        assert a.connected and not b.connected
+        a.solve([2])
+        assert a.pending([2, 3]) == [("g1", 3), ("g2", 3), ("power", 3)]
+        solve_stacked([(a, [2, 3]), (b, [2])])
+        # a: g1, g2 and L(G^3); b: only L(G), as its graph is disconnected
+        assert [len(stack) for stack, _ in solves] == [4, 3 + 1]
+
+    def test_nothing_pending_makes_no_call(self, solves):
+        solve_stacked([])
+        a = GraphAnalysis(path_graph(5))
+        a.solve([2])
+        solve_stacked([(a, [2]), (a, [2])])
+        assert len(solves) == 1
+
+    def test_mixed_orders_are_refused(self, solves):
+        with pytest.raises(ValueError, match=r"one order, got n in \[5, 6\]"):
+            solve_stacked([(GraphAnalysis(path_graph(5)), [2]), (GraphAnalysis(path_graph(6)), [2])])
+        assert solves == []
+
+
+class TestCampaignGroups:
+    """A campaign solves its trials in groups that fill one stack, with unchanged reports."""
+
+    CONFIGS = [
+        CampaignConfig(family="erdos_renyi", n=12, p=0.3, trials=60, seed=11),
+        CampaignConfig(family="erdos_renyi", n=12, p=0.3, trials=60, seed=12, ell_policy=2),
+    ]
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """("generate",) per generated trial and, per group solve, the pending counts of its trials."""
+        log = []
+        generate, solve = cli.generate, cli.solve_stacked
+
+        def generated(*args, **kwargs):
+            log.append(("generate",))
+            return generate(*args, **kwargs)
+
+        def solved(pairs):
+            pairs = list(pairs)
+            log.append(("solve", [len(a.pending(ells)) for a, ells in pairs], pairs))
+            solve(pairs)
+
+        monkeypatch.setattr(cli, "generate", generated)
+        monkeypatch.setattr(cli, "solve_stacked", solved)
+        return log
+
+    @staticmethod
+    def groups(events):
+        """Per group solve: (trials generated since the previous solve, pending counts, pairs)."""
+        out, generated = [], 0
+        for event in events:
+            if event[0] == "generate":
+                generated += 1
+            else:
+                out.append((generated, event[1], event[2]))
+                generated = 0
+        assert generated == 0  # every trial is solved
+        return out
+
+    def test_memo_equals_a_fresh_solve(self, events):
+        run_campaign(CampaignConfig(family="erdos_renyi", n=12, p=0.3, trials=300, seed=7))
+        groups = self.groups(events)
+        assert len(groups) > 1
+        for _, _, pairs in groups:
+            for a, ells in pairs:
+                assert a._solved == fresh_memo(a.graph, ells)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["all", "ell2"])
+    def test_a_five_matrix_budget_gives_the_same_report(self, monkeypatch, events, solves, config):
+        default = summary_json(run_campaign(config))
+        assert len(self.groups(events)) == len(solves) == 1
+        del events[:], solves[:]
+        monkeypatch.setattr(bounds, "_STACK_BYTES", 5 * 8 * config.n * config.n)
+        assert summary_json(run_campaign(config)) == default
+        assert max(len(stack) for stack, _ in solves) == 5
+        groups = self.groups(events)
+        assert sum(generated for generated, _, _ in groups) == config.trials
+        for k, (generated, counts, _) in enumerate(groups):
+            assert generated == len(counts)
+            # no trial is generated while the group already holds 5 pending matrices,
+            # and a group closes as soon as it holds 5 (the last one at the campaign's end)
+            assert sum(counts[:-1]) < 5
+            assert sum(counts) >= 5 or k == len(groups) - 1
+        assert any(len(counts) > 1 for _, counts, _ in groups)
+        # a group of more than 5 splits its last trial across two stacks
+        assert any(sum(counts) > 5 for _, counts, _ in groups)
 
 
 def test_campaign_members_are_checked_to_roundoff(solves):
