@@ -5,7 +5,11 @@ graphs. ``GraphAnalysis`` holds what every bound and certificate of one graph
 is computed from (distances, eccentricities, power graphs, Laplacians and
 their spectra), each computed once. ``solve_stacked`` decomposes the spectra
 that the checks of several analyses of one order read, in shared stacked
-eigensolves; ``GraphAnalysis.solve`` is that call on one analysis.
+eigensolves; ``GraphAnalysis.solve`` is that call on one analysis. The g1 and
+g2 certificate matrices go first, as integer matrices, to one batched
+verified Cholesky (``spectral.prove_psd_stack``); a proved certificate is PSD
+by proof (method "cholesky", min eigenvalue exactly 0.0), and only the others
+join the eigensolve (method "eigen").
 ``evaluate_all`` reads one analysis and collects the bound values, slacks,
 and tightness flags into a single report.
 """
@@ -24,9 +28,20 @@ from .metrics import (
     all_pairs_distances,
     count_s_ell,
     eccentricity_profile,
+    power_adjacency,
     power_graph,
 )
-from .spectral import CertificateResult, eigen_decompose_stack, lambda2, laplacian, psd_certificate
+from .spectral import (
+    PSD,
+    CertificateResult,
+    adjacency_laplacian,
+    eigen_decompose_stack,
+    lambda2,
+    laplacian,
+    prove_psd_stack,
+    psd_certificate,
+    psd_tolerance,
+)
 
 #: Fixed report order for bound values, slacks, and tightness flags.
 BOUND_NAMES = ("s1", "s2_over_n", "g1", "g1_diam", "mohar", "g2", "lu")
@@ -167,6 +182,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 _STACK_BYTES = 1 << 20
 #: Kinds of the spectra solved per ell: the g1 and g2 certificate matrices and L(G^ell).
 _PER_ELL = ("g1", "g2", "power")
+#: The kinds whose matrix is a PSD certificate, tried first by ``prove_psd_stack``.
+_CERTIFICATES = ("g1", "g2")
 #: Key of L(G) among an analysis's solved spectra; the others are (kind, ell).
 _LAMBDA2 = ("lambda2", 0)
 
@@ -179,12 +196,13 @@ def stack_members(n: int) -> int:
 class GraphAnalysis:
     """The distance matrix, eccentricity profile, power graphs and spectra of one graph.
 
-    Distances and the profile are computed on construction; ``power(ell)``, read
-    from the distances alone, and ``power_laplacian(ell)`` (L(G^ell), read-only)
-    are memoised per ell; ``laplacian`` (L(G), read-only) is computed on first
-    use. ``solve(ells)`` decomposes every spectrum the checks of those ells
-    read, in stacks of at most 1 MB, and memoises only the results: lambda2,
-    the g1 and g2 ``CertificateResult`` and lambda2(G^ell) per ell;
+    Distances and the profile are computed on construction; ``power(ell)`` and
+    ``power_laplacian(ell)`` (L(G^ell), read-only), each read from the
+    distances alone, are memoised per ell; ``laplacian`` (L(G), read-only) is
+    computed on first use. ``solve(ells)`` proves or decomposes every spectrum
+    the checks of those ells read, in stacks of at most 1 MB, and memoises
+    only the results: lambda2, the g1 and g2 ``CertificateResult`` and
+    lambda2(G^ell) per ell;
     ``solve_stacked`` does the same for several analyses at once. Pass one
     analysis to ``evaluate_all``, the certificates and ``check_chain`` so they
     share this work instead of each repeating it.
@@ -207,8 +225,9 @@ class GraphAnalysis:
         return self._powers[ell]
 
     def power_laplacian(self, ell: int) -> np.ndarray:
+        """L(G^ell) from the distance mask 1 <= d <= ell, bitwise ``laplacian(power_graph(dist, ell))``."""
         if ell not in self._power_laplacians:
-            self._power_laplacians[ell] = _read_only(laplacian(self.power(ell)))
+            self._power_laplacians[ell] = _read_only(adjacency_laplacian(power_adjacency(self.dist, ell)))
         return self._power_laplacians[ell]
 
     @cached_property
@@ -258,11 +277,19 @@ class GraphAnalysis:
             return self.laplacian
         if kind == "power":
             return self.power_laplacian(ell)
+        return self._coefficients(kind, ell)[0] * self.laplacian - self.power_laplacian(ell)
+
+    def _coefficients(self, kind: str, ell: int) -> tuple[float, int, int]:
+        """(coeff, icoeff, scale) of the g1 or g2 matrix coeff L(G) - L(G^ell).
+
+        Its ``scale`` multiple is the integer matrix icoeff L(G) - scale L(G^ell):
+        4 (gamma L(G) - L(G^ell)) = ((ell - 2) n^2 + 4n) L(G) - 4 L(G^ell) for g1,
+        the matrix itself, with icoeff = 1 + ell (e(G^ell) - m), for g2.
+        """
         if kind == "g1":
-            coeff = gamma(self.n, ell)
-        else:
-            coeff = float(1 + ell * (self.power(ell).m - self.m))
-        return coeff * self.laplacian - self.power_laplacian(ell)
+            return gamma(self.n, ell), (ell - 2) * self.n * self.n + 4 * self.n, 4
+        icoeff = 1 + ell * (self.power(ell).m - self.m)
+        return float(icoeff), icoeff, 1
 
 
 def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
@@ -282,17 +309,53 @@ def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
 
 
 def _decompose(items: list[tuple[GraphAnalysis, tuple[str, int]]]) -> None:
-    """Solve the spectra of the (analysis, key) items in stacks of ``stack_members``, each built when solved."""
+    """Solve the spectra of the (analysis, key) items in stacks of ``stack_members``, each built when solved.
+
+    The certificates go first to ``_prove``; the items it leaves unsolved are
+    then eigensolved in their order: a certificate gets ``psd_certificate``'s
+    verdict (method "eigen"), L(G) and L(G^ell) their lambda2.
+    """
     if not items:
         return
     per_stack = stack_members(items[0][0].n)
+    certificates = [(a, key) for a, key in items if key[0] in _CERTIFICATES]
+    for start in range(0, len(certificates), per_stack):
+        _prove(certificates[start : start + per_stack])
+    items = [(a, key) for a, key in items if key not in a._solved]
     for start in range(0, len(items), per_stack):
         chunk = items[start : start + per_stack]
         matrices = [a._matrix(*key) for a, key in chunk]
-        stack = np.stack(matrices) if len(matrices) > 1 else matrices[0][None]
+        stack = np.array(matrices) if len(matrices) > 1 else matrices[0][None]
         for (a, key), m, summary in zip(chunk, stack, eigen_decompose_stack(stack)):
-            certificate = key[0] in ("g1", "g2")
+            certificate = key[0] in _CERTIFICATES
             a._solved[key] = psd_certificate(m, summary) if certificate else float(summary.eigenvalues[1])
+
+
+def _prove(chunk: list[tuple[GraphAnalysis, tuple[str, int]]]) -> None:
+    """Record PSD, method "cholesky", for each certificate of the chunk that ``prove_psd_stack`` proves.
+
+    Each goes to the proof as its integer matrix icoeff L(G) - scale L(G^ell)
+    (``GraphAnalysis._coefficients``), built in one stacked step. A member is
+    left out, before any float conversion, unless n (|icoeff| + scale)(n - 1)
+    <= 2^53, which keeps every entry, row sum and trace exact (a huge ell can
+    break it). A proved result records the min eigenvalue 0.0, exact since
+    the matrix kills the constant vector and is PSD, and the ``psd_tolerance``
+    of the float matrix the eigensolver would have taken.
+    """
+    n = chunk[0][0].n
+    terms = [(a, key, *a._coefficients(*key)) for a, key in chunk]
+    terms = [t for t in terms if n * (abs(t[3]) + t[4]) * (n - 1) <= 2**53]
+    if not terms:
+        return
+    analyses, keys, *factors = zip(*terms)
+    lap = np.array([a.laplacian for a in analyses])
+    power = np.array([a.power_laplacian(ell) for a, (_, ell) in zip(analyses, keys)])
+    coeff, icoeff, scale = np.array(factors, dtype=np.float64)[:, :, None, None]
+    proved = prove_psd_stack(icoeff * lap - scale * power)
+    tolerances = psd_tolerance(coeff * lap - power)  # of every member: cheaper than picking the proved
+    for a, key, won, tol in zip(analyses, keys, proved.tolist(), tolerances.tolist()):
+        if won:
+            a._solved[key] = CertificateResult(0.0, tol, PSD, method="cholesky")
 
 
 def analysis_for(task: str, g: Graph | GraphAnalysis, ell: int, min_ell: int) -> GraphAnalysis:

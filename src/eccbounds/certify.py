@@ -6,9 +6,13 @@ Each eccentricity-count bound rests on a matrix being positive semi-definite:
 * ``(1 + ell * (e(G^ell) - m)) * L(G) - L(G^ell)`` for the edge-growth bound.
 
 A ``GraphAnalysis`` builds those matrices on concrete graphs and certifies
-them with the eigensolver; the functions here read its memo, which
-``GraphAnalysis.solve`` or ``bounds.solve_stacked`` fills in stacked calls,
-and solve a missing matrix alone. ``check_chain``
+them; the functions here read its memo, which ``GraphAnalysis.solve`` or
+``bounds.solve_stacked`` fills in stacked calls, and solve a missing matrix
+alone. Each matrix is first sent, as an integer multiple of itself, to a
+verified Cholesky (``spectral.prove_psd_stack``). A proved matrix gets
+``CertificateResult.method`` "cholesky", verdict PSD and a minimum eigenvalue
+of exactly 0.0. Only an unproved one (a tight or singular matrix, say) is
+eigensolved and judged by the scaled tolerance ("eigen"). ``check_chain``
 verifies, within ``bounds.tolerance``, the spectral chain connecting the two
 Laplacians: lambda2(G) >= lambda2(G^ell) / gamma >= s1(G^ell) / gamma, where
 s1(G^ell) = s_ell(G) counts the nodes of degree n - 1 (eccentricity <= 1).
@@ -52,8 +56,9 @@ def certify_g1_matrix(g: Graph | GraphAnalysis, ell: int) -> CertificateResult:
     """Certify that gamma(n, ell) * L(G) - L(G^ell) is positive semi-definite.
 
     The graph must be connected; this is the hypothesis under which the
-    matrix inequality holds. The verdict uses the scaled PSD tolerance, which
-    is recorded in the result.
+    matrix inequality holds. The verdict is a Cholesky proof or, failing
+    that, the eigensolver's with the scaled PSD tolerance; ``method`` says
+    which, and the tolerance is recorded either way.
     """
     a = analysis_for("certificate", g, ell, 2)
     if not a.connected:
@@ -65,7 +70,9 @@ def certify_g2_matrix(g: Graph | GraphAnalysis, ell: int) -> CertificateResult:
     """Certify that (1 + ell*(e(G^ell) - m)) * L(G) - L(G^ell) is PSD.
 
     Valid for ell >= 1 and for disconnected graphs as well; at ell = 1 the
-    matrix is identically zero. The verdict uses the scaled PSD tolerance.
+    matrix is identically zero. Proved or eigensolved as for g1; a
+    disconnected graph's matrix and the zero matrix are singular, so they are
+    eigensolved.
     """
     return analysis_for("certificate", g, ell, 1).spectrum("g2", ell)
 

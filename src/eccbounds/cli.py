@@ -172,10 +172,10 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     only the connectivity-dependent certificates and chain are omitted. Each
     graph gets one ``GraphAnalysis``, shared by every check on it. Trials are
     generated in order into a group until the group's pending spectra fill one
-    stack (``bounds.stack_members``); one ``solve_stacked`` call decomposes them
-    all, the checks then run trial by trial, and the group is dropped. So memory
-    stays within one stack's budget plus one trial, and a group whose first
-    trial fills a stack is that trial alone.
+    stack (``bounds.stack_members``); one ``solve_stacked`` call proves or
+    decomposes them all, the checks then run trial by trial, and the group is
+    dropped. So memory stays within one stack's budget plus one trial, and a
+    group whose first trial fills a stack is that trial alone.
     """
     summary = CampaignSummary(config=config)
     rng = np.random.default_rng(config.seed)

@@ -67,13 +67,18 @@ def count_s_ell(e: EccentricityProfile, ell: int) -> int:
     return int(np.count_nonzero((e.ecc >= 0) & (e.ecc <= ell)))
 
 
-def power_graph(dist: np.ndarray, ell: int) -> Graph:
-    """G^ell from G's distance matrix alone: an edge wherever 1 <= distance <= ell."""
+def power_adjacency(dist: np.ndarray, ell: int) -> np.ndarray:
+    """G^ell's dense boolean adjacency matrix from G's distance matrix: 1 <= distance <= ell."""
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     adj = dist > 0
     adj &= dist <= ell
-    return Graph.from_adjacency(adj)
+    return adj
+
+
+def power_graph(dist: np.ndarray, ell: int) -> Graph:
+    """G^ell from G's distance matrix alone: an edge wherever 1 <= distance <= ell."""
+    return Graph.from_adjacency(power_adjacency(dist, ell))
 
 
 def power_edges(g: Graph, ell: int) -> tuple[np.ndarray, np.ndarray]:

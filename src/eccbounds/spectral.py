@@ -6,7 +6,11 @@ matrices: one symmetry test, one LAPACK ``eigh`` call, one
 ascending eigenpairs, and the residual and orthogonality checks of every
 member. Each member gets its own ``SpectralSummary``, bitwise the one it
 gets when solved alone; ``eigen_decompose`` is the core on a stack of one.
-The module keeps no state between calls.
+``prove_psd_stack`` is the proof that comes before it for integer matrices
+with zero row sums, such as the g1 and g2 certificate matrices: one batched
+floating-point Cholesky, whose success proves the member PSD outright, so
+only the members it cannot prove are eigensolved. The module keeps no state
+between calls.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ PSD_REL_TOL = 1e-8
 
 PSD = "PSD"
 NOT_PSD = "NOT_PSD"
+
+#: Unit roundoff of IEEE double precision, and the factor that rounds the Cholesky shift up.
+_UNIT_ROUNDOFF = 2.0**-53
+_ROUND_UP = 1.0 + 2.0**-39
 
 
 @dataclass(frozen=True)
@@ -44,11 +52,19 @@ class SpectralSummary:
 
 @dataclass(frozen=True)
 class CertificateResult:
-    """Positive-semi-definiteness verdict with the tolerance actually used."""
+    """Positive-semi-definiteness verdict with the tolerance of the eigensolver's verdict rule.
+
+    ``method`` says how the verdict was reached. "eigen": the minimum eigenvalue
+    of a full decomposition against ``tolerance`` (``psd_certificate``).
+    "cholesky": ``prove_psd_stack`` proved the matrix PSD with its null space
+    exactly the constant vectors, so ``min_eigenvalue`` is exactly 0.0 and the
+    verdict is PSD by proof; ``tolerance`` is still the one an eigensolve would use.
+    """
 
     min_eigenvalue: float
     tolerance: float
     verdict: str  # PSD | NOT_PSD
+    method: str = "eigen"  # eigen | cholesky
 
 
 def inf_norm(a: np.ndarray) -> float:
@@ -60,8 +76,13 @@ def inf_norm(a: np.ndarray) -> float:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Degree-diagonal minus adjacency; exactly symmetric, rows sum to zero."""
-    lap = -g.adjacency_matrix().astype(np.float64)
-    np.fill_diagonal(lap, g.degrees().astype(np.float64))
+    return adjacency_laplacian(g.adjacency_matrix())
+
+
+def adjacency_laplacian(adj: np.ndarray) -> np.ndarray:
+    """The Laplacian of a dense symmetric boolean adjacency matrix: its negation, row counts on the diagonal."""
+    lap = -adj.astype(np.float64)
+    np.fill_diagonal(lap, np.count_nonzero(adj, axis=1))
     return lap
 
 
@@ -123,8 +144,10 @@ def lambda2(g: Graph) -> float:
     return float(summary.eigenvalues[1])
 
 
-def psd_tolerance(a: np.ndarray) -> float:
-    """Default PSD tolerance, scaled to the matrix magnitude."""
+def psd_tolerance(a: np.ndarray) -> float | np.ndarray:
+    """Default PSD tolerance PSD_REL_TOL * max(1, ||A||_inf); of each member, as a (B,) array, for a stack."""
+    if a.ndim == 3:
+        return PSD_REL_TOL * np.maximum(1.0, np.abs(a).sum(axis=2).max(axis=1))
     return PSD_REL_TOL * max(1.0, inf_norm(a))
 
 
@@ -138,6 +161,85 @@ def psd_certificate(a: np.ndarray, summary: SpectralSummary) -> CertificateResul
     min_eigenvalue = float(summary.eigenvalues[0])
     verdict = PSD if min_eigenvalue >= -tol else NOT_PSD
     return CertificateResult(min_eigenvalue=min_eigenvalue, tolerance=tol, verdict=verdict)
+
+
+def prove_psd_stack(stack: np.ndarray) -> np.ndarray:
+    """Which members of a (B, n, n) stack a verified Cholesky proves PSD, as a (B,) bool array.
+
+    A member qualifies when it is exactly symmetric, every entry is an integer
+    and n * max|a_ij| <= 2^53 (so the matrix, its row sums and its trace are
+    exact in double precision), and every row sums to zero. Any other member,
+    and every member when n < 2, is declined (False). True is a proof that the
+    member M is positive semi-definite with null space exactly the constant
+    vectors; False proves nothing either way.
+
+    Grounding: M 1 = 0 gives x^T M x = y^T A y for y = x - x_n 1 without its
+    last entry, where A is M without its last row and column. So M >= 0 if
+    A >= 0, and A > 0 leaves M only the null vector 1, so lambda_min(M) = 0.
+
+    The proof that A > 0 (order k = n - 1) is S. M. Rump's, "Verification of
+    positive definiteness", BIT 46 (2006). Take the shift
+    c >= g/(1 - g) tr(A) + u max_i a_ii + 4k(2(k + 2) + max_i a_ii) eta,
+    with u = 2^-53, eta = 2^-1074 and g = gamma_{k+2} = (k + 2)u/(1 - (k + 2)u);
+    max_i a_ii <= 2^53 bounds the last term by k 2^-1018. Let
+    B = fl(A - cI), so B = A - cI - E with E diagonal. If floating-point
+    Cholesky of B runs to completion, then b_ii > 0 (each pivot is b_ii less
+    a sum of squares), so a_ii > c >= 0, tr(B) <= tr(A) and |E_ii| <= u a_ii.
+    Higham's backward error bound (*Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., Thm 10.3; its proof needs only that the
+    factorisation completes, and holds for any order of evaluation, so for
+    LAPACK's blocked Cholesky too) gives R^T R = B + D with
+    |D| <= gamma_{k+1} |R^T||R|. gamma_{k+2} also covers a LAPACK that scales
+    a column by a rounded reciprocal of its pivot instead of dividing, and
+    the last term of c the absolute error gradual underflow adds to each
+    product and quotient. Since ||R||_F^2 = tr(B + D) <= tr(B) + g ||R||_F^2,
+    ||D||_2 <= g ||R||_F^2 <= g tr(B)/(1 - g), and B + D = R^T R >= 0 gives
+    lambda_min(A) >= c - g tr(B)/(1 - g) - max|E_ii| - (underflow) > 0. c is
+    computed in a few roundings of relative size u, with both coefficients
+    raised by a relative 2^-39, far more than those roundings can lose.
+
+    All qualifying members go to one batched ``np.linalg.cholesky`` call. It
+    raises for the whole stack if any member fails, and then each member is
+    factored on its own. A tight or singular member (a tight bound) fails and
+    is left to the eigensolver, as is any member whose smallest eigenvalue
+    is within about n * u * tr(A) of 0.
+    """
+    a = np.asarray(stack, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    count, n = a.shape[:2]
+    if n < 2 or not count:
+        return np.zeros(count, dtype=bool)
+    # rint(A) == A^T holds exactly when A is integer-valued and symmetric; "<=" so
+    # that a NaN or inf entry declines its member
+    fits = (np.rint(a) == a.transpose(0, 2, 1)).all(axis=(1, 2))
+    fits &= np.abs(a).max(axis=(1, 2)) * n <= 2.0**53
+    fits &= (a.sum(axis=2) == 0.0).all(axis=1)
+    if not fits.all():
+        proved = np.zeros(count, dtype=bool)
+        proved[fits] = prove_psd_stack(a[fits])
+        return proved
+    k = n - 1
+    grounded = a[:, :k, :k].copy()
+    diagonal = grounded.reshape(count, -1)[:, :: k + 1]  # a view: the copy is contiguous
+    # clamped so that c >= 0; a member with a negative diagonal entry fails anyway
+    trace = np.maximum(diagonal.sum(axis=1), 0.0)
+    top = np.maximum(diagonal.max(axis=1), 0.0)
+    g = (k + 2) * _UNIT_ROUNDOFF / (1.0 - (k + 2) * _UNIT_ROUNDOFF)
+    shift = _ROUND_UP * g / (1.0 - g) * trace + _ROUND_UP * _UNIT_ROUNDOFF * top + k * 2.0**-1018
+    diagonal -= shift[:, None]  # B = fl(A - cI)
+    if _cholesky_completes(grounded):
+        return fits
+    return np.array([_cholesky_completes(b) for b in grounded])
+
+
+def _cholesky_completes(b: np.ndarray) -> bool:
+    """Whether floating-point Cholesky of ``b`` (one matrix or a stack) runs to completion."""
+    try:
+        np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def is_psd(a: np.ndarray) -> CertificateResult:

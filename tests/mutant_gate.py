@@ -38,6 +38,8 @@ CHAIN = ("tests/test_certify.py::TestCheckChain",)
 POWER = ("tests/test_metrics.py::TestBoundedSearch", "tests/test_kernels.py::TestBoundedBfs")
 PAIRING = ("tests/test_cli.py::test_golden_report", "tests/test_stacked.py::TestCampaignGroups::test_memo_equals_a_fresh_solve")
 GROUPS = ("tests/test_stacked.py::TestCampaignGroups::test_a_five_matrix_budget_gives_the_same_report",)
+PROOF = ("tests/test_psd_proof.py",)
+JACOBI = ("tests/test_kernels.py::TestJacobiKernels", "tests/test_spectral.py")
 
 #: ``_levels`` returning before it yields its last level: it first looks one level ahead
 LEVELS_STOP = "        new &= ~rows\n        if not new.any():\n            return\n"
@@ -81,6 +83,22 @@ MUTANTS = (
            PAIRING),
     Mutant("campaign group closes only at the end", "cli.py",
            "if pending >= per_stack or trial + 1 == config.trials:", "if trial + 1 == config.trials:", GROUPS),
+    Mutant("Cholesky proof without its shift", "spectral.py",
+           "diagonal -= shift[:, None]", "diagonal -= 0.0 * shift[:, None]", PROOF),
+    Mutant("g1's integer coefficient off by one", "bounds.py",
+           "(ell - 2) * self.n * self.n + 4 * self.n, 4", "(ell - 2) * self.n * self.n + 4 * self.n + 1, 4", PROOF),
+    Mutant("a failed batched Cholesky proves the whole stack", "spectral.py",
+           "return np.array([_cholesky_completes(b) for b in grounded])", "return fits", PROOF),
+    Mutant("Jacobi column update with the sign of s flipped", "_kernels.py",
+           "a[:, q] = s * ap + c * aq", "a[:, q] = -s * ap + c * aq", JACOBI),
+    Mutant("Jacobi stopping rule 1e-6", "_kernels.py",
+           "OFF_DIAG_REL_TOL = 1e-12", "OFF_DIAG_REL_TOL = 1e-6", JACOBI),
+    Mutant("Jacobi pre-check passes a NaN norm", "_kernels.py",
+           "np.flatnonzero(~(norms <= off_tol))", "np.flatnonzero(norms > off_tol)", JACOBI),
+    Mutant("Jacobi sweep loop stops at a NaN norm", "_kernels.py",
+           "while not off <= off_tol:", "while off > off_tol:", JACOBI),
+    Mutant("Jacobi takes the negative root at theta = -0.0", "_kernels.py",
+           "np.where(th >= 0.0, 1.0, -1.0)", "np.where(th > 0.0, 1.0, -1.0)", JACOBI),
 )
 
 

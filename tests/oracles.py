@@ -4,7 +4,10 @@ Nothing here shares code with the package under test: distances come from
 Floyd-Warshall instead of BFS, spectra come from scipy's implicit-QR LAPACK
 driver (``dsyev``) or integer characteristic-polynomial arithmetic instead of
 the package's numpy ``eigh`` (divide and conquer, ``dsyevd``) and Jacobi
-sweeps, and expected eigenvalues come from closed forms. The edge-list
+sweeps, and expected eigenvalues come from closed forms. PSD questions about
+rational matrices are settled by exact LDL^T elimination on ``Fraction``s
+instead of the package's floating-point Cholesky proof, and the certificate
+matrices are rebuilt in ``Fraction``s from the paper's formulas. The edge-list
 reader and writer are the line-at-a-time ``int`` and ``"%d %d\n"`` versions
 that the package's bulk parser and table-driven serializer replaced, and
 random trees come from the pointer-walk Prüfer decode that the package's
@@ -83,6 +86,50 @@ def char_poly_value(a: np.ndarray, lam: int) -> Fraction:
         return total
 
     return det(m)
+
+
+def exact_definiteness(a) -> tuple[bool, bool]:
+    """(PSD, positive definite) of a symmetric rational matrix, by exact LDL^T on ``Fraction``s.
+
+    Elimination without pivoting: a negative pivot proves the matrix is not
+    PSD, and so does a zero pivot whose row is not zero (a 2 x 2 principal
+    minor [[0, x], [x, y]] is -x^2 < 0); a zero pivot with a zero row makes it
+    singular and is skipped.
+    """
+    m = [[Fraction(x) for x in row] for row in a]
+    definite = True
+    for k, row in enumerate(m):
+        pivot = row[k]
+        if pivot < 0 or (pivot == 0 and any(row[k + 1 :])):
+            return False, False
+        if pivot == 0:
+            definite = False
+            continue
+        for i in range(k + 1, len(m)):
+            factor = m[i][k] / pivot
+            for j in range(k + 1, len(m)):
+                m[i][j] -= factor * row[j]
+    return True, definite
+
+
+def certificate_matrix(adj: np.ndarray, ell: int, kind: str) -> list[list[Fraction]]:
+    """The g1 or g2 certificate matrix c L(G) - L(G^ell) in ``Fraction``s, from the paper's formulas.
+
+    c is gamma = (ell - 2 + 4/n) n^2 / 4 for g1 and 1 + ell (e(G^ell) - m) for
+    g2; G^ell comes from Floyd-Warshall, each Laplacian from its adjacency.
+    """
+    n = adj.shape[0]
+    power = power_adjacency(adj, ell)
+
+    def lap(b):
+        return [[Fraction(int(b[i].sum()) if i == j else -int(b[i, j])) for j in range(n)] for i in range(n)]
+
+    if kind == "g1":
+        c = (ell - 2 + Fraction(4, n)) * n * n / 4
+    else:
+        c = 1 + ell * (int(power.sum()) // 2 - int(adj.sum()) // 2)
+    base, top = lap(adj), lap(power)
+    return [[c * x - y for x, y in zip(row, top_row)] for row, top_row in zip(base, top)]
 
 
 def lambda2_path(n: int) -> float:

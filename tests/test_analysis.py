@@ -27,6 +27,17 @@ class TestGraphAnalysis:
         for ell in (1, 2, 3):
             assert a.power(ell) == power_graph(all_pairs_distances(g), ell)
 
+    @pytest.mark.parametrize("g", [erdos_renyi(11, 0.35, seed=3), path_graph(7), TWO_DISJOINT_EDGES, Graph.from_edges(3, [])])
+    def test_power_laplacian_is_bitwise_the_power_graphs(self, g):
+        # read from the distance mask, not from a Graph: the same bits, -0.0 off the edges included
+        a = GraphAnalysis(g)
+        for ell in (1, 2, 3, 6):
+            lap = a.power_laplacian(ell)
+            expected = laplacian(power_graph(all_pairs_distances(g), ell))
+            assert lap.dtype == expected.dtype and lap.tobytes() == expected.tobytes()
+            assert a.power_laplacian(ell) is lap and not lap.flags.writeable
+        assert a._powers == {}  # no power graph was built for them
+
     def test_power_and_spectrum_are_computed_once(self, monkeypatch):
         a = GraphAnalysis(path_graph(6))
         assert a.power(2) is a.power(2)

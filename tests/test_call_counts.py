@@ -33,6 +33,23 @@ def kernel_calls(monkeypatch):
 
 
 @pytest.fixture
+def proof_calls(monkeypatch):
+    """Counts ``prove_psd_stack`` calls, with the certificates they receive and prove."""
+    counts = {"calls": 0, "certificates": 0, "proved": 0}
+    original = spectral.prove_psd_stack
+
+    def counted(stack):
+        proved = original(stack)
+        counts["calls"] += 1
+        counts["certificates"] += len(stack)
+        counts["proved"] += int(proved.sum())
+        return proved
+
+    oracles.patch_everywhere(monkeypatch, original, counted)
+    return counts
+
+
+@pytest.fixture
 def laplacian_builds(monkeypatch):
     """Counts ``spectral.laplacian`` calls through every eccbounds module that imports it."""
     original = spectral.laplacian
@@ -61,15 +78,16 @@ def test_check_chain_on_a_built_analysis_makes_no_bfs(kernel_calls):
 
 class TestKernelCallCounts:
     """One BFS per graph, whatever ell is checked: chain link 3 reads s1(G^ell)
-    from the power graph's degrees. Each spectrum is solved once: L(G) and,
-    per connected (graph, ell) check, the two certificate matrices and
-    L(G^ell), stacked across trials up to the stack budget, so a campaign whose
-    matrices fit one stack makes one stacked eigensolve. L(G) is built once per
-    graph and L(G^ell) once per connected check, shared by both certificates
-    and the chain."""
+    from the power graph's degrees. Per connected (graph, ell) check, the two
+    certificate matrices go to one batched Cholesky proof, and here every one
+    is proved; so only L(G) and L(G^ell) are eigensolved, each once, stacked
+    across trials up to the stack budget, and a campaign whose matrices fit one
+    stack makes one stacked eigensolve. ``spectral.laplacian`` builds only
+    L(G), once per graph; L(G^ell) is read from the distance matrix once per
+    connected check and shared by both certificates and the chain."""
 
     @pytest.mark.parametrize("ell_policy", ["all", 3])
-    def test_campaign(self, kernel_calls, laplacian_builds, ell_policy):
+    def test_campaign(self, kernel_calls, proof_calls, laplacian_builds, ell_policy):
         config = CampaignConfig(
             family="erdos_renyi", n=8, p=0.3, trials=12, seed=5, ell_policy=ell_policy
         )
@@ -90,11 +108,12 @@ class TestKernelCallCounts:
         assert summary.violations == []
         assert summary.checks == connected_checks + disconnected
         assert kernel_calls["bfs_all_pairs"] == config.trials
-        assert kernel_calls["matrices"] == config.trials + 3 * connected_checks
+        assert proof_calls == {"calls": 1, "certificates": 2 * connected_checks, "proved": 2 * connected_checks}
+        assert kernel_calls["matrices"] == config.trials + connected_checks
         # every matrix of the campaign fits one stack (2,048 members at n = 8)
-        assert kernel_calls["matrices"] < stack_members(config.n)
+        assert config.trials + 3 * connected_checks < stack_members(config.n)
         assert kernel_calls["eigen_decompose_stack"] == 1
-        assert laplacian_builds[0] == config.trials + connected_checks
+        assert laplacian_builds[0] == config.trials
 
     @pytest.mark.parametrize("family", ["path", "cycle", "star", "complete"])
     def test_tightness_solves_each_member_once(self, kernel_calls, family):

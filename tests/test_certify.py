@@ -25,10 +25,12 @@ class TestCertifyG1:
     def test_path4_ell3(self):
         res = certify_g1_matrix(path_graph(4), 3)
         assert res.verdict == PSD
-        # independent reconstruction of the certificate matrix
+        # independent reconstruction of the certificate matrix: it is positive definite
+        # off the constant vector, so the Cholesky proof settles it and its minimum
+        # eigenvalue is exactly 0.0, with the tolerance an eigensolve would use
         m = gamma(4, 3) * laplacian(path_graph(4)) - laplacian(complete_graph(4))
-        direct = is_psd(m)
-        assert res.min_eigenvalue == direct.min_eigenvalue
+        assert (res.method, res.min_eigenvalue) == ("cholesky", 0.0)
+        assert is_psd(m).verdict == PSD
         assert res.tolerance == psd_tolerance(m)
 
     def test_complete_graphs_reduce_to_scaled_laplacian(self):
@@ -71,13 +73,13 @@ class TestCertifyG2:
     def test_path3_ell2_is_tight(self):
         res = certify_g2_matrix(path_graph(3), 2)
         assert res.verdict == PSD
-        # the bound is tight on P3, so the matrix is singular
-        assert abs(res.min_eigenvalue) <= res.tolerance
+        # the bound is tight on P3, so the matrix is singular: no proof, an eigensolve
+        assert res.method == "eigen" and abs(res.min_eigenvalue) <= res.tolerance
 
     def test_ell_one_gives_zero_matrix(self):
         for g in (path_graph(5), cycle_graph(6), TWO_DISJOINT_EDGES):
             res = certify_g2_matrix(g, 1)
-            assert res.verdict == PSD
+            assert res.verdict == PSD and res.method == "eigen"
             assert res.min_eigenvalue == 0.0
 
     def test_path4_ell2(self):
@@ -87,11 +89,12 @@ class TestCertifyG2:
         res = certify_g2_matrix(g, 2)
         assert res.verdict == PSD
         m = 5.0 * laplacian(g) - laplacian(power)
-        assert res.min_eigenvalue == is_psd(m).min_eigenvalue
+        assert (res.method, res.min_eigenvalue, res.tolerance) == ("cholesky", 0.0, psd_tolerance(m))
+        assert is_psd(m).verdict == PSD
 
     def test_disconnected_accepted(self):
         res = certify_g2_matrix(TWO_DISJOINT_EDGES, 3)
-        assert res.verdict == PSD
+        assert res.verdict == PSD and res.method == "eigen"  # singular: L(G) and L(G^3) share two null vectors
 
     def test_random_graphs_all_psd(self):
         rng = np.random.default_rng(31)

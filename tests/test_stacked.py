@@ -18,6 +18,8 @@ from eccbounds.graphs import (
     star_graph,
 )
 from eccbounds.spectral import (
+    PSD,
+    CertificateResult,
     JacobiConvergenceError,
     eigen_decompose,
     eigen_decompose_stack,
@@ -61,6 +63,22 @@ def members_of_order(n: int) -> list[np.ndarray]:
         members += [a.laplacian, a.power_laplacian(2)]
         members += [gamma(n, 2) * a.laplacian - a.power_laplacian(2), coeff * a.laplacian - a.power_laplacian(2)]
     return members
+
+
+def assert_agrees_with_is_psd(cert: CertificateResult, m: np.ndarray) -> None:
+    """An eigensolved certificate is ``is_psd(m)``; a proved one reads exactly 0.0, with is_psd's
+    tolerance, and is_psd says PSD too."""
+    direct = is_psd(m)
+    if cert.method == "cholesky":
+        assert (cert.min_eigenvalue, cert.tolerance, cert.verdict) == (0.0, direct.tolerance, PSD)
+        assert direct.verdict == PSD
+    else:
+        assert cert == direct
+
+
+def eigensolved(memo: dict) -> int:
+    """How many of a memo's results came from the eigensolver: all but the proved certificates."""
+    return sum(getattr(result, "method", "eigen") == "eigen" for result in memo.values())
 
 
 def assert_same_summary(stacked, alone):
@@ -200,7 +218,7 @@ class TestGraphAnalysisSolve:
         for ell in ells:
             assert certify_g1_matrix(a, ell) == certify_g1_matrix(g, ell)
             assert certify_g2_matrix(a, ell) == certify_g2_matrix(g, ell)
-            assert certify_g1_matrix(a, ell) == is_psd(gamma(a.n, ell) * a.laplacian - a.power_laplacian(ell))
+            assert_agrees_with_is_psd(certify_g1_matrix(a, ell), gamma(a.n, ell) * a.laplacian - a.power_laplacian(ell))
             assert check_chain(a, ell) == check_chain(g, ell)
             assert a.spectrum("power", ell) == eigen_decompose(a.power_laplacian(ell)).eigenvalues[1]
 
@@ -208,19 +226,23 @@ class TestGraphAnalysisSolve:
         a = GraphAnalysis(erdos_renyi(12, 0.3, seed=3))
         assert a.connected and a.profile.diameter >= 3
         a.solve([2, 3])
-        assert [len(stack) for stack, _ in solves] == [1 + 3 * 2]
+        # every certificate is proved: L(G), L(G^2) and L(G^3) are eigensolved
+        assert eigensolved(a._solved) == 3 and len(a._solved) == 7
+        assert [len(stack) for stack, _ in solves] == [1 + 2]
         a.solve([2, 3])
         a.lambda2, certify_g1_matrix(a, 3), certify_g2_matrix(a, 2), check_chain(a, 3)
         assert len(solves) == 1
         a.solve([2, 3, 4])
-        assert [len(stack) for stack, _ in solves] == [7, 3]
+        assert [len(stack) for stack, _ in solves] == [3, 1]
 
     def test_a_miss_solves_only_the_missing_matrix(self, solves):
         g = erdos_renyi(30, 0.2, seed=3)
         assert GraphAnalysis(g).connected
-        certify_g1_matrix(g, 2), certify_g2_matrix(g, 2), check_chain(g, 2)
-        # one solve per lone certificate, two (L(G) and L(G^2)) for the chain
-        assert [len(stack) for stack, _ in solves] == [1, 1, 1, 1]
+        g1, g2 = certify_g1_matrix(g, 2), certify_g2_matrix(g, 2)
+        check_chain(g, 2)
+        # each lone certificate is proved without an eigensolve; the chain solves L(G) and L(G^2)
+        assert g1.method == g2.method == "cholesky"
+        assert [len(stack) for stack, _ in solves] == [1, 1]
         a = GraphAnalysis(g)
         certify_g2_matrix(a, 3)
         assert list(a._solved) == [("g2", 3)]
@@ -246,7 +268,9 @@ class TestGraphAnalysisSolve:
         monkeypatch.setattr(bounds, "_STACK_BYTES", 1)
         a = GraphAnalysis(path_graph(6))
         a.solve([2])
-        assert [stack.shape for stack, _ in solves] == [(1, 6, 6)] * 4
+        # the two certificates are proved; L(G) and L(G^2) are eigensolved one at a time
+        assert eigensolved(a._solved) == 2
+        assert [stack.shape for stack, _ in solves] == [(1, 6, 6)] * 2
         assert np.shares_memory(solves[0][0], a.laplacian)
 
     def test_disconnected_graph_solves_only_its_laplacian(self):
@@ -286,7 +310,7 @@ class TestSolveStacked:
         del solves[:]
         analyses = [GraphAnalysis(g) for g in graphs]
         solve_stacked((a, self.ELLS) for a in analyses)
-        pending = sum(len(a) for a in expected)
+        pending = sum(eigensolved(memo) for memo in expected)
         assert [len(stack) for stack, _ in solves] == [5] * (pending // 5) + ([pending % 5] if pending % 5 else [])
         assert [a._solved for a in analyses] == expected
 
@@ -296,8 +320,9 @@ class TestSolveStacked:
         a.solve([2])
         assert a.pending([2, 3]) == [("g1", 3), ("g2", 3), ("power", 3)]
         solve_stacked([(a, [2, 3]), (b, [2])])
-        # a: g1, g2 and L(G^3); b: only L(G), as its graph is disconnected
-        assert [len(stack) for stack, _ in solves] == [4, 3 + 1]
+        # a: g1 and g2, both proved, and L(G^3); b: only L(G), as its graph is disconnected
+        assert a._solved[("g1", 3)].method == a._solved[("g2", 3)].method == "cholesky"
+        assert [len(stack) for stack, _ in solves] == [2, 1 + 1]
 
     def test_nothing_pending_makes_no_call(self, solves):
         solve_stacked([])
@@ -366,8 +391,14 @@ class TestCampaignGroups:
         assert len(self.groups(events)) == len(solves) == 1
         del events[:], solves[:]
         monkeypatch.setattr(bounds, "_STACK_BYTES", 5 * 8 * config.n * config.n)
+        prove, proof_sizes = bounds.prove_psd_stack, []
+        monkeypatch.setattr(bounds, "prove_psd_stack", lambda stack: proof_sizes.append(len(stack)) or prove(stack))
         assert summary_json(run_campaign(config)) == default
-        assert max(len(stack) for stack, _ in solves) == 5
+        # no proof or eigensolve stack holds more than 5 members; with ell 2 alone a group's
+        # eigensolve holds two matrices a connected trial (its certificates are proved), so
+        # only the "all" campaign fills a stack
+        sizes = proof_sizes + [len(stack) for stack, _ in solves]
+        assert max(sizes) == 5 if config.ell_policy == "all" else max(sizes) <= 5
         groups = self.groups(events)
         assert sum(generated for generated, _, _ in groups) == config.trials
         for k, (generated, counts, _) in enumerate(groups):
@@ -383,8 +414,9 @@ class TestCampaignGroups:
 
 def test_campaign_members_are_checked_to_roundoff(solves):
     """Criterion 8's numerics on every member of a campaign's stacked solves."""
+    # the certificates are proved, not eigensolved: 50 trials each give the eigensolver over 500 members
     for family, n in (("erdos_renyi", 12), ("random_tree", 14), ("erdos_renyi", 30)):
-        config = CampaignConfig(family=family, n=n, p=0.3 if family == "erdos_renyi" else None, trials=20, seed=9)
+        config = CampaignConfig(family=family, n=n, p=0.3 if family == "erdos_renyi" else None, trials=50, seed=9)
         assert run_campaign(config).violations == []
     quality = [
         (s.residual / max(1.0, spectral.inf_norm(a)), s.orthogonality_error)
