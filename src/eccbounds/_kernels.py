@@ -6,7 +6,8 @@ ceil(n/64) uint64 words, and one level ORs into every row its neighbours'
 rows, O(m * n/64) word operations and no BLAS. ``bfs_all_pairs`` runs it to
 the end for the distance matrix; ``power_pairs`` stops it after ell levels,
 when row u is u's closed ell-neighbourhood, and reads G^ell's edges from the
-rows, with no distance matrix. Neither depends on the BLAS build or threads.
+rows, a bounded block at a time, with no distance matrix. Neither depends on
+the BLAS build or threads.
 ``jacobi_sweeps`` is the Jacobi half of the eigensolver and owns every
 Jacobi decision: given a (B, n, n) stack and LAPACK ``eigh``'s basis Q, it
 forms W = Q^T A Q, tests the stopping rule (OFF_DIAG_REL_TOL) for every
@@ -26,6 +27,7 @@ import numpy as np
 
 _THETA_OVERFLOW = 1.0e150  # beyond this, tan(angle/2) collapses to 1/(2*theta)
 _GATHER_WORDS = 1 << 20  # cap on the neighbour rows gathered at once (8 MB)
+_PAIR_BLOCK = 1 << 20  # cap on the pairs power_pairs expands at once, unless one row may hold more
 # per byte value: its set-bit count, and its set bits ascending as a run of _BIT_POSITIONS
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 _POPCOUNT = _BYTE_BITS.sum(axis=1, dtype=np.int64)
@@ -62,13 +64,8 @@ def _levels(indptr, indices, n):
     nbrs = np.full(seg[-1], n, dtype=np.int64)
     edge_row = np.repeat(nodes, deg)
     nbrs[seg[edge_row] + np.arange(indices.size) - indptr[edge_row]] = indices
-    # runs of rows whose neighbour lists fit the gather buffer; a row whose
-    # list alone exceeds it gets a run of its own
-    cap = max(1, _GATHER_WORDS // words)
-    cuts = [0]
-    while cuts[-1] < n:
-        a = cuts[-1]
-        cuts.append(max(a + 1, int(np.searchsorted(seg, seg[a] + cap, "right")) - 1))
+    # runs of rows whose neighbour lists fit the gather buffer
+    cuts = _cuts(seg, max(1, _GATHER_WORDS // words))
     runs = [(a, b, nbrs[seg[a]:seg[b]], seg[a:b] - seg[a]) for a, b in zip(cuts[:-1], cuts[1:])]
     gathered = np.empty((max(r[2].size for r in runs), words), dtype=np.uint64)
     rows = reach[:n]
@@ -115,12 +112,28 @@ def bfs_all_pairs(indptr, indices, n):
     return dist
 
 
-def power_pairs(indptr, indices, n, ell):
-    """G^ell's edges as lexicographic endpoint arrays (us, vs), u < v, from ``_levels``.
+def _cuts(offsets, cap):
+    """Cut points 0 = c_0 < c_1 < ... = n of runs of items, item i spanning offsets[i]..offsets[i + 1].
 
-    After ell levels (or the last) row u is u's closed ell-neighbourhood. Cut to
-    the bits above u, its nonzero bytes (words read little-endian) expand through
-    256-entry popcount and bit-position tables: O(n * n/8 + e(G^ell)), no n x n array.
+    Each run spans at most ``cap``, except an item that alone spans more: it is a run of its own.
+    """
+    cuts = [0]
+    while cuts[-1] < offsets.size - 1:
+        a = cuts[-1]
+        cuts.append(max(a + 1, int(np.searchsorted(offsets, offsets[a] + cap, "right")) - 1))
+    return cuts
+
+
+def power_pairs(indptr, indices, n, ell):
+    """G^ell's edges u < v, from ``_levels``, as an iterator of lexicographic blocks (us, vs).
+
+    The search runs on the call: after ell levels (or the last) row u is u's
+    closed ell-neighbourhood, and it is cut to the bits above u. The blocks are
+    runs of whole rows that may hold at most _PAIR_BLOCK pairs, row u at most
+    n - 1 - u (a row that may hold more is a block alone), each expanded when
+    it is taken: its nonzero bytes (words read little-endian) go through
+    256-entry popcount and bit-position tables. O(n * n/8 + e(G^ell)) in all,
+    no n x n array, one block's pairs at a time.
     """
     for level, (rows, _) in enumerate(_levels(indptr, indices, n)):
         if level == ell:
@@ -129,14 +142,23 @@ def power_pairs(indptr, indices, n, ell):
     # ~1 << (u % 64) clears bits 0..u % 64 of u's own word, bit 63 included
     rows[nodes, nodes // 64] &= np.left_shift(~np.uint64(1), (nodes % 64).astype(np.uint64))
     rows[np.arange(rows.shape[1]) < (nodes // 64)[:, None]] = 0
-    flat = rows.astype("<u8", copy=False).view(np.uint8).ravel()
+    row_bytes = rows.astype("<u8", copy=False).view(np.uint8)
+    # rows 0..u - 1 hold at most (n - 1) + ... + (n - u) pairs
+    cuts = _cuts(np.arange(n + 1) * (2 * n - 1 - np.arange(n + 1)) // 2, _PAIR_BLOCK)
+    return (_row_pairs(row_bytes[a:b], a) for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+def _row_pairs(row_bytes, first):
+    """The set bits of (rows, 8 * words) little-endian bitset bytes as pairs (first + row, bit)."""
+    flat = row_bytes.ravel()
     at = np.flatnonzero(flat != 0)  # numpy finds the nonzeros of a bool mask faster than of bytes
     byte = flat[at]
     counts = _POPCOUNT[byte]
     # pair k is set bit (k - the byte's first pair) of its byte, in the byte's run of _BIT_POSITIONS
     shift = np.repeat(_BIT_START[byte] - np.cumsum(counts) + counts, counts)
     shift += np.arange(shift.size)
-    us, vs = np.divmod(np.repeat(at, counts), rows.shape[1] * 8)
+    us, vs = np.divmod(np.repeat(at, counts), row_bytes.shape[1])
+    us += first
     vs *= 8
     vs += _BIT_POSITIONS[shift]
     return us, vs

@@ -15,8 +15,8 @@ identical output. Every report value goes through one pair of formatters,
 ``_csv_cell`` and ``_json_value``: reals are printed with 12 significant
 digits, and fields that do not apply (diameter-based bounds on disconnected
 graphs) are empty in CSV and null in JSON. The argument parser is built once,
-at import; each ``_cmd_*`` returns its report text and exit code, and ``main``
-writes the text.
+at import; each ``_cmd_*`` returns its report text (``power``: a writer that
+writes G^ell a block at a time) and exit code, and ``main`` writes it.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import partial
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .bounds import BOUND_NAMES, BoundReport, GraphAnalysis, evaluate_all, solve
 from .certify import certify_g1_matrix, certify_g2_matrix, check_chain
 from .graphs import FAMILIES, check_node_count, generate, load_edge_list, serialize_edge_list, serialize_edges
 # unused here, but perfbench/test_perfbench.py asserts this all_pairs_distances import site
-from .metrics import all_pairs_distances, power_edges  # noqa: F401
+from .metrics import all_pairs_distances, power_blocks  # noqa: F401
 from .spectral import PSD
 
 #: Families usable with the tightness sweep (deterministic, connected).
@@ -337,12 +339,14 @@ def tightness_json(records: list[TightnessRecord]) -> str:
     return json.dumps(objs, indent=2) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(report: str | Callable[[TextIO], None], out: str | None) -> None:
+    """Write a report's text, or have its writer write it, to stdout or the file ``out``."""
+    write = report if callable(report) else lambda fh: fh.write(report)
     if out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
 
 
 def _parse_ell_policy(raw: str) -> int | str:
@@ -378,9 +382,10 @@ def _cmd_tightness(args: argparse.Namespace) -> tuple[str, int]:
     return text, 1 if any(r.value - r.lambda2 > tolerance(r.lambda2) for r in records) else 0
 
 
-def _cmd_power(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_power(args: argparse.Namespace) -> tuple[Callable[[TextIO], None], int]:
+    """G^ell's writer: the checks and the search run here, each block is written as it is read."""
     g = load_edge_list(args.path)
-    return serialize_edges(g.n, *power_edges(g, args.ell)), 0
+    return partial(serialize_edges, g.n, power_blocks(g, args.ell)), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,8 +439,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text, code = args.func(args)
-        _emit(text, args.out)
+        report, code = args.func(args)
+        _emit(report, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,10 +10,11 @@ dense n x n computation; the edge-list reader applies it to the header count.
 from __future__ import annotations
 
 import heapq
+import io
 import operator
 import re
 from itertools import chain
-from typing import Final, Iterable, Iterator
+from typing import Final, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -159,11 +160,25 @@ class Graph:
 
 #: A number of the edge-list format: ASCII digits with an optional leading '-'.
 _INTEGER = re.compile(r"-?[0-9]+")
-#: Stripped edge lines joined by "\n": two numbers a line, split by spaces and tabs.
-#: At most 18 digits a number, so int64 holds every one (numpy saturates beyond it).
-_EDGE_LINES = re.compile(
-    r"(?:-?[0-9]{1,18}[ \t]+-?[0-9]{1,18}(?:\n-?[0-9]{1,18}[ \t]+-?[0-9]{1,18})*)?"
-)
+
+#: Byte classes of the bulk reader: the bytes of an edge line (digits, spaces and
+#: tabs, "\n"), then "\r", any other ASCII byte, the bytes of non-ASCII characters,
+#: and the ASCII line breaks of ``str.splitlines`` other than "\n" and "\r".
+_DIGIT, _SPACE, _NEWLINE, _CR, _OTHER, _NON_ASCII, _BREAK = range(7)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b" \t")] = _SPACE
+_BYTE_CLASS[ord("\n")] = _NEWLINE
+_BYTE_CLASS[ord("\r")] = _CR
+_BYTE_CLASS[128:] = _NON_ASCII
+_BYTE_CLASS[list(b"\x0b\x0c\x1c\x1d\x1e")] = _BREAK
+#: The non-ASCII line breaks of ``str.splitlines``.
+_WIDE_BREAKS = "\x85\u2028\u2029"
+#: Digits a number may have in the bulk reader: int64 holds every such number
+#: (``np.fromstring`` saturates beyond it).
+_MAX_DIGITS = 18
+#: A comment, from its '#' to the end of its line.
+_COMMENT = re.compile(rb"#[^\n]*")
 
 
 def _read_int(token: str) -> int:
@@ -185,6 +200,19 @@ def _node_count(line_no: int, line: str) -> int:
     if n < 1:
         raise ParseError(line_no, f"node count must be >= 1, got {n}")
     return n
+
+
+def _header(lines: Iterable[str]) -> tuple[int, int]:
+    """(line number, node count) of the first stripped line that is neither blank nor a comment.
+
+    Refuses a count above MAX_NODES (``check_node_count``).
+    """
+    for line_no, line in enumerate(map(str.strip, lines), start=1):
+        if line and line[0] != "#":
+            n = _node_count(line_no, line)
+            check_node_count(n)
+            return line_no, n
+    raise ParseError(0, "empty input: missing 'n <count>' header")
 
 
 def _edge(line_no: int, line: str, n: int) -> tuple[int, int]:
@@ -220,54 +248,119 @@ def parse_edge_list(text: str) -> Graph:
     (in either orientation) collapse. Numbers are ASCII digits with an
     optional leading '-' (``int`` alone takes '+3', '1_0', '٤').
 
-    The edge lines are checked in bulk: one regex match over all of them (two
-    numbers of at most 18 digits a line, split by spaces and tabs), one
-    ``np.fromstring`` conversion that must give two numbers a line, and range
-    and self-loop tests on whole arrays. Anything else (other separators,
-    longer numbers) or a failed check sends the lines to the line-at-a-time
-    reader, which gives the same graph or names the first bad line.
+    A file is read in one pass over its UTF-8 bytes (``_read_bytes``) when it
+    is plain: lines end at "\n" or "\r\n", and every line after the header is
+    blank, a comment or two numbers of at most 18 digits split by spaces and
+    tabs, with its endpoints in range and distinct. Anything else (another
+    line break or separator, a sign, a non-ASCII byte outside a comment, a
+    longer number, a bad edge, text that does not encode) goes to the
+    line-at-a-time reader (``_read_lines``), which gives the same graph or
+    names the first bad line.
     """
+    g = _read_bytes(text)
+    return _read_lines(text) if g is None else g
+
+
+def _read_lines(text: str) -> Graph:
+    """The line-at-a-time reader: every line stripped and read on its own."""
     lines = text.splitlines()
-    for start, header in enumerate(map(str.strip, lines), start=1):
-        if header and header[0] != "#":
-            break
-    else:
-        raise ParseError(0, "empty input: missing 'n <count>' header")
-    n = _node_count(start, header)
-    check_node_count(n)
-    body = [line for line in map(str.strip, lines[start:]) if line and line[0] != "#"]
-    joined = "\n".join(body)
-    if _EDGE_LINES.fullmatch(joined):
-        flat = np.fromstring(joined, dtype=np.int64, sep=" ")  # any whitespace separates
-        if flat.size == 2 * len(body):
-            pairs = flat.reshape(-1, 2)
-            if ((pairs >= 0) & (pairs < n)).all() and (pairs[:, 0] != pairs[:, 1]).all():
-                return Graph._from_pairs(n, pairs)
-    # a bulk check failed: read the lines one by one, so the first bad one raises
+    start, n = _header(lines)
     numbered = enumerate(map(str.strip, lines[start:]), start=start + 1)
     pairs = [_edge(i, line, n) for i, line in numbered if line and line[0] != "#"]
     return Graph._from_pairs(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
+def _read_bytes(text: str) -> Graph | None:
+    """The bulk reader: the graph of a plain edge list, or None to leave the text to ``_read_lines``.
+
+    One byte-class lookup (``_BYTE_CLASS``) classifies the text's UTF-8 bytes.
+    The bytes other than digits, spaces, tabs and "\n" are few in a plain file
+    (the header, comments, the "\r" of "\r\n"), and their positions show that
+    the lines end at "\n" alone, as ``str.splitlines`` ends them, and that
+    each such byte after the header is in a comment line (its first one is
+    '#', with no digit before it). Numbers are the runs of the digit mask;
+    ``searchsorted`` on the newline positions gives each run's line, and every
+    non-comment line must hold exactly two. One ``np.fromstring`` call then
+    reads the numbers, with the comments cut out, and the range and self-loop
+    tests run on whole arrays. No index array has an entry per byte.
+    """
+    try:
+        data = text.encode()
+    except UnicodeEncodeError:  # a lone surrogate
+        return None
+    codes = np.frombuffer(data, dtype=np.uint8)
+    kind = _BYTE_CLASS.take(codes)
+    odd = np.flatnonzero(kind > _NEWLINE)
+    odd_kind = kind[odd]
+    if odd.size:
+        top = odd_kind.max()
+        if top == _BREAK or (top == _NON_ASCII and any(c in text for c in _WIDE_BREAKS)):
+            return None
+        cr = odd[odd_kind == _CR]
+        if cr.size and (cr[-1] + 1 == codes.size or (codes[cr + 1] != ord("\n")).any()):
+            return None  # a lone "\r" ends a line
+    ends = np.flatnonzero(kind == _NEWLINE)
+    start, n = _header(line.decode() for line in io.BytesIO(data))
+    body = ends[start - 1] + 1 if start <= ends.size else codes.size
+    digit = np.zeros(codes.size - body + 2, dtype=bool)
+    np.equal(kind[body:], _DIGIT, out=digit[1:-1])
+    runs = np.flatnonzero(digit[1:] != digit[:-1]) + body  # each number's first byte, then its end
+    firsts, stops = runs[::2], runs[1::2]
+    line_of = np.searchsorted(ends, firsts)
+    odd = odd[(odd >= body) & (odd_kind != _CR)]
+    if odd.size:
+        odd_line = np.searchsorted(ends, odd)
+        head = np.ones(odd.size, dtype=bool)
+        np.not_equal(odd_line[1:], odd_line[:-1], out=head[1:])
+        heads, comments = odd[head], odd_line[head]
+        if (codes[heads] != ord("#")).any():
+            return None
+        if (np.searchsorted(firsts, ends[comments - 1] + 1) != np.searchsorted(firsts, heads)).any():
+            return None  # a number before the '#'
+        in_comment = np.zeros(ends.size + 1, dtype=bool)
+        in_comment[comments] = True
+        edge_line = ~in_comment[line_of]
+        firsts, stops, line_of = firsts[edge_line], stops[edge_line], line_of[edge_line]
+    # two numbers a line: runs 2k and 2k + 1 share a line, and run 2k + 2 is on a later one
+    if line_of.size % 2 or (line_of[::2] != line_of[1::2]).any() or (line_of[2::2] == line_of[1:-1:2]).any():
+        return None
+    if (stops - firsts > _MAX_DIGITS).any():
+        return None
+    if not firsts.size:
+        return Graph._from_pairs(n, np.empty((0, 2), dtype=np.int64))
+    numbers = data[firsts[0]:stops[-1]]
+    if odd.size and odd[-1] > firsts[0]:
+        numbers = _COMMENT.sub(b"", numbers)
+    pairs = np.fromstring(numbers, dtype=np.int64, sep=" ").reshape(-1, 2)  # any whitespace separates
+    if pairs.max() >= n or (pairs[:, 0] == pairs[:, 1]).any():
+        return None
+    return Graph._from_pairs(n, pairs)
+
+
 def serialize_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list; edges emitted in lexicographic order."""
-    return serialize_edges(g.n, *g._upper_edges())
+    out = io.StringIO()
+    serialize_edges(g.n, [g._upper_edges()], out)
+    return out.getvalue()
 
 
-def serialize_edges(n: int, us: np.ndarray, vs: np.ndarray) -> str:
-    """The edge-list text of n nodes and the edges (us[k], vs[k]), in the order given.
+def serialize_edges(n: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]], out: TextIO) -> None:
+    """Write the edge-list text of n nodes and the edges of ``blocks`` to ``out``, in the order given.
 
-    Each node's ``"u "`` and ``"v\n"`` strings are built once, and the edge
-    lines are gathered from that table by the endpoint arrays, as cells in the
-    narrowest unsigned type that holds the table's 2n indices (16 bits at
-    ``MAX_NODES``).
+    Each block (us, vs) is written as it is taken: its lines are gathered by
+    the endpoint arrays from one table of every node's ``"u "`` and ``"v\n"``
+    strings, built once, as cells in the narrowest unsigned type that holds
+    the table's 2n indices (16 bits at ``MAX_NODES``), and joined.
     """
     table = np.array([f"{i} " for i in range(n)] + [f"{i}\n" for i in range(n)], dtype=object)
-    cells = np.empty((us.size, 2), dtype=np.min_scalar_type(2 * n - 1))
-    cells[:, 0] = us
-    cells[:, 1] = vs
-    cells[:, 1] += n
-    return f"n {n}\n" + "".join(table.take(cells.ravel()).tolist())
+    cell = np.min_scalar_type(2 * n - 1)
+    out.write(f"n {n}\n")
+    for us, vs in blocks:
+        cells = np.empty((us.size, 2), dtype=cell)
+        cells[:, 0] = us
+        cells[:, 1] = vs
+        cells[:, 1] += n
+        out.write("".join(table.take(cells.ravel()).tolist()))
 
 
 def load_edge_list(path: str) -> Graph:

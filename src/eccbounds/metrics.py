@@ -1,12 +1,13 @@
 """Shortest-path distances, eccentricities, threshold counts, and graph powers.
 
-``all_pairs_distances`` and ``power_edges`` refuse n above ``graphs.MAX_NODES`` before searching.
+``all_pairs_distances``, ``power_blocks`` and ``power_edges`` refuse n above
+``graphs.MAX_NODES`` before searching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Final
+from typing import Final, Iterator
 
 import numpy as np
 
@@ -81,9 +82,20 @@ def power_graph(dist: np.ndarray, ell: int) -> Graph:
     return Graph.from_adjacency(power_adjacency(dist, ell))
 
 
-def power_edges(g: Graph, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """``power_graph(dist, ell)._upper_edges()`` without dist: read from ell levels of the BFS."""
+def power_blocks(g: Graph, ell: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """G^ell's upper edges (u, v), u < v, as lexicographic blocks of endpoint arrays (us, vs).
+
+    Refuses n above MAX_NODES and ell < 1, then runs ell levels of the BFS, all
+    on the call; each block is read from the search's rows when it is taken
+    (``_kernels.power_pairs``).
+    """
     check_node_count(g.n)
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     return _kernels.power_pairs(g.indptr, g.indices, g.n, ell)
+
+
+def power_edges(g: Graph, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """``power_graph(dist, ell)._upper_edges()`` without dist: the ``power_blocks`` joined."""
+    us, vs = zip(*power_blocks(g, ell))
+    return np.concatenate(us), np.concatenate(vs)

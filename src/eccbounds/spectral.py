@@ -199,10 +199,11 @@ def prove_psd_stack(stack: np.ndarray) -> np.ndarray:
     raised by a relative 2^-39, far more than those roundings can lose.
 
     All qualifying members go to one batched ``np.linalg.cholesky`` call. It
-    raises for the whole stack if any member fails, and then each member is
-    factored on its own. A tight or singular member (a tight bound) fails and
-    is left to the eigensolver, as is any member whose smallest eigenvalue
-    is within about n * u * tr(A) of 0.
+    raises for the whole stack if any member fails, and then the stack is
+    halved until each failing member stands alone (``_cholesky_completes``).
+    A tight or singular member (a tight bound) fails and is left to the
+    eigensolver, as is any member whose smallest eigenvalue is within about
+    n * u * tr(A) of 0.
     """
     a = np.asarray(stack, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -228,18 +229,24 @@ def prove_psd_stack(stack: np.ndarray) -> np.ndarray:
     g = (k + 2) * _UNIT_ROUNDOFF / (1.0 - (k + 2) * _UNIT_ROUNDOFF)
     shift = _ROUND_UP * g / (1.0 - g) * trace + _ROUND_UP * _UNIT_ROUNDOFF * top + k * 2.0**-1018
     diagonal -= shift[:, None]  # B = fl(A - cI)
-    if _cholesky_completes(grounded):
-        return fits
-    return np.array([_cholesky_completes(b) for b in grounded])
+    return _cholesky_completes(grounded)
 
 
-def _cholesky_completes(b: np.ndarray) -> bool:
-    """Whether floating-point Cholesky of ``b`` (one matrix or a stack) runs to completion."""
+def _cholesky_completes(stack: np.ndarray) -> np.ndarray:
+    """Whether floating-point Cholesky of each member of a (B, k, k) stack runs to completion.
+
+    One batched call decides the whole stack when every member completes; it
+    raises if any fails, and then each half is decided the same way. So f
+    failing members cost O(f log B) batched calls, not B single ones.
+    """
     try:
-        np.linalg.cholesky(b)
+        np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        if len(stack) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(stack) // 2
+        return np.concatenate((_cholesky_completes(stack[:half]), _cholesky_completes(stack[half:])))
+    return np.ones(len(stack), dtype=bool)
 
 
 def is_psd(a: np.ndarray) -> CertificateResult:

@@ -39,6 +39,13 @@ POWER = ("tests/test_metrics.py::TestBoundedSearch", "tests/test_kernels.py::Tes
 PAIRING = ("tests/test_cli.py::test_golden_report", "tests/test_stacked.py::TestCampaignGroups::test_memo_equals_a_fresh_solve")
 GROUPS = ("tests/test_stacked.py::TestCampaignGroups::test_a_five_matrix_budget_gives_the_same_report",)
 PROOF = ("tests/test_psd_proof.py",)
+READER = ("tests/test_graphs.py::TestEdgeListAgainstReference",)
+BLOCKS = ("tests/test_cli.py::TestPower::test_blocks_write_the_whole_array_text",)
+#: ``_read_bytes`` without its two-numbers-a-line test
+TWO_A_LINE = """\
+    if line_of.size % 2 or (line_of[::2] != line_of[1::2]).any() or (line_of[2::2] == line_of[1:-1:2]).any():
+        return None
+"""
 JACOBI = ("tests/test_kernels.py::TestJacobiKernels", "tests/test_spectral.py")
 
 #: ``_levels`` returning before it yields its last level: it first looks one level ahead
@@ -87,8 +94,14 @@ MUTANTS = (
            "diagonal -= shift[:, None]", "diagonal -= 0.0 * shift[:, None]", PROOF),
     Mutant("g1's integer coefficient off by one", "bounds.py",
            "(ell - 2) * self.n * self.n + 4 * self.n, 4", "(ell - 2) * self.n * self.n + 4 * self.n + 1, 4", PROOF),
-    Mutant("a failed batched Cholesky proves the whole stack", "spectral.py",
-           "return np.array([_cholesky_completes(b) for b in grounded])", "return fits", PROOF),
+    Mutant("a failed Cholesky proves its member", "spectral.py",
+           "return np.zeros(1, dtype=bool)", "return np.ones(1, dtype=bool)", PROOF),
+    Mutant("the byte pass accepts 19 digits", "graphs.py", "_MAX_DIGITS = 18", "_MAX_DIGITS = 19", READER),
+    Mutant("the byte pass drops the two-numbers-a-line test", "graphs.py", TWO_A_LINE, "", READER),
+    Mutant("a lone \\r counts as a space", "graphs.py",
+           '_BYTE_CLASS[ord("\\r")] = _CR', '_BYTE_CLASS[ord("\\r")] = _SPACE', READER),
+    Mutant("a power block drops its last row", "_kernels.py",
+           "_row_pairs(row_bytes[a:b], a)", "_row_pairs(row_bytes[a:b - 1], a)", BLOCKS),
     Mutant("Jacobi column update with the sign of s flipped", "_kernels.py",
            "a[:, q] = s * ap + c * aq", "a[:, q] = -s * ap + c * aq", JACOBI),
     Mutant("Jacobi stopping rule 1e-6", "_kernels.py",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from eccbounds.bounds import BOUND_NAMES, GraphAnalysis, evaluate_all
 from eccbounds.graphs import (
     Graph,
     complete_graph,
+    cycle_graph,
     erdos_renyi,
     generate,
     load_edge_list,
@@ -24,6 +26,8 @@ from eccbounds.graphs import (
     path_graph,
     random_tree,
     serialize_edge_list,
+    serialize_edges,
+    star_graph,
 )
 from eccbounds.metrics import all_pairs_distances, power_graph
 from eccbounds.spectral import NOT_PSD, CertificateResult
@@ -575,6 +579,35 @@ class TestPower:
             assert cli.main(["power", str(path), "--ell", ell]) == 0
             assert capsys.readouterr().out == serialize_edge_list(complete_graph(10))
 
+    BLOCK_GRAPHS = [
+        star_graph(65),  # row 0 alone holds 64 pairs at every ell
+        Graph.from_edges(1, []),
+        erdos_renyi(63, 0.1, seed=63),
+        random_tree(64, seed=64),
+        erdos_renyi(65, 3.0 / 65, seed=65),
+        cycle_graph(129),
+        Graph.from_edges(7, []),
+    ]
+
+    @pytest.mark.parametrize("budget", [1, 3, 40])
+    @pytest.mark.parametrize("g", BLOCK_GRAPHS, ids=repr)
+    def test_blocks_write_the_whole_array_text(self, g, budget, tmp_path, monkeypatch, capsys):
+        # blocks cut at a budget of a few pairs write what one whole-array serialize_edges call writes
+        monkeypatch.setattr(kernels, "_PAIR_BLOCK", budget)
+        row_pairs, blocks = kernels._row_pairs, []
+        monkeypatch.setattr(kernels, "_row_pairs", lambda rows, first: blocks.append(rows.shape[0]) or row_pairs(rows, first))
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_edge_list(g), encoding="utf-8")
+        d = all_pairs_distances(g)
+        for ell in sorted({1, max(1, int(d.max())), 10**20}):
+            blocks.clear()
+            assert cli.main(["power", str(path), "--ell", str(ell)]) == 0
+            whole = io.StringIO()
+            serialize_edges(g.n, [power_graph(d, ell)._upper_edges()], whole)
+            assert capsys.readouterr().out == whole.getvalue(), ell
+            # every row once; cut wherever the n(n - 1)/2 pairs the rows may hold exceed the budget
+            assert sum(blocks) == g.n and (len(blocks) > 1) == (g.n * (g.n - 1) // 2 > budget), ell
+
 
 class TestSizeGuard:
     """Above MAX_NODES every command exits 2 before allocating an n x n array."""
@@ -650,7 +683,11 @@ class TestEntryPoints:
 
     @pytest.mark.parametrize(
         "argv",
-        [["analyze", "{p4}", "--ell", "2"], ["verify", "--family", "path", "--n", "4", "--trials", "1"]],
+        [
+            ["analyze", "{p4}", "--ell", "2"],
+            ["verify", "--family", "path", "--n", "4", "--trials", "1"],
+            ["power", "{p4}", "--ell", "2"],
+        ],
     )
     def test_out_in_missing_directory_exits_2(self, argv, p4_file, tmp_path, capsys):
         out = tmp_path / "missing" / "report.txt"
@@ -683,6 +720,19 @@ class TestModuleExecution:
         assert res.returncode == 0, res.stderr
         assert res.stdout.split("\n")[0] == ",".join(cli.CSV_COLUMNS)
         assert res.stdout == cli.report_csv(evaluate_all(path_graph(4), 2))
+
+    def test_power_into_a_closed_pipe_exits_2(self, tmp_path):
+        # the reader is gone before the first block is written: a clean error, no traceback
+        path = tmp_path / "k60.txt"
+        path.write_text(serialize_edge_list(complete_graph(60)), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        argv = [sys.executable, "-m", "eccbounds", "power", str(path), "--ell", "2"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2
+        assert err == b"error: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize("module", ["eccbounds", "eccbounds.cli"])
     def test_missing_file_exits_2(self, module, tmp_path):

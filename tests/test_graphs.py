@@ -247,15 +247,60 @@ class TestEdgeListAgainstReference:
     @example("n 5\n" + "0" * 17 + "3 " + "9" * 18 + "\n")
     @example("n 5\n" + "0" * 17 + "3\t" + "0" * 18 + "4\n")
     @example("n 5\n" + "0" * 26 + " 2\n" + "0" * 17 + "1 3\n")
+    @example("n 4\n0 1 2\n3\n")
+    @example("n 3\n0\r1\n")
+    @example("n 3\r\n# a\x850 1\r\n")
+    @example("# a\u2028n 3\n0 1\n")
+    @example("n 3\n0 1 # note\n")
+    @example("n 3\n-0 1\n1\u00a02\n")
+    @example("n 5\n" + "0" * 18 + "3 1\n" + "9" * 19 + " 2\n")
+    @example("\t# \u00e9t\u00e9\n\nn 3\t\n \t\n0 1\n\t \n1 2")
+    @example("n 9\n0 1\x0b1 2\x1c2 3\x1d3 4\x1e4 5\n")
+    @example("n 30\n+3 1\n1_0 2\n\u0664 3\n")
+    @example("n 3\n\n")
     def test_parse_matches_reference(self, text):
         assert parse_outcome(text) == reference_outcome(text)
+
+    @pytest.mark.parametrize(
+        "text, bulk",
+        [
+            ("n 3\r\n0 1\r\n1 2\r\n", True),
+            *((f"n 3\n0 1{br}1 2\n", False) for br in ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")),
+            *((f"n 3\n# note{br}0 1\n", False) for br in ("\r", "\x0c", "\x85", "\u2028", "\u2029")),
+            ("n 3\n0\r1\n", False),
+            *((f"n 30\n{token} 2\n", False) for token in ("0\u00a01", "+3", "1_0", "\u0664", "-0")),
+            ("n 5\n" + "0" * 17 + "3 " + "9" * 17 + "1\n", False),  # 18 digits, out of range
+            ("n 5\n" + "0" * 17 + "3 " + "1" * 18 + "\n", False),
+            ("n 5\n" + "0" * 17 + "3 " + "0" * 17 + "1\n", True),  # 18 digits, zero-padded
+            ("n 5\n" + "0" * 18 + "3 1\n", False),  # 19 digits, zero-padded
+            ("n 5\n0 " + "9" * 19 + "\n", False),
+            ("n 3\n0 1 # note\n", False),
+            ("n 3\n0 1\n#1 2\n  # 2 0 \u00e9\n", True),
+            ("# \u00e9t\u00e9 \u0664\nn 3\n0 1\n", True),
+            ("# n 9\nn 3\t\n0 1\n", True),
+            ("n 3\n0 1\n1 2", True),
+            ("n 3\n \t\n0 1\n\t \n\n", True),
+            ("n 3\n", True),
+            ("n 3\n\n# none\n", True),
+            ("n 4\n0 1 2\n3\n", False),
+            ("n 4\n0\n1 2 3\n", False),
+            ("n 3\n0 1\n2 2\n", False),
+            ("n 3\n0 1\n\ud800\n", False),
+        ],
+    )
+    def test_bulk_pass_or_line_reader(self, text, bulk, monkeypatch):
+        # same outcome as the reference, and the bulk pass decides exactly the plain files
+        read_lines, calls = graphs._read_lines, []
+        monkeypatch.setattr(graphs, "_read_lines", lambda t: calls.append(t) or read_lines(t))
+        assert parse_outcome(text) == reference_outcome(text)
+        assert calls == ([] if bulk else [text])
 
     @given(st.text(alphabet="n 0123456789-+_#x\n\r\t\u00a0\u0664\x0c", max_size=60))
     @settings(max_examples=300, deadline=None)
     def test_parse_matches_reference_on_any_text(self, text):
         assert parse_outcome(text) == reference_outcome(text)
 
-    @pytest.mark.parametrize("form", ["canonical", "tabs", "blank-and-comment-lines"])
+    @pytest.mark.parametrize("form", ["canonical", "tabs", "blank-and-comment-lines", "crlf"])
     def test_bulk_path_reads_well_formed_files(self, monkeypatch, form):
         # the line-at-a-time reader is only for files the bulk checks refuse
         g = Graph.from_edges(200, list(erdos_renyi(200, 0.06, seed=17).edges())[:1000])
@@ -265,6 +310,8 @@ class TestEdgeListAgainstReference:
             text = text.replace(" ", "\t")
         elif form == "blank-and-comment-lines":
             text = "# edges\n\n" + text.replace("\n", "\n\n  # note\n")
+        elif form == "crlf":
+            text = text.replace("\n", "\r\n")
 
         def refuse(*args):
             raise AssertionError("line-at-a-time reader called")

@@ -146,6 +146,12 @@ class TestBfsKernels:
         assert_bfs_matches_floyd_warshall(*graph)
 
 
+def joined(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint arrays (us, vs) of ``power_pairs``' blocks, concatenated in order."""
+    us, vs = zip(*blocks)
+    return np.concatenate(us), np.concatenate(vs)
+
+
 def assert_bounded_bfs_matches_floyd_warshall(n: int, edges) -> int:
     """For every depth 1..diameter + 1 and 10**20: ``power_pairs`` gives, in lexicographic
     order, the pairs u < v that Floyd-Warshall puts at most depth apart.
@@ -159,7 +165,7 @@ def assert_bounded_bfs_matches_floyd_warshall(n: int, edges) -> int:
     diameter = int(full[np.isfinite(full)].max())
     g = Graph.from_edges(n, edges)
     for depth in [*range(1, diameter + 2), 10**20]:
-        us, vs = kernels.power_pairs(g.indptr, g.indices, g.n, depth)
+        us, vs = joined(kernels.power_pairs(g.indptr, g.indices, g.n, depth))
         expected = np.nonzero(np.triu(full <= depth, k=1))  # row-major: lexicographic
         assert np.array_equal(us, expected[0]) and np.array_equal(vs, expected[1]), depth
     return diameter
@@ -187,7 +193,7 @@ class TestBoundedBfs:
     def test_single_node(self):
         assert assert_bounded_bfs_matches_floyd_warshall(1, []) == 0
         g = Graph.from_edges(1, [])
-        assert [a.tolist() for a in kernels.power_pairs(g.indptr, g.indices, 1, 5)] == [[], []]
+        assert [a.tolist() for a in joined(kernels.power_pairs(g.indptr, g.indices, 1, 5))] == [[], []]
 
     @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
     def test_complete_rows_cut_at_every_bit(self, n):

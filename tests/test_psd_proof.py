@@ -1,5 +1,6 @@
 """The verified Cholesky proof of the PSD certificates, against exact rational elimination."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,7 +10,7 @@ import pytest
 import oracles
 from eccbounds import spectral
 from eccbounds.bounds import GraphAnalysis, solve_stacked
-from eccbounds.graphs import Graph, cycle_graph, path_graph
+from eccbounds.graphs import Graph, cycle_graph, erdos_renyi, path_graph
 from eccbounds.spectral import PSD, laplacian, prove_psd_stack, psd_tolerance
 
 
@@ -108,6 +109,27 @@ def test_one_failing_member_does_not_stop_its_neighbours():
     singular = laplacian(Graph.from_edges(3, [(0, 1)]))
     stack = np.stack([pd[0], singular, pd[1], PELL, pd[0]])
     assert prove_psd_stack(stack).tolist() == [True, False, True, False, True]
+
+
+@pytest.mark.parametrize("where", [0, 449, 899])
+def test_one_failing_member_costs_logarithmic_batched_calls(where, monkeypatch):
+    # 900 connected ER n = 12 Laplacians and one singular one (an isolated node) in their midst
+    laps = []
+    seed = 0
+    while len(laps) < 900:
+        g = erdos_renyi(12, 0.3, seed=seed)
+        seed += 1
+        if g.m >= 11 and (oracles.floyd_warshall(g.adjacency_matrix()) < np.inf).all():
+            laps.append(laplacian(g))
+    laps[where] = laplacian(Graph.from_edges(12, [(i, i + 1) for i in range(10)]))
+    stack = np.stack(laps)
+    each = [bool(prove_psd_stack(m[None])[0]) for m in laps]
+    assert each == [i != where for i in range(900)]
+
+    cholesky, calls = np.linalg.cholesky, []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(len(a)) or cholesky(a))
+    assert prove_psd_stack(stack).tolist() == each
+    assert len(calls) <= 2 * math.ceil(math.log2(900)) + 1
 
 
 @pytest.mark.parametrize(
