@@ -2,14 +2,13 @@
 
 Every bound here is a guaranteed lower bound on lambda2 for simple undirected
 graphs. ``GraphAnalysis`` holds what every bound and certificate of one graph
-is computed from (distances, eccentricities, power graphs, Laplacians and
-their spectra), each computed once. ``solve_stacked`` decomposes the spectra
-that the checks of several analyses of one order read, in shared stacked
-eigensolves; ``GraphAnalysis.solve`` is that call on one analysis. The g1 and
-g2 certificate matrices go first, as integer matrices, to one batched
-verified Cholesky (``spectral.prove_psd_stack``); a proved certificate is PSD
-by proof (method "cholesky", min eigenvalue exactly 0.0), and only the others
-join the eigensolve (method "eigen").
+is computed from (distances, eccentricities, power graphs and their
+Laplacians), each once, and memoises lambda2(G^ell) by ell (1 is G) and the g1
+and g2 certificates by (kind, ell). ``solve_stacked`` fills both memos for
+several analyses of one order. The certificates go, as integer matrices, to one
+batched verified Cholesky (``spectral.prove_psd_stack``): a proved one is PSD
+by proof (method "cholesky", min eigenvalue exactly 0.0), any other gets
+``spectral.is_psd`` ("eigen"). Only Laplacians reach the stacked eigensolves.
 ``evaluate_all`` reads one analysis and collects the bound values, slacks,
 and tightness flags into a single report.
 """
@@ -17,7 +16,6 @@ and tightness flags into a single report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -36,10 +34,9 @@ from .spectral import (
     CertificateResult,
     adjacency_laplacian,
     eigen_decompose_stack,
+    is_psd,
     lambda2,
-    laplacian,
     prove_psd_stack,
-    psd_certificate,
     psd_tolerance,
 )
 
@@ -171,21 +168,11 @@ class BoundReport:
     tight: dict[str, bool]
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False  # shared by every check on this graph
-    return a
-
-
 #: Budget of input matrices per stacked eigensolve (1 MB): 900 matrices at
 #: n = 12, one at n = 362; a larger matrix is solved alone. The solve's
 #: temporaries are a few times its stack, so this bounds its memory too.
+#: The certificate proofs are cut into chunks of the same size.
 _STACK_BYTES = 1 << 20
-#: Kinds of the spectra solved per ell: the g1 and g2 certificate matrices and L(G^ell).
-_PER_ELL = ("g1", "g2", "power")
-#: The kinds whose matrix is a PSD certificate, tried first by ``prove_psd_stack``.
-_CERTIFICATES = ("g1", "g2")
-#: Key of L(G) among an analysis's solved spectra; the others are (kind, ell).
-_LAMBDA2 = ("lambda2", 0)
 
 
 def stack_members(n: int) -> int:
@@ -197,15 +184,12 @@ class GraphAnalysis:
     """The distance matrix, eccentricity profile, power graphs and spectra of one graph.
 
     Distances and the profile are computed on construction; ``power(ell)`` and
-    ``power_laplacian(ell)`` (L(G^ell), read-only), each read from the
-    distances alone, are memoised per ell; ``laplacian`` (L(G), read-only) is
-    computed on first use. ``solve(ells)`` proves or decomposes every spectrum
-    the checks of those ells read, in stacks of at most 1 MB, and memoises
-    only the results: lambda2, the g1 and g2 ``CertificateResult`` and
-    lambda2(G^ell) per ell;
-    ``solve_stacked`` does the same for several analyses at once. Pass one
-    analysis to ``evaluate_all``, the certificates and ``check_chain`` so they
-    share this work instead of each repeating it.
+    ``power_laplacian(ell)`` (L(G^ell), read-only; ell = 1 is L(G)), each read
+    from the distances alone, are memoised per ell, as are the results
+    ``power_lambda2(ell)`` (``lambda2`` is ell = 1) and ``certificate(kind,
+    ell)``. A miss solves that one matrix alone; ``solve_stacked`` fills both
+    result memos for several analyses at once. Pass one analysis to
+    ``evaluate_all``, the certificates and ``check_chain`` to share this work.
     """
 
     def __init__(self, g: Graph):
@@ -217,7 +201,8 @@ class GraphAnalysis:
         self.connected = self.profile.diameter != UNREACHABLE
         self._powers: dict[int, Graph] = {}
         self._power_laplacians: dict[int, np.ndarray] = {}
-        self._solved: dict[tuple[str, int], float | CertificateResult] = {}
+        self._lambda2s: dict[int, float] = {}
+        self._certificates: dict[tuple[str, int], CertificateResult] = {}
 
     def power(self, ell: int) -> Graph:
         if ell not in self._powers:
@@ -227,57 +212,38 @@ class GraphAnalysis:
     def power_laplacian(self, ell: int) -> np.ndarray:
         """L(G^ell) from the distance mask 1 <= d <= ell, bitwise ``laplacian(power_graph(dist, ell))``."""
         if ell not in self._power_laplacians:
-            self._power_laplacians[ell] = _read_only(adjacency_laplacian(power_adjacency(self.dist, ell)))
+            lap = self._power_laplacians[ell] = adjacency_laplacian(power_adjacency(self.dist, ell))
+            lap.flags.writeable = False  # shared by every check on this graph
         return self._power_laplacians[ell]
-
-    @cached_property
-    def laplacian(self) -> np.ndarray:
-        return _read_only(laplacian(self.graph))
 
     @property
     def lambda2(self) -> float:
-        """lambda2(G): from ``solve`` if it ran, else from one ``spectral.lambda2`` solve."""
-        if _LAMBDA2 not in self._solved:
-            self._solved[_LAMBDA2] = lambda2(self.graph)
-        return self._solved[_LAMBDA2]
+        """lambda2(G): from the memo if a solve filled it, else from one ``spectral.lambda2`` solve."""
+        if 1 not in self._lambda2s:
+            self._lambda2s[1] = lambda2(self.graph)
+        return self._lambda2s[1]
 
-    def pending(self, ells: Iterable[int]) -> list[tuple[str, int]]:
-        """The keys of the spectra still unknown that the checks of ``ells`` read, in solve order.
+    def power_lambda2(self, ell: int) -> float:
+        """lambda2(G^ell), from the memo or from one solve of L(G^ell) alone."""
+        if ell not in self._lambda2s:
+            _eigensolve([(self, ell)])
+        return self._lambda2s[ell]
 
-        That is L(G) if lambda2 is not known yet and, for a connected graph,
-        the g1 matrix, the g2 matrix and L(G^ell) of each ell.
+    def certificate(self, kind: str, ell: int) -> CertificateResult:
+        """The ``CertificateResult`` of the g1 or g2 matrix at ell, from the memo or proved alone."""
+        if (kind, ell) not in self._certificates:
+            _prove([(self, (kind, ell))])
+        return self._certificates[kind, ell]
+
+    def pending(self, ells: Iterable[int]) -> list[int]:
+        """The ells, in solve order, whose lambda2(G^ell) the checks of ``ells`` read and is unknown.
+
+        That is 1 (G itself) and, for a connected graph, each of ``ells``.
         """
         if self.n < 2:
             raise ValueError(f"solve needs n >= 2, got n={self.n}")
-        keys = [] if _LAMBDA2 in self._solved else [_LAMBDA2]
-        if self.connected:
-            keys += [(kind, ell) for ell in dict.fromkeys(ells) for kind in _PER_ELL]
-        return [key for key in keys if key not in self._solved]
-
-    def solve(self, ells: Iterable[int]) -> None:
-        """Decompose, in stacked calls, each spectrum still unknown that the checks of ``ells`` read.
-
-        ``solve_stacked`` on this analysis alone.
-        """
-        solve_stacked([(self, ells)])
-
-    def spectrum(self, kind: str, ell: int) -> float | CertificateResult:
-        """The ``CertificateResult`` of the g1 or g2 matrix, or lambda2(G^ell) for "power".
-
-        Read from the memo; a miss solves that one matrix alone.
-        """
-        key = (kind, ell)
-        if key not in self._solved:
-            _decompose([(self, key)])
-        return self._solved[key]
-
-    def _matrix(self, kind: str, ell: int) -> np.ndarray:
-        """The matrix of one solved kind: L(G), L(G^ell), or the g1 or g2 matrix."""
-        if kind == "lambda2":
-            return self.laplacian
-        if kind == "power":
-            return self.power_laplacian(ell)
-        return self._coefficients(kind, ell)[0] * self.laplacian - self.power_laplacian(ell)
+        wanted = dict.fromkeys([1, *ells] if self.connected else [1])
+        return [ell for ell in wanted if ell not in self._lambda2s]
 
     def _coefficients(self, kind: str, ell: int) -> tuple[float, int, int]:
         """(coeff, icoeff, scale) of the g1 or g2 matrix coeff L(G) - L(G^ell).
@@ -293,69 +259,63 @@ class GraphAnalysis:
 
 
 def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
-    """Decompose the pending spectra of every (analysis, ells) pair in shared stacked eigensolves.
+    """Settle what the checks of every (analysis, ells) pair read: certificates, then lambda2s.
 
-    The keys are taken analysis by analysis, each in ``pending`` order, and cut
-    into stacks of ``stack_members(n)``; a stack may hold several analyses'
-    matrices, and each result goes into its own analysis's memo. Every member
-    is bitwise the one a lone solve gives, so grouping never changes a result.
-    Raises ValueError if the analyses differ in n or one has n < 2.
+    For a connected graph, the g1 and g2 certificates of each ell not yet in
+    its memo go to ``_prove``; then the ``pending`` L(G^ell) go to one stacked
+    eigensolve. Each list is taken analysis by analysis and cut into chunks of
+    ``stack_members(n)``, so a chunk may hold several analyses' matrices; each
+    result goes into its own analysis's memo. Every member is bitwise the one
+    a lone solve gives, so grouping never changes a result. Raises ValueError
+    if the analyses differ in n or one has n < 2.
     """
-    pairs = list(pairs)
+    pairs = [(a, list(dict.fromkeys(ells))) for a, ells in pairs]
     orders = {a.n for a, _ in pairs}
     if len(orders) > 1:
         raise ValueError(f"solve_stacked needs analyses of one order, got n in {sorted(orders)}")
-    _decompose([(a, key) for a, ells in pairs for key in a.pending(ells)])
+    laplacians = [(a, ell) for a, ells in pairs for ell in a.pending(ells)]
+    keys = [(a, (kind, ell)) for a, ells in pairs if a.connected for ell in ells for kind in ("g1", "g2")]
+    proofs = [(a, key) for a, key in keys if key not in a._certificates]
+    per_stack = stack_members(orders.pop()) if orders else 1
+    for settle, items in ((_prove, proofs), (_eigensolve, laplacians)):
+        for start in range(0, len(items), per_stack):
+            settle(items[start : start + per_stack])
 
 
-def _decompose(items: list[tuple[GraphAnalysis, tuple[str, int]]]) -> None:
-    """Solve the spectra of the (analysis, key) items in stacks of ``stack_members``, each built when solved.
-
-    The certificates go first to ``_prove``; the items it leaves unsolved are
-    then eigensolved in their order: a certificate gets ``psd_certificate``'s
-    verdict (method "eigen"), L(G) and L(G^ell) their lambda2.
-    """
-    if not items:
-        return
-    per_stack = stack_members(items[0][0].n)
-    certificates = [(a, key) for a, key in items if key[0] in _CERTIFICATES]
-    for start in range(0, len(certificates), per_stack):
-        _prove(certificates[start : start + per_stack])
-    items = [(a, key) for a, key in items if key not in a._solved]
-    for start in range(0, len(items), per_stack):
-        chunk = items[start : start + per_stack]
-        matrices = [a._matrix(*key) for a, key in chunk]
-        stack = np.array(matrices) if len(matrices) > 1 else matrices[0][None]
-        for (a, key), m, summary in zip(chunk, stack, eigen_decompose_stack(stack)):
-            certificate = key[0] in _CERTIFICATES
-            a._solved[key] = psd_certificate(m, summary) if certificate else float(summary.eigenvalues[1])
+def _eigensolve(chunk: list[tuple[GraphAnalysis, int]]) -> None:
+    """Record lambda2(G^ell) of each (analysis, ell) of the chunk from one stacked eigensolve of the L(G^ell)."""
+    matrices = [a.power_laplacian(ell) for a, ell in chunk]
+    stack = np.array(matrices) if len(matrices) > 1 else matrices[0][None]
+    for (a, ell), summary in zip(chunk, eigen_decompose_stack(stack)):
+        a._lambda2s[ell] = float(summary.eigenvalues[1])
 
 
 def _prove(chunk: list[tuple[GraphAnalysis, tuple[str, int]]]) -> None:
-    """Record PSD, method "cholesky", for each certificate of the chunk that ``prove_psd_stack`` proves.
+    """Settle each (kind, ell) certificate of the chunk: proved by ``prove_psd_stack``, else by ``is_psd``.
 
     Each goes to the proof as its integer matrix icoeff L(G) - scale L(G^ell)
-    (``GraphAnalysis._coefficients``), built in one stacked step. A member is
-    left out, before any float conversion, unless n (|icoeff| + scale)(n - 1)
-    <= 2^53, which keeps every entry, row sum and trace exact (a huge ell can
-    break it). A proved result records the min eigenvalue 0.0, exact since
-    the matrix kills the constant vector and is PSD, and the ``psd_tolerance``
-    of the float matrix the eigensolver would have taken.
+    (``GraphAnalysis._coefficients``), built in one stacked step, unless,
+    before any float conversion, n (|icoeff| + scale)(n - 1) > 2^53 (a huge
+    ell): below that every entry, row sum and trace is exact. A proved one
+    (method "cholesky") records the min eigenvalue 0.0, exact since the matrix
+    kills the constant vector and is PSD, and the ``psd_tolerance`` of its
+    float matrix coeff L(G) - L(G^ell); any other gets ``is_psd`` of that
+    matrix ("eigen"), a lone solve that is bitwise a stacked one.
     """
     n = chunk[0][0].n
-    terms = [(a, key, *a._coefficients(*key)) for a, key in chunk]
-    terms = [t for t in terms if n * (abs(t[3]) + t[4]) * (n - 1) <= 2**53]
-    if not terms:
-        return
-    analyses, keys, *factors = zip(*terms)
-    lap = np.array([a.laplacian for a in analyses])
-    power = np.array([a.power_laplacian(ell) for a, (_, ell) in zip(analyses, keys)])
-    coeff, icoeff, scale = np.array(factors, dtype=np.float64)[:, :, None, None]
-    proved = prove_psd_stack(icoeff * lap - scale * power)
-    tolerances = psd_tolerance(coeff * lap - power)  # of every member: cheaper than picking the proved
-    for a, key, won, tol in zip(analyses, keys, proved.tolist(), tolerances.tolist()):
-        if won:
-            a._solved[key] = CertificateResult(0.0, tol, PSD, method="cholesky")
+    terms = [a._coefficients(*key) for a, key in chunk]
+    fits = [n * (abs(icoeff) + scale) * (n - 1) <= 2**53 for _, icoeff, scale in terms]
+    lap = np.array([a.power_laplacian(1) for a, _ in chunk])
+    power = np.array([a.power_laplacian(ell) for a, (_, ell) in chunk])
+    proved = np.zeros(len(chunk), dtype=bool)
+    if any(fits):
+        factors = np.array([t[1:] for t, fit in zip(terms, fits) if fit], dtype=np.float64)
+        icoeff, scale = factors.T[:, :, None, None]
+        proved[fits] = prove_psd_stack(icoeff * lap[fits] - scale * power[fits])
+    floats = np.array([coeff for coeff, _, _ in terms])[:, None, None] * lap - power
+    tolerances = psd_tolerance(floats)  # of every member: cheaper than picking the proved
+    for (a, key), won, m, tol in zip(chunk, proved.tolist(), floats, tolerances.tolist()):
+        a._certificates[key] = CertificateResult(0.0, tol, PSD, method="cholesky") if won else is_psd(m)
 
 
 def analysis_for(task: str, g: Graph | GraphAnalysis, ell: int, min_ell: int) -> GraphAnalysis:

@@ -6,16 +6,17 @@ Each eccentricity-count bound rests on a matrix being positive semi-definite:
 * ``(1 + ell * (e(G^ell) - m)) * L(G) - L(G^ell)`` for the edge-growth bound.
 
 A ``GraphAnalysis`` builds those matrices on concrete graphs and certifies
-them; the functions here read its memo, which ``GraphAnalysis.solve`` or
-``bounds.solve_stacked`` fills in stacked calls, and solve a missing matrix
+them; the functions here read its memos (``certificate``, ``power_lambda2``),
+which ``bounds.solve_stacked`` fills in stacked calls, and settle a miss
 alone. Each matrix is first sent, as an integer multiple of itself, to a
 verified Cholesky (``spectral.prove_psd_stack``). A proved matrix gets
 ``CertificateResult.method`` "cholesky", verdict PSD and a minimum eigenvalue
 of exactly 0.0. Only an unproved one (a tight or singular matrix, say) is
-eigensolved and judged by the scaled tolerance ("eigen"). ``check_chain``
-verifies, within ``bounds.tolerance``, the spectral chain connecting the two
-Laplacians: lambda2(G) >= lambda2(G^ell) / gamma >= s1(G^ell) / gamma, where
-s1(G^ell) = s_ell(G) counts the nodes of degree n - 1 (eccentricity <= 1).
+eigensolved alone by ``spectral.is_psd`` and judged by the scaled tolerance
+("eigen"). ``check_chain`` verifies, within ``bounds.tolerance``, the spectral
+chain connecting the two Laplacians: lambda2(G) >= lambda2(G^ell) / gamma >=
+s1(G^ell) / gamma, where s1(G^ell) = s_ell(G) counts the nodes of degree
+n - 1 (eccentricity <= 1).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def certify_g1_matrix(g: Graph | GraphAnalysis, ell: int) -> CertificateResult:
     a = analysis_for("certificate", g, ell, 2)
     if not a.connected:
         raise ValueError("certify_g1_matrix requires a connected graph")
-    return a.spectrum("g1", ell)
+    return a.certificate("g1", ell)
 
 
 def certify_g2_matrix(g: Graph | GraphAnalysis, ell: int) -> CertificateResult:
@@ -74,7 +75,7 @@ def certify_g2_matrix(g: Graph | GraphAnalysis, ell: int) -> CertificateResult:
     disconnected graph's matrix and the zero matrix are singular, so they are
     eigensolved.
     """
-    return analysis_for("certificate", g, ell, 1).spectrum("g2", ell)
+    return analysis_for("certificate", g, ell, 1).certificate("g2", ell)
 
 
 def check_chain(g: Graph | GraphAnalysis, ell: int) -> ChainCheck:
@@ -90,7 +91,7 @@ def check_chain(g: Graph | GraphAnalysis, ell: int) -> ChainCheck:
     s_ell = count_s_ell(a.profile, ell)
     s1_power = int((a.power(ell).degrees() == a.n - 1).sum())
 
-    lambda2_power = a.spectrum("power", ell)
+    lambda2_power = a.power_lambda2(ell)
     lambda2_g = a.lambda2
     gamma_val = gamma(a.n, ell)
 

@@ -173,11 +173,12 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     (zero eccentricity counts, zero bounds, an eigensolver lambda2 of 0) are still checked;
     only the connectivity-dependent certificates and chain are omitted. Each
     graph gets one ``GraphAnalysis``, shared by every check on it. Trials are
-    generated in order into a group until the group's pending spectra fill one
-    stack (``bounds.stack_members``); one ``solve_stacked`` call proves or
-    decomposes them all, the checks then run trial by trial, and the group is
-    dropped. So memory stays within one stack's budget plus one trial, and a
-    group whose first trial fills a stack is that trial alone.
+    generated in order into a group until the group's pending Laplacians
+    (``GraphAnalysis.pending``) fill one stack (``bounds.stack_members``); one
+    ``solve_stacked`` call proves the group's certificates and eigensolves
+    those Laplacians, the checks then run trial by trial, and the group is
+    dropped. So a group's Laplacians stay within one stack's budget plus one
+    trial, and a group whose first trial fills a stack is that trial alone.
     """
     summary = CampaignSummary(config=config)
     rng = np.random.default_rng(config.seed)
@@ -340,13 +341,21 @@ def tightness_json(records: list[TightnessRecord]) -> str:
 
 
 def _emit(report: str | Callable[[TextIO], None], out: str | None) -> None:
-    """Write a report's text, or have its writer write it, to stdout or the file ``out``."""
+    """Write a report's text, or have its writer write it, to the file ``out`` or to stdout.
+
+    The process's stdout gets the bytes ``out`` would, through a buffered file
+    over its descriptor, closed here: so a reader gone mid-write raises here,
+    even under ``python -u`` (whose stdout drops the rest of a short write).
+    A stdout replaced in-process is written and flushed.
+    """
     write = report if callable(report) else lambda fh: fh.write(report)
-    if out is None:
+    if out is None and sys.stdout is not sys.__stdout__:
         write(sys.stdout)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+        sys.stdout.flush()
+        return
+    target = sys.stdout.fileno() if out is None else out
+    with open(target, "w", encoding="utf-8", newline="", closefd=out is not None) as fh:
+        write(fh)
 
 
 def _parse_ell_policy(raw: str) -> int | str:

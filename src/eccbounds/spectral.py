@@ -55,7 +55,7 @@ class CertificateResult:
     """Positive-semi-definiteness verdict with the tolerance of the eigensolver's verdict rule.
 
     ``method`` says how the verdict was reached. "eigen": the minimum eigenvalue
-    of a full decomposition against ``tolerance`` (``psd_certificate``).
+    of a full decomposition against ``tolerance`` (``is_psd``).
     "cholesky": ``prove_psd_stack`` proved the matrix PSD with its null space
     exactly the constant vectors, so ``min_eigenvalue`` is exactly 0.0 and the
     verdict is PSD by proof; ``tolerance`` is still the one an eigensolve would use.
@@ -151,18 +151,6 @@ def psd_tolerance(a: np.ndarray) -> float | np.ndarray:
     return PSD_REL_TOL * max(1.0, inf_norm(a))
 
 
-def psd_certificate(a: np.ndarray, summary: SpectralSummary) -> CertificateResult:
-    """The PSD verdict on ``a`` from its decomposition: min eigenvalue >= -psd_tolerance(a).
-
-    The one verdict rule of ``is_psd`` and of the stacked certificates; the
-    result records the tolerance.
-    """
-    tol = psd_tolerance(a)
-    min_eigenvalue = float(summary.eigenvalues[0])
-    verdict = PSD if min_eigenvalue >= -tol else NOT_PSD
-    return CertificateResult(min_eigenvalue=min_eigenvalue, tolerance=tol, verdict=verdict)
-
-
 def prove_psd_stack(stack: np.ndarray) -> np.ndarray:
     """Which members of a (B, n, n) stack a verified Cholesky proves PSD, as a (B,) bool array.
 
@@ -250,5 +238,10 @@ def _cholesky_completes(stack: np.ndarray) -> np.ndarray:
 
 
 def is_psd(a: np.ndarray) -> CertificateResult:
-    """Certify positive semi-definiteness via the minimum eigenvalue (``psd_certificate``)."""
-    return psd_certificate(a, eigen_decompose(a))
+    """Certify positive semi-definiteness: the minimum eigenvalue is at least -psd_tolerance(a).
+
+    The one verdict rule of the eigensolver; the result records the tolerance.
+    """
+    tol = psd_tolerance(a)
+    min_eigenvalue = float(eigen_decompose(a).eigenvalues[0])
+    return CertificateResult(min_eigenvalue, tol, PSD if min_eigenvalue >= -tol else NOT_PSD)

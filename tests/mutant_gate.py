@@ -39,6 +39,11 @@ POWER = ("tests/test_metrics.py::TestBoundedSearch", "tests/test_kernels.py::Tes
 PAIRING = ("tests/test_cli.py::test_golden_report", "tests/test_stacked.py::TestCampaignGroups::test_memo_equals_a_fresh_solve")
 GROUPS = ("tests/test_stacked.py::TestCampaignGroups::test_a_five_matrix_budget_gives_the_same_report",)
 PROOF = ("tests/test_psd_proof.py",)
+FALLBACK = (
+    "tests/test_certify.py::TestCertifyG2::test_path3_ell2_is_tight",
+    "tests/test_certify.py::TestCertifyG2::test_ell_one_gives_zero_matrix",
+    "tests/test_stacked.py::test_only_laplacians_reach_the_stacked_solve",
+)
 READER = ("tests/test_graphs.py::TestEdgeListAgainstReference",)
 BLOCKS = ("tests/test_cli.py::TestPower::test_blocks_write_the_whole_array_text",)
 #: ``_read_bytes`` without its two-numbers-a-line test
@@ -85,9 +90,10 @@ MUTANTS = (
     Mutant("power_pairs mask drops bit 63", "_kernels.py",
            "np.left_shift(~np.uint64(1),", "np.left_shift(np.uint64(0x7FFFFFFFFFFFFFFE),", POWER),
     Mutant("_levels stops one level early", "_kernels.py", LEVELS_STOP, LEVELS_STOP_EARLY, ("tests/test_kernels.py",)),
-    Mutant("stacked results paired with the wrong (analysis, key)", "bounds.py",
-           "zip(chunk, stack, eigen_decompose_stack(stack))", "zip(chunk[::-1], stack, eigen_decompose_stack(stack))",
-           PAIRING),
+    Mutant("stacked results paired with the wrong (analysis, ell)", "bounds.py",
+           "zip(chunk, eigen_decompose_stack(stack))", "zip(chunk[::-1], eigen_decompose_stack(stack))", PAIRING),
+    Mutant("an unproved certificate skips its eigensolve", "bounds.py",
+           "if won else is_psd(m)", "if won else CertificateResult(0.0, 0.0, PSD)", FALLBACK),
     Mutant("campaign group closes only at the end", "cli.py",
            "if pending >= per_stack or trial + 1 == config.trials:", "if trial + 1 == config.trials:", GROUPS),
     Mutant("Cholesky proof without its shift", "spectral.py",

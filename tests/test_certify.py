@@ -75,12 +75,14 @@ class TestCertifyG2:
         assert res.verdict == PSD
         # the bound is tight on P3, so the matrix is singular: no proof, an eigensolve
         assert res.method == "eigen" and abs(res.min_eigenvalue) <= res.tolerance
+        assert res == is_psd(3.0 * laplacian(path_graph(3)) - laplacian(complete_graph(3)))
 
     def test_ell_one_gives_zero_matrix(self):
         for g in (path_graph(5), cycle_graph(6), TWO_DISJOINT_EDGES):
             res = certify_g2_matrix(g, 1)
             assert res.verdict == PSD and res.method == "eigen"
             assert res.min_eigenvalue == 0.0
+            assert res == is_psd(np.zeros((g.n, g.n)))
 
     def test_path4_ell2(self):
         g = path_graph(4)
@@ -151,9 +153,8 @@ class TestCheckChain:
         # negative control: lambda2(G^ell) = scale * gamma * lambda2(G) on P7 at ell 2;
         # a relative 1e-6 excess is far above link 1's slack of 1e-9 * max(1, lambda2(G))
         a = GraphAnalysis(path_graph(7))
-        solved = a.spectrum
         power = scale * gamma(7, 2) * a.lambda2
-        monkeypatch.setattr(a, "spectrum", lambda kind, ell: power if kind == "power" else solved(kind, ell))
+        monkeypatch.setattr(a, "power_lambda2", lambda ell: power)
         c = check_chain(a, 2)
         assert c.lambda2_power == power
         assert c.links_hold[0] == holds and c.links_hold[1:] == (True, True)

@@ -733,6 +733,19 @@ class TestModuleExecution:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 2
         assert err == b"error: [Errno 32] Broken pipe\n"
+        # a 300 kB tightness report whose reader leaves after 10 bytes, and a short analyze report
+        # whose reader is gone before it is written, with stdout buffered or not (python -u)
+        tightness = [sys.executable, "-m", "eccbounds", "tightness", "--family", "path", "--n-max", "40"]
+        analyze = [sys.executable, "-m", "eccbounds", "analyze", str(path), "--ell", "2"]
+        for argv, head in ((tightness, b"family,n,e"), (analyze, b"")):
+            for unbuffered in ("", "1"):
+                with subprocess.Popen(
+                    argv, env=dict(env, PYTHONUNBUFFERED=unbuffered), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+                ) as proc:
+                    assert proc.stdout.read(len(head)) == head
+                    proc.stdout.close()
+                    err = proc.stderr.read()
+                    assert (proc.wait(timeout=60), err) == (2, b"error: [Errno 32] Broken pipe\n"), (argv[3], unbuffered)
 
     @pytest.mark.parametrize("module", ["eccbounds", "eccbounds.cli"])
     def test_missing_file_exits_2(self, module, tmp_path):

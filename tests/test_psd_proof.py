@@ -79,11 +79,12 @@ def test_every_small_connected_graph_agrees_with_exact_elimination(proofs, n):
         assert [[Fraction(x) for x in row] for row in member] == [[scale * x for x in row] for row in exact]
         psd, definite = oracles.exact_definiteness([row[:-1] for row in exact[:-1]])
         assert psd  # the theorems behind g1 and g2
-        cert = a.spectrum(kind, ell)
+        cert = a.certificate(kind, ell)
         assert won == definite and cert.verdict == PSD
         if won:
             assert (cert.method, cert.min_eigenvalue) == ("cholesky", 0.0)
-            assert cert.tolerance == psd_tolerance(a._matrix(kind, ell))
+            coeff = a._coefficients(kind, ell)[0]
+            assert cert.tolerance == psd_tolerance(coeff * a.power_laplacian(1) - a.power_laplacian(ell))
         else:
             assert cert.method == "eigen" and abs(cert.min_eigenvalue) <= cert.tolerance
             singular += 1
@@ -164,10 +165,10 @@ def test_a_huge_ell_is_declined_before_any_float_conversion(proofs):
     for ell, method in ((last, "cholesky"), (last + 1, "eigen"), (2**60, "eigen")):
         a = GraphAnalysis(path_graph(4))
         del proofs[:]
-        cert = a.spectrum("g2", ell)
+        cert = a.certificate("g2", ell)
         assert cert.verdict == PSD and cert.method == method
         assert len(proofs) == (method == "cholesky")
     # g1's coefficient (ell - 2) n^2 + 4n passes 2^53 / 12 too: neither matrix reaches the proof
     a = GraphAnalysis(path_graph(4))
-    a.solve([2**60])
-    assert proofs == [] and {a.spectrum(kind, 2**60).method for kind in ("g1", "g2")} == {"eigen"}
+    solve_stacked([(a, [2**60])])
+    assert proofs == [] and {a.certificate(kind, 2**60).method for kind in ("g1", "g2")} == {"eigen"}

@@ -25,7 +25,6 @@ from eccbounds.spectral import (
     eigen_decompose_stack,
     is_psd,
     laplacian,
-    psd_certificate,
 )
 
 
@@ -60,8 +59,9 @@ def members_of_order(n: int) -> list[np.ndarray]:
     for g in graphs_of_order(n):
         a = GraphAnalysis(g)
         coeff = float(1 + 2 * (a.power(2).m - a.m))
-        members += [a.laplacian, a.power_laplacian(2)]
-        members += [gamma(n, 2) * a.laplacian - a.power_laplacian(2), coeff * a.laplacian - a.power_laplacian(2)]
+        lap = a.power_laplacian(1)
+        members += [lap, a.power_laplacian(2)]
+        members += [gamma(n, 2) * lap - a.power_laplacian(2), coeff * lap - a.power_laplacian(2)]
     return members
 
 
@@ -76,9 +76,9 @@ def assert_agrees_with_is_psd(cert: CertificateResult, m: np.ndarray) -> None:
         assert cert == direct
 
 
-def eigensolved(memo: dict) -> int:
-    """How many of a memo's results came from the eigensolver: all but the proved certificates."""
-    return sum(getattr(result, "method", "eigen") == "eigen" for result in memo.values())
+def memos(a: GraphAnalysis) -> tuple[dict, dict]:
+    """An analysis's two result memos: lambda2(G^ell) by ell and the certificates by (kind, ell)."""
+    return a._lambda2s, a._certificates
 
 
 def assert_same_summary(stacked, alone):
@@ -96,7 +96,7 @@ class TestStackedCore:
         for a, s in zip(members, stacked):
             alone = eigen_decompose(a)
             assert_same_summary(s, alone)
-            assert psd_certificate(a, s) == is_psd(a)
+            assert is_psd(a).min_eigenvalue == s.eigenvalues[0]
             assert not s.eigenvalues.flags.writeable and not s.vectors.flags.writeable
 
     def test_members_match_the_oracle(self):
@@ -205,34 +205,36 @@ class TestGraphAnalysisSolve:
     @pytest.mark.parametrize("g", campaign_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
     def test_lambda2_after_solve_equals_a_lone_solve(self, g):
         a = GraphAnalysis(g)
-        a.solve(range(2, 6))
+        solve_stacked([(a, range(2, 6))])
         assert a.lambda2 == GraphAnalysis(g).lambda2
 
     @pytest.mark.parametrize("g", campaign_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
     def test_memo_equals_fresh_checks(self, g):
         a = GraphAnalysis(g)
         ells = range(2, 5)
-        a.solve(ells)
+        solve_stacked([(a, ells)])
         if not a.connected:
             return
         for ell in ells:
             assert certify_g1_matrix(a, ell) == certify_g1_matrix(g, ell)
             assert certify_g2_matrix(a, ell) == certify_g2_matrix(g, ell)
-            assert_agrees_with_is_psd(certify_g1_matrix(a, ell), gamma(a.n, ell) * a.laplacian - a.power_laplacian(ell))
+            lap = a.power_laplacian(1)
+            assert_agrees_with_is_psd(certify_g1_matrix(a, ell), gamma(a.n, ell) * lap - a.power_laplacian(ell))
             assert check_chain(a, ell) == check_chain(g, ell)
-            assert a.spectrum("power", ell) == eigen_decompose(a.power_laplacian(ell)).eigenvalues[1]
+            assert a.power_lambda2(ell) == eigen_decompose(a.power_laplacian(ell)).eigenvalues[1]
 
     def test_solve_once_then_read_the_memo(self, solves):
         a = GraphAnalysis(erdos_renyi(12, 0.3, seed=3))
         assert a.connected and a.profile.diameter >= 3
-        a.solve([2, 3])
+        solve_stacked([(a, [2, 3])])
         # every certificate is proved: L(G), L(G^2) and L(G^3) are eigensolved
-        assert eigensolved(a._solved) == 3 and len(a._solved) == 7
+        assert list(a._lambda2s) == [1, 2, 3] and len(a._certificates) == 4
+        assert {cert.method for cert in a._certificates.values()} == {"cholesky"}
         assert [len(stack) for stack, _ in solves] == [1 + 2]
-        a.solve([2, 3])
+        solve_stacked([(a, [2, 3])])
         a.lambda2, certify_g1_matrix(a, 3), certify_g2_matrix(a, 2), check_chain(a, 3)
         assert len(solves) == 1
-        a.solve([2, 3, 4])
+        solve_stacked([(a, [2, 3, 4])])
         assert [len(stack) for stack, _ in solves] == [3, 1]
 
     def test_a_miss_solves_only_the_missing_matrix(self, solves):
@@ -245,21 +247,21 @@ class TestGraphAnalysisSolve:
         assert [len(stack) for stack, _ in solves] == [1, 1]
         a = GraphAnalysis(g)
         certify_g2_matrix(a, 3)
-        assert list(a._solved) == [("g2", 3)]
+        assert a._lambda2s == {} and list(a._certificates) == [("g2", 3)]
 
     def test_small_budget_gives_the_same_results_in_more_calls(self, monkeypatch, solves):
         graphs = campaign_graphs()
         default = []
         for g in graphs:
             a = GraphAnalysis(g)
-            a.solve(range(2, 6))
-            default.append(dict(a._solved))
+            solve_stacked([(a, range(2, 6))])
+            default.append(memos(a))
         assert len(solves) == len(graphs)
         monkeypatch.setattr(bounds, "_STACK_BYTES", 3 * 8 * 12 * 12)
         for g, expected in zip(graphs, default):
             a = GraphAnalysis(g)
-            a.solve(range(2, 6))
-            assert a._solved == expected
+            solve_stacked([(a, range(2, 6))])
+            assert memos(a) == expected
         sizes = [len(stack) for stack, _ in solves[len(graphs) :]]
         assert max(sizes[:8]) == 3  # the n = 12 graphs: three members a stack
         assert len(sizes) > len(graphs)
@@ -267,29 +269,29 @@ class TestGraphAnalysisSolve:
     def test_a_matrix_over_budget_is_solved_alone_without_a_copy(self, monkeypatch, solves):
         monkeypatch.setattr(bounds, "_STACK_BYTES", 1)
         a = GraphAnalysis(path_graph(6))
-        a.solve([2])
+        solve_stacked([(a, [2])])
         # the two certificates are proved; L(G) and L(G^2) are eigensolved one at a time
-        assert eigensolved(a._solved) == 2
+        assert {cert.method for cert in a._certificates.values()} == {"cholesky"}
         assert [stack.shape for stack, _ in solves] == [(1, 6, 6)] * 2
-        assert np.shares_memory(solves[0][0], a.laplacian)
+        assert np.shares_memory(solves[0][0], a.power_laplacian(1))
 
     def test_disconnected_graph_solves_only_its_laplacian(self):
         a = GraphAnalysis(Graph.from_edges(6, [(0, 1), (2, 3)]))
-        a.solve([2, 3])
-        assert list(a._solved) == [("lambda2", 0)]
+        solve_stacked([(a, [2, 3])])
+        assert list(a._lambda2s) == [1] and a._certificates == {}
         assert abs(a.lambda2) <= 1e-9
         # the g2 certificate stays defined there, solved on its own
         assert certify_g2_matrix(a, 2).verdict == spectral.PSD
 
     def test_solve_refuses_a_single_node(self):
         with pytest.raises(ValueError, match="solve needs n >= 2, got n=1"):
-            GraphAnalysis(Graph.from_edges(1, [])).solve([2])
+            solve_stacked([(GraphAnalysis(Graph.from_edges(1, [])), [2])])
 
 
-def fresh_memo(g: Graph, ells) -> dict:
+def fresh_memo(g: Graph, ells) -> tuple[dict, dict]:
     a = GraphAnalysis(g)
-    a.solve(ells)
-    return a._solved
+    solve_stacked([(a, ells)])
+    return memos(a)
 
 
 class TestSolveStacked:
@@ -301,7 +303,7 @@ class TestSolveStacked:
         solve_stacked((a, self.ELLS) for a in analyses)
         assert len(solves) == 1
         for g, a in zip(graphs, analyses):
-            assert a._solved == fresh_memo(g, self.ELLS)
+            assert memos(a) == fresh_memo(g, self.ELLS)
 
     def test_stacks_cross_analysis_boundaries(self, monkeypatch, solves):
         graphs = campaign_graphs()[:8]
@@ -310,24 +312,24 @@ class TestSolveStacked:
         del solves[:]
         analyses = [GraphAnalysis(g) for g in graphs]
         solve_stacked((a, self.ELLS) for a in analyses)
-        pending = sum(eigensolved(memo) for memo in expected)
+        pending = sum(len(lambda2s) for lambda2s, _ in expected)
         assert [len(stack) for stack, _ in solves] == [5] * (pending // 5) + ([pending % 5] if pending % 5 else [])
-        assert [a._solved for a in analyses] == expected
+        assert [memos(a) for a in analyses] == expected
 
     def test_only_pending_keys_are_solved(self, solves):
         a, b = GraphAnalysis(erdos_renyi(12, 0.3, seed=3)), GraphAnalysis(erdos_renyi(12, 0.3, seed=4))
         assert a.connected and not b.connected
-        a.solve([2])
-        assert a.pending([2, 3]) == [("g1", 3), ("g2", 3), ("power", 3)]
+        solve_stacked([(a, [2])])
+        assert a.pending([2, 3]) == [3] and b.pending([2]) == [1]
         solve_stacked([(a, [2, 3]), (b, [2])])
         # a: g1 and g2, both proved, and L(G^3); b: only L(G), as its graph is disconnected
-        assert a._solved[("g1", 3)].method == a._solved[("g2", 3)].method == "cholesky"
+        assert a._certificates["g1", 3].method == a._certificates["g2", 3].method == "cholesky"
         assert [len(stack) for stack, _ in solves] == [2, 1 + 1]
 
     def test_nothing_pending_makes_no_call(self, solves):
         solve_stacked([])
         a = GraphAnalysis(path_graph(5))
-        a.solve([2])
+        solve_stacked([(a, [2])])
         solve_stacked([(a, [2]), (a, [2])])
         assert len(solves) == 1
 
@@ -383,7 +385,7 @@ class TestCampaignGroups:
         assert len(groups) > 1
         for _, _, pairs in groups:
             for a, ells in pairs:
-                assert a._solved == fresh_memo(a.graph, ells)
+                assert memos(a) == fresh_memo(a.graph, ells)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["all", "ell2"])
     def test_a_five_matrix_budget_gives_the_same_report(self, monkeypatch, events, solves, config):
@@ -394,11 +396,9 @@ class TestCampaignGroups:
         prove, proof_sizes = bounds.prove_psd_stack, []
         monkeypatch.setattr(bounds, "prove_psd_stack", lambda stack: proof_sizes.append(len(stack)) or prove(stack))
         assert summary_json(run_campaign(config)) == default
-        # no proof or eigensolve stack holds more than 5 members; with ell 2 alone a group's
-        # eigensolve holds two matrices a connected trial (its certificates are proved), so
-        # only the "all" campaign fills a stack
+        # no proof or eigensolve stack holds more than 5 members, and both campaigns fill one
         sizes = proof_sizes + [len(stack) for stack, _ in solves]
-        assert max(sizes) == 5 if config.ell_policy == "all" else max(sizes) <= 5
+        assert max(sizes) == 5 and max(len(stack) for stack, _ in solves) == 5
         groups = self.groups(events)
         assert sum(generated for generated, _, _ in groups) == config.trials
         for k, (generated, counts, _) in enumerate(groups):
@@ -425,3 +425,27 @@ def test_campaign_members_are_checked_to_roundoff(solves):
     ]
     assert len(quality) > 500
     assert max(r for r, _ in quality) <= 1e-8 and max(o for _, o in quality) <= 1e-10
+
+
+def test_only_laplacians_reach_the_stacked_solve(monkeypatch):
+    """Every member of every stacked eigensolve of a campaign and of ``solve_stacked`` is a graph
+    Laplacian (integer entries, zero row sums, off-diagonal entries 0 or -1), also when a certificate
+    falls back: that one gets a lone ``is_psd`` of its float matrix."""
+    solve, members = bounds.eigen_decompose_stack, []
+    monkeypatch.setattr(bounds, "eigen_decompose_stack", lambda stack: members.extend(stack) or solve(stack))
+    lone, fallbacks = bounds.is_psd, []
+    monkeypatch.setattr(bounds, "is_psd", lambda m: fallbacks.append(m) or lone(m))
+    assert run_campaign(CampaignConfig(family="erdos_renyi", n=12, p=0.3, trials=100, seed=42)).violations == []
+    assert len(members) == 339 and fallbacks == []
+    # P3's two certificates at ell 2 are both 3 L(P3) - L(K3), singular as the bounds are tight there;
+    # K3's g2 matrix at ell 2 is zero, as K3 is its own square
+    p3, k3 = GraphAnalysis(path_graph(3)), GraphAnalysis(complete_graph(3))
+    solve_stacked([(p3, [2]), (k3, [2])])
+    assert len(members) == 339 + 4 and len(fallbacks) == 3
+    tight = 3.0 * laplacian(path_graph(3)) - laplacian(complete_graph(3))
+    for a, kind, m in ((p3, "g1", tight), (p3, "g2", tight), (k3, "g2", np.zeros((3, 3)))):
+        assert a.certificate(kind, 2) == is_psd(m) and a.certificate(kind, 2).method == "eigen"
+    for m in members:
+        off_diagonal = m[~np.eye(len(m), dtype=bool)]
+        assert (m == np.rint(m)).all() and not m.sum(axis=1).any()
+        assert np.isin(off_diagonal, (0.0, -1.0)).all()
