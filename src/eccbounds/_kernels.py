@@ -1,13 +1,17 @@
 """Hot numeric kernels: all-pairs BFS and cyclic Jacobi rotation sweeps.
 
-``_levels`` is a bit-parallel BFS that runs all n searches at once (after
-Akiba, Iwata & Yoshida, SIGMOD 2013): each node's reach set is a row of
+``_levels`` is a bit-parallel BFS that runs all n searches of a graph at once
+(after Akiba, Iwata & Yoshida, SIGMOD 2013): each node's reach set is a row of
 ceil(n/64) uint64 words, and one level ORs into every row its neighbours'
-rows, O(m * n/64) word operations and no BLAS. ``bfs_all_pairs`` runs it to
-the end for the distance matrix; ``power_pairs`` stops it after ell levels,
-when row u is u's closed ell-neighbourhood, and reads G^ell's edges from the
-rows, a bounded block at a time, with no distance matrix. Neither depends on
-the BLAS build or threads.
+rows, O(m * n/64) word operations and no BLAS. It searches B graphs of one
+order n together, as multi-source BFS shares one traversal among searches
+(Then et al., VLDB 2014): they come packed as one CSR of B * n rows, member
+b's node i being row b * n + i with bit i of its row, so no edge leaves a
+member's block of rows and neither does reach. One graph is the batch of
+one. ``bfs_all_pairs`` runs it to the end for the (B, n, n) distance stack;
+``power_pairs`` stops it after ell levels, when row u is u's closed
+ell-neighbourhood, and reads G^ell's edges from the rows, a bounded block at
+a time, with no distance matrix. Neither depends on the BLAS build or threads.
 ``jacobi_sweeps`` is the Jacobi half of the eigensolver and owns every
 Jacobi decision: given a (B, n, n) stack and LAPACK ``eigh``'s basis Q, it
 forms W = Q^T A Q, tests the stopping rule (OFF_DIAG_REL_TOL) for every
@@ -47,29 +51,34 @@ class JacobiConvergenceError(RuntimeError):
 def _levels(indptr, indices, n):
     """The BFS level loop: yields (rows, new), changed in place, from level 0 (each node alone) on.
 
-    Row i of ``rows`` holds the nodes within ``level`` of node i (node j is bit
-    j % 64 of word j // 64), ``new`` the level's added bits. It returns at the first
-    level that adds none, after diameter + 1 levels (of the largest component),
-    each O((m + n) * n/64) word operations. ``reduceat`` returns the element itself
-    for an empty segment, so an isolated node's one neighbour is row n of
-    ``reach``, which stays zero. Memory: n * n/8 bytes each for ``rows`` and ``new``.
+    ``indptr`` and ``indices`` are the CSR lists of B graphs of order n packed
+    as one (B * n rows; member b's node i is row b * n + i). Row r of ``rows``
+    holds, as bit i of its ceil(n/64) words, the nodes i of r's member within
+    ``level`` of r, and ``new`` the level's added bits. It returns at the first
+    level that adds none, after diameter + 1 levels (of the largest component
+    of any member), each O((m + B * n) * n/64) word operations. ``reduceat``
+    returns the element itself for an empty segment, so an isolated node's one
+    neighbour is row B * n of ``reach``, which stays zero. Memory: B * n * n/8
+    bytes each for ``rows`` and ``new``.
     """
     words = (n + 63) // 64
-    nodes = np.arange(n)
-    reach = np.zeros((n + 1, words), dtype=np.uint64)
-    reach[nodes, nodes // 64] = np.left_shift(np.uint64(1), (nodes % 64).astype(np.uint64))
+    total = indptr.size - 1
+    nodes = np.arange(total)
+    bits = nodes % n
+    reach = np.zeros((total + 1, words), dtype=np.uint64)
+    reach[nodes, bits // 64] = np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64))
     deg = np.diff(indptr)
-    seg = np.zeros(n + 1, dtype=np.int64)
+    seg = np.zeros(total + 1, dtype=np.int64)
     np.cumsum(np.maximum(deg, 1), out=seg[1:])
-    nbrs = np.full(seg[-1], n, dtype=np.int64)
+    nbrs = np.full(seg[-1], total, dtype=np.int64)
     edge_row = np.repeat(nodes, deg)
     nbrs[seg[edge_row] + np.arange(indices.size) - indptr[edge_row]] = indices
     # runs of rows whose neighbour lists fit the gather buffer
     cuts = _cuts(seg, max(1, _GATHER_WORDS // words))
     runs = [(a, b, nbrs[seg[a]:seg[b]], seg[a:b] - seg[a]) for a, b in zip(cuts[:-1], cuts[1:])]
     gathered = np.empty((max(r[2].size for r in runs), words), dtype=np.uint64)
-    rows = reach[:n]
-    new = np.empty((n, words), dtype=np.uint64)
+    rows = reach[:total]
+    new = np.empty((total, words), dtype=np.uint64)
     yield rows, rows
     while True:
         for a, b, run_nbrs, starts in runs:
@@ -84,13 +93,14 @@ def _levels(indptr, indices, n):
 
 
 def bfs_all_pairs(indptr, indices, n):
-    """All-pairs BFS distances from CSR lists: the full ``_levels`` search, n searches at once.
+    """All-pairs BFS distances of B packed graphs of order n: the full ``_levels`` search, B * n searches at once.
 
     Level k's new bits are the nodes at distance k; bit b of k goes into bit
-    plane b (n * n/8 bytes each), so the n x n matrix is unpacked once per plane
-    rather than once per level. Returns an (n, n) matrix in the narrowest signed
-    type that holds the diameter (int8 up to 127, int16 up to 32767, ...), with 0
-    on the diagonal and -1 where no path exists.
+    plane b (B * n * n/8 bytes each), so the distances are unpacked once per
+    plane rather than once per level. Returns a (B, n, n) stack in the
+    narrowest signed type that holds the largest distance of any member (int8
+    up to 127, int16 up to 32767, ...), with 0 on each diagonal and -1 where
+    no path exists.
     """
     planes = []
     for level, (rows, new) in enumerate(_levels(indptr, indices, n)):
@@ -100,7 +110,7 @@ def bfs_all_pairs(indptr, indices, n):
             if level >> b & 1:
                 plane |= new
     # assemble in the narrowest signed type that holds the planes, in place:
-    # each fresh n x n array costs page faults, and numpy's int8 shift is slow
+    # each fresh array costs page faults, and numpy's int8 shift is slow
     small = np.min_scalar_type(-(1 << len(planes)))
     dist = _unpack(rows, n, small)
     dist -= 1  # -1 where unreached; reached pairs start at 0
@@ -109,7 +119,7 @@ def bfs_all_pairs(indptr, indices, n):
         if b:
             bit *= 1 << b
         dist |= bit
-    return dist
+    return dist.reshape(-1, n, n)
 
 
 def _cuts(offsets, cap):
@@ -165,7 +175,7 @@ def _row_pairs(row_bytes, first):
 
 
 def _unpack(bits, n, dtype):
-    """(n, words) little-endian uint64 bitsets -> (n, n) 0/1 matrix of a signed ``dtype``."""
+    """(rows, words) little-endian uint64 bitsets -> (rows, n) 0/1 matrix of a signed ``dtype``."""
     as_bytes = bits.astype("<u8", copy=False).view(np.uint8)
     flags = np.unpackbits(as_bytes, axis=1, count=n, bitorder="little")
     return flags.view(dtype) if dtype.itemsize == 1 else flags.astype(dtype)

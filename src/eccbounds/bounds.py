@@ -4,9 +4,11 @@ Every bound here is a guaranteed lower bound on lambda2 for simple undirected
 graphs. ``GraphAnalysis`` holds what every bound and certificate of one graph
 is computed from (distances, eccentricities, power graphs and their
 Laplacians), each once, and memoises lambda2(G^ell) by ell (1 is G) and the g1
-and g2 certificates by (kind, ell). ``solve_stacked`` fills both memos for
-several analyses of one order. The certificates go, as integer matrices, to one
-batched verified Cholesky (``spectral.prove_psd_stack``): a proved one is PSD
+and g2 certificates by (kind, ell). ``GraphAnalysis.batch`` builds the
+analyses of several graphs of one order from one distance search
+(``metrics.all_pairs_distances_stack``), and ``solve_stacked`` fills both
+memos for several analyses of one order. The certificates go, as integer
+matrices, to one batched verified Cholesky (``spectral.prove_psd_stack``): a proved one is PSD
 by proof (method "cholesky", min eigenvalue exactly 0.0), any other gets
 ``spectral.is_psd`` ("eigen"). Only Laplacians reach the stacked eigensolves.
 ``evaluate_all`` reads one analysis and collects the bound values, slacks,
@@ -16,7 +18,7 @@ and tightness flags into a single report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,10 +26,10 @@ from .graphs import Graph
 from .metrics import (
     UNREACHABLE,
     all_pairs_distances,
+    all_pairs_distances_stack,
     count_s_ell,
     eccentricity_profile,
     power_adjacency,
-    power_graph,
 )
 from .spectral import (
     PSD,
@@ -183,36 +185,57 @@ def stack_members(n: int) -> int:
 class GraphAnalysis:
     """The distance matrix, eccentricity profile, power graphs and spectra of one graph.
 
-    Distances and the profile are computed on construction; ``power(ell)`` and
-    ``power_laplacian(ell)`` (L(G^ell), read-only; ell = 1 is L(G)), each read
-    from the distances alone, are memoised per ell, as are the results
-    ``power_lambda2(ell)`` (``lambda2`` is ell = 1) and ``certificate(kind,
-    ell)``. A miss solves that one matrix alone; ``solve_stacked`` fills both
-    result memos for several analyses at once. Pass one analysis to
-    ``evaluate_all``, the certificates and ``check_chain`` to share this work.
+    Distances and the profile are computed on construction, the distances by
+    one BFS of ``g`` alone or, through ``batch``, by one search of several
+    graphs. The mask 1 <= d <= ell and, each read from it, ``power(ell)`` and
+    ``power_laplacian(ell)`` (L(G^ell), read-only; ell = 1 is L(G)) are
+    memoised per ell, as are the results ``power_lambda2(ell)`` (``lambda2``
+    is ell = 1) and ``certificate(kind, ell)``. A miss solves that one matrix
+    alone; ``solve_stacked`` fills both result memos for several analyses at
+    once. Pass one analysis to ``evaluate_all``, the certificates and
+    ``check_chain`` to share this work.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, *, dist: np.ndarray | None = None):
+        """Analyse ``g``; ``dist``, when given, is its read-only distance matrix and no BFS runs."""
         self.graph = g
         self.n = g.n
         self.m = g.m
-        self.dist = all_pairs_distances(g)
+        self.dist = all_pairs_distances(g) if dist is None else dist
         self.profile = eccentricity_profile(self.dist)
         self.connected = self.profile.diameter != UNREACHABLE
+        self._masks: dict[int, np.ndarray] = {}
         self._powers: dict[int, Graph] = {}
         self._power_laplacians: dict[int, np.ndarray] = {}
         self._lambda2s: dict[int, float] = {}
         self._certificates: dict[tuple[str, int], CertificateResult] = {}
 
+    @classmethod
+    def batch(cls, graphs: Sequence[Graph]) -> list[GraphAnalysis]:
+        """One analysis per graph, all of one order, their distances from one ``all_pairs_distances_stack`` search.
+
+        Each member's distances equal those of ``GraphAnalysis(g)``, in the type
+        that the batch's largest distance needs, so every result read from them
+        is bitwise the same.
+        """
+        return [cls(g, dist=dist) for g, dist in zip(graphs, all_pairs_distances_stack(graphs))]
+
+    def _mask(self, ell: int) -> np.ndarray:
+        """G^ell's dense adjacency, the distance mask 1 <= d <= ell, built once for both power methods."""
+        if ell not in self._masks:
+            self._masks[ell] = power_adjacency(self.dist, ell)
+        return self._masks[ell]
+
     def power(self, ell: int) -> Graph:
+        """G^ell, built from the mask by ``Graph.from_adjacency``: ``metrics.power_graph(dist, ell)``."""
         if ell not in self._powers:
-            self._powers[ell] = power_graph(self.dist, ell)
+            self._powers[ell] = Graph.from_adjacency(self._mask(ell))
         return self._powers[ell]
 
     def power_laplacian(self, ell: int) -> np.ndarray:
-        """L(G^ell) from the distance mask 1 <= d <= ell, bitwise ``laplacian(power_graph(dist, ell))``."""
+        """L(G^ell) from the mask, bitwise ``laplacian(power_graph(dist, ell))``."""
         if ell not in self._power_laplacians:
-            lap = self._power_laplacians[ell] = adjacency_laplacian(power_adjacency(self.dist, ell))
+            lap = self._power_laplacians[ell] = adjacency_laplacian(self._mask(ell))
             lap.flags.writeable = False  # shared by every check on this graph
         return self._power_laplacians[ell]
 
@@ -261,8 +284,9 @@ class GraphAnalysis:
 def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
     """Settle what the checks of every (analysis, ells) pair read: certificates, then lambda2s.
 
-    For a connected graph, the g1 and g2 certificates of each ell not yet in
-    its memo go to ``_prove``; then the ``pending`` L(G^ell) go to one stacked
+    For a connected graph, the g2 certificate of each ell, and the g1
+    certificate of each ell >= 2 (gamma needs ell >= 2), not yet in its memo go
+    to ``_prove``; then the ``pending`` L(G^ell) go to one stacked
     eigensolve. Each list is taken analysis by analysis and cut into chunks of
     ``stack_members(n)``, so a chunk may hold several analyses' matrices; each
     result goes into its own analysis's memo. Every member is bitwise the one
@@ -274,7 +298,8 @@ def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
     if len(orders) > 1:
         raise ValueError(f"solve_stacked needs analyses of one order, got n in {sorted(orders)}")
     laplacians = [(a, ell) for a, ells in pairs for ell in a.pending(ells)]
-    keys = [(a, (kind, ell)) for a, ells in pairs if a.connected for ell in ells for kind in ("g1", "g2")]
+    kinds = {True: ("g1", "g2"), False: ("g2",)}  # by ell >= 2: gamma, and so g1, needs it
+    keys = [(a, (kind, ell)) for a, ells in pairs if a.connected for ell in ells for kind in kinds[ell >= 2]]
     proofs = [(a, key) for a, key in keys if key not in a._certificates]
     per_stack = stack_members(orders.pop()) if orders else 1
     for settle, items in ((_prove, proofs), (_eigensolve, laplacians)):
@@ -338,9 +363,9 @@ def evaluate_all(g: Graph | GraphAnalysis, ell: int) -> BoundReport:
     s1 = count_s_ell(a.profile, 1)
     s2 = count_s_ell(a.profile, 2)
     s_ell = count_s_ell(a.profile, ell)
-    power = a.power(ell)
-    e_complement = a.n * (a.n - 1) // 2 - a.m
     lam = a.lambda2 if a.connected else 0.0
+    power = a.power(ell)  # after the solve, so a lone graph's G^ell and its mask are not held through it
+    e_complement = a.n * (a.n - 1) // 2 - a.m
     d = a.profile.diameter if a.connected else None
 
     bounds: dict[str, float | None] = {

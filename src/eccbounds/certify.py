@@ -82,7 +82,7 @@ def check_chain(g: Graph | GraphAnalysis, ell: int) -> ChainCheck:
     """Verify the spectral chain lambda2(G) >= lambda2(G^ell)/gamma >= s_ell/gamma.
 
     s1 of the power graph counts its nodes of degree n - 1 (eccentricity <= 1),
-    so link 3 cross-checks how ``power_graph`` built G^ell against G's
+    so link 3 cross-checks how ``GraphAnalysis.power`` built G^ell against G's
     eccentricity profile, both read from one distance matrix, without a BFS.
     """
     a = analysis_for("chain check", g, ell, 2)

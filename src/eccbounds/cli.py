@@ -9,6 +9,11 @@ Subcommands:
                     ratios to show where each bound is sharp.
 * ``power``      -- write the ell-th power of a graph as an edge list.
 
+``verify`` finds its trials' distances a batch of graphs at a time, in one
+BFS per batch (``GraphAnalysis.batch``), and settles their certificates and
+spectra a group at a time (``bounds.solve_stacked``); neither changes a byte
+of its report. Its worst-slack graph is serialized once, by ``summary_json``.
+
 Exit codes: 0 success, 1 verification violation, 2 usage or input error.
 Reports are deterministic: the same command line and seed produce byte
 identical output. Every report value goes through one pair of formatters,
@@ -156,6 +161,7 @@ class CampaignSummary:
     bound_stats: dict[str, _BoundStats] = field(
         default_factory=lambda: {name: _BoundStats() for name in BOUND_NAMES}
     )
+    #: the loosest connected check so far; its "graph" is the Graph, serialized only by ``summary_json``
     worst_slack: dict[str, object] | None = None
 
 
@@ -173,29 +179,35 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     (zero eccentricity counts, zero bounds, an eigensolver lambda2 of 0) are still checked;
     only the connectivity-dependent certificates and chain are omitted. Each
     graph gets one ``GraphAnalysis``, shared by every check on it. Trials are
-    generated in order into a group until the group's pending Laplacians
-    (``GraphAnalysis.pending``) fill one stack (``bounds.stack_members``); one
-    ``solve_stacked`` call proves the group's certificates and eigensolves
-    those Laplacians, the checks then run trial by trial, and the group is
-    dropped. So a group's Laplacians stay within one stack's budget plus one
-    trial, and a group whose first trial fills a stack is that trial alone.
+    generated in order a batch at a time, at most ``stack_members(n) // n``
+    (at least 1) to a batch, and ``GraphAnalysis.batch`` searches each batch's
+    distances in one BFS. The analyses then join, in order, a group until the
+    group's pending Laplacians (``GraphAnalysis.pending``) fill one stack
+    (``bounds.stack_members``); one ``solve_stacked`` call proves the group's
+    certificates and eigensolves those Laplacians, the checks then run trial
+    by trial, and the group is dropped. So a group's Laplacians stay within
+    one stack's budget plus one trial, a group whose first trial fills a
+    stack is that trial alone, and groups do not depend on the batches.
     """
     summary = CampaignSummary(config=config)
     rng = np.random.default_rng(config.seed)
     per_stack = stack_members(config.n)
+    per_batch = max(1, per_stack // config.n)
     group: list[tuple[int, GraphAnalysis, list[int]]] = []
     pending = 0
 
-    for trial in range(config.trials):
-        analysis = GraphAnalysis(generate(config.family, config.n, p=config.p, seed=rng))
-        ells = _policy_ells(config.ell_policy, analysis.profile.diameter)
-        group.append((trial, analysis, ells))
-        pending += len(analysis.pending(ells))
-        if pending >= per_stack or trial + 1 == config.trials:
-            solve_stacked((a, ells) for _, a, ells in group)
-            for member in group:
-                _check_trial(summary, *member)
-            group, pending = [], 0
+    for first in range(0, config.trials, per_batch):
+        count = min(per_batch, config.trials - first)
+        graphs = [generate(config.family, config.n, p=config.p, seed=rng) for _ in range(count)]
+        for trial, analysis in enumerate(GraphAnalysis.batch(graphs), first):
+            ells = _policy_ells(config.ell_policy, analysis.profile.diameter)
+            group.append((trial, analysis, ells))
+            pending += len(analysis.pending(ells))
+            if pending >= per_stack or trial + 1 == config.trials:
+                solve_stacked((a, ells) for _, a, ells in group)
+                for member in group:
+                    _check_trial(summary, *member)
+                group, pending = [], 0
     return summary
 
 
@@ -239,7 +251,7 @@ def _check_trial(summary: CampaignSummary, trial: int, analysis: GraphAnalysis, 
                         "trial": trial,
                         "ell": ell,
                         "lambda2": report.lambda2,
-                        "graph": serialize_edge_list(g),
+                        "graph": g,  # serialized by summary_json
                     }
 
         if analysis.connected:
@@ -269,8 +281,10 @@ def _check_trial(summary: CampaignSummary, trial: int, analysis: GraphAnalysis, 
 
 
 def summary_json(summary: CampaignSummary) -> str:
-    """Deterministic JSON rendering of a campaign summary."""
+    """Deterministic JSON rendering of a campaign summary; the worst slack's graph is serialized here."""
     worst = summary.worst_slack
+    if worst is not None:
+        worst = dict(worst, graph=serialize_edge_list(worst["graph"]))  # type: ignore[arg-type]
     obj = {
         "config": {
             "ell" if key == "ell_policy" else key: value

@@ -1,13 +1,17 @@
 """Shortest-path distances, eccentricities, threshold counts, and graph powers.
 
-``all_pairs_distances``, ``power_blocks`` and ``power_edges`` refuse n above
-``graphs.MAX_NODES`` before searching.
+One core, ``all_pairs_distances_stack``, searches B graphs of one order in
+one ``_kernels.bfs_all_pairs`` call and returns their (B, n, n) distance
+stack; ``all_pairs_distances`` is the core on a stack of one, so a lone
+graph and a batch member get the same distances.
+``all_pairs_distances_stack``, ``power_blocks`` and ``power_edges`` refuse n
+above ``graphs.MAX_NODES`` before searching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Final, Iterator
+from typing import Final, Iterator, Sequence
 
 import numpy as np
 
@@ -22,17 +26,21 @@ UNREACHABLE: Final[int] = -1
 
 @dataclass(frozen=True, eq=False)
 class EccentricityProfile:
-    """Per-node eccentricities and the diameter.
+    """Per-node eccentricities, the diameter, and the cumulative eccentricity counts.
 
     A node unable to reach some other node has eccentricity UNREACHABLE; the
     diameter is UNREACHABLE exactly when the graph is disconnected (n >= 2).
+    ``at_most[k]`` is the number of nodes of finite eccentricity at most k,
+    for k up to the largest finite one; it is empty when none is finite.
     """
 
     ecc: np.ndarray  # (n,), the integer type of the distance matrix it was read from
     diameter: int
+    at_most: np.ndarray
 
     def __post_init__(self):
         self.ecc.flags.writeable = False
+        self.at_most.flags.writeable = False
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -40,12 +48,39 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 
     It is in the narrowest signed integer type holding the largest distance
     found (int8 up to 127, 1 byte a pair on most graphs): compare it with
-    Python ints, and widen it before arithmetic that could overflow.
+    Python ints, and widen it before arithmetic that could overflow. The
+    stacked core on a stack of one.
     """
-    if g.n < 1:
-        raise ValueError(f"node count must be >= 1, got {g.n}")
-    check_node_count(g.n)
-    dist = _kernels.bfs_all_pairs(g.indptr, g.indices, g.n)
+    return all_pairs_distances_stack([g])[0]
+
+
+def all_pairs_distances_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """The read-only (B, n, n) stack of the distance matrices of B graphs of one order, from one search.
+
+    The graphs go to ``_kernels.bfs_all_pairs`` packed as one CSR, member b's
+    node i as row b * n + i, so reach never leaves a member. The stack is in
+    the narrowest signed type that holds the largest distance of any member;
+    within it each member's distances are exactly its lone ones. Raises
+    ValueError for no graphs, graphs of different orders, or n < 1, and
+    refuses n above MAX_NODES.
+    """
+    orders = {g.n for g in graphs}
+    if len(orders) != 1:
+        raise ValueError(f"distance stack needs one or more graphs of one order, got n in {sorted(orders)}")
+    n = orders.pop()
+    if n < 1:
+        raise ValueError(f"node count must be >= 1, got {n}")
+    check_node_count(n)
+    if len(graphs) == 1:  # a lone graph's CSR is already its packing
+        indptr, indices = graphs[0].indptr, graphs[0].indices
+    else:
+        sizes = [g.indices.size for g in graphs]
+        indptr = np.zeros(len(graphs) * n + 1, dtype=np.int64)
+        indptr[1:] = np.concatenate([g.indptr[1:] for g in graphs])
+        indptr[1:] += np.repeat(np.cumsum(sizes) - sizes, n)
+        indices = np.concatenate([g.indices for g in graphs])
+        indices += np.repeat(np.arange(len(graphs)) * n, sizes)  # member b's node i is row b * n + i
+    dist = _kernels.bfs_all_pairs(indptr, indices, n)
     dist.flags.writeable = False
     return dist
 
@@ -55,17 +90,17 @@ def eccentricity_profile(dist: np.ndarray) -> EccentricityProfile:
     ecc = dist.max(axis=1)
     ecc[has_unreachable] = UNREACHABLE
     diameter = UNREACHABLE if has_unreachable.any() else int(ecc.max())
-    return EccentricityProfile(ecc, diameter)
+    return EccentricityProfile(ecc, diameter, np.cumsum(np.bincount(ecc[ecc >= 0])))
 
 
 def count_s_ell(e: EccentricityProfile, ell: int) -> int:
-    """Number of nodes with finite eccentricity at most ell.
+    """Number of nodes with finite eccentricity at most ell, read from ``e.at_most``.
 
     Zero for disconnected graphs, where every eccentricity is UNREACHABLE.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    return int(np.count_nonzero((e.ecc >= 0) & (e.ecc <= ell)))
+    return int(e.at_most[min(ell, e.at_most.size - 1)]) if e.at_most.size else 0
 
 
 def power_adjacency(dist: np.ndarray, ell: int) -> np.ndarray:

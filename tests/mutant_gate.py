@@ -45,6 +45,8 @@ FALLBACK = (
     "tests/test_stacked.py::test_only_laplacians_reach_the_stacked_solve",
 )
 READER = ("tests/test_graphs.py::TestEdgeListAgainstReference",)
+STACK = ("tests/test_metrics.py::TestDistanceStack",)
+BATCH = ("tests/test_analysis.py::TestBatch", "tests/test_stacked.py::test_batched_searches_change_no_stack_or_report")
 BLOCKS = ("tests/test_cli.py::TestPower::test_blocks_write_the_whole_array_text",)
 #: ``_read_bytes`` without its two-numbers-a-line test
 TWO_A_LINE = """\
@@ -108,6 +110,11 @@ MUTANTS = (
            '_BYTE_CLASS[ord("\\r")] = _CR', '_BYTE_CLASS[ord("\\r")] = _SPACE', READER),
     Mutant("a power block drops its last row", "_kernels.py",
            "_row_pairs(row_bytes[a:b], a)", "_row_pairs(row_bytes[a:b - 1], a)", BLOCKS),
+    Mutant("packed reach leaks across member blocks", "metrics.py",
+           "np.arange(len(graphs)) * n, sizes)", "np.arange(len(graphs)) * (n - 1), sizes)", STACK),
+    Mutant("batch analyses handed a neighbour's distance block", "bounds.py",
+           "zip(graphs, all_pairs_distances_stack(graphs))",
+           "zip(graphs, np.roll(all_pairs_distances_stack(graphs), 1, axis=0))", BATCH),
     Mutant("Jacobi column update with the sign of s flipped", "_kernels.py",
            "a[:, q] = s * ap + c * aq", "a[:, q] = -s * ap + c * aq", JACOBI),
     Mutant("Jacobi stopping rule 1e-6", "_kernels.py",

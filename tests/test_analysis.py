@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from eccbounds import _kernels, spectral
+from eccbounds import _kernels, metrics, spectral
 from eccbounds.bounds import GraphAnalysis, evaluate_all
 from eccbounds.certify import certify_g1_matrix, certify_g2_matrix, check_chain
 from eccbounds.graphs import Graph, erdos_renyi, path_graph
@@ -48,6 +48,20 @@ class TestGraphAnalysis:
         oracles.patch_everywhere(monkeypatch, spectral.eigen_decompose_stack, None)
         assert a.lambda2 == first
         assert a.power(2) is a.power(2)
+
+    def test_one_mask_per_ell_serves_power_and_power_laplacian(self, monkeypatch):
+        original, built = metrics.power_adjacency, []
+        oracles.patch_everywhere(monkeypatch, original, lambda dist, ell: built.append(ell) or original(dist, ell))
+        a = GraphAnalysis(erdos_renyi(10, 0.4, seed=2))
+        assert a.connected
+        for ell in (2, 3):
+            evaluate_all(a, ell)
+            certify_g1_matrix(a, ell)
+            certify_g2_matrix(a, ell)
+            check_chain(a, ell)
+        # L(G) = L(G^1) for the certificates, and G^ell and L(G^ell) for each ell, from three masks
+        assert sorted(built) == [1, 2, 3]
+        assert sorted(a._powers) == [2, 3] and sorted(a._power_laplacians) == [1, 2, 3]
 
     def test_connected_matches_floyd_warshall(self):
         for seed in range(8):
@@ -93,3 +107,32 @@ class TestGraphAnalysis:
         with pytest.raises(ValueError, match="check_chain requires a connected graph"):
             check_chain(a, 2)
 
+
+
+class TestBatch:
+    """``GraphAnalysis.batch``: one search for graphs of one order, each analysis equal to a lone one."""
+
+    GRAPHS = [erdos_renyi(10, 0.3, seed=seed) for seed in range(6)] + [path_graph(10), Graph.from_edges(10, [])]
+
+    def test_each_member_is_its_lone_analysis(self):
+        batch = GraphAnalysis.batch(self.GRAPHS)
+        assert len(batch) == len(self.GRAPHS)
+        for g, a in zip(self.GRAPHS, batch):
+            lone = GraphAnalysis(g)
+            assert a.graph is g and (a.n, a.m, a.connected) == (lone.n, lone.m, lone.connected)
+            assert a.dist.dtype == lone.dist.dtype and a.dist.tobytes() == lone.dist.tobytes()
+            assert not a.dist.flags.writeable
+            assert a.profile.ecc.tobytes() == lone.profile.ecc.tobytes()
+            assert a.profile.diameter == lone.profile.diameter
+            for ell in (2, 3):
+                assert evaluate_all(a, ell) == evaluate_all(lone, ell)
+
+    def test_one_search_for_the_batch(self, monkeypatch):
+        search, members = _kernels.bfs_all_pairs, []
+        monkeypatch.setattr(_kernels, "bfs_all_pairs", lambda *args: members.append(len(args[0]) - 1) or search(*args))
+        GraphAnalysis.batch(self.GRAPHS)
+        assert members == [len(self.GRAPHS) * 10]
+
+    def test_refuses_mixed_orders(self):
+        with pytest.raises(ValueError, match="one order"):
+            GraphAnalysis.batch([path_graph(4), path_graph(5)])

@@ -1,4 +1,5 @@
-"""Kernel call counts: each distance matrix, Laplacian and L(G) spectrum once per graph."""
+"""Kernel call counts: each distance matrix, Laplacian and L(G) spectrum once per graph, and one BFS
+per batch of campaign trials."""
 
 import numpy as np
 import pytest
@@ -30,6 +31,20 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(_kernels, "bfs_all_pairs", counted_bfs)
     oracles.patch_everywhere(monkeypatch, solve, counted_solve)
     return counts
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The member count of every BFS kernel call made through ``_kernels``: its packed rows over n."""
+    members = []
+    bfs = _kernels.bfs_all_pairs
+
+    def counted(indptr, indices, n):
+        members.append((len(indptr) - 1) // n)
+        return bfs(indptr, indices, n)
+
+    monkeypatch.setattr(_kernels, "bfs_all_pairs", counted)
+    return members
 
 
 @pytest.fixture
@@ -78,7 +93,8 @@ def test_check_chain_on_a_built_analysis_makes_no_bfs(kernel_calls):
 
 class TestKernelCallCounts:
     """One BFS per graph, whatever ell is checked: chain link 3 reads s1(G^ell)
-    from the power graph's degrees. Per connected (graph, ell) check, the two
+    from the power graph's degrees; a campaign searches its trials together, one
+    BFS per batch of at most ``stack_members(n) // n`` trials. Per connected (graph, ell) check, the two
     certificate matrices go to one batched Cholesky proof, and here every one
     is proved; so only L(G) and L(G^ell) are eigensolved, each once, stacked
     across trials up to the stack budget, and a campaign whose matrices fit one
@@ -107,13 +123,29 @@ class TestKernelCallCounts:
         summary = run_campaign(config)
         assert summary.violations == []
         assert summary.checks == connected_checks + disconnected
-        assert kernel_calls["bfs_all_pairs"] == config.trials
+        # all 12 trials are one batch (up to stack_members(8) // 8 = 256 trials a batch)
+        assert kernel_calls["bfs_all_pairs"] == 1
         assert proof_calls == {"calls": 1, "certificates": 2 * connected_checks, "proved": 2 * connected_checks}
         assert kernel_calls["matrices"] == config.trials + connected_checks
         # every matrix of the campaign fits one stack (2,048 members at n = 8)
         assert config.trials + 3 * connected_checks < stack_members(config.n)
         assert kernel_calls["eigen_decompose_stack"] == 1
         assert laplacian_builds[0] == 0
+
+    def test_hundred_trial_campaign_searches_two_batches(self, searched, kernel_calls, proof_calls):
+        # 75 = stack_members(12) // 12 = 910 // 12 trials a batch, so 100 trials take two searches;
+        # the stacked solves and proofs are those of the trial-at-a-time search
+        config = CampaignConfig(family="erdos_renyi", n=12, p=0.3, trials=100, seed=42)
+        assert run_campaign(config).violations == []
+        assert searched == [75, 25]
+        assert (kernel_calls["eigen_decompose_stack"], kernel_calls["matrices"]) == (1, 339)
+        assert proof_calls == {"calls": 1, "certificates": 478, "proved": 478}
+
+    @pytest.mark.parametrize("n, batches", [(8, [10]), (30, [4, 4, 2]), (120, [1] * 10)])
+    def test_batch_size_follows_the_stack_budget(self, searched, n, batches):
+        # max(1, stack_members(n) // n): 256 at n = 8, 4 at n = 30 (145 // 30), 1 at n = 120
+        run_campaign(CampaignConfig(family="random_tree", n=n, trials=10, seed=1, ell_policy=2))
+        assert searched == batches
 
     @pytest.mark.parametrize("family", ["path", "cycle", "star", "complete"])
     def test_tightness_solves_each_member_once(self, kernel_calls, family):

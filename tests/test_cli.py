@@ -153,6 +153,17 @@ class TestVerify:
         assert set(obj["bounds"]) == set(cli.BOUND_NAMES)
         assert obj["worst_slack"] is None or "graph" in obj["worst_slack"]
 
+    def test_worst_slack_graph_is_serialized_once(self, monkeypatch, capsys):
+        # a clean campaign serializes one graph, the worst slack's, when the report prints it
+        original, serialized = graphs.serialize_edge_list, []
+        oracles.patch_everywhere(monkeypatch, original, lambda g: serialized.append(g) or original(g))
+        command = "verify --family erdos_renyi --n 12 --p 0.3 --trials 100 --seed 42"
+        assert cli.main(command.split()) == 0
+        out = capsys.readouterr().out
+        assert len(serialized) == 1
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == dict(GOLDEN_REPORTS)[command]
+        assert json.loads(out)["worst_slack"]["graph"] == original(serialized[0])
+
     def test_tree_campaign(self, capsys):
         rc = cli.main(["verify", "--family", "random_tree", "--n", "8", "--trials", "10", "--seed", "1"])
         obj = json.loads(capsys.readouterr().out)

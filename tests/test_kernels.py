@@ -27,11 +27,17 @@ def assert_bfs_matches_floyd_warshall(n: int, edges) -> np.ndarray:
         adj[u, v] = adj[v, u] = 1
     expected = oracles.floyd_warshall(adj)
     expected = np.where(np.isinf(expected), -1, expected).astype(np.int64)
-    g = Graph.from_edges(n, edges)
-    dist = kernels.bfs_all_pairs(g.indptr, g.indices, g.n)
+    dist = lone_bfs(Graph.from_edges(n, edges))
     assert dist.dtype == narrow_type(expected.max()) and dist.shape == (n, n)
     assert np.array_equal(dist, expected)
     return dist
+
+
+def lone_bfs(g: Graph) -> np.ndarray:
+    """The kernel on one graph, a batch of one: the one member of its (1, n, n) distance stack."""
+    stack = kernels.bfs_all_pairs(g.indptr, g.indices, g.n)
+    assert stack.shape == (1, g.n, g.n)
+    return stack[0]
 
 
 def narrow_type(longest: int):
@@ -78,13 +84,11 @@ def assert_decomposes(a: np.ndarray) -> int:
 
 class TestBfsKernels:
     def test_numpy_fallback_matches_reference_distances(self):
-        g = path_graph(4)
-        dist = kernels.bfs_all_pairs(g.indptr, g.indices, g.n)
+        dist = lone_bfs(path_graph(4))
         assert np.array_equal(dist, [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]])
 
     def test_unreachable_encoded_as_minus_one(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        dist = kernels.bfs_all_pairs(g.indptr, g.indices, g.n)
+        dist = lone_bfs(Graph.from_edges(4, [(0, 1), (2, 3)]))
         assert dist[0, 2] == -1 and dist[1, 3] == -1
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129])
@@ -121,8 +125,7 @@ class TestBfsKernels:
     def test_paths_get_the_narrowest_type(self):
         # P_n has diameter n - 1: up to 127 fits int8 (7 bit planes), 128 needs int16
         for n in [*range(2, 131), 300]:
-            g = path_graph(n)
-            dist = kernels.bfs_all_pairs(g.indptr, g.indices, n)
+            dist = lone_bfs(path_graph(n))
             assert dist.dtype == (np.int8 if n <= 128 else np.int16), n
             assert np.array_equal(dist, np.abs(np.subtract.outer(np.arange(n), np.arange(n)))), n
 
@@ -144,6 +147,27 @@ class TestBfsKernels:
     @settings(max_examples=60, deadline=None)
     def test_matches_floyd_warshall_on_random_graphs(self, graph):
         assert_bfs_matches_floyd_warshall(*graph)
+
+
+class TestBatchedBfs:
+    """B graphs of order n packed as one CSR, member b's node i as row b * n + i, in one search."""
+
+    @pytest.mark.parametrize("n", [1, 3, 63, 64, 65])
+    def test_members_match_floyd_warshall(self, n):
+        rng = np.random.default_rng(300 + n)
+        members = [random_edges(n, 3.0 / n, rng), random_tree_edges(n, rng), [], random_edges(n, 1.0 / n, rng)]
+        members.append([(i, i + 1) for i in range(n - 1)])
+        # the packed CSR is that of the members' disjoint union, member b's nodes shifted by b * n
+        shifted = [(u + b * n, v + b * n) for b, edges in enumerate(members) for u, v in edges]
+        union = Graph.from_edges(len(members) * n, shifted)
+        stack = kernels.bfs_all_pairs(union.indptr, union.indices, n)
+        assert stack.shape == (len(members), n, n) and stack.dtype == np.int8
+        for edges, dist in zip(members, stack):
+            adj = np.zeros((n, n), dtype=np.int64)
+            for u, v in edges:
+                adj[u, v] = adj[v, u] = 1
+            expected = oracles.floyd_warshall(adj)
+            assert np.array_equal(dist, np.where(np.isinf(expected), -1, expected))
 
 
 def joined(blocks) -> tuple[np.ndarray, np.ndarray]:

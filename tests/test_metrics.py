@@ -23,6 +23,7 @@ from eccbounds.graphs import (
 from eccbounds.metrics import (
     UNREACHABLE,
     all_pairs_distances,
+    all_pairs_distances_stack,
     count_s_ell,
     eccentricity_profile,
     power_edges,
@@ -87,6 +88,72 @@ class TestAllPairsDistances:
             all_pairs_distances(empty)
 
 
+def oracle_distances(g: Graph) -> np.ndarray:
+    """Floyd-Warshall distances of g with UNREACHABLE for inf, as int64."""
+    fw = oracles.floyd_warshall(g.adjacency_matrix())
+    return np.where(np.isinf(fw), UNREACHABLE, fw).astype(np.int64)
+
+
+def mixed_batch(n: int, seed: int) -> list[Graph]:
+    """Graphs of order n: connected, disconnected, edgeless and with isolated nodes, in a seeded order."""
+    rng = np.random.default_rng(seed)
+    if n == 1:
+        return [Graph.from_edges(1, [])] * 3
+    members = [path_graph(n), star_graph(n), Graph.from_edges(n, []), random_tree(n, seed=seed)]
+    members += [erdos_renyi(n, min(p, 1.0), seed=seed + k) for k, p in enumerate((1.5 / n, 3.0 / n, 0.5))]
+    if n >= 4:
+        # two components and an isolated node between them
+        half = n // 2
+        members.append(Graph.from_edges(n, [(i, i + 1) for i in range(n - 1) if i not in (half - 1, half)]))
+    return [members[k] for k in rng.permutation(len(members))]
+
+
+class TestDistanceStack:
+    """One search of several graphs of one order: each member its own distances, never a neighbour's."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 63, 64, 65])
+    def test_each_member_matches_floyd_warshall(self, n):
+        batch = mixed_batch(n, seed=n)
+        stack = all_pairs_distances_stack(batch)
+        assert stack.shape == (len(batch), n, n) and not stack.flags.writeable
+        assert stack.dtype == np.int8
+        for g, dist in zip(batch, stack):
+            assert np.array_equal(dist, oracle_distances(g))
+
+    def test_a_130_node_path_sets_int16_for_the_whole_batch(self):
+        batch = mixed_batch(130, seed=130)
+        stack = all_pairs_distances_stack(batch)
+        assert stack.dtype == np.int16
+        lone = [all_pairs_distances(g) for g in batch]
+        assert [d.dtype for d in lone].count(np.int16) == 1  # only the path needs it alone
+        for g, dist, alone in zip(batch, stack, lone):
+            assert np.array_equal(dist, oracle_distances(g)) and np.array_equal(dist, alone)
+
+    @pytest.mark.parametrize("g", [path_graph(7), TWO_DISJOINT_EDGES, Graph.from_edges(1, []), path_graph(200)])
+    def test_a_batch_of_one_is_bitwise_the_lone_result(self, g):
+        stack, lone = all_pairs_distances_stack([g]), all_pairs_distances(g)
+        assert stack.shape == (1, g.n, g.n)
+        assert stack.dtype == lone.dtype and stack[0].tobytes() == lone.tobytes()
+
+    def test_members_in_any_order_get_the_same_distances(self):
+        batch = mixed_batch(20, seed=3)
+        forward, backward = all_pairs_distances_stack(batch), all_pairs_distances_stack(batch[::-1])
+        assert np.array_equal(forward, backward[::-1])
+
+    @pytest.mark.parametrize("graphs, message", [
+        ([], r"one order, got n in \[\]"),
+        ([path_graph(3), path_graph(4)], r"one order, got n in \[3, 4\]"),
+    ])
+    def test_refuses_no_graphs_and_mixed_orders(self, graphs, message):
+        with pytest.raises(ValueError, match=message):
+            all_pairs_distances_stack(graphs)
+
+    def test_refuses_n_above_the_limit_before_searching(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_NODES", 5)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            all_pairs_distances_stack([path_graph(6), path_graph(6)])
+
+
 class TestEccentricityProfile:
     def test_path(self):
         e = eccentricity_profile(all_pairs_distances(path_graph(4)))
@@ -129,6 +196,16 @@ class TestCountSEll:
         e = eccentricity_profile(all_pairs_distances(path_graph(3)))
         with pytest.raises(ValueError):
             count_s_ell(e, 0)
+
+    def test_matches_a_direct_count(self):
+        # the cumulative counts against counting the oracle's eccentricities up to ell
+        special = [star_graph(n) for n in (2, 3, 10)] + [path_graph(n) for n in (2, 5, 9, 130)]
+        special += [TWO_DISJOINT_EDGES, Graph.from_edges(6, [(0, 1), (1, 2)]), Graph.from_edges(1, [])]
+        for g in random_sample(max_n=9, seeds=range(4)) + special:
+            ecc = oracles.eccentricities(g.adjacency_matrix())
+            e = eccentricity_profile(all_pairs_distances(g))
+            for ell in range(1, g.n + 3):
+                assert count_s_ell(e, ell) == int(np.count_nonzero(ecc <= ell)), (g, ell)
 
     @given(st.integers(min_value=0, max_value=40), st.integers(min_value=2, max_value=9))
     @settings(max_examples=40)

@@ -338,6 +338,16 @@ class TestSolveStacked:
             solve_stacked([(GraphAnalysis(path_graph(5)), [2]), (GraphAnalysis(path_graph(6)), [2])])
         assert solves == []
 
+    def test_ell_one_settles_g2_only(self):
+        # gamma, and so the g1 matrix, needs ell >= 2; the g2 matrix at ell 1 is zero and settles
+        # as a lone certify_g2_matrix does, through the eigensolver
+        a = GraphAnalysis(path_graph(4))
+        solve_stacked([(a, [1, 2])])
+        assert sorted(a._certificates) == [("g1", 2), ("g2", 1), ("g2", 2)]
+        assert a.certificate("g2", 1) == certify_g2_matrix(path_graph(4), 1)
+        assert a.certificate("g2", 1).method == "eigen" and a.certificate("g2", 1).verdict == PSD
+        assert memos(a)[0] == fresh_memo(path_graph(4), [2])[0]
+
 
 class TestCampaignGroups:
     """A campaign solves its trials in groups that fill one stack, with unchanged reports."""
@@ -410,6 +420,21 @@ class TestCampaignGroups:
         assert any(len(counts) > 1 for _, counts, _ in groups)
         # a group of more than 5 splits its last trial across two stacks
         assert any(sum(counts) > 5 for _, counts, _ in groups)
+
+
+@pytest.mark.parametrize("config", [
+    CampaignConfig(family="erdos_renyi", n=12, p=0.3, trials=160, seed=5),
+    CampaignConfig(family="random_tree", n=9, trials=40, seed=2, ell_policy=3),
+], ids=["er12", "tree9"])
+def test_batched_searches_change_no_stack_or_report(monkeypatch, solves, config):
+    """A campaign whose analyses come one search per batch solves the same stacks, bitwise, and
+    reports the same bytes as one whose every graph is searched alone."""
+    batched = summary_json(run_campaign(config))
+    stacks = [stack.tobytes() for stack, _ in solves]
+    del solves[:]
+    monkeypatch.setattr(GraphAnalysis, "batch", classmethod(lambda cls, graphs: [cls(g) for g in graphs]))
+    assert summary_json(run_campaign(config)) == batched
+    assert [stack.tobytes() for stack, _ in solves] == stacks
 
 
 def test_campaign_members_are_checked_to_roundoff(solves):
