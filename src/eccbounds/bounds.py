@@ -6,8 +6,10 @@ is computed from (distances, eccentricities, power graphs and their
 Laplacians), each once, and memoises lambda2(G^ell) by ell (1 is G) and the g1
 and g2 certificates by (kind, ell). ``GraphAnalysis.batch`` builds the
 analyses of several graphs of one order from one distance search
-(``metrics.all_pairs_distances_stack``), and ``solve_stacked`` fills both
-memos for several analyses of one order. The certificates go, as integer
+(``metrics.all_pairs_distances_stack``) and one eccentricity pass
+(``metrics.eccentricity_profiles``), and ``solve_stacked`` fills both memos
+for several analyses of one order, each analysis's masks and L(G^ell) built
+first in one broadcast (``GraphAnalysis.prepare``). The certificates go, as integer
 matrices, to one batched verified Cholesky (``spectral.prove_psd_stack``): a proved one is PSD
 by proof (method "cholesky", min eigenvalue exactly 0.0), any other gets
 ``spectral.is_psd`` ("eigen"). Only Laplacians reach the stacked eigensolves.
@@ -25,10 +27,12 @@ import numpy as np
 from .graphs import Graph
 from .metrics import (
     UNREACHABLE,
+    EccentricityProfile,
     all_pairs_distances,
     all_pairs_distances_stack,
     count_s_ell,
     eccentricity_profile,
+    eccentricity_profiles,
     power_adjacency,
 )
 from .spectral import (
@@ -185,24 +189,27 @@ def stack_members(n: int) -> int:
 class GraphAnalysis:
     """The distance matrix, eccentricity profile, power graphs and spectra of one graph.
 
-    Distances and the profile are computed on construction, the distances by
-    one BFS of ``g`` alone or, through ``batch``, by one search of several
-    graphs. The mask 1 <= d <= ell and, each read from it, ``power(ell)`` and
-    ``power_laplacian(ell)`` (L(G^ell), read-only; ell = 1 is L(G)) are
-    memoised per ell, as are the results ``power_lambda2(ell)`` (``lambda2``
-    is ell = 1) and ``certificate(kind, ell)``. A miss solves that one matrix
-    alone; ``solve_stacked`` fills both result memos for several analyses at
-    once. Pass one analysis to ``evaluate_all``, the certificates and
+    Distances and the profile are computed on construction: by one BFS of
+    ``g`` alone or, through ``batch``, by one search and one eccentricity pass
+    over several graphs. The mask 1 <= d <= ell and, each read from it,
+    ``power(ell)`` and ``power_laplacian(ell)`` (L(G^ell), read-only; ell = 1
+    is L(G)) are memoised per ell, as are the results ``power_lambda2(ell)``
+    (``lambda2`` is ell = 1) and ``certificate(kind, ell)``. ``prepare``
+    builds the masks and Laplacians of several ells as rows of one stack each;
+    a miss builds that one. A result miss solves that one matrix alone;
+    ``solve_stacked`` fills both result memos for several analyses at once.
+    Pass one analysis to ``evaluate_all``, the certificates and
     ``check_chain`` to share this work.
     """
 
-    def __init__(self, g: Graph, *, dist: np.ndarray | None = None):
-        """Analyse ``g``; ``dist``, when given, is its read-only distance matrix and no BFS runs."""
+    def __init__(self, g: Graph, *, dist: np.ndarray | None = None, profile: EccentricityProfile | None = None):
+        """Analyse ``g``; ``dist`` and ``profile``, when given, are its read-only distance matrix and
+        its eccentricity profile, and neither BFS nor eccentricity pass runs."""
         self.graph = g
         self.n = g.n
         self.m = g.m
         self.dist = all_pairs_distances(g) if dist is None else dist
-        self.profile = eccentricity_profile(self.dist)
+        self.profile = eccentricity_profile(self.dist) if profile is None else profile
         self.connected = self.profile.diameter != UNREACHABLE
         self._masks: dict[int, np.ndarray] = {}
         self._powers: dict[int, Graph] = {}
@@ -212,13 +219,30 @@ class GraphAnalysis:
 
     @classmethod
     def batch(cls, graphs: Sequence[Graph]) -> list[GraphAnalysis]:
-        """One analysis per graph, all of one order, their distances from one ``all_pairs_distances_stack`` search.
+        """One analysis per graph, all of one order: one ``all_pairs_distances_stack`` search and one
+        ``eccentricity_profiles`` pass.
 
-        Each member's distances equal those of ``GraphAnalysis(g)``, in the type
-        that the batch's largest distance needs, so every result read from them
-        is bitwise the same.
+        Each member's distances and profile equal those of ``GraphAnalysis(g)``,
+        in the type that the batch's largest distance needs, so every result
+        read from them is bitwise the same.
         """
-        return [cls(g, dist=dist) for g, dist in zip(graphs, all_pairs_distances_stack(graphs))]
+        dist = all_pairs_distances_stack(graphs)
+        return [cls(g, dist=d, profile=e) for g, d, e in zip(graphs, dist, eccentricity_profiles(dist))]
+
+    def prepare(self, ells: Iterable[int]) -> None:
+        """Build what the solves of ``ells`` read: the mask and L(G^ell) of 1 and, if connected, each ell.
+
+        Every such ell without a mask gets one, as a row of one (k, n, n) mask
+        stack (``power_adjacency`` over the list of ells), and its Laplacian,
+        as the same row of their Laplacian stack, each bitwise its lone build.
+        """
+        fresh = [ell for ell in dict.fromkeys([1, *ells] if self.connected else [1]) if ell not in self._masks]
+        if fresh:
+            masks = power_adjacency(self.dist, fresh)
+            laplacians = adjacency_laplacian(masks)
+            laplacians.flags.writeable = False  # shared by every check on this graph
+            self._masks.update(zip(fresh, masks))
+            self._power_laplacians.update(zip(fresh, laplacians))
 
     def _mask(self, ell: int) -> np.ndarray:
         """G^ell's dense adjacency, the distance mask 1 <= d <= ell, built once for both power methods."""
@@ -284,20 +308,23 @@ class GraphAnalysis:
 def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
     """Settle what the checks of every (analysis, ells) pair read: certificates, then lambda2s.
 
-    For a connected graph, the g2 certificate of each ell, and the g1
-    certificate of each ell >= 2 (gamma needs ell >= 2), not yet in its memo go
-    to ``_prove``; then the ``pending`` L(G^ell) go to one stacked
-    eigensolve. Each list is taken analysis by analysis and cut into chunks of
-    ``stack_members(n)``, so a chunk may hold several analyses' matrices; each
-    result goes into its own analysis's memo. Every member is bitwise the one
-    a lone solve gives, so grouping never changes a result. Raises ValueError
-    if the analyses differ in n or one has n < 2.
+    First each analysis builds its masks and Laplacians in one broadcast
+    (``GraphAnalysis.prepare``). For a connected graph, the g2 certificate of
+    each ell, and the g1 certificate of each ell >= 2 (gamma needs ell >= 2),
+    not yet in its memo go to ``_prove``; then the ``pending`` L(G^ell) go to
+    one stacked eigensolve. Each list is taken analysis by analysis and cut
+    into chunks of ``stack_members(n)``, so a chunk may hold several analyses'
+    matrices; each result goes into its own analysis's memo. Every member is
+    bitwise the one a lone solve gives, so grouping never changes a result.
+    Raises ValueError if the analyses differ in n or one has n < 2.
     """
     pairs = [(a, list(dict.fromkeys(ells))) for a, ells in pairs]
     orders = {a.n for a, _ in pairs}
     if len(orders) > 1:
         raise ValueError(f"solve_stacked needs analyses of one order, got n in {sorted(orders)}")
     laplacians = [(a, ell) for a, ells in pairs for ell in a.pending(ells)]
+    for a, ells in pairs:
+        a.prepare(ells)
     kinds = {True: ("g1", "g2"), False: ("g2",)}  # by ell >= 2: gamma, and so g1, needs it
     keys = [(a, (kind, ell)) for a, ells in pairs if a.connected for ell in ells for kind in kinds[ell >= 2]]
     proofs = [(a, key) for a, key in keys if key not in a._certificates]

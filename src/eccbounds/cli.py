@@ -9,10 +9,11 @@ Subcommands:
                     ratios to show where each bound is sharp.
 * ``power``      -- write the ell-th power of a graph as an edge list.
 
-``verify`` finds its trials' distances a batch of graphs at a time, in one
-BFS per batch (``GraphAnalysis.batch``), and settles their certificates and
-spectra a group at a time (``bounds.solve_stacked``); neither changes a byte
-of its report. Its worst-slack graph is serialized once, by ``summary_json``.
+``verify`` draws its trials a batch of graphs at a time (``generate_batch``),
+finds their distances and eccentricities in one BFS and one pass per batch
+(``GraphAnalysis.batch``), and settles their certificates and spectra a
+group at a time (``bounds.solve_stacked``); none of these changes a byte of
+its report. Its worst-slack graph is serialized once, by ``summary_json``.
 
 Exit codes: 0 success, 1 verification violation, 2 usage or input error.
 Reports are deterministic: the same command line and seed produce byte
@@ -37,7 +38,15 @@ import numpy as np
 
 from .bounds import BOUND_NAMES, BoundReport, GraphAnalysis, evaluate_all, solve_stacked, stack_members, tolerance
 from .certify import certify_g1_matrix, certify_g2_matrix, check_chain
-from .graphs import FAMILIES, check_node_count, generate, load_edge_list, serialize_edge_list, serialize_edges
+from .graphs import (
+    FAMILIES,
+    check_node_count,
+    generate,
+    generate_batch,
+    load_edge_list,
+    serialize_edge_list,
+    serialize_edges,
+)
 # unused here, but perfbench/test_perfbench.py asserts this all_pairs_distances import site
 from .metrics import all_pairs_distances, power_blocks  # noqa: F401
 from .spectral import PSD
@@ -180,10 +189,14 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     only the connectivity-dependent certificates and chain are omitted. Each
     graph gets one ``GraphAnalysis``, shared by every check on it. Trials are
     generated in order a batch at a time, at most ``stack_members(n) // n``
-    (at least 1) to a batch, and ``GraphAnalysis.batch`` searches each batch's
-    distances in one BFS. The analyses then join, in order, a group until the
+    (at least 1) to a batch, by one ``generate_batch`` call on the campaign's
+    Generator (one draw for an Erdos-Renyi batch), and ``GraphAnalysis.batch``
+    searches each batch's distances in one BFS and reads its eccentricities in
+    one pass. Each member is bitwise the graph and analysis a trial-at-a-time
+    route would make. The analyses then join, in order, a group until the
     group's pending Laplacians (``GraphAnalysis.pending``) fill one stack
-    (``bounds.stack_members``); one ``solve_stacked`` call proves the group's
+    (``bounds.stack_members``); one ``solve_stacked`` call builds each
+    analysis's masks and L(G^ell) in one broadcast, proves the group's
     certificates and eigensolves those Laplacians, the checks then run trial
     by trial, and the group is dropped. So a group's Laplacians stay within
     one stack's budget plus one trial, a group whose first trial fills a
@@ -198,7 +211,7 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
 
     for first in range(0, config.trials, per_batch):
         count = min(per_batch, config.trials - first)
-        graphs = [generate(config.family, config.n, p=config.p, seed=rng) for _ in range(count)]
+        graphs = generate_batch(config.family, config.n, count, p=config.p, seed=rng)
         for trial, analysis in enumerate(GraphAnalysis.batch(graphs), first):
             ells = _policy_ells(config.ell_policy, analysis.profile.diameter)
             group.append((trial, analysis, ells))

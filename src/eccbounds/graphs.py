@@ -2,7 +2,12 @@
 
 Graphs are immutable after construction and stored in CSR form (``indptr``,
 ``indices``) with neighbor lists sorted per node, so iteration order is
-deterministic.
+deterministic. One core, ``_csr_batch``, builds the CSRs of several graphs
+from one sort of int64 keys; every graph built from pairs is its batch of one.
+``generate_batch`` draws several graphs of a family from one Generator, the
+Erdos-Renyi ones in one ``Generator.random`` call (``erdos_renyi_batch``);
+``generate`` and ``erdos_renyi`` are their batches of one, so a lone graph
+and a batch member are bitwise the same draw.
 ``check_node_count`` refuses n above ``MAX_NODES``, the node limit of every
 dense n x n computation; the edge-list reader applies it to the header count.
 """
@@ -77,25 +82,9 @@ class Graph:
     def _from_pairs(cls, n: int, pairs: np.ndarray) -> "Graph":
         """CSR from an (m, 2) int64 array of in-range endpoints without self-loops.
 
-        Duplicate pairs and orientation collapse. The one check of n >= 1 for
-        every graph built from pairs.
+        Duplicate pairs and orientation collapse. The CSR core on a batch of one.
         """
-        if n < 1:
-            raise ValueError(f"node count must be >= 1, got {n}")
-        if n > _MAX_KEYED_NODES:
-            raise ValueError(f"node count must be <= {_MAX_KEYED_NODES}, got {n}")
-        # each pair {u, v} becomes the entries u -> v and v -> u; sorted by the key
-        # row * n + column, every neighbor list is sorted and repeats are adjacent
-        entries = np.concatenate((pairs, pairs[:, ::-1]))
-        keys = entries[:, 0] * n + entries[:, 1]
-        keys.sort()
-        first = np.empty(keys.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        rows, cols = np.divmod(keys[first], n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls(n, indptr, cols)
+        return _csr_batch(n, 1, 0, pairs)[0]
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "Graph":
@@ -156,6 +145,37 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _csr_batch(n: int, count: int, members: np.ndarray | int, pairs: np.ndarray) -> list[Graph]:
+    """The CSRs of ``count`` graphs on n nodes from one key sort: pair k is an edge of graph ``members[k]``.
+
+    ``pairs`` is an (m, 2) int64 array of in-range endpoints without
+    self-loops, and ``members`` an (m, 1) column of graph indices, or 0 for a
+    batch of one; duplicate pairs and orientation collapse within a graph.
+    The one check of n >= 1 for every graph built from pairs.
+    """
+    if n < 1:
+        raise ValueError(f"node count must be >= 1, got {n}")
+    if n > _MAX_KEYED_NODES:
+        raise ValueError(f"node count must be <= {_MAX_KEYED_NODES}, got {n}")
+    # each pair {u, v} of graph b becomes the entries u -> v and v -> u of rows b * n + u and
+    # b * n + v; sorted by the key row * n + column, every neighbor list is sorted and repeats
+    # are adjacent
+    rows = pairs + members * n
+    keys = np.concatenate((rows[:, 0] * n + pairs[:, 1], rows[:, 1] * n + pairs[:, 0]))
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    rows, cols = np.divmod(keys[first], n)
+    indptr = np.zeros((count, n + 1), dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=count * n).reshape(count, n), axis=1, out=indptr[:, 1:])
+    if count == 1:
+        return [Graph(n, indptr[0], cols)]
+    ends = np.cumsum(indptr[:, -1])
+    starts = ends - indptr[:, -1]
+    return [Graph(n, ptr, cols[a:b]) for ptr, a, b in zip(indptr, starts.tolist(), ends.tolist())]
 
 
 #: A number of the edge-list format: ASCII digits with an optional leading '-'.
@@ -394,6 +414,20 @@ def erdos_renyi(n: int, p: float, seed=None) -> Graph:
     """G(n, p): each of the n(n-1)/2 pairs is an edge independently with probability p.
 
     ``seed`` may be an int or a numpy Generator; fixed seed gives a fixed edge set.
+    The batch of one of ``erdos_renyi_batch``.
+    """
+    return erdos_renyi_batch(n, p, 1, seed)[0]
+
+
+def erdos_renyi_batch(n: int, p: float, count: int, seed=None) -> list[Graph]:
+    """``count`` draws of G(n, p) in order from one Generator, with one draw and one key sort.
+
+    One ``rng.random((count, n(n-1)/2))`` call takes the doubles that ``count``
+    successive ``erdos_renyi(n, p, rng)`` calls would, in their order, and
+    leaves the Generator in the same state, so member b is bitwise the b-th
+    lone draw. Pair k of the upper triangle (row-major) is an edge of member b
+    when double (b, k) is below p; all members' CSRs come from one sort
+    (``_csr_batch``). n and p are checked before any draw.
     """
     if n < 1:
         raise ValueError(f"erdos_renyi needs n >= 1, got {n}")
@@ -401,8 +435,8 @@ def erdos_renyi(n: int, p: float, seed=None) -> Graph:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.shape[0]) < p
-    return Graph._from_pairs(n, np.column_stack((iu[mask], ju[mask])))
+    members, edges = np.nonzero(rng.random((count, iu.size)) < p)
+    return _csr_batch(n, count, members[:, None], np.column_stack((iu[edges], ju[edges])))
 
 
 def random_tree(n: int, seed=None) -> Graph:
@@ -424,20 +458,35 @@ def random_tree(n: int, seed=None) -> Graph:
     return Graph._from_pairs(n, np.array(edges, dtype=np.int64))
 
 
+#: The families without randomness, by name.
+_DETERMINISTIC = {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph, "star": star_graph}
+
+
 def generate(family: str, n: int, p: float | None = None, seed=None) -> Graph:
-    """Build a graph from a named family; deterministic for fixed (family, n, p, seed)."""
-    if family == "path":
-        return path_graph(n)
-    if family == "cycle":
-        return cycle_graph(n)
-    if family == "complete":
-        return complete_graph(n)
-    if family == "star":
-        return star_graph(n)
+    """Build a graph from a named family; deterministic for fixed (family, n, p, seed).
+
+    The batch of one of ``generate_batch``.
+    """
+    return generate_batch(family, n, 1, p, seed)[0]
+
+
+def generate_batch(family: str, n: int, count: int, p: float | None = None, seed=None) -> list[Graph]:
+    """``count`` graphs of a named family, drawn in order from one Generator made from ``seed``.
+
+    Member b is bitwise the b-th of ``count`` successive ``generate`` calls
+    on that Generator. Erdos-Renyi members come from one draw
+    (``erdos_renyi_batch``), random trees one at a time; a deterministic
+    family's one graph is built once and repeated (graphs are immutable).
+    The family and ``p`` are checked before any draw.
+    """
     if family == "erdos_renyi":
         if p is None:
             raise ValueError("erdos_renyi requires an edge probability p")
-        return erdos_renyi(n, p, seed)
+        return erdos_renyi_batch(n, p, count, seed)
     if family == "random_tree":
-        return random_tree(n, seed)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        rng = np.random.default_rng(seed)
+        return [random_tree(n, rng) for _ in range(count)]
+    if family not in _DETERMINISTIC:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return [_DETERMINISTIC[family](n)] * count
+

@@ -3,7 +3,10 @@
 One core, ``all_pairs_distances_stack``, searches B graphs of one order in
 one ``_kernels.bfs_all_pairs`` call and returns their (B, n, n) distance
 stack; ``all_pairs_distances`` is the core on a stack of one, so a lone
-graph and a batch member get the same distances.
+graph and a batch member get the same distances. Likewise
+``eccentricity_profiles`` reads the profiles of a whole stack in one pass, and
+``eccentricity_profile`` is its stack of one; ``power_adjacency`` takes an
+array of ells and broadcasts their masks as one stack.
 ``all_pairs_distances_stack``, ``power_blocks`` and ``power_edges`` refuse n
 above ``graphs.MAX_NODES`` before searching.
 """
@@ -86,11 +89,31 @@ def all_pairs_distances_stack(graphs: Sequence[Graph]) -> np.ndarray:
 
 
 def eccentricity_profile(dist: np.ndarray) -> EccentricityProfile:
-    has_unreachable = (dist == UNREACHABLE).any(axis=1)
-    ecc = dist.max(axis=1)
-    ecc[has_unreachable] = UNREACHABLE
-    diameter = UNREACHABLE if has_unreachable.any() else int(ecc.max())
-    return EccentricityProfile(ecc, diameter, np.cumsum(np.bincount(ecc[ecc >= 0])))
+    """The eccentricity profile of one (n, n) distance matrix: the stacked core on a stack of one."""
+    return eccentricity_profiles(dist[None])[0]
+
+
+def eccentricity_profiles(dist: np.ndarray) -> list[EccentricityProfile]:
+    """The profile of each member of a (B, n, n) distance stack, read in one pass over the stack.
+
+    Member b's ``ecc`` is a row of one (B, n) array in the stack's type, and its
+    ``at_most`` the first diameter + 1 entries of a row of one cumulative
+    (member, eccentricity) count; each equals the lone profile of ``dist[b]``.
+    """
+    ecc = dist.max(axis=2)
+    ecc[(dist == UNREACHABLE).any(axis=2)] = UNREACHABLE
+    # a node of a disconnected graph misses some node, so every one of its nodes does, and
+    # its largest eccentricity, the diameter, is UNREACHABLE
+    diameters = ecc.max(axis=1)
+    # member b's bins are b * width + 1 + e for e = UNREACHABLE (dropped), 0, ..., the stack's diameter
+    width = int(diameters.max()) + 2
+    bins = ecc + (np.arange(len(ecc)) * width + 1)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=len(ecc) * width).reshape(len(ecc), width)
+    at_most = np.cumsum(counts[:, 1:], axis=1)
+    return [
+        EccentricityProfile(e, d, counts[: d + 1])
+        for e, d, counts in zip(ecc, diameters.tolist(), at_most)
+    ]
 
 
 def count_s_ell(e: EccentricityProfile, ell: int) -> int:
@@ -103,12 +126,20 @@ def count_s_ell(e: EccentricityProfile, ell: int) -> int:
     return int(e.at_most[min(ell, e.at_most.size - 1)]) if e.at_most.size else 0
 
 
-def power_adjacency(dist: np.ndarray, ell: int) -> np.ndarray:
-    """G^ell's dense boolean adjacency matrix from G's distance matrix: 1 <= distance <= ell."""
-    if ell < 1:
+def power_adjacency(dist: np.ndarray, ell: int | list[int]) -> np.ndarray:
+    """G^ell's dense boolean adjacency matrix from G's distance matrix: 1 <= distance <= ell.
+
+    ``ell`` may also be a list of k ells: their k adjacencies then come as one
+    (k, n, n) stack, in one broadcast.
+    """
+    if isinstance(ell, list):
+        if min(ell) < 1:
+            raise ValueError(f"ell must be >= 1, got {min(ell)}")
+        ell = np.array(ell)[:, None, None]
+    elif ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    adj = dist > 0
-    adj &= dist <= ell
+    adj = dist <= ell
+    adj &= dist > 0
     return adj
 
 

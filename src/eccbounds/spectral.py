@@ -80,9 +80,14 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def adjacency_laplacian(adj: np.ndarray) -> np.ndarray:
-    """The Laplacian of a dense symmetric boolean adjacency matrix: its negation, row counts on the diagonal."""
+    """The Laplacian of a dense symmetric boolean adjacency matrix: its negation, row counts on the diagonal.
+
+    A (k, n, n) stack of adjacencies gives the stack of their Laplacians, each
+    bitwise its lone one, -0.0 off the edges included.
+    """
     lap = -adj.astype(np.float64)
-    np.fill_diagonal(lap, np.count_nonzero(adj, axis=1))
+    diagonal = np.arange(adj.shape[-1])
+    lap[..., diagonal, diagonal] = adj.sum(axis=-1)
     return lap
 
 

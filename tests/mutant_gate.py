@@ -48,6 +48,9 @@ READER = ("tests/test_graphs.py::TestEdgeListAgainstReference",)
 STACK = ("tests/test_metrics.py::TestDistanceStack",)
 BATCH = ("tests/test_analysis.py::TestBatch", "tests/test_stacked.py::test_batched_searches_change_no_stack_or_report")
 BLOCKS = ("tests/test_cli.py::TestPower::test_blocks_write_the_whole_array_text",)
+ER_BATCH = ("tests/test_graphs.py::TestBatchDraws",)
+PROFILES = ("tests/test_metrics.py::TestEccentricityProfiles",)
+BROADCAST = ("tests/test_analysis.py::TestPrepare",)
 #: ``_read_bytes`` without its two-numbers-a-line test
 TWO_A_LINE = """\
     if line_of.size % 2 or (line_of[::2] != line_of[1::2]).any() or (line_of[2::2] == line_of[1:-1:2]).any():
@@ -113,8 +116,14 @@ MUTANTS = (
     Mutant("packed reach leaks across member blocks", "metrics.py",
            "np.arange(len(graphs)) * n, sizes)", "np.arange(len(graphs)) * (n - 1), sizes)", STACK),
     Mutant("batch analyses handed a neighbour's distance block", "bounds.py",
-           "zip(graphs, all_pairs_distances_stack(graphs))",
-           "zip(graphs, np.roll(all_pairs_distances_stack(graphs), 1, axis=0))", BATCH),
+           "zip(graphs, dist, eccentricity_profiles(dist))",
+           "zip(graphs, np.roll(dist, 1, axis=0), eccentricity_profiles(dist))", BATCH),
+    Mutant("the ER batch draws its doubles pair-major", "graphs.py",
+           "rng.random((count, iu.size))", "rng.random((iu.size, count)).T", ER_BATCH),
+    Mutant("member b gets member b+1's at_most", "metrics.py",
+           "zip(ecc, diameters.tolist(), at_most)", "zip(ecc, diameters.tolist(), np.roll(at_most, -1, axis=0))",
+           PROFILES),
+    Mutant("the power mask takes distance < ell", "metrics.py", "adj = dist <= ell", "adj = dist < ell", BROADCAST),
     Mutant("Jacobi column update with the sign of s flipped", "_kernels.py",
            "a[:, q] = s * ap + c * aq", "a[:, q] = -s * ap + c * aq", JACOBI),
     Mutant("Jacobi stopping rule 1e-6", "_kernels.py",

@@ -5,11 +5,11 @@ import pytest
 
 import oracles
 from eccbounds import _kernels, metrics, spectral
-from eccbounds.bounds import GraphAnalysis, evaluate_all
+from eccbounds.bounds import GraphAnalysis, evaluate_all, solve_stacked
 from eccbounds.certify import certify_g1_matrix, certify_g2_matrix, check_chain
 from eccbounds.graphs import Graph, erdos_renyi, path_graph
-from eccbounds.metrics import UNREACHABLE, all_pairs_distances, power_graph
-from eccbounds.spectral import lambda2, laplacian
+from eccbounds.metrics import UNREACHABLE, all_pairs_distances, power_adjacency, power_graph
+from eccbounds.spectral import adjacency_laplacian, lambda2, laplacian
 
 TWO_DISJOINT_EDGES = Graph.from_edges(4, [(0, 1), (2, 3)])
 
@@ -51,17 +51,30 @@ class TestGraphAnalysis:
 
     def test_one_mask_per_ell_serves_power_and_power_laplacian(self, monkeypatch):
         original, built = metrics.power_adjacency, []
-        oracles.patch_everywhere(monkeypatch, original, lambda dist, ell: built.append(ell) or original(dist, ell))
-        a = GraphAnalysis(erdos_renyi(10, 0.4, seed=2))
+        oracles.patch_everywhere(
+            monkeypatch, original, lambda dist, ell: built.append(np.ravel(ell).tolist()) or original(dist, ell)
+        )
+
+        def check(a):
+            for ell in (2, 3):
+                evaluate_all(a, ell)
+                certify_g1_matrix(a, ell)
+                certify_g2_matrix(a, ell)
+                check_chain(a, ell)
+
+        # through the batch entry points, one broadcast builds every mask that the solve and the checks read
+        a = GraphAnalysis.batch([erdos_renyi(10, 0.4, seed=2)])[0]
         assert a.connected
-        for ell in (2, 3):
-            evaluate_all(a, ell)
-            certify_g1_matrix(a, ell)
-            certify_g2_matrix(a, ell)
-            check_chain(a, ell)
+        solve_stacked([(a, [2, 3])])
+        assert built == [[1, 2, 3]]
+        check(a)
+        assert built == [[1, 2, 3]]
         # L(G) = L(G^1) for the certificates, and G^ell and L(G^ell) for each ell, from three masks
-        assert sorted(built) == [1, 2, 3]
         assert sorted(a._powers) == [2, 3] and sorted(a._power_laplacians) == [1, 2, 3]
+        # a lone analysis builds each mask on its first use, still once
+        del built[:]
+        check(GraphAnalysis(erdos_renyi(10, 0.4, seed=2)))
+        assert sorted(built) == [[1], [2], [3]]
 
     def test_connected_matches_floyd_warshall(self):
         for seed in range(8):
@@ -136,3 +149,43 @@ class TestBatch:
     def test_refuses_mixed_orders(self):
         with pytest.raises(ValueError, match="one order"):
             GraphAnalysis.batch([path_graph(4), path_graph(5)])
+
+
+class TestPrepare:
+    """``GraphAnalysis.prepare``: one broadcast builds the masks and L(G^ell) of 1 and of every ell."""
+
+    ELLS = [2, 3, 5, 9]
+
+    @pytest.mark.parametrize("g", [
+        erdos_renyi(10, 0.4, seed=2), erdos_renyi(10, 0.3, seed=4), path_graph(10), TWO_DISJOINT_EDGES, Graph.from_edges(3, []),
+    ], ids=["er-connected", "er-disconnected", "path", "two-edges", "edgeless"])
+    @pytest.mark.parametrize("route", ["lone", "batch"])
+    def test_each_broadcast_row_is_its_lone_build(self, g, route):
+        a = GraphAnalysis(g) if route == "lone" else GraphAnalysis.batch([path_graph(g.n), g])[1]
+        a.prepare(self.ELLS)
+        ells = [1, *self.ELLS] if a.connected else [1]
+        assert sorted(a._masks) == sorted(a._power_laplacians) == ells
+        off_diagonal = ~np.eye(g.n, dtype=bool)
+        for ell in ells:
+            mask, lap = a._mask(ell), a.power_laplacian(ell)
+            assert mask.dtype == bool and np.array_equal(mask, (a.dist >= 1) & (a.dist <= ell))
+            lone = adjacency_laplacian(power_adjacency(a.dist, ell))
+            assert lap.dtype == lone.dtype and lap.tobytes() == lone.tobytes()  # signed zeros too
+            assert np.signbit(lap[off_diagonal & ~mask]).all() and not lap.flags.writeable
+
+    def test_one_broadcast_per_analysis_and_none_for_built_ells(self, monkeypatch):
+        original, laplacians = adjacency_laplacian, []
+        oracles.patch_everywhere(monkeypatch, original, lambda adj: laplacians.append(adj.shape) or original(adj))
+        a = GraphAnalysis(erdos_renyi(10, 0.4, seed=2))
+        assert a.connected
+        a.prepare([3, 2, 3])
+        assert laplacians == [(3, 10, 10)]
+        a.prepare([2, 3])
+        a.prepare([1])
+        assert laplacians == [(3, 10, 10)]
+        a.prepare([2, 4, 5])
+        assert laplacians == [(3, 10, 10), (2, 10, 10)]
+        # a mask built alone is kept, and its Laplacian is built from it on first use
+        a._mask(6)
+        a.prepare([6])
+        assert 6 not in a._power_laplacians and a.power_laplacian(6).shape == (10, 10)

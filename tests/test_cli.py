@@ -189,9 +189,32 @@ class TestVerify:
         rc = cli.main(["verify", "--family", "random_tree", "--n", "8", "--trials", "0"])
         assert rc == 2
 
-    def test_missing_p_for_erdos_renyi_exits_2(self, capsys):
-        rc = cli.main(["verify", "--family", "erdos_renyi", "--n", "8", "--trials", "2"])
-        assert rc == 2
+    @staticmethod
+    def refused_before_a_draw(monkeypatch, capsys, argv, message):
+        """``verify argv`` exits 2 with ``message``, raised by the campaign's batch entry point
+        before its Generator draws anything."""
+        generate, states = cli.generate_batch, []
+
+        def generated(family, n, count, p=None, seed=None):
+            states.append((count, seed.bit_generator.state))
+            try:
+                return generate(family, n, count, p=p, seed=seed)
+            finally:
+                states.append(seed.bit_generator.state)
+
+        monkeypatch.setattr(cli, "generate_batch", generated)
+        assert cli.main(["verify", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        (count, before), after = states
+        assert count == 2 and before == after == np.random.default_rng(0).bit_generator.state
+
+    def test_missing_p_for_erdos_renyi_exits_2(self, capsys, monkeypatch):
+        argv = ["--family", "erdos_renyi", "--n", "8", "--trials", "2"]
+        self.refused_before_a_draw(monkeypatch, capsys, argv, "erdos_renyi requires an edge probability p")
+
+    def test_p_outside_the_unit_interval_exits_2(self, capsys, monkeypatch):
+        argv = ["--family", "erdos_renyi", "--n", "8", "--trials", "2", "--p", "1.5"]
+        self.refused_before_a_draw(monkeypatch, capsys, argv, "edge probability must be in [0, 1], got 1.5")
 
     def test_unknown_family_exits_2(self, capsys):
         assert cli.main(["verify", "--family", "petersen", "--n", "8", "--trials", "2"]) == 2

@@ -16,7 +16,9 @@ from eccbounds.graphs import (
     complete_graph,
     cycle_graph,
     erdos_renyi,
+    erdos_renyi_batch,
     generate,
+    generate_batch,
     load_edge_list,
     parse_edge_list,
     path_graph,
@@ -574,3 +576,60 @@ class TestGenerators:
             g = generate(family, 5, seed=0, **kwargs)
             assert_csr(g, set(g.edges()))
 
+
+
+def assert_same_csr(g: Graph, h: Graph) -> None:
+    """g and h have the same node count and bitwise the same CSR arrays, dtypes included."""
+    assert g.n == h.n
+    for a, b in ((g.indptr, h.indptr), (g.indices, h.indices)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+
+
+class TestBatchDraws:
+    """``erdos_renyi_batch`` and ``generate_batch``: one Generator, each member its lone draw."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 65])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("count", [1, 2, 75])
+    def test_erdos_renyi_batch_is_count_lone_draws(self, n, p, count):
+        batched, lone = np.random.default_rng(n * 1000 + count), np.random.default_rng(n * 1000 + count)
+        batch = erdos_renyi_batch(n, p, count, batched)
+        assert len(batch) == count
+        for g in batch:
+            assert_same_csr(g, erdos_renyi(n, p, lone))
+        assert batched.bit_generator.state == lone.bit_generator.state
+        assert batched.random() == lone.random()
+
+    def test_members_are_the_draws_in_order(self):
+        # independent of the package: member b keeps pair k when the b-th row's k-th double is below p
+        n, p, count = 9, 0.4, 6
+        iu, ju = np.triu_indices(n, k=1)
+        doubles = np.random.default_rng(5).random((count, iu.size))
+        for g, row in zip(erdos_renyi_batch(n, p, count, seed=5), doubles):
+            keep = row < p
+            assert g == Graph.from_edges(n, zip(iu[keep].tolist(), ju[keep].tolist()))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generate_batch_is_count_lone_generates(self, family):
+        p = 0.3 if family == "erdos_renyi" else None
+        batched, lone = np.random.default_rng(3), np.random.default_rng(3)
+        batch = generate_batch(family, 7, 4, p=p, seed=batched)
+        assert len(batch) == 4
+        for g in batch:
+            assert_same_csr(g, generate(family, 7, p=p, seed=lone))
+        assert batched.bit_generator.state == lone.bit_generator.state
+
+    @pytest.mark.parametrize("p, message", [
+        (None, "erdos_renyi requires an edge probability p"),
+        (-0.1, "edge probability must be in [0, 1], got -0.1"),
+        (1.5, "edge probability must be in [0, 1], got 1.5"),
+        (float("nan"), "edge probability must be in [0, 1], got nan"),
+    ])
+    def test_bad_p_is_refused_before_any_draw(self, p, message):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError) as err:
+            generate_batch("erdos_renyi", 8, 3, p=p, seed=rng)
+        assert str(err.value) == message
+        assert rng.bit_generator.state == state

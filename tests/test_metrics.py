@@ -26,6 +26,7 @@ from eccbounds.metrics import (
     all_pairs_distances_stack,
     count_s_ell,
     eccentricity_profile,
+    eccentricity_profiles,
     power_edges,
     power_graph,
 )
@@ -179,6 +180,43 @@ class TestEccentricityProfile:
     def test_single_node(self):
         e = eccentricity_profile(all_pairs_distances(Graph.from_edges(1, [])))
         assert list(e.ecc) == [0] and e.diameter == 0
+
+
+class TestEccentricityProfiles:
+    """One eccentricity pass over a distance stack: each member's profile is its lone one, never a neighbour's."""
+
+    @staticmethod
+    def assert_lone_and_direct(dist: np.ndarray, e) -> None:
+        """``e`` is bitwise ``eccentricity_profile(dist)`` and holds the counts read directly from dist."""
+        lone = eccentricity_profile(dist)
+        for got, want in ((e.ecc, lone.ecc), (e.at_most, lone.at_most)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert type(e.diameter) is int and e.diameter == lone.diameter
+        reach = dist >= 0
+        ecc = np.where(reach.all(axis=1), dist.max(axis=1), UNREACHABLE)
+        assert np.array_equal(e.ecc, ecc)
+        assert e.diameter == (ecc.max() if reach.all() else UNREACHABLE)
+        finite = ecc[ecc >= 0]
+        assert e.at_most.tolist() == [int((finite <= k).sum()) for k in range(e.diameter + 1)]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 65, 130])
+    def test_each_member_is_its_lone_profile(self, n):
+        stack = all_pairs_distances_stack(mixed_batch(n, seed=n))
+        profiles = eccentricity_profiles(stack)
+        assert len(profiles) == len(stack)
+        for dist, e in zip(stack, profiles):
+            self.assert_lone_and_direct(dist, e)
+
+    @pytest.mark.parametrize("batch", [
+        [Graph.from_edges(4, []), TWO_DISJOINT_EDGES, Graph.from_edges(4, [(0, 1)])],
+        [TWO_DISJOINT_EDGES, path_graph(4), Graph.from_edges(4, [(0, 1), (1, 2)]), complete_graph(4)],
+        [Graph.from_edges(1, [])],
+    ], ids=["all-disconnected", "mixed", "one-node"])
+    def test_disconnected_members_and_isolated_nodes(self, batch):
+        stack = all_pairs_distances_stack(batch)
+        for dist, e in zip(stack, eccentricity_profiles(stack)):
+            self.assert_lone_and_direct(dist, e)
 
 
 class TestCountSEll:

@@ -359,20 +359,22 @@ class TestCampaignGroups:
 
     @pytest.fixture
     def events(self, monkeypatch):
-        """("generate",) per generated trial and, per group solve, the pending counts of its trials."""
+        """("generate",) per generated trial, logged when its batch is drawn, and, per group solve,
+        the pending counts of its trials."""
         log = []
-        generate, solve = cli.generate, cli.solve_stacked
+        generate, solve = cli.generate_batch, cli.solve_stacked
 
         def generated(*args, **kwargs):
-            log.append(("generate",))
-            return generate(*args, **kwargs)
+            graphs = generate(*args, **kwargs)
+            log.extend([("generate",)] * len(graphs))
+            return graphs
 
         def solved(pairs):
             pairs = list(pairs)
             log.append(("solve", [len(a.pending(ells)) for a, ells in pairs], pairs))
             solve(pairs)
 
-        monkeypatch.setattr(cli, "generate", generated)
+        monkeypatch.setattr(cli, "generate_batch", generated)
         monkeypatch.setattr(cli, "solve_stacked", solved)
         return log
 
