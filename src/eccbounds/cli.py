@@ -39,13 +39,7 @@ import numpy as np
 from .bounds import BOUND_NAMES, BoundReport, GraphAnalysis, evaluate_all, solve_stacked, stack_members, tolerance
 from .certify import certify_g1_matrix, certify_g2_matrix, check_chain
 from .graphs import (
-    FAMILIES,
-    check_node_count,
-    generate,
-    generate_batch,
-    load_edge_list,
-    serialize_edge_list,
-    serialize_edges,
+    FAMILIES, check_node_count, generate, generate_batch, load_edge_list, serialize_edge_list, serialize_edges,
 )
 # unused here, but perfbench/test_perfbench.py asserts this all_pairs_distances import site
 from .metrics import all_pairs_distances, power_blocks  # noqa: F401

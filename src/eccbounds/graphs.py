@@ -434,9 +434,9 @@ def erdos_renyi_batch(n: int, p: float, count: int, seed=None) -> list[Graph]:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    members, edges = np.nonzero(rng.random((count, iu.size)) < p)
-    return _csr_batch(n, count, members[:, None], np.column_stack((iu[edges], ju[edges])))
+    upper = np.argwhere(~np.tri(n, dtype=bool))  # the pairs u < v, row-major
+    members, edges = np.nonzero(rng.random((count, len(upper))) < p)
+    return _csr_batch(n, count, members[:, None], upper[edges])
 
 
 def random_tree(n: int, seed=None) -> Graph:

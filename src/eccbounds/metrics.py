@@ -111,8 +111,8 @@ def eccentricity_profiles(dist: np.ndarray) -> list[EccentricityProfile]:
     counts = np.bincount(bins.ravel(), minlength=len(ecc) * width).reshape(len(ecc), width)
     at_most = np.cumsum(counts[:, 1:], axis=1)
     return [
-        EccentricityProfile(e, d, counts[: d + 1])
-        for e, d, counts in zip(ecc, diameters.tolist(), at_most)
+        EccentricityProfile(e, d, row[: d + 1])
+        for e, d, row in zip(ecc, diameters.tolist(), at_most)
     ]
 
 

@@ -119,7 +119,7 @@ MUTANTS = (
            "zip(graphs, dist, eccentricity_profiles(dist))",
            "zip(graphs, np.roll(dist, 1, axis=0), eccentricity_profiles(dist))", BATCH),
     Mutant("the ER batch draws its doubles pair-major", "graphs.py",
-           "rng.random((count, iu.size))", "rng.random((iu.size, count)).T", ER_BATCH),
+           "rng.random((count, len(upper)))", "rng.random((len(upper), count)).T", ER_BATCH),
     Mutant("member b gets member b+1's at_most", "metrics.py",
            "zip(ecc, diameters.tolist(), at_most)", "zip(ecc, diameters.tolist(), np.roll(at_most, -1, axis=0))",
            PROFILES),
