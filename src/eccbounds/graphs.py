@@ -3,7 +3,8 @@
 Graphs are immutable after construction and stored in CSR form (``indptr``,
 ``indices``) with neighbor lists sorted per node, so iteration order is
 deterministic. One core, ``_csr_batch``, builds the CSRs of several graphs
-from one sort of int64 keys; every graph built from pairs is its batch of one.
+from one sort of int64 keys over their packed node ids; every graph built
+from pairs is its batch of one.
 ``generate_batch`` draws several graphs of a family from one Generator, the
 Erdos-Renyi ones in one ``Generator.random`` call (``erdos_renyi_batch``);
 ``generate`` and ``erdos_renyi`` are their batches of one, so a lone graph
@@ -84,7 +85,7 @@ class Graph:
 
         Duplicate pairs and orientation collapse. The CSR core on a batch of one.
         """
-        return _csr_batch(n, 1, 0, pairs)[0]
+        return _csr_batch(n, 1, pairs)[0]
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "Graph":
@@ -147,32 +148,33 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _csr_batch(n: int, count: int, members: np.ndarray | int, pairs: np.ndarray) -> list[Graph]:
-    """The CSRs of ``count`` graphs on n nodes from one key sort: pair k is an edge of graph ``members[k]``.
+def _csr_batch(n: int, count: int, pairs: np.ndarray) -> list[Graph]:
+    """The CSRs of ``count`` graphs on n nodes from one key sort of their packed pairs.
 
-    ``pairs`` is an (m, 2) int64 array of in-range endpoints without
-    self-loops, and ``members`` an (m, 1) column of graph indices, or 0 for a
-    batch of one; duplicate pairs and orientation collapse within a graph.
-    The one check of n >= 1 for every graph built from pairs.
+    ``pairs`` is an (m, 2) int64 array of packed endpoints without self-loops:
+    member b's node u is b * n + u, and both ends of a pair lie in one member.
+    Duplicate pairs and orientation collapse. The one check of n >= 1 for
+    every graph built from pairs.
     """
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
-    if n > _MAX_KEYED_NODES:
-        raise ValueError(f"node count must be <= {_MAX_KEYED_NODES}, got {n}")
-    # each pair {u, v} of graph b becomes the entries u -> v and v -> u of rows b * n + u and
-    # b * n + v; sorted by the key row * n + column, every neighbor list is sorted and repeats
-    # are adjacent
-    rows = pairs + members * n
-    keys = np.concatenate((rows[:, 0] * n + pairs[:, 1], rows[:, 1] * n + pairs[:, 0]))
+    size = count * n
+    if size > _MAX_KEYED_NODES:
+        raise ValueError(f"node count must be <= {_MAX_KEYED_NODES}, got {size}")
+    # each pair {u, v} becomes the entries u -> v and v -> u; sorted by the key
+    # row * size + column, every neighbor list is sorted and repeats are adjacent
+    entries = np.concatenate((pairs, pairs[:, ::-1]))
+    keys = entries[:, 0] * size + entries[:, 1]
     keys.sort()
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    rows, cols = np.divmod(keys[first], n)
-    indptr = np.zeros((count, n + 1), dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=count * n).reshape(count, n), axis=1, out=indptr[:, 1:])
+    rows, cols = np.divmod(keys[first], size)
+    indptr = np.zeros((count, n + 1), dtype=np.int64)  # member b holds rows b * n .. b * n + n - 1
+    np.cumsum(np.bincount(rows, minlength=size).reshape(count, n), axis=1, out=indptr[:, 1:])
     if count == 1:
         return [Graph(n, indptr[0], cols)]
+    cols %= n
     ends = np.cumsum(indptr[:, -1])
     starts = ends - indptr[:, -1]
     return [Graph(n, ptr, cols[a:b]) for ptr, a, b in zip(indptr, starts.tolist(), ends.tolist())]
@@ -436,7 +438,7 @@ def erdos_renyi_batch(n: int, p: float, count: int, seed=None) -> list[Graph]:
     rng = np.random.default_rng(seed)
     upper = np.argwhere(~np.tri(n, dtype=bool))  # the pairs u < v, row-major
     members, edges = np.nonzero(rng.random((count, len(upper))) < p)
-    return _csr_batch(n, count, members[:, None], upper[edges])
+    return _csr_batch(n, count, upper[edges] + (members * n)[:, None])
 
 
 def random_tree(n: int, seed=None) -> Graph:

@@ -105,11 +105,11 @@ def eccentricity_profiles(dist: np.ndarray) -> list[EccentricityProfile]:
     # a node of a disconnected graph misses some node, so every one of its nodes does, and
     # its largest eccentricity, the diameter, is UNREACHABLE
     diameters = ecc.max(axis=1)
-    # member b's bins are b * width + 1 + e for e = UNREACHABLE (dropped), 0, ..., the stack's diameter
-    width = int(diameters.max()) + 2
-    bins = ecc + (np.arange(len(ecc)) * width + 1)[:, None]
-    counts = np.bincount(bins.ravel(), minlength=len(ecc) * width).reshape(len(ecc), width)
-    at_most = np.cumsum(counts[:, 1:], axis=1)
+    # member b's bins are b * (n + 1) + 1 + e for e = UNREACHABLE (dropped), 0, ..., n - 1
+    count, n = ecc.shape
+    bins = ecc + np.arange(1, count * (n + 1), n + 1)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=count * (n + 1)).reshape(count, n + 1)
+    at_most = counts[:, 1:].cumsum(axis=1)
     return [
         EccentricityProfile(e, d, row[: d + 1])
         for e, d, row in zip(ecc, diameters.tolist(), at_most)

@@ -157,7 +157,8 @@ class TestPrepare:
     ELLS = [2, 3, 5, 9]
 
     @pytest.mark.parametrize("g", [
-        erdos_renyi(10, 0.4, seed=2), erdos_renyi(10, 0.3, seed=4), path_graph(10), TWO_DISJOINT_EDGES, Graph.from_edges(3, []),
+        erdos_renyi(10, 0.4, seed=2), erdos_renyi(10, 0.3, seed=4), path_graph(10),
+        TWO_DISJOINT_EDGES, Graph.from_edges(3, []),
     ], ids=["er-connected", "er-disconnected", "path", "two-edges", "edgeless"])
     @pytest.mark.parametrize("route", ["lone", "batch"])
     def test_each_broadcast_row_is_its_lone_build(self, g, route):
