@@ -5,8 +5,8 @@ one ``_kernels.bfs_all_pairs`` call and returns their (B, n, n) distance
 stack; ``all_pairs_distances`` is the core on a stack of one, so a lone
 graph and a batch member get the same distances. Likewise
 ``eccentricity_profiles`` reads the profiles of a whole stack in one pass, and
-``eccentricity_profile`` is its stack of one; ``power_adjacency`` takes an
-array of ells and broadcasts their masks as one stack.
+``eccentricity_profile`` is its stack of one; ``power_adjacency`` takes a
+list of ells and broadcasts their masks as one stack.
 ``all_pairs_distances_stack``, ``power_blocks`` and ``power_edges`` refuse n
 above ``graphs.MAX_NODES`` before searching.
 """
