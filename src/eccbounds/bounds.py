@@ -282,16 +282,6 @@ class GraphAnalysis:
             _prove([(self, (kind, ell))])
         return self._certificates[kind, ell]
 
-    def pending(self, ells: Iterable[int]) -> list[int]:
-        """The ells, in solve order, whose lambda2(G^ell) the checks of ``ells`` read and is unknown.
-
-        That is 1 (G itself) and, for a connected graph, each of ``ells``.
-        """
-        if self.n < 2:
-            raise ValueError(f"solve needs n >= 2, got n={self.n}")
-        wanted = dict.fromkeys([1, *ells] if self.connected else [1])
-        return [ell for ell in wanted if ell not in self._lambda2s]
-
     def _coefficients(self, kind: str, ell: int) -> tuple[float, int, int]:
         """(coeff, icoeff, scale) of the g1 or g2 matrix coeff L(G) - L(G^ell).
 
@@ -311,24 +301,31 @@ def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
     First each analysis builds its masks and Laplacians in one broadcast
     (``GraphAnalysis.prepare``). For a connected graph, the g2 certificate of
     each ell, and the g1 certificate of each ell >= 2 (gamma needs ell >= 2),
-    not yet in its memo go to ``_prove``; then the ``pending`` L(G^ell) go to
-    one stacked eigensolve. Each list is taken analysis by analysis and cut
+    not yet in its memo go to ``_prove``; then L(G) and, for a connected
+    graph, each L(G^ell) whose lambda2 is not yet in the memo go to one
+    stacked eigensolve. Each list is taken analysis by analysis and cut
     into chunks of ``stack_members(n)``, so a chunk may hold several analyses'
     matrices; each result goes into its own analysis's memo. Every member is
-    bitwise the one a lone solve gives, so grouping never changes a result.
+    bitwise the one a lone solve gives, so the chunks never change a result.
     Raises ValueError if the analyses differ in n or one has n < 2.
     """
     pairs = [(a, list(dict.fromkeys(ells))) for a, ells in pairs]
     orders = {a.n for a, _ in pairs}
     if len(orders) > 1:
         raise ValueError(f"solve_stacked needs analyses of one order, got n in {sorted(orders)}")
-    laplacians = [(a, ell) for a, ells in pairs for ell in a.pending(ells)]
+    n = orders.pop() if orders else 2
+    if n < 2:
+        raise ValueError(f"solve needs n >= 2, got n={n}")
+    laplacians = [
+        (a, ell) for a, ells in pairs for ell in dict.fromkeys([1, *ells] if a.connected else [1])
+        if ell not in a._lambda2s
+    ]
     for a, ells in pairs:
         a.prepare(ells)
     kinds = {True: ("g1", "g2"), False: ("g2",)}  # by ell >= 2: gamma, and so g1, needs it
     keys = [(a, (kind, ell)) for a, ells in pairs if a.connected for ell in ells for kind in kinds[ell >= 2]]
     proofs = [(a, key) for a, key in keys if key not in a._certificates]
-    per_stack = stack_members(orders.pop()) if orders else 1
+    per_stack = stack_members(n)
     for settle, items in ((_prove, proofs), (_eigensolve, laplacians)):
         for start in range(0, len(items), per_stack):
             settle(items[start : start + per_stack])

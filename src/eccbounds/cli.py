@@ -11,9 +11,9 @@ Subcommands:
 
 ``verify`` draws its trials a batch of graphs at a time (``generate_batch``),
 finds their distances and eccentricities in one BFS and one pass per batch
-(``GraphAnalysis.batch``), and settles their certificates and spectra a
-group at a time (``bounds.solve_stacked``); none of these changes a byte of
-its report. Its worst-slack graph is serialized once, by ``summary_json``.
+(``GraphAnalysis.batch``), and settles their certificates and spectra in one
+``bounds.solve_stacked`` call per batch; none of these changes a byte of its
+report. Its worst-slack graph is serialized once, by ``summary_json``.
 
 Exit codes: 0 success, 1 verification violation, 2 usage or input error.
 Reports are deterministic: the same command line and seed produce byte
@@ -123,6 +123,8 @@ class CampaignConfig:
         check_node_count(self.n)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         _check_ell_policy(self.ell_policy)
 
 
@@ -182,39 +184,30 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     (zero eccentricity counts, zero bounds, an eigensolver lambda2 of 0) are still checked;
     only the connectivity-dependent certificates and chain are omitted. Each
     graph gets one ``GraphAnalysis``, shared by every check on it. Trials are
-    generated in order a batch at a time, at most ``stack_members(n) // n``
-    (at least 1) to a batch, by one ``generate_batch`` call on the campaign's
-    Generator (one draw for an Erdos-Renyi batch), and ``GraphAnalysis.batch``
-    searches each batch's distances in one BFS and reads its eccentricities in
-    one pass. Each member is bitwise the graph and analysis a trial-at-a-time
-    route would make. The analyses then join, in order, a group until the
-    group's pending Laplacians (``GraphAnalysis.pending``) fill one stack
-    (``bounds.stack_members``); one ``solve_stacked`` call builds each
-    analysis's masks and L(G^ell) in one broadcast, proves the group's
-    certificates and eigensolves those Laplacians, the checks then run trial
-    by trial, and the group is dropped. So a group's Laplacians stay within
-    one stack's budget plus one trial, a group whose first trial fills a
-    stack is that trial alone, and groups do not depend on the batches.
+    taken in order a batch at a time, at most ``stack_members(n) // n`` (at
+    least 1) to a batch, and the batch is the campaign's only cut. Each batch
+    is drawn by one ``generate_batch`` call on the campaign's Generator (one
+    draw for an Erdos-Renyi batch); ``GraphAnalysis.batch`` searches its
+    distances in one BFS and reads its eccentricities in one pass; one
+    ``solve_stacked`` call builds each analysis's masks and L(G^ell) in one
+    broadcast, proves the batch's certificates and eigensolves its
+    Laplacians; the checks then run trial by trial, and the batch is dropped.
+    A trial reads at most n Laplacians, L(G) and one per ell (at most
+    max(1, n - 2) ells), so a batch's Laplacians fit one stack
+    (``bounds.stack_members``). Each member is bitwise the graph, analysis
+    and results a trial-at-a-time route would make, so the cut changes no
+    byte of the report.
     """
     summary = CampaignSummary(config=config)
     rng = np.random.default_rng(config.seed)
-    per_stack = stack_members(config.n)
-    per_batch = max(1, per_stack // config.n)
-    group: list[tuple[int, GraphAnalysis, list[int]]] = []
-    pending = 0
-
+    per_batch = max(1, stack_members(config.n) // config.n)
     for first in range(0, config.trials, per_batch):
         count = min(per_batch, config.trials - first)
         graphs = generate_batch(config.family, config.n, count, p=config.p, seed=rng)
-        for trial, analysis in enumerate(GraphAnalysis.batch(graphs), first):
-            ells = _policy_ells(config.ell_policy, analysis.profile.diameter)
-            group.append((trial, analysis, ells))
-            pending += len(analysis.pending(ells))
-            if pending >= per_stack or trial + 1 == config.trials:
-                solve_stacked((a, ells) for _, a, ells in group)
-                for member in group:
-                    _check_trial(summary, *member)
-                group, pending = [], 0
+        batch = [(a, _policy_ells(config.ell_policy, a.profile.diameter)) for a in GraphAnalysis.batch(graphs)]
+        solve_stacked(batch)
+        for trial, (analysis, ells) in enumerate(batch, first):
+            _check_trial(summary, trial, analysis, ells)
     return summary
 
 

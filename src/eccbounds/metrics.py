@@ -7,8 +7,8 @@ graph and a batch member get the same distances. Likewise
 ``eccentricity_profiles`` reads the profiles of a whole stack in one pass, and
 ``eccentricity_profile`` is its stack of one; ``power_adjacency`` takes a
 list of ells and broadcasts their masks as one stack.
-``all_pairs_distances_stack``, ``power_blocks`` and ``power_edges`` refuse n
-above ``graphs.MAX_NODES`` before searching.
+``all_pairs_distances_stack`` and ``power_blocks`` refuse n above
+``graphs.MAX_NODES`` before searching.
 """
 
 from __future__ import annotations
@@ -159,9 +159,3 @@ def power_blocks(g: Graph, ell: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     return _kernels.power_pairs(g.indptr, g.indices, g.n, ell)
-
-
-def power_edges(g: Graph, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """``power_graph(dist, ell)._upper_edges()`` without dist: the ``power_blocks`` joined."""
-    us, vs = zip(*power_blocks(g, ell))
-    return np.concatenate(us), np.concatenate(vs)

@@ -37,7 +37,8 @@ BOUNDS = ("tests/test_bounds.py",)
 CHAIN = ("tests/test_certify.py::TestCheckChain",)
 POWER = ("tests/test_metrics.py::TestBoundedSearch", "tests/test_kernels.py::TestBoundedBfs")
 PAIRING = ("tests/test_cli.py::test_golden_report", "tests/test_stacked.py::TestCampaignGroups::test_memo_equals_a_fresh_solve")
-GROUPS = ("tests/test_stacked.py::TestCampaignGroups::test_a_five_matrix_budget_gives_the_same_report",)
+#: every check then solves alone; the report does not change, only the call counts can show it
+SOLVES = ("tests/test_call_counts.py::TestKernelCallCounts",)
 PROOF = ("tests/test_psd_proof.py",)
 FALLBACK = (
     "tests/test_certify.py::TestCertifyG2::test_path3_ell2_is_tight",
@@ -99,8 +100,8 @@ MUTANTS = (
            "zip(chunk, eigen_decompose_stack(stack))", "zip(chunk[::-1], eigen_decompose_stack(stack))", PAIRING),
     Mutant("an unproved certificate skips its eigensolve", "bounds.py",
            "if won else is_psd(m)", "if won else CertificateResult(0.0, 0.0, PSD)", FALLBACK),
-    Mutant("campaign group closes only at the end", "cli.py",
-           "if pending >= per_stack or trial + 1 == config.trials:", "if trial + 1 == config.trials:", GROUPS),
+    Mutant("a campaign batch skips its solve_stacked call", "cli.py",
+           "        solve_stacked(batch)\n", "", SOLVES),
     Mutant("Cholesky proof without its shift", "spectral.py",
            "diagonal -= shift[:, None]", "diagonal -= 0.0 * shift[:, None]", PROOF),
     Mutant("g1's integer coefficient off by one", "bounds.py",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from eccbounds import _kernels, spectral
+from eccbounds import _kernels, cli, spectral
 from eccbounds.bounds import GraphAnalysis, evaluate_all, stack_members
 from eccbounds.certify import check_chain
 from eccbounds.cli import CampaignConfig, run_campaign, run_tightness
@@ -97,8 +97,8 @@ class TestKernelCallCounts:
     BFS per batch of at most ``stack_members(n) // n`` trials. Per connected (graph, ell) check, the two
     certificate matrices go to one batched Cholesky proof, and here every one
     is proved; so only L(G) and L(G^ell) are eigensolved, each once, stacked
-    across trials up to the stack budget, and a campaign whose matrices fit one
-    stack makes one stacked eigensolve. ``spectral.laplacian`` builds nothing:
+    across the trials of a batch by one ``solve_stacked`` call, and a campaign
+    of one batch whose matrices fit one stack makes one stacked eigensolve. ``spectral.laplacian`` builds nothing:
     L(G) = L(G^1) and L(G^ell) are read from the distance matrix, each once per
     graph, and shared by both certificates and the chain."""
 
@@ -132,14 +132,17 @@ class TestKernelCallCounts:
         assert kernel_calls["eigen_decompose_stack"] == 1
         assert laplacian_builds[0] == 0
 
-    def test_hundred_trial_campaign_searches_two_batches(self, searched, kernel_calls, proof_calls):
-        # 75 = stack_members(12) // 12 = 910 // 12 trials a batch, so 100 trials take two searches;
-        # the stacked solves and proofs are those of the trial-at-a-time search
+    def test_hundred_trial_campaign_searches_two_batches(self, monkeypatch, searched, kernel_calls, proof_calls):
+        # 75 = stack_members(12) // 12 = 910 // 12 trials a batch, so 100 trials take two searches,
+        # and each batch is settled by one solve_stacked call: two stacked eigensolves and two proofs
+        # over the matrices of the trial-at-a-time route
+        solve, solved = cli.solve_stacked, []
+        monkeypatch.setattr(cli, "solve_stacked", lambda pairs: solved.append(len(pairs)) or solve(pairs))
         config = CampaignConfig(family="erdos_renyi", n=12, p=0.3, trials=100, seed=42)
         assert run_campaign(config).violations == []
-        assert searched == [75, 25]
-        assert (kernel_calls["eigen_decompose_stack"], kernel_calls["matrices"]) == (1, 339)
-        assert proof_calls == {"calls": 1, "certificates": 478, "proved": 478}
+        assert searched == [75, 25] and solved == [75, 25]
+        assert (kernel_calls["eigen_decompose_stack"], kernel_calls["matrices"]) == (2, 339)
+        assert proof_calls == {"calls": 2, "certificates": 478, "proved": 478}
 
     @pytest.mark.parametrize("n, batches", [(8, [10]), (30, [4, 4, 2]), (120, [1] * 10)])
     def test_batch_size_follows_the_stack_budget(self, searched, n, batches):

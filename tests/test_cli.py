@@ -189,6 +189,11 @@ class TestVerify:
         rc = cli.main(["verify", "--family", "random_tree", "--n", "8", "--trials", "0"])
         assert rc == 2
 
+    def test_negative_seed_names_its_option(self, capsys):
+        rc = cli.main(["verify", "--family", "random_tree", "--n", "8", "--trials", "2", "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
     @staticmethod
     def refused_before_a_draw(monkeypatch, capsys, argv, message):
         """``verify argv`` exits 2 with ``message``, raised by the campaign's batch entry point

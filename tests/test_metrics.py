@@ -27,7 +27,7 @@ from eccbounds.metrics import (
     count_s_ell,
     eccentricity_profile,
     eccentricity_profiles,
-    power_edges,
+    power_blocks,
     power_graph,
 )
 
@@ -304,10 +304,10 @@ class TestPowerGraph:
 
 
 def assert_power_edges_match(g: Graph, ells) -> None:
-    """``power_edges`` gives ``power_graph``'s upper edges and, serialized, its edge list."""
+    """``power_blocks``, joined, give ``power_graph``'s upper edges and, serialized, its edge list."""
     d = all_pairs_distances(g)
     for ell in ells:
-        us, vs = power_edges(g, ell)
+        us, vs = (np.concatenate(ends) for ends in zip(*power_blocks(g, ell)))
         want = power_graph(d, ell)
         assert all(np.array_equal(a, b) for a, b in zip((us, vs), want._upper_edges())), ell
         out = io.StringIO()
@@ -330,7 +330,7 @@ def graphs_up_to(draw, max_n: int) -> Graph:
 
 
 class TestBoundedSearch:
-    """``power_edges``: G^ell read from a search stopped after ell levels, no distance matrix."""
+    """``power_blocks``: G^ell read from a search stopped after ell levels, no distance matrix."""
 
     GRAPHS = [
         erdos_renyi(30, 0.1, seed=1),
@@ -349,12 +349,12 @@ class TestBoundedSearch:
     def test_rejects_depth_below_one(self):
         for ell in (0, -1):
             with pytest.raises(ValueError, match=rf"^ell must be >= 1, got {ell}$"):
-                power_edges(path_graph(3), ell)
+                power_blocks(path_graph(3), ell)
 
     def test_refuses_n_above_the_limit_before_searching(self, monkeypatch):
         monkeypatch.setattr(graphs, "MAX_NODES", 5)
         with pytest.raises(ValueError, match=r"^n=6 exceeds the limit of 5 nodes"):
-            power_edges(path_graph(6), 2)
+            power_blocks(path_graph(6), 2)
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129])
     def test_word_boundaries(self, n):

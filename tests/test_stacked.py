@@ -1,4 +1,4 @@
-"""The stacked eigensolver core, the stacked solve of GraphAnalysis and the campaign's groups of trials."""
+"""The stacked eigensolver core, the stacked solve of GraphAnalysis and the campaign's one solve per batch."""
 
 import numpy as np
 import pytest
@@ -320,11 +320,12 @@ class TestSolveStacked:
         a, b = GraphAnalysis(erdos_renyi(12, 0.3, seed=3)), GraphAnalysis(erdos_renyi(12, 0.3, seed=4))
         assert a.connected and not b.connected
         solve_stacked([(a, [2])])
-        assert a.pending([2, 3]) == [3] and b.pending([2]) == [1]
         solve_stacked([(a, [2, 3]), (b, [2])])
-        # a: g1 and g2, both proved, and L(G^3); b: only L(G), as its graph is disconnected
+        # a: g1 and g2, both proved, and L(G^3) alone of its Laplacians; b: only L(G), as its graph
+        # is disconnected
         assert a._certificates["g1", 3].method == a._certificates["g2", 3].method == "cholesky"
         assert [len(stack) for stack, _ in solves] == [2, 1 + 1]
+        assert np.array_equal(solves[1][0], [a.power_laplacian(3), b.power_laplacian(1)])
 
     def test_nothing_pending_makes_no_call(self, solves):
         solve_stacked([])
@@ -350,7 +351,7 @@ class TestSolveStacked:
 
 
 class TestCampaignGroups:
-    """A campaign solves its trials in groups that fill one stack, with unchanged reports."""
+    """A campaign solves each drawn batch of trials in one ``solve_stacked`` call, with unchanged reports."""
 
     CONFIGS = [
         CampaignConfig(family="erdos_renyi", n=12, p=0.3, trials=60, seed=11),
@@ -359,19 +360,19 @@ class TestCampaignGroups:
 
     @pytest.fixture
     def events(self, monkeypatch):
-        """("generate",) per generated trial, logged when its batch is drawn, and, per group solve,
-        the pending counts of its trials."""
+        """("batch", size) per drawn batch and ("solve", counts, pairs) per ``solve_stacked`` call, where
+        a trial's count is the Laplacians its checks read: L(G) and, if connected, L(G^ell) of each ell."""
         log = []
         generate, solve = cli.generate_batch, cli.solve_stacked
 
         def generated(*args, **kwargs):
             graphs = generate(*args, **kwargs)
-            log.extend([("generate",)] * len(graphs))
+            log.append(("batch", len(graphs)))
             return graphs
 
         def solved(pairs):
             pairs = list(pairs)
-            log.append(("solve", [len(a.pending(ells)) for a, ells in pairs], pairs))
+            log.append(("solve", [1 + len(ells) if a.connected else 1 for a, ells in pairs], pairs))
             solve(pairs)
 
         monkeypatch.setattr(cli, "generate_batch", generated)
@@ -379,49 +380,41 @@ class TestCampaignGroups:
         return log
 
     @staticmethod
-    def groups(events):
-        """Per group solve: (trials generated since the previous solve, pending counts, pairs)."""
-        out, generated = [], 0
-        for event in events:
-            if event[0] == "generate":
-                generated += 1
-            else:
-                out.append((generated, event[1], event[2]))
-                generated = 0
-        assert generated == 0  # every trial is solved
-        return out
+    def batches(events):
+        """Per drawn batch: (its size, the counts and pairs of the one solve that follows it)."""
+        assert [event[0] for event in events] == ["batch", "solve"] * (len(events) // 2)
+        return [(size, counts, pairs) for (_, size), (_, counts, pairs) in zip(events[::2], events[1::2])]
+
+    @staticmethod
+    def chunks(total: int, per_stack: int) -> list[int]:
+        return [min(per_stack, total - start) for start in range(0, total, per_stack)]
 
     def test_memo_equals_a_fresh_solve(self, events):
         run_campaign(CampaignConfig(family="erdos_renyi", n=12, p=0.3, trials=300, seed=7))
-        groups = self.groups(events)
-        assert len(groups) > 1
-        for _, _, pairs in groups:
+        batches = self.batches(events)
+        assert len(batches) > 1
+        for _, _, pairs in batches:
             for a, ells in pairs:
                 assert memos(a) == fresh_memo(a.graph, ells)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["all", "ell2"])
     def test_a_five_matrix_budget_gives_the_same_report(self, monkeypatch, events, solves, config):
         default = summary_json(run_campaign(config))
-        assert len(self.groups(events)) == len(solves) == 1
+        assert len(self.batches(events)) == len(solves) == 1
         del events[:], solves[:]
         monkeypatch.setattr(bounds, "_STACK_BYTES", 5 * 8 * config.n * config.n)
         prove, proof_sizes = bounds.prove_psd_stack, []
         monkeypatch.setattr(bounds, "prove_psd_stack", lambda stack: proof_sizes.append(len(stack)) or prove(stack))
         assert summary_json(run_campaign(config)) == default
-        # no proof or eigensolve stack holds more than 5 members, and both campaigns fill one
-        sizes = proof_sizes + [len(stack) for stack, _ in solves]
-        assert max(sizes) == 5 and max(len(stack) for stack, _ in solves) == 5
-        groups = self.groups(events)
-        assert sum(generated for generated, _, _ in groups) == config.trials
-        for k, (generated, counts, _) in enumerate(groups):
-            assert generated == len(counts)
-            # no trial is generated while the group already holds 5 pending matrices,
-            # and a group closes as soon as it holds 5 (the last one at the campaign's end)
-            assert sum(counts[:-1]) < 5
-            assert sum(counts) >= 5 or k == len(groups) - 1
-        assert any(len(counts) > 1 for _, counts, _ in groups)
-        # a group of more than 5 splits its last trial across two stacks
-        assert any(sum(counts) > 5 for _, counts, _ in groups)
+        batches = self.batches(events)
+        # max(1, 5 // 12): each batch is one trial, and its one solve holds that batch alone
+        assert [size for size, _, _ in batches] == [1] * config.trials
+        assert all(size == len(counts) == len(pairs) for size, counts, pairs in batches)
+        # each solve cuts its own batch's proofs and Laplacians into stacks of at most 5
+        laplacians = [k for _, counts, _ in batches for k in self.chunks(sum(counts), 5)]
+        proofs = [k for _, counts, _ in batches for k in self.chunks(sum(2 * (c - 1) for c in counts), 5)]
+        assert [len(stack) for stack, _ in solves] == laplacians and proof_sizes == proofs
+        assert max(proof_sizes + laplacians) == (5 if config.ell_policy == "all" else 2)
 
 
 @pytest.mark.parametrize("config", [
