@@ -369,20 +369,28 @@ def serialize_edge_list(g: Graph) -> str:
 def serialize_edges(n: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]], out: TextIO) -> None:
     """Write the edge-list text of n nodes and the edges of ``blocks`` to ``out``, in the order given.
 
-    Each block (us, vs) is written as it is taken: its lines are gathered by
-    the endpoint arrays from one table of every node's ``"u "`` and ``"v\n"``
-    strings, built once, as cells in the narrowest unsigned type that holds
-    the table's 2n indices (16 bits at ``MAX_NODES``), and joined.
+    Two fixed-width bytes tables, built once from the digits ``np.unravel_index``
+    gives every node, hold each node's ``b"u "`` and ``b"v\\n"``, right-aligned
+    after NUL padding. Each block (us, vs) is written as it is taken: one gather
+    per table into a (k, 2) array of cells, one compress (a bytes ``replace``)
+    that drops the NUL bytes, one decode. No digit or separator is a NUL byte,
+    so dropping them is exact.
     """
-    table = np.array([f"{i} " for i in range(n)] + [f"{i}\n" for i in range(n)], dtype=object)
-    cell = np.min_scalar_type(2 * n - 1)
+    width = len(str(n - 1))
+    table = np.empty((2, n, width + 1), dtype=np.uint8)
+    table[:, :, :width] = np.add(np.unravel_index(np.arange(n), (10,) * width), ord("0")).T  # every node's digits
+    for k in range(1, width):  # a node below 10**k has a NUL, not a "0", at place 10**k
+        table[:, : 10**k, width - 1 - k] = 0
+    table[0, :, width] = ord(" ")
+    table[1, :, width] = ord("\n")
+    table = table.view(f"S{width + 1}")
+    firsts, seconds = table[0, :, 0], table[1, :, 0]
     out.write(f"n {n}\n")
     for us, vs in blocks:
-        cells = np.empty((us.size, 2), dtype=cell)
-        cells[:, 0] = us
-        cells[:, 1] = vs
-        cells[:, 1] += n
-        out.write("".join(table.take(cells.ravel()).tolist()))
+        cells = np.empty((us.size, 2), dtype=firsts.dtype)
+        firsts.take(us, out=cells[:, 0])
+        seconds.take(vs, out=cells[:, 1])
+        out.write(cells.tobytes().replace(b"\0", b"").decode("ascii"))
 
 
 def load_edge_list(path: str) -> Graph:

@@ -49,6 +49,10 @@ READER = ("tests/test_graphs.py::TestEdgeListAgainstReference",)
 STACK = ("tests/test_metrics.py::TestDistanceStack",)
 BATCH = ("tests/test_analysis.py::TestBatch", "tests/test_stacked.py::test_batched_searches_change_no_stack_or_report")
 BLOCKS = ("tests/test_cli.py::TestPower::test_blocks_write_the_whole_array_text",)
+WRITER = (
+    "tests/test_graphs.py::TestEdgeListAgainstReference::test_serialize_at_every_width_boundary",
+    "tests/test_graphs.py::TestEdgeListAgainstReference::test_serialize_several_blocks_one_empty",
+)
 ER_BATCH = ("tests/test_graphs.py::TestBatchDraws",)
 PROFILES = ("tests/test_metrics.py::TestEccentricityProfiles",)
 BROADCAST = ("tests/test_analysis.py::TestPrepare",)
@@ -112,6 +116,12 @@ MUTANTS = (
     Mutant("the byte pass drops the two-numbers-a-line test", "graphs.py", TWO_A_LINE, "", READER),
     Mutant("a lone \\r counts as a space", "graphs.py",
            '_BYTE_CLASS[ord("\\r")] = _CR', '_BYTE_CLASS[ord("\\r")] = _SPACE', READER),
+    Mutant("the writer's table drops the widest numbers' top digit", "graphs.py",
+           "np.unravel_index(np.arange(n),", "np.unravel_index(np.arange(n) % 10 ** (width - 1),", WRITER),
+    Mutant("the writer's separators swapped", "graphs.py",
+           'table[0, :, width] = ord(" ")\n    table[1, :, width] = ord("\\n")',
+           'table[0, :, width] = ord("\\n")\n    table[1, :, width] = ord(" ")', WRITER),
+    Mutant("the writer keeps a leading zero", "graphs.py", "for k in range(1, width):", "for k in range(1, width - 1):", WRITER),
     Mutant("a power block drops its last row", "_kernels.py",
            "_row_pairs(row_bytes[a:b], a)", "_row_pairs(row_bytes[a:b - 1], a)", BLOCKS),
     Mutant("packed reach leaks across member blocks", "metrics.py",

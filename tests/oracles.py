@@ -9,7 +9,7 @@ rational matrices are settled by exact LDL^T elimination on ``Fraction``s
 instead of the package's floating-point Cholesky proof, and the certificate
 matrices are rebuilt in ``Fraction``s from the paper's formulas. The edge-list
 reader and writer are the line-at-a-time ``int`` and ``"%d %d\n"`` versions
-that the package's bulk parser and table-driven serializer replaced, and
+that the package's bulk parser and byte-table serializer replaced, and
 random trees come from the pointer-walk Prüfer decode that the package's
 min-heap decode replaced. ``csr`` builds a graph's compressed rows from
 Python lists; a valid edge set has exactly one, so comparing a graph's arrays

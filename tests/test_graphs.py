@@ -1,5 +1,6 @@
 """Graph construction, parsing, serializing and generation."""
 
+import io
 import re
 
 import numpy as np
@@ -339,6 +340,28 @@ class TestEdgeListAgainstReference:
         g = Graph.from_edges(n, edges)
         assert serialize_edge_list(g) == oracles.serialize_edge_list(n, edges)
         assert reference_outcome(serialize_edge_list(g)) == ("graph", n, edges)
+
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, graphs.MAX_NODES, graphs.MAX_NODES + 1])
+    def test_serialize_at_every_width_boundary(self, n):
+        # the serializer does not cap n: a library Graph may be larger than MAX_NODES.
+        # The path writes every node but the last as u and every node but 0 as v
+        edges = {(i, i + 1) for i in range(n - 1)} | {(0, v) for v in range(2, n, 7)} | {(u, n - 1) for u in range(1, n - 2, 11)}
+        assert serialize_edge_list(Graph.from_edges(n, edges)) == oracles.serialize_edge_list(n, edges)
+
+    @pytest.mark.parametrize("n", [1, 10, 1001, graphs.MAX_NODES])
+    def test_serialize_a_graph_without_edges(self, n):
+        assert serialize_edge_list(Graph.from_edges(n, [])) == oracles.serialize_edge_list(n, set()) == f"n {n}\n"
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.intp])
+    def test_serialize_several_blocks_one_empty(self, dtype):
+        # blocks of any integer type, an empty one among them, write what one block writes
+        n = 1001
+        edges = {(u, v) for u, v in erdos_renyi(n, 0.004, seed=3).edges()} | {(0, n - 1), (n - 2, n - 1)}
+        us, vs = np.array(sorted(edges), dtype=dtype).T
+        cuts = [0, 1, 700, 700, us.size - 1, us.size]  # the third block is empty
+        out = io.StringIO()
+        graphs.serialize_edges(n, [(us[a:b], vs[a:b]) for a, b in zip(cuts[:-1], cuts[1:])], out)
+        assert out.getvalue() == oracles.serialize_edge_list(n, edges)
 
 
 class TestConstruction:
