@@ -121,7 +121,8 @@ MUTANTS = (
     Mutant("the writer's separators swapped", "graphs.py",
            'table[0, :, width] = ord(" ")\n    table[1, :, width] = ord("\\n")',
            'table[0, :, width] = ord("\\n")\n    table[1, :, width] = ord(" ")', WRITER),
-    Mutant("the writer keeps a leading zero", "graphs.py", "for k in range(1, width):", "for k in range(1, width - 1):", WRITER),
+    Mutant("the writer keeps a leading zero", "graphs.py",
+           "for k in range(1, width):", "for k in range(1, width - 1):", WRITER),
     Mutant("a power block drops its last row", "_kernels.py",
            "_row_pairs(row_bytes[a:b], a)", "_row_pairs(row_bytes[a:b - 1], a)", BLOCKS),
     Mutant("packed reach leaks across member blocks", "metrics.py",

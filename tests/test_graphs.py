@@ -345,14 +345,15 @@ class TestEdgeListAgainstReference:
     def test_serialize_at_every_width_boundary(self, n):
         # the serializer does not cap n: a library Graph may be larger than MAX_NODES.
         # The path writes every node but the last as u and every node but 0 as v
-        edges = {(i, i + 1) for i in range(n - 1)} | {(0, v) for v in range(2, n, 7)} | {(u, n - 1) for u in range(1, n - 2, 11)}
+        edges = {(i, i + 1) for i in range(n - 1)}
+        edges |= {(0, v) for v in range(2, n, 7)} | {(u, n - 1) for u in range(1, n - 2, 11)}
         assert serialize_edge_list(Graph.from_edges(n, edges)) == oracles.serialize_edge_list(n, edges)
 
-    @pytest.mark.parametrize("n", [1, 10, 1001, graphs.MAX_NODES])
+    @pytest.mark.parametrize("n", [10, 1001, graphs.MAX_NODES])
     def test_serialize_a_graph_without_edges(self, n):
         assert serialize_edge_list(Graph.from_edges(n, [])) == oracles.serialize_edge_list(n, set()) == f"n {n}\n"
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.intp])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16, np.uint16])
     def test_serialize_several_blocks_one_empty(self, dtype):
         # blocks of any integer type, an empty one among them, write what one block writes
         n = 1001
