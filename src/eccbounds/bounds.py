@@ -2,17 +2,18 @@
 
 Every bound here is a guaranteed lower bound on lambda2 for simple undirected
 graphs. ``GraphAnalysis`` holds what every bound and certificate of one graph
-is computed from (distances, eccentricities, power graphs and their
-Laplacians), each once, and memoises lambda2(G^ell) by ell (1 is G) and the g1
-and g2 certificates by (kind, ell). ``GraphAnalysis.batch`` builds the
-analyses of several graphs of one order from one distance search
+is read from (distances, eccentricities and power graphs), each once, and
+memoises lambda2(G^ell) by ell (1 is G) and the g1 and g2 certificates by
+(kind, ell); it holds no matrix. ``GraphAnalysis.batch`` builds the analyses
+of several graphs of one order from one distance search
 (``metrics.all_pairs_distances_stack``) and one eccentricity pass
 (``metrics.eccentricity_profiles``), and ``solve_stacked`` fills both memos
-for several analyses of one order, each analysis's masks and L(G^ell) built
-first in one broadcast (``GraphAnalysis.prepare``). The certificates go, as integer
-matrices, to one batched verified Cholesky (``spectral.prove_psd_stack``): a proved one is PSD
-by proof (method "cholesky", min eigenvalue exactly 0.0), any other gets
-``spectral.is_psd`` ("eigen"). Only Laplacians reach the stacked eigensolves.
+for several analyses of one order, a chunk at a time: each chunk builds the
+L(G^ell) it reads in one broadcast and drops them. The certificates go, as
+integer matrices, to one batched verified Cholesky
+(``spectral.prove_psd_stack``): a proved one is PSD by proof (method
+"cholesky", min eigenvalue exactly 0.0), any other gets ``spectral.is_psd``
+("eigen"). Only Laplacians reach the stacked eigensolves.
 ``evaluate_all`` reads one analysis and collects the bound values, slacks,
 and tightness flags into a single report.
 """
@@ -34,6 +35,7 @@ from .metrics import (
     eccentricity_profile,
     eccentricity_profiles,
     power_adjacency,
+    power_graph,
 )
 from .spectral import (
     PSD,
@@ -177,7 +179,8 @@ class BoundReport:
 #: Budget of input matrices per stacked eigensolve (1 MB): 900 matrices at
 #: n = 12, one at n = 362; a larger matrix is solved alone. The solve's
 #: temporaries are a few times its stack, so this bounds its memory too.
-#: The certificate proofs are cut into chunks of the same size.
+#: The certificate proofs are cut into chunks of the same size; a proof chunk
+#: builds two Laplacian stacks, L(G) and L(G^ell) of each member.
 _STACK_BYTES = 1 << 20
 
 
@@ -191,12 +194,10 @@ class GraphAnalysis:
 
     Distances and the profile are computed on construction: by one BFS of
     ``g`` alone or, through ``batch``, by one search and one eccentricity pass
-    over several graphs. The mask 1 <= d <= ell and, each read from it,
-    ``power(ell)`` and ``power_laplacian(ell)`` (L(G^ell), read-only; ell = 1
-    is L(G)) are memoised per ell, as are the results ``power_lambda2(ell)``
-    (``lambda2`` is ell = 1) and ``certificate(kind, ell)``. ``prepare``
-    builds the masks and Laplacians of several ells as rows of one stack each;
-    a miss builds that one. A result miss solves that one matrix alone;
+    over several graphs. ``power(ell)`` (G^ell) and the results
+    ``power_lambda2(ell)`` (``lambda2`` is ell = 1) and
+    ``certificate(kind, ell)`` are memoised; the Laplacians they are solved
+    from are not. A result miss builds and solves that one matrix alone;
     ``solve_stacked`` fills both result memos for several analyses at once.
     Pass one analysis to ``evaluate_all``, the certificates and
     ``check_chain`` to share this work.
@@ -211,9 +212,7 @@ class GraphAnalysis:
         self.dist = all_pairs_distances(g) if dist is None else dist
         self.profile = eccentricity_profile(self.dist) if profile is None else profile
         self.connected = self.profile.diameter != UNREACHABLE
-        self._masks: dict[int, np.ndarray] = {}
         self._powers: dict[int, Graph] = {}
-        self._power_laplacians: dict[int, np.ndarray] = {}
         self._lambda2s: dict[int, float] = {}
         self._certificates: dict[tuple[str, int], CertificateResult] = {}
 
@@ -229,39 +228,11 @@ class GraphAnalysis:
         dist = all_pairs_distances_stack(graphs)
         return [cls(g, dist=d, profile=e) for g, d, e in zip(graphs, dist, eccentricity_profiles(dist))]
 
-    def prepare(self, ells: Iterable[int]) -> None:
-        """Build what the solves of ``ells`` read: the mask and L(G^ell) of 1 and, if connected, each ell.
-
-        Every such ell without a mask gets one, as a row of one (k, n, n) mask
-        stack (``power_adjacency`` over the list of ells), and its Laplacian,
-        as the same row of their Laplacian stack, each bitwise its lone build.
-        """
-        fresh = [ell for ell in dict.fromkeys([1, *ells] if self.connected else [1]) if ell not in self._masks]
-        if fresh:
-            masks = power_adjacency(self.dist, fresh)
-            laplacians = adjacency_laplacian(masks)
-            laplacians.flags.writeable = False  # shared by every check on this graph
-            self._masks.update(zip(fresh, masks))
-            self._power_laplacians.update(zip(fresh, laplacians))
-
-    def _mask(self, ell: int) -> np.ndarray:
-        """G^ell's dense adjacency, the distance mask 1 <= d <= ell, built once for both power methods."""
-        if ell not in self._masks:
-            self._masks[ell] = power_adjacency(self.dist, ell)
-        return self._masks[ell]
-
     def power(self, ell: int) -> Graph:
-        """G^ell, built from the mask by ``Graph.from_adjacency``: ``metrics.power_graph(dist, ell)``."""
+        """G^ell, ``metrics.power_graph(dist, ell)``, built once per ell."""
         if ell not in self._powers:
-            self._powers[ell] = Graph.from_adjacency(self._mask(ell))
+            self._powers[ell] = power_graph(self.dist, ell)
         return self._powers[ell]
-
-    def power_laplacian(self, ell: int) -> np.ndarray:
-        """L(G^ell) from the mask, bitwise ``laplacian(power_graph(dist, ell))``."""
-        if ell not in self._power_laplacians:
-            lap = self._power_laplacians[ell] = adjacency_laplacian(self._mask(ell))
-            lap.flags.writeable = False  # shared by every check on this graph
-        return self._power_laplacians[ell]
 
     @property
     def lambda2(self) -> float:
@@ -298,16 +269,16 @@ class GraphAnalysis:
 def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
     """Settle what the checks of every (analysis, ells) pair read: certificates, then lambda2s.
 
-    First each analysis builds its masks and Laplacians in one broadcast
-    (``GraphAnalysis.prepare``). For a connected graph, the g2 certificate of
-    each ell, and the g1 certificate of each ell >= 2 (gamma needs ell >= 2),
-    not yet in its memo go to ``_prove``; then L(G) and, for a connected
-    graph, each L(G^ell) whose lambda2 is not yet in the memo go to one
-    stacked eigensolve. Each list is taken analysis by analysis and cut
-    into chunks of ``stack_members(n)``, so a chunk may hold several analyses'
-    matrices; each result goes into its own analysis's memo. Every member is
-    bitwise the one a lone solve gives, so the chunks never change a result.
-    Raises ValueError if the analyses differ in n or one has n < 2.
+    For a connected graph, the g2 certificate of each ell, and the g1
+    certificate of each ell >= 2 (gamma needs ell >= 2), not yet in its memo
+    go to ``_prove``; then L(G) and, for a connected graph, each L(G^ell)
+    whose lambda2 is not yet in the memo go to ``_eigensolve``. Each list is
+    taken analysis by analysis and cut into chunks of ``stack_members(n)``, so
+    a chunk may hold several analyses' matrices; each chunk builds its
+    Laplacians in one broadcast (``_laplacian_stack``), and each result goes
+    into its own analysis's memo. Every member is bitwise the one a lone solve
+    gives, so the chunks never change a result. Raises ValueError if the
+    analyses differ in n or one has n < 2.
     """
     pairs = [(a, list(dict.fromkeys(ells))) for a, ells in pairs]
     orders = {a.n for a, _ in pairs}
@@ -320,8 +291,6 @@ def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
         (a, ell) for a, ells in pairs for ell in dict.fromkeys([1, *ells] if a.connected else [1])
         if ell not in a._lambda2s
     ]
-    for a, ells in pairs:
-        a.prepare(ells)
     kinds = {True: ("g1", "g2"), False: ("g2",)}  # by ell >= 2: gamma, and so g1, needs it
     keys = [(a, (kind, ell)) for a, ells in pairs if a.connected for ell in ells for kind in kinds[ell >= 2]]
     proofs = [(a, key) for a, key in keys if key not in a._certificates]
@@ -331,11 +300,16 @@ def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
             settle(items[start : start + per_stack])
 
 
+def _laplacian_stack(items: list[tuple[GraphAnalysis, int]]) -> np.ndarray:
+    """The L(G^ell) of the (analysis, ell) items (ell = 1 is L(G)) as one broadcast, row i bitwise
+    ``adjacency_laplacian(power_adjacency(dist, ell))`` of item i's analysis, -0.0 off the edges included."""
+    dist = np.array([a.dist for a, _ in items])  # in the widest of their types, which changes no comparison
+    return adjacency_laplacian(power_adjacency(dist, [ell for _, ell in items]))
+
+
 def _eigensolve(chunk: list[tuple[GraphAnalysis, int]]) -> None:
     """Record lambda2(G^ell) of each (analysis, ell) of the chunk from one stacked eigensolve of the L(G^ell)."""
-    matrices = [a.power_laplacian(ell) for a, ell in chunk]
-    stack = np.array(matrices) if len(matrices) > 1 else matrices[0][None]
-    for (a, ell), summary in zip(chunk, eigen_decompose_stack(stack)):
+    for (a, ell), summary in zip(chunk, eigen_decompose_stack(_laplacian_stack(chunk))):
         a._lambda2s[ell] = float(summary.eigenvalues[1])
 
 
@@ -343,7 +317,8 @@ def _prove(chunk: list[tuple[GraphAnalysis, tuple[str, int]]]) -> None:
     """Settle each (kind, ell) certificate of the chunk: proved by ``prove_psd_stack``, else by ``is_psd``.
 
     Each goes to the proof as its integer matrix icoeff L(G) - scale L(G^ell)
-    (``GraphAnalysis._coefficients``), built in one stacked step, unless,
+    (``GraphAnalysis._coefficients``), built in one stacked step from one
+    ``_laplacian_stack`` of every L(G) and then every L(G^ell), unless,
     before any float conversion, n (|icoeff| + scale)(n - 1) > 2^53 (a huge
     ell): below that every entry, row sum and trace is exact. A proved one
     (method "cholesky") records the min eigenvalue 0.0, exact since the matrix
@@ -354,8 +329,8 @@ def _prove(chunk: list[tuple[GraphAnalysis, tuple[str, int]]]) -> None:
     n = chunk[0][0].n
     terms = [a._coefficients(*key) for a, key in chunk]
     fits = [n * (abs(icoeff) + scale) * (n - 1) <= 2**53 for _, icoeff, scale in terms]
-    lap = np.array([a.power_laplacian(1) for a, _ in chunk])
-    power = np.array([a.power_laplacian(ell) for a, (_, ell) in chunk])
+    stack = _laplacian_stack([(a, 1) for a, _ in chunk] + [(a, ell) for a, (_, ell) in chunk])
+    lap, power = stack.reshape(2, len(chunk), n, n)
     proved = np.zeros(len(chunk), dtype=bool)
     if any(fits):
         factors = np.array([t[1:] for t, fit in zip(terms, fits) if fit], dtype=np.float64)
@@ -388,7 +363,7 @@ def evaluate_all(g: Graph | GraphAnalysis, ell: int) -> BoundReport:
     s2 = count_s_ell(a.profile, 2)
     s_ell = count_s_ell(a.profile, ell)
     lam = a.lambda2 if a.connected else 0.0
-    power = a.power(ell)  # after the solve, so a lone graph's G^ell and its mask are not held through it
+    power = a.power(ell)  # after the solve, so a lone graph's G^ell is not held through it
     e_complement = a.n * (a.n - 1) // 2 - a.m
     d = a.profile.diameter if a.connected else None
 

@@ -5,11 +5,12 @@ Each eccentricity-count bound rests on a matrix being positive semi-definite:
 * ``gamma(n, ell) * L(G) - L(G^ell)`` for the gamma-scaled bound, and
 * ``(1 + ell * (e(G^ell) - m)) * L(G) - L(G^ell)`` for the edge-growth bound.
 
-A ``GraphAnalysis`` builds those matrices on concrete graphs and certifies
-them; the functions here read its memos (``certificate``, ``power_lambda2``),
-which ``bounds.solve_stacked`` fills in stacked calls, and settle a miss
-alone. Each matrix is first sent, as an integer multiple of itself, to a
-verified Cholesky (``spectral.prove_psd_stack``). A proved matrix gets
+A ``GraphAnalysis`` certifies them on concrete graphs; the functions here
+read its result memos (``certificate``, ``power_lambda2``), which
+``bounds.solve_stacked`` fills in stacked calls, and settle a miss alone.
+The matrices are built for their solve and dropped with it. Each is first
+sent, as an integer multiple of itself, to a verified Cholesky
+(``spectral.prove_psd_stack``). A proved matrix gets
 ``CertificateResult.method`` "cholesky", verdict PSD and a minimum eigenvalue
 of exactly 0.0. Only an unproved one (a tight or singular matrix, say) is
 eigensolved alone by ``spectral.is_psd`` and judged by the scaled tolerance

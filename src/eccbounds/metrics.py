@@ -130,15 +130,15 @@ def power_adjacency(dist: np.ndarray, ell: int | list[int]) -> np.ndarray:
     """G^ell's dense boolean adjacency matrix from G's distance matrix: 1 <= distance <= ell.
 
     ``ell`` may also be a list of k ells: their k adjacencies then come as one
-    (k, n, n) stack, in one broadcast.
+    (k, n, n) stack, of one (n, n) matrix or, from a (k, n, n) stack of them,
+    member i's at ell[i]. Either way it is one broadcast, in ``dist``'s type:
+    no distance exceeds that type's largest value, so a larger ell is clipped to it.
     """
-    if isinstance(ell, list):
-        if min(ell) < 1:
-            raise ValueError(f"ell must be >= 1, got {min(ell)}")
-        ell = np.array(ell)[:, None, None]
-    elif ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    adj = dist <= ell
+    ells = np.array(ell, dtype=object)  # any Python int, however large
+    if ells.min() < 1:
+        raise ValueError(f"ell must be >= 1, got {ells.min()}")
+    top = (1 << 8 * dist.itemsize - 1) - 1  # the largest value of dist's signed type
+    adj = dist <= np.array(np.minimum(ells, top), dtype=dist.dtype)[..., None, None]
     adj &= dist > 0
     return adj
 

@@ -55,6 +55,7 @@ WRITER = (
 )
 ER_BATCH = ("tests/test_graphs.py::TestBatchDraws",)
 PROFILES = ("tests/test_metrics.py::TestEccentricityProfiles",)
+#: the chunk builder ``_laplacian_stack``
 BROADCAST = ("tests/test_analysis.py::TestPrepare",)
 #: ``_read_bytes`` without its two-numbers-a-line test
 TWO_A_LINE = """\
@@ -101,7 +102,7 @@ MUTANTS = (
            "np.left_shift(~np.uint64(1),", "np.left_shift(np.uint64(0x7FFFFFFFFFFFFFFE),", POWER),
     Mutant("_levels stops one level early", "_kernels.py", LEVELS_STOP, LEVELS_STOP_EARLY, ("tests/test_kernels.py",)),
     Mutant("stacked results paired with the wrong (analysis, ell)", "bounds.py",
-           "zip(chunk, eigen_decompose_stack(stack))", "zip(chunk[::-1], eigen_decompose_stack(stack))", PAIRING),
+           "zip(chunk, eigen_decompose_stack(", "zip(chunk[::-1], eigen_decompose_stack(", PAIRING),
     Mutant("an unproved certificate skips its eigensolve", "bounds.py",
            "if won else is_psd(m)", "if won else CertificateResult(0.0, 0.0, PSD)", FALLBACK),
     Mutant("a campaign batch skips its solve_stacked call", "cli.py",
@@ -135,7 +136,13 @@ MUTANTS = (
     Mutant("member b gets member b+1's at_most", "metrics.py",
            "zip(ecc, diameters.tolist(), at_most)", "zip(ecc, diameters.tolist(), np.roll(at_most, -1, axis=0))",
            PROFILES),
-    Mutant("the power mask takes distance < ell", "metrics.py", "adj = dist <= ell", "adj = dist < ell", BROADCAST),
+    Mutant("the power mask takes distance < ell", "metrics.py", "adj = dist <= np.array(", "adj = dist < np.array(",
+           BROADCAST),
+    Mutant("a chunk member gets a neighbour's distance matrix", "bounds.py",
+           "dist = np.array([a.dist for a, _ in items])", "dist = np.roll(np.array([a.dist for a, _ in items]), 1, axis=0)",
+           BROADCAST),
+    Mutant("a proof pairs L(G) with another member's L(G^ell)", "bounds.py",
+           "[(a, ell) for a, (_, ell) in chunk]", "[(a, ell) for a, (_, ell) in chunk[::-1]]", PROOF),
     Mutant("Jacobi column update with the sign of s flipped", "_kernels.py",
            "a[:, q] = s * ap + c * aq", "a[:, q] = -s * ap + c * aq", JACOBI),
     Mutant("Jacobi stopping rule 1e-6", "_kernels.py",

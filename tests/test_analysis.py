@@ -1,13 +1,13 @@
-"""GraphAnalysis: each distance matrix, power graph and L(G) spectrum once per graph."""
+"""GraphAnalysis: each distance matrix, power graph and L(G) spectrum once per graph, and no matrix held."""
 
 import numpy as np
 import pytest
 
 import oracles
-from eccbounds import _kernels, metrics, spectral
-from eccbounds.bounds import GraphAnalysis, evaluate_all, solve_stacked
+from eccbounds import _kernels, bounds, spectral
+from eccbounds.bounds import GraphAnalysis, _laplacian_stack, evaluate_all, solve_stacked
 from eccbounds.certify import certify_g1_matrix, certify_g2_matrix, check_chain
-from eccbounds.graphs import Graph, erdos_renyi, path_graph
+from eccbounds.graphs import Graph, complete_graph, erdos_renyi, path_graph
 from eccbounds.metrics import UNREACHABLE, all_pairs_distances, power_adjacency, power_graph
 from eccbounds.spectral import adjacency_laplacian, lambda2, laplacian
 
@@ -22,7 +22,6 @@ class TestGraphAnalysis:
         np.testing.assert_array_equal(a.dist, all_pairs_distances(g))
         fw = oracles.floyd_warshall(g.adjacency_matrix())
         assert a.connected == bool(np.isfinite(fw).all())
-        assert a.power_laplacian(1).tobytes() == laplacian(g).tobytes()  # L(G^1) is bitwise L(G)
         assert a.lambda2 == lambda2(g)
         for ell in (1, 2, 3):
             assert a.power(ell) == power_graph(all_pairs_distances(g), ell)
@@ -31,50 +30,38 @@ class TestGraphAnalysis:
     def test_power_laplacian_is_bitwise_the_power_graphs(self, g):
         # read from the distance mask, not from a Graph: the same bits, -0.0 off the edges included
         a = GraphAnalysis(g)
-        for ell in (1, 2, 3, 6):
-            lap = a.power_laplacian(ell)
+        ells = (1, 2, 3, 6)
+        for ell, lap in zip(ells, _laplacian_stack([(a, ell) for ell in ells])):
             expected = laplacian(power_graph(all_pairs_distances(g), ell))
             assert lap.dtype == expected.dtype and lap.tobytes() == expected.tobytes()
-            assert a.power_laplacian(ell) is lap and not lap.flags.writeable
         assert a._powers == {}  # no power graph was built for them
 
     def test_power_and_spectrum_are_computed_once(self, monkeypatch):
         a = GraphAnalysis(path_graph(6))
         assert a.power(2) is a.power(2)
         assert a.power(3) is not a.power(2)
-        assert a.power_laplacian(1) is a.power_laplacian(1) and not a.power_laplacian(1).flags.writeable
         first = a.lambda2
         monkeypatch.setattr(_kernels, "bfs_all_pairs", None)  # any new BFS or eigensolve fails
         oracles.patch_everywhere(monkeypatch, spectral.eigen_decompose_stack, None)
         assert a.lambda2 == first
         assert a.power(2) is a.power(2)
 
-    def test_one_mask_per_ell_serves_power_and_power_laplacian(self, monkeypatch):
-        original, built = metrics.power_adjacency, []
-        oracles.patch_everywhere(
-            monkeypatch, original, lambda dist, ell: built.append(np.ravel(ell).tolist()) or original(dist, ell)
-        )
-
-        def check(a):
-            for ell in (2, 3):
-                evaluate_all(a, ell)
-                certify_g1_matrix(a, ell)
-                certify_g2_matrix(a, ell)
-                check_chain(a, ell)
-
-        # through the batch entry points, one broadcast builds every mask that the solve and the checks read
-        a = GraphAnalysis.batch([erdos_renyi(10, 0.4, seed=2)])[0]
+    @pytest.mark.parametrize("route", ["batch", "lone"])
+    def test_holds_no_matrix_after_its_checks(self, route):
+        # the Laplacians and masks of a solve or a lone check are dropped once their results are read
+        g = erdos_renyi(10, 0.4, seed=2)
+        a = GraphAnalysis.batch([g])[0] if route == "batch" else GraphAnalysis(g)
         assert a.connected
-        solve_stacked([(a, [2, 3])])
-        assert built == [[1, 2, 3]]
-        check(a)
-        assert built == [[1, 2, 3]]
-        # L(G) = L(G^1) for the certificates, and G^ell and L(G^ell) for each ell, from three masks
-        assert sorted(a._powers) == [2, 3] and sorted(a._power_laplacians) == [1, 2, 3]
-        # a lone analysis builds each mask on its first use, still once
-        del built[:]
-        check(GraphAnalysis(erdos_renyi(10, 0.4, seed=2)))
-        assert sorted(built) == [[1], [2], [3]]
+        if route == "batch":
+            solve_stacked([(a, [2, 3])])
+        else:
+            certify_g1_matrix(a, 2)
+            check_chain(a, 3)
+        held = [value for value in vars(a).values() if not isinstance(value, dict)]
+        held += [value for memo in vars(a).values() if isinstance(memo, dict) for value in memo.values()]
+        matrices = [x for x in held if isinstance(x, np.ndarray) and x.dtype.kind in "fb" and x.shape[-2:] == (10, 10)]
+        assert matrices == []
+        assert a._lambda2s and a._certificates  # the results are kept
 
     def test_connected_matches_floyd_warshall(self):
         for seed in range(8):
@@ -151,10 +138,29 @@ class TestBatch:
             GraphAnalysis.batch([path_graph(4), path_graph(5)])
 
 
-class TestPrepare:
-    """``GraphAnalysis.prepare``: one broadcast builds the masks and L(G^ell) of 1 and of every ell."""
+def lone_laplacian(a: GraphAnalysis, ell: int) -> np.ndarray:
+    """The reference for a row of ``_laplacian_stack``: L(G^ell) of a alone, from its own distance matrix."""
+    return adjacency_laplacian(power_adjacency(a.dist, ell))
 
-    ELLS = [2, 3, 5, 9]
+
+def assert_rows_are_lone_builds(items, stack):
+    """Each row of ``stack`` is bitwise its own item's lone build, signed zeros included, and has the edges
+    1 <= distance <= ell of that item's distance matrix: -1.0 on them, -0.0 off them, row counts on the diagonal."""
+    assert stack.dtype == np.float64 and stack.shape == (len(items), *items[0][0].dist.shape)
+    for (a, ell), lap in zip(items, stack):
+        lone = lone_laplacian(a, ell)
+        assert lap.tobytes() == lone.tobytes()
+        mask = (a.dist >= 1) & (a.dist <= ell)
+        off_diagonal = ~np.eye(a.n, dtype=bool)
+        assert np.array_equal(lap[off_diagonal] == -1.0, mask[off_diagonal])
+        assert np.signbit(lap[off_diagonal]).all() and np.array_equal(np.diag(lap), mask.sum(axis=1))
+
+
+class TestPrepare:
+    """How a solve chunk prepares its matrices: ``_laplacian_stack`` builds the L(G^ell) of every
+    (analysis, ell) of the chunk in one broadcast, each row bitwise its analysis's lone build."""
+
+    ELLS = [2, 3, 5, 9, 10**20]
 
     @pytest.mark.parametrize("g", [
         erdos_renyi(10, 0.4, seed=2), erdos_renyi(10, 0.3, seed=4), path_graph(10),
@@ -163,30 +169,43 @@ class TestPrepare:
     @pytest.mark.parametrize("route", ["lone", "batch"])
     def test_each_broadcast_row_is_its_lone_build(self, g, route):
         a = GraphAnalysis(g) if route == "lone" else GraphAnalysis.batch([path_graph(g.n), g])[1]
-        a.prepare(self.ELLS)
-        ells = [1, *self.ELLS] if a.connected else [1]
-        assert sorted(a._masks) == sorted(a._power_laplacians) == ells
-        off_diagonal = ~np.eye(g.n, dtype=bool)
-        for ell in ells:
-            mask, lap = a._mask(ell), a.power_laplacian(ell)
-            assert mask.dtype == bool and np.array_equal(mask, (a.dist >= 1) & (a.dist <= ell))
-            lone = adjacency_laplacian(power_adjacency(a.dist, ell))
-            assert lap.dtype == lone.dtype and lap.tobytes() == lone.tobytes()  # signed zeros too
-            assert np.signbit(lap[off_diagonal & ~mask]).all() and not lap.flags.writeable
+        other = GraphAnalysis(complete_graph(g.n))
+        items = [(member, ell) for ell in [1, *self.ELLS] for member in (a, other)]
+        assert_rows_are_lone_builds(items, _laplacian_stack(items))
+        # beyond every distance, G^ell is the complete graph on each component
+        assert np.array_equal(lone_laplacian(a, 10**20), lone_laplacian(a, g.n))
 
-    def test_one_broadcast_per_analysis_and_none_for_built_ells(self, monkeypatch):
-        original, laplacians = adjacency_laplacian, []
-        oracles.patch_everywhere(monkeypatch, original, lambda adj: laplacians.append(adj.shape) or original(adj))
-        a = GraphAnalysis(erdos_renyi(10, 0.4, seed=2))
+    def test_a_chunk_mixes_distance_types_connectivity_and_huge_ells(self):
+        # a lone int8 analysis beside the members of an int16 batch, one of them disconnected
+        lone = GraphAnalysis(erdos_renyi(130, 0.05, seed=2))
+        split = Graph.from_edges(130, [(i, i + 1) for i in range(129) if i != 64])
+        batch = GraphAnalysis.batch([path_graph(130), split])
+        assert lone.dist.dtype == np.int8 and batch[0].dist.dtype == np.int16
+        assert lone.connected and batch[0].connected and not batch[1].connected
+        items = [(a, ell) for ell in (1, 2, 64, 127, 128, 129, 10**20) for a in (lone, *batch)]
+        assert_rows_are_lone_builds(items, _laplacian_stack(items))
+        full = laplacian(complete_graph(130))
+        for a in (lone, batch[0]):
+            assert np.array_equal(lone_laplacian(a, 10**20), full)
+
+    def test_one_broadcast_per_chunk(self, monkeypatch):
+        original, built = bounds.adjacency_laplacian, []
+        monkeypatch.setattr(bounds, "adjacency_laplacian", lambda adj: built.append(adj.shape) or original(adj))
+        a = GraphAnalysis.batch([erdos_renyi(10, 0.4, seed=2)])[0]
         assert a.connected
-        a.prepare([3, 2, 3])
-        assert laplacians == [(3, 10, 10)]
-        a.prepare([2, 3])
-        a.prepare([1])
-        assert laplacians == [(3, 10, 10)]
-        a.prepare([2, 4, 5])
-        assert laplacians == [(3, 10, 10), (2, 10, 10)]
-        # a mask built alone is kept, and its Laplacian is built from it on first use
-        a._mask(6)
-        a.prepare([6])
-        assert 6 not in a._power_laplacians and a.power_laplacian(6).shape == (10, 10)
+        # 4 certificates, each proof reading L(G) and L(G^ell); then L(G), L(G^2) and L(G^3)
+        solve_stacked([(a, [2, 3])])
+        assert built == [(8, 10, 10), (3, 10, 10)]
+        for ell in (2, 3):
+            evaluate_all(a, ell), certify_g1_matrix(a, ell), certify_g2_matrix(a, ell), check_chain(a, ell)
+        assert len(built) == 2  # every check reads a result
+        # chunks of 3: the proofs in two, each building the L(G) and L(G^ell) of its members
+        monkeypatch.setattr(bounds, "_STACK_BYTES", 3 * 8 * 10 * 10)
+        del built[:]
+        solve_stacked([(GraphAnalysis(a.graph), [2, 3])])
+        assert built == [(6, 10, 10), (2, 10, 10), (3, 10, 10)]
+        # a lone miss is a chunk of one
+        del built[:]
+        b = GraphAnalysis(a.graph)
+        certify_g2_matrix(b, 2), b.power_lambda2(3)
+        assert built == [(2, 10, 10), (1, 10, 10)]

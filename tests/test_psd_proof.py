@@ -11,7 +11,8 @@ import oracles
 from eccbounds import spectral
 from eccbounds.bounds import GraphAnalysis, solve_stacked
 from eccbounds.graphs import Graph, cycle_graph, erdos_renyi, path_graph
-from eccbounds.spectral import PSD, laplacian, prove_psd_stack, psd_tolerance
+from eccbounds.metrics import power_adjacency
+from eccbounds.spectral import PSD, adjacency_laplacian, laplacian, prove_psd_stack, psd_tolerance
 
 
 @pytest.fixture
@@ -84,7 +85,8 @@ def test_every_small_connected_graph_agrees_with_exact_elimination(proofs, n):
         if won:
             assert (cert.method, cert.min_eigenvalue) == ("cholesky", 0.0)
             coeff = a._coefficients(kind, ell)[0]
-            assert cert.tolerance == psd_tolerance(coeff * a.power_laplacian(1) - a.power_laplacian(ell))
+            lap, power = (adjacency_laplacian(power_adjacency(a.dist, k)) for k in (1, ell))
+            assert cert.tolerance == psd_tolerance(coeff * lap - power)
         else:
             assert cert.method == "eigen" and abs(cert.min_eigenvalue) <= cert.tolerance
             singular += 1

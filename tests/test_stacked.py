@@ -17,10 +17,12 @@ from eccbounds.graphs import (
     random_tree,
     star_graph,
 )
+from eccbounds.metrics import power_adjacency
 from eccbounds.spectral import (
     PSD,
     CertificateResult,
     JacobiConvergenceError,
+    adjacency_laplacian,
     eigen_decompose,
     eigen_decompose_stack,
     is_psd,
@@ -53,15 +55,19 @@ def graphs_of_order(n: int) -> list[Graph]:
     return graphs
 
 
+def lone_laplacian(a: GraphAnalysis, ell: int) -> np.ndarray:
+    """L(G^ell) of a alone, from its own distance matrix: what each solve chunk builds for (a, ell)."""
+    return adjacency_laplacian(power_adjacency(a.dist, ell))
+
+
 def members_of_order(n: int) -> list[np.ndarray]:
     """Laplacians, the two certificate matrices at ell = 2 and a power Laplacian, of each graph."""
     members = []
     for g in graphs_of_order(n):
         a = GraphAnalysis(g)
         coeff = float(1 + 2 * (a.power(2).m - a.m))
-        lap = a.power_laplacian(1)
-        members += [lap, a.power_laplacian(2)]
-        members += [gamma(n, 2) * lap - a.power_laplacian(2), coeff * lap - a.power_laplacian(2)]
+        lap, power = lone_laplacian(a, 1), lone_laplacian(a, 2)
+        members += [lap, power, gamma(n, 2) * lap - power, coeff * lap - power]
     return members
 
 
@@ -218,10 +224,10 @@ class TestGraphAnalysisSolve:
         for ell in ells:
             assert certify_g1_matrix(a, ell) == certify_g1_matrix(g, ell)
             assert certify_g2_matrix(a, ell) == certify_g2_matrix(g, ell)
-            lap = a.power_laplacian(1)
-            assert_agrees_with_is_psd(certify_g1_matrix(a, ell), gamma(a.n, ell) * lap - a.power_laplacian(ell))
+            lap, power = lone_laplacian(a, 1), lone_laplacian(a, ell)
+            assert_agrees_with_is_psd(certify_g1_matrix(a, ell), gamma(a.n, ell) * lap - power)
             assert check_chain(a, ell) == check_chain(g, ell)
-            assert a.power_lambda2(ell) == eigen_decompose(a.power_laplacian(ell)).eigenvalues[1]
+            assert a.power_lambda2(ell) == eigen_decompose(power).eigenvalues[1]
 
     def test_solve_once_then_read_the_memo(self, solves):
         a = GraphAnalysis(erdos_renyi(12, 0.3, seed=3))
@@ -268,12 +274,16 @@ class TestGraphAnalysisSolve:
 
     def test_a_matrix_over_budget_is_solved_alone_without_a_copy(self, monkeypatch, solves):
         monkeypatch.setattr(bounds, "_STACK_BYTES", 1)
+        build, built = bounds._laplacian_stack, []
+        monkeypatch.setattr(bounds, "_laplacian_stack", lambda items: built.append(build(items)) or built[-1])
         a = GraphAnalysis(path_graph(6))
         solve_stacked([(a, [2])])
-        # the two certificates are proved; L(G) and L(G^2) are eigensolved one at a time
+        # the two certificates are proved; L(G) and L(G^2) are eigensolved one at a time, each
+        # from the stack its chunk built
         assert {cert.method for cert in a._certificates.values()} == {"cholesky"}
         assert [stack.shape for stack, _ in solves] == [(1, 6, 6)] * 2
-        assert np.shares_memory(solves[0][0], a.power_laplacian(1))
+        assert len(built) == 4 and all(stack is own for (stack, _), own in zip(solves, built[2:]))
+        assert built[2].tobytes() == lone_laplacian(a, 1).tobytes()
 
     def test_disconnected_graph_solves_only_its_laplacian(self):
         a = GraphAnalysis(Graph.from_edges(6, [(0, 1), (2, 3)]))
@@ -325,7 +335,7 @@ class TestSolveStacked:
         # is disconnected
         assert a._certificates["g1", 3].method == a._certificates["g2", 3].method == "cholesky"
         assert [len(stack) for stack, _ in solves] == [2, 1 + 1]
-        assert np.array_equal(solves[1][0], [a.power_laplacian(3), b.power_laplacian(1)])
+        assert np.array_equal(solves[1][0], [lone_laplacian(a, 3), lone_laplacian(b, 1)])
 
     def test_nothing_pending_makes_no_call(self, solves):
         solve_stacked([])
