@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from eccbounds import _kernels, bounds, spectral
+from eccbounds import _kernels, bounds, metrics, spectral
 from eccbounds.bounds import GraphAnalysis, _laplacian_stack, evaluate_all, solve_stacked
 from eccbounds.certify import certify_g1_matrix, certify_g2_matrix, check_chain
 from eccbounds.graphs import Graph, complete_graph, erdos_renyi, path_graph
@@ -62,6 +62,34 @@ class TestGraphAnalysis:
         matrices = [x for x in held if isinstance(x, np.ndarray) and x.dtype.kind in "fb" and x.shape[-2:] == (10, 10)]
         assert matrices == []
         assert a._lambda2s and a._certificates  # the results are kept
+
+    def test_one_mask_per_ell_serves_power_and_power_laplacian(self, monkeypatch):
+        # each mask 1 <= d <= ell is built where it is read: once for G^ell, and as rows of the
+        # broadcast of each chunk that reads L(G^ell); the checks after a solve read results only
+        original, built = metrics.power_adjacency, []
+        oracles.patch_everywhere(
+            monkeypatch, original, lambda dist, ell: built.append(np.ravel(ell).tolist()) or original(dist, ell)
+        )
+
+        def check(a):
+            for ell in (2, 3):
+                evaluate_all(a, ell)
+                certify_g1_matrix(a, ell)
+                certify_g2_matrix(a, ell)
+                check_chain(a, ell)
+
+        a = GraphAnalysis.batch([erdos_renyi(10, 0.4, seed=2)])[0]
+        assert a.connected
+        solve_stacked([(a, [2, 3])])
+        # G^2 and G^3 for the g2 coefficients, the proof chunk's L(G) and L(G^ell) rows, the eigensolve's
+        assert built == [[2], [3], [1, 1, 1, 1, 2, 2, 3, 3], [1, 2, 3]]
+        check(a)
+        assert len(built) == 4
+        assert sorted(a._powers) == [2, 3] and sorted(a._lambda2s) == [1, 2, 3]
+        # a lone analysis builds them on first use: G^ell, L(G^ell) for its lambda2, L(G) and L(G^ell) per proof
+        del built[:]
+        check(GraphAnalysis(erdos_renyi(10, 0.4, seed=2)))
+        assert sorted(built) == [[1, 2], [1, 2], [1, 3], [1, 3], [2], [2], [3], [3]]
 
     def test_connected_matches_floyd_warshall(self):
         for seed in range(8):
@@ -187,6 +215,20 @@ class TestPrepare:
         full = laplacian(complete_graph(130))
         for a in (lone, batch[0]):
             assert np.array_equal(lone_laplacian(a, 10**20), full)
+
+    def test_one_broadcast_per_analysis_and_none_for_built_ells(self, monkeypatch):
+        # one analysis's solve is one broadcast per chunk (its proofs, then its eigensolve); a repeated
+        # or settled ell adds no row, and a later solve builds the new ells alone
+        original, built = bounds.adjacency_laplacian, []
+        monkeypatch.setattr(bounds, "adjacency_laplacian", lambda adj: built.append(adj.shape) or original(adj))
+        a = GraphAnalysis(erdos_renyi(10, 0.4, seed=2))
+        assert a.connected
+        solve_stacked([(a, [3, 2, 3])])
+        assert built == [(8, 10, 10), (3, 10, 10)]
+        solve_stacked([(a, [2, 3]), (a, [3])])
+        assert len(built) == 2
+        solve_stacked([(a, [2, 4, 5])])
+        assert built[2:] == [(8, 10, 10), (2, 10, 10)]  # the proofs, then L(G^4) and L(G^5)
 
     def test_one_broadcast_per_chunk(self, monkeypatch):
         original, built = bounds.adjacency_laplacian, []
