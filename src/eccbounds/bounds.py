@@ -21,7 +21,7 @@ and tightness flags into a single report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Final, Iterable, Sequence
 
 import numpy as np
 
@@ -53,6 +53,14 @@ BOUND_NAMES = ("s1", "s2_over_n", "g1", "g1_diam", "mohar", "g2", "lu")
 
 #: Relative size of ``tolerance``.
 TIGHTNESS_REL_TOL = 1e-9
+
+#: Largest ell the bounds and certificates accept (``analysis_for``). Each float made
+#: from ell stays finite up to n = MAX_NODES: gamma and the g2 coefficient
+#: 1 + ell (e(G^ell) - m) are below ell n^2 - 1, so an entry of either certificate
+#: matrix coeff L(G) - L(G^ell) is below ell n^3, its infinity norm below ell n^4 and
+#: its squared Frobenius norm (the eigensolver sums squares) below ell^2 n^8, 3.9e289
+#: at n = 5,000. ``power`` does no float arithmetic on ell and has no limit.
+MAX_ELL: Final[int] = 10**130
 
 
 def tolerance(x: float) -> float:
@@ -343,11 +351,13 @@ def _prove(chunk: list[tuple[GraphAnalysis, tuple[str, int]]]) -> None:
 
 
 def analysis_for(task: str, g: Graph | GraphAnalysis, ell: int, min_ell: int) -> GraphAnalysis:
-    """Check n >= 2 and ell >= min_ell for ``task``; return g, or a fresh analysis of a Graph."""
+    """Check n >= 2 and min_ell <= ell <= MAX_ELL for ``task``; return g, or a fresh analysis of a Graph."""
     if g.n < 2:
         raise ValueError(f"{task} needs n >= 2, got n={g.n}")
     if ell < min_ell:
         raise ValueError(f"ell must be >= {min_ell}, got {ell}")
+    if ell > MAX_ELL:
+        raise ValueError(f"ell must be <= {MAX_ELL:.0e}, got {ell}")
     return g if isinstance(g, GraphAnalysis) else GraphAnalysis(g)
 
 

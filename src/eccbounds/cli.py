@@ -36,7 +36,9 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .bounds import BOUND_NAMES, BoundReport, GraphAnalysis, evaluate_all, solve_stacked, stack_members, tolerance
+from .bounds import (
+    BOUND_NAMES, MAX_ELL, BoundReport, GraphAnalysis, evaluate_all, solve_stacked, stack_members, tolerance,
+)
 from .certify import certify_g1_matrix, certify_g2_matrix, check_chain
 from .graphs import (
     FAMILIES, check_node_count, generate, generate_batch, load_edge_list, serialize_edge_list, serialize_edges,
@@ -98,6 +100,8 @@ def _check_ell_policy(policy: int | str) -> None:
             raise ValueError(f"ell policy must be 'all' or an integer, got {policy!r}")
     elif policy < 2:
         raise ValueError(f"fixed ell must be >= 2, got {policy}")
+    elif policy > MAX_ELL:
+        raise ValueError(f"fixed ell must be <= {MAX_ELL:.0e}, got {policy}")
 
 
 @dataclass(frozen=True)

@@ -183,24 +183,19 @@ def _csr_batch(n: int, count: int, pairs: np.ndarray) -> list[Graph]:
 #: A number of the edge-list format: ASCII digits with an optional leading '-'.
 _INTEGER = re.compile(r"-?[0-9]+")
 
-#: Byte classes of the bulk reader: the bytes of an edge line (digits, spaces and
-#: tabs, "\n"), then "\r", any other ASCII byte, the bytes of non-ASCII characters,
-#: and the ASCII line breaks of ``str.splitlines`` other than "\n" and "\r".
-_DIGIT, _SPACE, _NEWLINE, _CR, _OTHER, _NON_ASCII, _BREAK = range(7)
+#: Byte classes of the bulk reader: digits, spaces and tabs, "\n", every other byte.
+_DIGIT, _SPACE, _NEWLINE, _OTHER = range(4)
 _BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
 _BYTE_CLASS[list(b"0123456789")] = _DIGIT
 _BYTE_CLASS[list(b" \t")] = _SPACE
 _BYTE_CLASS[ord("\n")] = _NEWLINE
-_BYTE_CLASS[ord("\r")] = _CR
-_BYTE_CLASS[128:] = _NON_ASCII
-_BYTE_CLASS[list(b"\x0b\x0c\x1c\x1d\x1e")] = _BREAK
-#: The non-ASCII line breaks of ``str.splitlines``.
-_WIDE_BREAKS = "\x85\u2028\u2029"
+#: The line breaks of ``str.splitlines`` other than "\n" and "\r".
+_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 #: Digits a number may have in the bulk reader: int64 holds every such number
 #: (``np.fromstring`` saturates beyond it).
 _MAX_DIGITS = 18
-#: A comment, from its '#' to the end of its line.
-_COMMENT = re.compile(rb"#[^\n]*")
+#: A comment line: a '#' after nothing but spaces and tabs, to the end of its line.
+_COMMENT_LINE = re.compile(rb"^[ \t]*#.*", re.M)
 
 
 def _read_int(token: str) -> int:
@@ -270,14 +265,14 @@ def parse_edge_list(text: str) -> Graph:
     (in either orientation) collapse. Numbers are ASCII digits with an
     optional leading '-' (``int`` alone takes '+3', '1_0', '٤').
 
-    A file is read in one pass over its UTF-8 bytes (``_read_bytes``) when it
-    is plain: lines end at "\n" or "\r\n", and every line after the header is
-    blank, a comment or two numbers of at most 18 digits split by spaces and
-    tabs, with its endpoints in range and distinct. Anything else (another
-    line break or separator, a sign, a non-ASCII byte outside a comment, a
-    longer number, a bad edge, text that does not encode) goes to the
-    line-at-a-time reader (``_read_lines``), which gives the same graph or
-    names the first bad line.
+    A plain file is read in bulk (``_read_bytes``: "\r\n" made "\n", comment
+    lines cut, one scan of the digits): its lines end at "\n" or "\r\n", and
+    every line after the header is blank, a comment or two numbers of at most
+    18 digits split by spaces and tabs, with its endpoints in range and
+    distinct. Anything else (another line break or separator, a sign, a
+    non-ASCII byte or a '#' outside a comment line, a longer number, a bad
+    edge, text that does not encode) goes to the line-at-a-time reader
+    (``_read_lines``), which gives the same graph or names the first bad line.
     """
     g = _read_bytes(text)
     return _read_lines(text) if g is None else g
@@ -295,54 +290,38 @@ def _read_lines(text: str) -> Graph:
 def _read_bytes(text: str) -> Graph | None:
     """The bulk reader: the graph of a plain edge list, or None to leave the text to ``_read_lines``.
 
-    One byte-class lookup (``_BYTE_CLASS``) classifies the text's UTF-8 bytes.
-    The bytes other than digits, spaces, tabs and "\n" are few in a plain file
-    (the header, comments, the "\r" of "\r\n"), and their positions show that
-    the lines end at "\n" alone, as ``str.splitlines`` ends them, and that
-    each such byte after the header is in a comment line (its first one is
-    '#', with no digit before it). Numbers are the runs of the digit mask;
-    ``searchsorted`` on the newline positions gives each run's line, and every
-    non-comment line must hold exactly two. One ``np.fromstring`` call then
-    reads the numbers, with the comments cut out, and the range and self-loop
-    tests run on whole arrays. No index array has an entry per byte.
+    Text with a lone "\r" or a ``str.splitlines`` break other than "\n" and
+    "\r\n" is left to the line reader. In the rest "\r\n" becomes "\n", and
+    ``_header`` reads the header from the UTF-8 bytes. One ``re.M`` pattern
+    (``_COMMENT_LINE``) cuts the comment lines after it; only digits, spaces,
+    tabs and "\n" may remain (``_BYTE_CLASS``), so a '#' after a number goes to
+    the line reader. Numbers are the runs of the digit mask, ``searchsorted`` on
+    the newline positions gives each one's line, and each line holding one must
+    hold two. One ``np.fromstring`` call reads them, and the range and
+    self-loop tests run on whole arrays.
     """
+    if any(c in text for c in _BREAKS):
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None  # a lone "\r" ends a line
+        text = text.replace("\r\n", "\n")
     try:
-        data = text.encode()
+        data = io.BytesIO(text.encode())
     except UnicodeEncodeError:  # a lone surrogate
         return None
-    codes = np.frombuffer(data, dtype=np.uint8)
-    kind = _BYTE_CLASS.take(codes)
-    odd = np.flatnonzero(kind > _NEWLINE)
-    odd_kind = kind[odd]
-    if odd.size:
-        top = odd_kind.max()
-        if top == _BREAK or (top == _NON_ASCII and any(c in text for c in _WIDE_BREAKS)):
-            return None
-        cr = odd[odd_kind == _CR]
-        if cr.size and (cr[-1] + 1 == codes.size or (codes[cr + 1] != ord("\n")).any()):
-            return None  # a lone "\r" ends a line
-    ends = np.flatnonzero(kind == _NEWLINE)
-    start, n = _header(line.decode() for line in io.BytesIO(data))
-    body = ends[start - 1] + 1 if start <= ends.size else codes.size
-    digit = np.zeros(codes.size - body + 2, dtype=bool)
-    np.equal(kind[body:], _DIGIT, out=digit[1:-1])
-    runs = np.flatnonzero(digit[1:] != digit[:-1]) + body  # each number's first byte, then its end
+    _, n = _header(line.decode() for line in data)
+    body = data.read()
+    if b"#" in body:
+        body = _COMMENT_LINE.sub(b"", body)
+    kind = _BYTE_CLASS.take(np.frombuffer(body, dtype=np.uint8))
+    if kind.max(initial=_DIGIT) == _OTHER:
+        return None
+    digit = np.zeros(kind.size + 2, dtype=bool)
+    np.equal(kind, _DIGIT, out=digit[1:-1])
+    runs = np.flatnonzero(digit[1:] != digit[:-1])  # each number's first byte, then its end
     firsts, stops = runs[::2], runs[1::2]
-    line_of = np.searchsorted(ends, firsts)
-    odd = odd[(odd >= body) & (odd_kind != _CR)]
-    if odd.size:
-        odd_line = np.searchsorted(ends, odd)
-        head = np.ones(odd.size, dtype=bool)
-        np.not_equal(odd_line[1:], odd_line[:-1], out=head[1:])
-        heads, comments = odd[head], odd_line[head]
-        if (codes[heads] != ord("#")).any():
-            return None
-        if (np.searchsorted(firsts, ends[comments - 1] + 1) != np.searchsorted(firsts, heads)).any():
-            return None  # a number before the '#'
-        in_comment = np.zeros(ends.size + 1, dtype=bool)
-        in_comment[comments] = True
-        edge_line = ~in_comment[line_of]
-        firsts, stops, line_of = firsts[edge_line], stops[edge_line], line_of[edge_line]
+    line_of = np.searchsorted(np.flatnonzero(kind == _NEWLINE), firsts)
     # two numbers a line: runs 2k and 2k + 1 share a line, and run 2k + 2 is on a later one
     if line_of.size % 2 or (line_of[::2] != line_of[1::2]).any() or (line_of[2::2] == line_of[1:-1:2]).any():
         return None
@@ -350,10 +329,8 @@ def _read_bytes(text: str) -> Graph | None:
         return None
     if not firsts.size:
         return Graph._from_pairs(n, np.empty((0, 2), dtype=np.int64))
-    numbers = data[firsts[0]:stops[-1]]
-    if odd.size and odd[-1] > firsts[0]:
-        numbers = _COMMENT.sub(b"", numbers)
-    pairs = np.fromstring(numbers, dtype=np.int64, sep=" ").reshape(-1, 2)  # any whitespace separates
+    # any whitespace separates
+    pairs = np.fromstring(body[firsts[0]:stops[-1]], dtype=np.int64, sep=" ").reshape(-1, 2)
     if pairs.max() >= n or (pairs[:, 0] == pairs[:, 1]).any():
         return None
     return Graph._from_pairs(n, pairs)

@@ -62,6 +62,11 @@ TWO_A_LINE = """\
     if line_of.size % 2 or (line_of[::2] != line_of[1::2]).any() or (line_of[2::2] == line_of[1:-1:2]).any():
         return None
 """
+#: ``_read_bytes`` without its lone "\r" check
+LONE_CR = """\
+        if text.count("\\r") != text.count("\\r\\n"):
+            return None  # a lone "\\r" ends a line
+"""
 JACOBI = ("tests/test_kernels.py::TestJacobiKernels", "tests/test_spectral.py")
 
 #: ``_levels`` returning before it yields its last level: it first looks one level ahead
@@ -115,8 +120,9 @@ MUTANTS = (
            "return np.zeros(1, dtype=bool)", "return np.ones(1, dtype=bool)", PROOF),
     Mutant("the byte pass accepts 19 digits", "graphs.py", "_MAX_DIGITS = 18", "_MAX_DIGITS = 19", READER),
     Mutant("the byte pass drops the two-numbers-a-line test", "graphs.py", TWO_A_LINE, "", READER),
-    Mutant("a lone \\r counts as a space", "graphs.py",
-           '_BYTE_CLASS[ord("\\r")] = _CR', '_BYTE_CLASS[ord("\\r")] = _SPACE', READER),
+    Mutant("the byte pass drops the lone \\r check", "graphs.py", LONE_CR, "", READER),
+    Mutant("the comment pattern cuts a '#' after a number", "graphs.py",
+           'rb"^[ \\t]*#.*"', 'rb"#.*"', READER),
     Mutant("the writer's table drops the widest numbers' top digit", "graphs.py",
            "np.unravel_index(np.arange(n),", "np.unravel_index(np.arange(n) % 10 ** (width - 1),", WRITER),
     Mutant("the writer's separators swapped", "graphs.py",

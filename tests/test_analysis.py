@@ -1,5 +1,7 @@
 """GraphAnalysis: each distance matrix, power graph and L(G) spectrum once per graph, and no matrix held."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import oracles
 from eccbounds import _kernels, bounds, metrics, spectral
 from eccbounds.bounds import GraphAnalysis, _laplacian_stack, evaluate_all, solve_stacked
 from eccbounds.certify import certify_g1_matrix, certify_g2_matrix, check_chain
-from eccbounds.graphs import Graph, complete_graph, erdos_renyi, path_graph
+from eccbounds.graphs import MAX_NODES, Graph, complete_graph, erdos_renyi, path_graph
 from eccbounds.metrics import UNREACHABLE, all_pairs_distances, power_adjacency, power_graph
 from eccbounds.spectral import adjacency_laplacian, lambda2, laplacian
 
@@ -134,6 +136,23 @@ class TestGraphAnalysis:
             certify_g1_matrix(a, 2)
         with pytest.raises(ValueError, match="check_chain requires a connected graph"):
             check_chain(a, 2)
+
+    def test_every_check_is_finite_at_the_ell_limit(self):
+        # the derivation of MAX_ELL: every entry of either certificate matrix is below ell n^3, so
+        # its squared Frobenius norm is below ell^2 n^8, finite at n = MAX_NODES
+        assert math.isfinite(float(bounds.MAX_ELL * MAX_NODES**4) ** 2)
+        a = GraphAnalysis(path_graph(5))
+        report = evaluate_all(a, bounds.MAX_ELL)
+        assert all(math.isfinite(v) for v in report.bounds.values() if v is not None)
+        for cert in (certify_g1_matrix(a, bounds.MAX_ELL), certify_g2_matrix(a, bounds.MAX_ELL)):
+            assert cert.verdict == spectral.PSD and math.isfinite(cert.tolerance)
+        assert check_chain(a, bounds.MAX_ELL).all_hold
+
+    def test_every_check_refuses_an_ell_above_the_limit(self):
+        a = GraphAnalysis(path_graph(5))
+        for check in (evaluate_all, certify_g1_matrix, certify_g2_matrix, check_chain):
+            with pytest.raises(ValueError, match=rf"^ell must be <= 1e\+130, got {bounds.MAX_ELL + 1}$"):
+                check(a, bounds.MAX_ELL + 1)
 
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 import oracles
 from eccbounds import _kernels as kernels
 from eccbounds import cli, graphs
-from eccbounds.bounds import BOUND_NAMES, GraphAnalysis, evaluate_all
+from eccbounds.bounds import BOUND_NAMES, MAX_ELL, GraphAnalysis, evaluate_all
 from eccbounds.graphs import (
     Graph,
     complete_graph,
@@ -549,6 +550,44 @@ class TestTightness:
         assert cli.main(["tightness", "--family", "erdos_renyi", "--n-max", "6"]) == 2
 
 
+def json_reals(value) -> list[float]:
+    """Every float in a parsed JSON value ("Infinity" and "NaN" parse as floats)."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in json_reals(item)]
+    return [value] if isinstance(value, float) else []
+
+
+class TestEllLimit:
+    """``bounds.MAX_ELL``: the checks stay finite up to it, and one above it is an input error."""
+
+    VERIFY = ["verify", "--family", "erdos_renyi", "--n", "12", "--p", "0.3", "--trials", "2"]
+
+    def test_analyze_and_verify_finish_at_the_limit(self, p4_file, capsys):
+        assert cli.main(["analyze", p4_file, "--ell", str(MAX_ELL), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ell"] == MAX_ELL and report["e_power"] == 6
+        assert cli.main([*self.VERIFY, "--ell", str(MAX_ELL)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["checks"] == 2 and summary["violations"] == 0
+        for reals in (json_reals(report), json_reals(summary)):
+            assert reals and all(map(math.isfinite, reals))
+
+    @pytest.mark.parametrize("ell", [MAX_ELL + 1, 10**320], ids=["limit+1", "10**320"])
+    @pytest.mark.parametrize("command", ["analyze", "verify", "tightness"])
+    def test_above_the_limit_exits_2(self, command, ell, p4_file, capsys):
+        argv = {
+            "analyze": ["analyze", p4_file],
+            "verify": self.VERIFY,
+            "tightness": ["tightness", "--family", "path", "--n-max", "5"],
+        }[command]
+        assert cli.main([*argv, "--ell", str(ell)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(f"ell must be <= 1e+130, got {ell}\n")
+
+
 class TestPower:
     def test_round_trip(self, p4_file, tmp_path):
         out = tmp_path / "p4_power.txt"
@@ -611,10 +650,11 @@ class TestPower:
         assert "ell must be >= 1" in capsys.readouterr().err
 
     def test_huge_ell_prints_the_complete_graph(self, tmp_path, capsys):
-        # int8 distances compared with an ell far outside their range
+        # int8 distances compared with an ell far outside their range; no float is made from ell,
+        # so power takes one above bounds.MAX_ELL
         path = tmp_path / "g10.txt"
         path.write_text(serialize_edge_list(random_tree(10, seed=1)), encoding="utf-8")
-        for ell in ("127", "128", "1000", str(10**20)):
+        for ell in ("127", "128", "1000", str(10**20), str(10**320)):
             assert cli.main(["power", str(path), "--ell", ell]) == 0
             assert capsys.readouterr().out == serialize_edge_list(complete_graph(10))
 

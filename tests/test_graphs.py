@@ -289,6 +289,9 @@ class TestEdgeListAgainstReference:
             ("n 4\n0\n1 2 3\n", False),
             ("n 3\n0 1\n2 2\n", False),
             ("n 3\n0 1\n\ud800\n", False),
+            ("n 3\r\n\t# \u00e9t\u00e9\r\n0 1\r\n", True),
+            ("n 3\r\r\n0 1\r\n", False),  # "\r\r\n" is a lone "\r" and then a "\r\n"
+            ("n 3\n0 1\n# end", True),
         ],
     )
     def test_bulk_pass_or_line_reader(self, text, bulk, monkeypatch):
