@@ -7,10 +7,11 @@ memoises lambda2(G^ell) by ell (1 is G) and the g1 and g2 certificates by
 (kind, ell); it holds no matrix. ``GraphAnalysis.batch`` builds the analyses
 of several graphs of one order from one distance search
 (``metrics.all_pairs_distances_stack``) and one eccentricity pass
-(``metrics.eccentricity_profiles``), and ``solve_stacked`` fills both memos
-for several analyses of one order, a chunk at a time: each chunk builds the
-L(G^ell) it reads in one broadcast and drops them. The certificates go, as
-integer matrices, to one batched verified Cholesky
+(``metrics.eccentricity_profiles``), and ``solve_stacked`` fills G^ell and
+both memos for several analyses of one order, a chunk at a time: one mask
+broadcast over a chunk's (analysis, ell) keys serves its G^ell, its proofs
+and its eigensolve, and its masks and Laplacians are dropped with it. The
+certificates go, as integer matrices, to one batched verified Cholesky
 (``spectral.prove_psd_stack``): a proved one is PSD by proof (method
 "cholesky", min eigenvalue exactly 0.0), any other gets ``spectral.is_psd``
 ("eigen"). Only Laplacians reach the stacked eigensolves.
@@ -21,11 +22,11 @@ and tightness flags into a single report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Final, Iterable, Sequence
+from typing import Final, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, adjacency_graphs
 from .metrics import (
     UNREACHABLE,
     EccentricityProfile,
@@ -187,8 +188,9 @@ class BoundReport:
 #: Budget of input matrices per stacked eigensolve (1 MB): 900 matrices at
 #: n = 12, one at n = 362; a larger matrix is solved alone. The solve's
 #: temporaries are a few times its stack, so this bounds its memory too.
-#: The certificate proofs are cut into chunks of the same size; a proof chunk
-#: builds two Laplacian stacks, L(G) and L(G^ell) of each member.
+#: A solve chunk reads at most max(2, stack_members(n)) (analysis, ell) keys,
+#: since a certificate reads two, builds at most one Laplacian a key and proves
+#: its certificates stack_members(n) at a time.
 _STACK_BYTES = 1 << 20
 
 
@@ -204,9 +206,9 @@ class GraphAnalysis:
     ``g`` alone or, through ``batch``, by one search and one eccentricity pass
     over several graphs. ``power(ell)`` (G^ell) and the results
     ``power_lambda2(ell)`` (``lambda2`` is ell = 1) and
-    ``certificate(kind, ell)`` are memoised; the Laplacians they are solved
-    from are not. A result miss builds and solves that one matrix alone;
-    ``solve_stacked`` fills both result memos for several analyses at once.
+    ``certificate(kind, ell)`` are memoised; the masks and Laplacians they are
+    built from are not. A result miss is a solve chunk of that one result;
+    ``solve_stacked`` fills G^ell and both result memos for several analyses at once.
     Pass one analysis to ``evaluate_all``, the certificates and
     ``check_chain`` to share this work.
     """
@@ -237,7 +239,7 @@ class GraphAnalysis:
         return [cls(g, dist=d, profile=e) for g, d, e in zip(graphs, dist, eccentricity_profiles(dist))]
 
     def power(self, ell: int) -> Graph:
-        """G^ell, ``metrics.power_graph(dist, ell)``, built once per ell."""
+        """G^ell, built once per ell: by a solve chunk from its mask, or on a miss by ``power_graph(dist, ell)``."""
         if ell not in self._powers:
             self._powers[ell] = power_graph(self.dist, ell)
         return self._powers[ell]
@@ -250,15 +252,17 @@ class GraphAnalysis:
         return self._lambda2s[1]
 
     def power_lambda2(self, ell: int) -> float:
-        """lambda2(G^ell), from the memo or from one solve of L(G^ell) alone."""
+        """lambda2(G^ell), from the memo or from a solve chunk of L(G^ell) alone."""
         if ell not in self._lambda2s:
-            _eigensolve([(self, ell)])
+            _settle([(self, ell, "lambda2")])
         return self._lambda2s[ell]
 
     def certificate(self, kind: str, ell: int) -> CertificateResult:
-        """The ``CertificateResult`` of the g1 or g2 matrix at ell, from the memo or proved alone."""
+        """The ``CertificateResult`` of the g1 or g2 matrix at ell, from the memo or from a solve chunk of it
+        alone, which also fills G^ell when the g2 coefficient needs it."""
         if (kind, ell) not in self._certificates:
-            _prove([(self, (kind, ell))])
+            fill = [(self, ell, "power")] if kind == "g2" and ell not in self._powers else []
+            _settle([*fill, (self, ell, kind)])
         return self._certificates[kind, ell]
 
     def _coefficients(self, kind: str, ell: int) -> tuple[float, int, int]:
@@ -274,19 +278,20 @@ class GraphAnalysis:
         return float(icoeff), icoeff, 1
 
 
-def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
-    """Settle what the checks of every (analysis, ells) pair read: certificates, then lambda2s.
+#: The certificate tasks of a solve chunk.
+_KINDS = ("g1", "g2")
 
-    For a connected graph, the g2 certificate of each ell, and the g1
-    certificate of each ell >= 2 (gamma needs ell >= 2), not yet in its memo
-    go to ``_prove``; then L(G) and, for a connected graph, each L(G^ell)
-    whose lambda2 is not yet in the memo go to ``_eigensolve``. Each list is
-    taken analysis by analysis and cut into chunks of ``stack_members(n)``, so
-    a chunk may hold several analyses' matrices; each chunk builds its
-    Laplacians in one broadcast (``_laplacian_stack``), and each result goes
-    into its own analysis's memo. Every member is bitwise the one a lone solve
-    gives, so the chunks never change a result. Raises ValueError if the
-    analyses differ in n or one has n < 2.
+
+def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
+    """Settle what the checks of every (analysis, ells) pair read: G^ell, certificates and lambda2s.
+
+    The unsettled work of each pair (``_pending``) is taken analysis by
+    analysis and cut into chunks of at most max(2, ``stack_members(n)``)
+    distinct (analysis, ell) keys, ell = 1 standing for G; each chunk is
+    settled from one mask broadcast over its keys (``_settle``), and each
+    result goes into its own analysis's memo. Every member is bitwise the one
+    a lone solve gives, so the chunks never change a result. Raises ValueError
+    if the analyses differ in n or one has n < 2.
     """
     pairs = [(a, list(dict.fromkeys(ells))) for a, ells in pairs]
     orders = {a.n for a, _ in pairs}
@@ -295,59 +300,101 @@ def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
     n = orders.pop() if orders else 2
     if n < 2:
         raise ValueError(f"solve needs n >= 2, got n={n}")
-    laplacians = [
-        (a, ell) for a, ells in pairs for ell in dict.fromkeys([1, *ells] if a.connected else [1])
-        if ell not in a._lambda2s
-    ]
-    kinds = {True: ("g1", "g2"), False: ("g2",)}  # by ell >= 2: gamma, and so g1, needs it
-    keys = [(a, (kind, ell)) for a, ells in pairs if a.connected for ell in ells for kind in kinds[ell >= 2]]
-    proofs = [(a, key) for a, key in keys if key not in a._certificates]
-    per_stack = stack_members(n)
-    for settle, items in ((_prove, proofs), (_eigensolve, laplacians)):
-        for start in range(0, len(items), per_stack):
-            settle(items[start : start + per_stack])
+    budget = max(2, stack_members(n))  # a certificate reads two Laplacians
+    chunk: list[tuple[GraphAnalysis, int, str]] = []
+    keys: set[tuple[GraphAnalysis, int]] = set()
+    for item in dict.fromkeys(item for a, ells in pairs for item in _pending(a, ells)):
+        a, ell, task = item
+        reads = {(a, 1), (a, ell)} if task in _KINDS else {(a, ell)}
+        if len(keys) + len(reads - keys) > budget:
+            _settle(chunk)
+            chunk, keys = [], set()
+        chunk.append(item)
+        keys |= reads
+    if chunk:
+        _settle(chunk)
 
 
-def _laplacian_stack(items: list[tuple[GraphAnalysis, int]]) -> np.ndarray:
-    """The L(G^ell) of the (analysis, ell) items (ell = 1 is L(G)) as one broadcast, row i bitwise
-    ``adjacency_laplacian(power_adjacency(dist, ell))`` of item i's analysis, -0.0 off the edges included."""
-    dist = np.array([a.dist for a, _ in items])  # in the widest of their types, which changes no comparison
-    return adjacency_laplacian(power_adjacency(dist, [ell for _, ell in items]))
+def _pending(a: GraphAnalysis, ells: list[int]) -> Iterator[tuple[GraphAnalysis, int, str]]:
+    """The unsettled work of (a, ells) as (analysis, ell, task) items, L(G)'s lambda2 first.
+
+    Per ell: "power", G^ell for the checks; for a connected graph the
+    certificates "g1" (ell >= 2 only: gamma needs it) and "g2", whose
+    coefficient reads G^ell; and "lambda2", of L(G) and, for a connected graph,
+    of each L(G^ell). Settled ones are skipped.
+    """
+    wanted = set(ells)
+    for ell in dict.fromkeys([1, *ells]):
+        if ell in wanted:
+            if ell not in a._powers:
+                yield a, ell, "power"
+            if a.connected:
+                kinds = _KINDS if ell >= 2 else ("g2",)
+                yield from ((a, ell, kind) for kind in kinds if (kind, ell) not in a._certificates)
+        if (ell == 1 or a.connected) and ell not in a._lambda2s:
+            yield a, ell, "lambda2"
 
 
-def _eigensolve(chunk: list[tuple[GraphAnalysis, int]]) -> None:
-    """Record lambda2(G^ell) of each (analysis, ell) of the chunk from one stacked eigensolve of the L(G^ell)."""
-    for (a, ell), summary in zip(chunk, eigen_decompose_stack(_laplacian_stack(chunk))):
-        a._lambda2s[ell] = float(summary.eigenvalues[1])
+def _settle(chunk: list[tuple[GraphAnalysis, int, str]]) -> None:
+    """Settle a solve chunk's (analysis, ell, task) items from one mask broadcast over their keys.
 
+    The chunk's distinct (analysis, ell) keys, ell = 1 for G, get their masks
+    1 <= d <= ell in one ``power_adjacency`` broadcast over their distance
+    matrices, stacked in the widest of their types (which changes no
+    comparison); each mask row is bitwise the lone ``power_adjacency(dist, ell)``.
+    The "power" rows become G^ell in one stacked CSR build
+    (``graphs.adjacency_graphs``). The rows a lambda2 or a certificate reads,
+    those of the lambda2s first, become Laplacians in one broadcast, each
+    bitwise the lone ``adjacency_laplacian`` of its mask. The lambda2s come from
+    stacked eigensolves of ``stack_members(n)`` of those rows at a time,
+    views of the one stack.
 
-def _prove(chunk: list[tuple[GraphAnalysis, tuple[str, int]]]) -> None:
-    """Settle each (kind, ell) certificate of the chunk: proved by ``prove_psd_stack``, else by ``is_psd``.
-
-    Each goes to the proof as its integer matrix icoeff L(G) - scale L(G^ell)
-    (``GraphAnalysis._coefficients``), built in one stacked step from one
-    ``_laplacian_stack`` of every L(G) and then every L(G^ell), unless,
-    before any float conversion, n (|icoeff| + scale)(n - 1) > 2^53 (a huge
-    ell): below that every entry, row sum and trace is exact. A proved one
-    (method "cholesky") records the min eigenvalue 0.0, exact since the matrix
-    kills the constant vector and is PSD, and the ``psd_tolerance`` of its
-    float matrix coeff L(G) - L(G^ell); any other gets ``is_psd`` of that
+    The certificates go, ``stack_members(n)`` at a time, to the proof as
+    their integer matrices icoeff L(G) - scale L(G^ell)
+    (``GraphAnalysis._coefficients``), from the rows of their L(G) and
+    L(G^ell), unless, before any float conversion, n (|icoeff| + scale)(n - 1)
+    > 2^53 (a huge ell): below that every entry, row sum and trace is exact. A
+    proved one (method "cholesky") records the min eigenvalue 0.0, exact since
+    the matrix kills the constant vector and is PSD, and the ``psd_tolerance``
+    of its float matrix coeff L(G) - L(G^ell); any other gets ``is_psd`` of that
     matrix ("eigen"), a lone solve that is bitwise a stacked one.
     """
     n = chunk[0][0].n
-    terms = [a._coefficients(*key) for a, key in chunk]
-    fits = [n * (abs(icoeff) + scale) * (n - 1) <= 2**53 for _, icoeff, scale in terms]
-    stack = _laplacian_stack([(a, 1) for a, _ in chunk] + [(a, ell) for a, (_, ell) in chunk])
-    lap, power = stack.reshape(2, len(chunk), n, n)
-    proved = np.zeros(len(chunk), dtype=bool)
-    if any(fits):
-        factors = np.array([t[1:] for t, fit in zip(terms, fits) if fit], dtype=np.float64)
-        icoeff, scale = factors.T[:, :, None, None]
-        proved[fits] = prove_psd_stack(icoeff * lap[fits] - scale * power[fits])
-    floats = np.array([coeff for coeff, _, _ in terms])[:, None, None] * lap - power
-    tolerances = psd_tolerance(floats)  # of every member: cheaper than picking the proved
-    for (a, key), won, m, tol in zip(chunk, proved.tolist(), floats, tolerances.tolist()):
-        a._certificates[key] = CertificateResult(0.0, tol, PSD, method="cholesky") if won else is_psd(m)
+    per_stack = stack_members(n)
+    solves = [(a, ell) for a, ell, task in chunk if task == "lambda2"]
+    proofs = [(a, (task, ell)) for a, ell, task in chunk if task in _KINDS]
+    fills = [(a, ell) for a, ell, task in chunk if task == "power"]
+    laplacians = list(dict.fromkeys([*solves, *((a, k) for a, (_, ell) in proofs for k in (1, ell))]))
+    keys = list(dict.fromkeys([*laplacians, *fills]))
+    row = {key: i for i, key in enumerate(keys)}
+    masks = power_adjacency(np.array([a.dist for a, _ in keys]), [ell for _, ell in keys])
+    if fills:
+        for (a, ell), power in zip(fills, adjacency_graphs(masks[[row[key] for key in fills]])):
+            a._powers[ell] = power
+    laps = adjacency_laplacian(masks[: len(laplacians)])
+    del masks
+    for start in range(0, len(solves), per_stack):
+        part = solves[start : start + per_stack]
+        # a comprehension, so that no eigenvector stack outlives it
+        values = [float(s.eigenvalues[1]) for s in eigen_decompose_stack(laps[start : start + len(part)])]
+        for (a, ell), value in zip(part, values):
+            a._lambda2s[ell] = value
+    for start in range(0, len(proofs), per_stack):
+        part = proofs[start : start + per_stack]
+        terms = [a._coefficients(*key) for a, key in part]
+        fit = np.flatnonzero([n * (abs(icoeff) + scale) * (n - 1) <= 2**53 for _, icoeff, scale in terms])
+        coeff, icoeff, scale = np.array(terms, dtype=np.float64).T[:, :, None, None]
+        # the rows of each member's L(G) and L(G^ell), gathered inside each expression, so that
+        # numpy computes into the gathered copies instead of keeping them
+        lap = np.array([row[a, 1] for a, _ in part])
+        power = np.array([row[a, ell] for a, (_, ell) in part])
+        proved = np.zeros(len(part), dtype=bool)
+        if fit.size:
+            proved[fit] = prove_psd_stack(icoeff[fit] * laps[lap[fit]] - scale[fit] * laps[power[fit]])
+        floats = coeff * laps[lap] - laps[power]
+        tolerances = psd_tolerance(floats)  # of every member: cheaper than picking the proved
+        for (a, key), won, m, tol in zip(part, proved.tolist(), floats, tolerances.tolist()):
+            a._certificates[key] = CertificateResult(0.0, tol, PSD, method="cholesky") if won else is_psd(m)
 
 
 def analysis_for(task: str, g: Graph | GraphAnalysis, ell: int, min_ell: int) -> GraphAnalysis:

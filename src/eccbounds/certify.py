@@ -6,9 +6,11 @@ Each eccentricity-count bound rests on a matrix being positive semi-definite:
 * ``(1 + ell * (e(G^ell) - m)) * L(G) - L(G^ell)`` for the edge-growth bound.
 
 A ``GraphAnalysis`` certifies them on concrete graphs; the functions here
-read its result memos (``certificate``, ``power_lambda2``), which
-``bounds.solve_stacked`` fills in stacked calls, and settle a miss alone.
-The matrices are built for their solve and dropped with it. Each is first
+read its result memos (``certificate``, ``power_lambda2``) and its G^ell.
+``bounds.solve_stacked`` fills them a chunk at a time, from one mask
+broadcast per chunk that serves the proofs, the eigensolve and G^ell; a miss
+is settled as a chunk of one. The matrices are built for their chunk and
+dropped with it. Each certificate matrix is first
 sent, as an integer multiple of itself, to a verified Cholesky
 (``spectral.prove_psd_stack``). A proved matrix gets
 ``CertificateResult.method`` "cholesky", verdict PSD and a minimum eigenvalue

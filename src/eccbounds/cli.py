@@ -11,9 +11,11 @@ Subcommands:
 
 ``verify`` draws its trials a batch of graphs at a time (``generate_batch``),
 finds their distances and eccentricities in one BFS and one pass per batch
-(``GraphAnalysis.batch``), and settles their certificates and spectra in one
-``bounds.solve_stacked`` call per batch; none of these changes a byte of its
-report. Its worst-slack graph is serialized once, by ``summary_json``.
+(``GraphAnalysis.batch``), and settles their certificates, spectra and power
+graphs in one ``bounds.solve_stacked`` call per batch, each of whose chunks
+builds its masks in one broadcast that serves the proofs, the eigensolve and
+G^ell; none of these changes a byte of its report. Its worst-slack graph is
+serialized once, by ``summary_json``.
 
 Exit codes: 0 success, 1 verification violation, 2 usage or input error.
 Reports are deterministic: the same command line and seed produce byte
@@ -193,9 +195,10 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     is drawn by one ``generate_batch`` call on the campaign's Generator (one
     draw for an Erdos-Renyi batch); ``GraphAnalysis.batch`` searches its
     distances in one BFS and reads its eccentricities in one pass; one
-    ``solve_stacked`` call builds each analysis's masks and L(G^ell) in one
-    broadcast, proves the batch's certificates and eigensolves its
-    Laplacians; the checks then run trial by trial, and the batch is dropped.
+    ``solve_stacked`` call builds each (graph, ell) mask of the batch once, in
+    one broadcast per chunk, fills G^ell from it, proves the batch's
+    certificates and eigensolves its Laplacians; the checks then run trial by
+    trial, and the batch is dropped.
     A trial reads at most n Laplacians, L(G) and one per ell (at most
     max(1, n - 2) ells), so a batch's Laplacians fit one stack
     (``bounds.stack_members``). Each member is bitwise the graph, analysis

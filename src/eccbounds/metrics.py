@@ -132,13 +132,15 @@ def power_adjacency(dist: np.ndarray, ell: int | list[int]) -> np.ndarray:
     ``ell`` may also be a list of k ells: their k adjacencies then come as one
     (k, n, n) stack, of one (n, n) matrix or, from a (k, n, n) stack of them,
     member i's at ell[i]. Either way it is one broadcast, in ``dist``'s type:
-    no distance exceeds that type's largest value, so a larger ell is clipped to it.
+    no distance exceeds that type's largest value, so a larger ell (any Python
+    int) is clipped to it first.
     """
-    ells = np.array(ell, dtype=object)  # any Python int, however large
-    if ells.min() < 1:
-        raise ValueError(f"ell must be >= 1, got {ells.min()}")
+    low = min(ell) if isinstance(ell, list) else ell
+    if low < 1:
+        raise ValueError(f"ell must be >= 1, got {low}")
     top = (1 << 8 * dist.itemsize - 1) - 1  # the largest value of dist's signed type
-    adj = dist <= np.array(np.minimum(ells, top), dtype=dist.dtype)[..., None, None]
+    ells = [min(e, top) for e in ell] if isinstance(ell, list) else min(ell, top)
+    adj = dist <= np.array(ells, dtype=dist.dtype)[..., None, None]
     adj &= dist > 0
     return adj
 

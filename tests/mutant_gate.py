@@ -55,8 +55,10 @@ WRITER = (
 )
 ER_BATCH = ("tests/test_graphs.py::TestBatchDraws",)
 PROFILES = ("tests/test_metrics.py::TestEccentricityProfiles",)
-#: the chunk builder ``_laplacian_stack``
+#: the solve chunk's masks, Laplacians and G^ell (``bounds._settle``)
 BROADCAST = ("tests/test_analysis.py::TestPrepare",)
+#: ``power_adjacency``'s clip of ell to the distance type
+CLIP = ("tests/test_metrics.py::TestNarrowDistances",)
 #: ``_read_bytes`` without its two-numbers-a-line test
 TWO_A_LINE = """\
     if line_of.size % 2 or (line_of[::2] != line_of[1::2]).any() or (line_of[2::2] == line_of[1:-1:2]).any():
@@ -107,7 +109,7 @@ MUTANTS = (
            "np.left_shift(~np.uint64(1),", "np.left_shift(np.uint64(0x7FFFFFFFFFFFFFFE),", POWER),
     Mutant("_levels stops one level early", "_kernels.py", LEVELS_STOP, LEVELS_STOP_EARLY, ("tests/test_kernels.py",)),
     Mutant("stacked results paired with the wrong (analysis, ell)", "bounds.py",
-           "zip(chunk, eigen_decompose_stack(", "zip(chunk[::-1], eigen_decompose_stack(", PAIRING),
+           "zip(part, values)", "zip(part[::-1], values)", PAIRING),
     Mutant("an unproved certificate skips its eigensolve", "bounds.py",
            "if won else is_psd(m)", "if won else CertificateResult(0.0, 0.0, PSD)", FALLBACK),
     Mutant("a campaign batch skips its solve_stacked call", "cli.py",
@@ -122,7 +124,7 @@ MUTANTS = (
     Mutant("the byte pass drops the two-numbers-a-line test", "graphs.py", TWO_A_LINE, "", READER),
     Mutant("the byte pass drops the lone \\r check", "graphs.py", LONE_CR, "", READER),
     Mutant("the comment pattern cuts a '#' after a number", "graphs.py",
-           'rb"^[ \\t]*#.*"', 'rb"#.*"', READER),
+           'rb"\\n[ \\t]*#[^\\n]*"', 'rb"#[^\\n]*"', READER),
     Mutant("the writer's table drops the widest numbers' top digit", "graphs.py",
            "np.unravel_index(np.arange(n),", "np.unravel_index(np.arange(n) % 10 ** (width - 1),", WRITER),
     Mutant("the writer's separators swapped", "graphs.py",
@@ -145,10 +147,16 @@ MUTANTS = (
     Mutant("the power mask takes distance < ell", "metrics.py", "adj = dist <= np.array(", "adj = dist < np.array(",
            BROADCAST),
     Mutant("a chunk member gets a neighbour's distance matrix", "bounds.py",
-           "dist = np.array([a.dist for a, _ in items])", "dist = np.roll(np.array([a.dist for a, _ in items]), 1, axis=0)",
+           "np.array([a.dist for a, _ in keys])", "np.roll(np.array([a.dist for a, _ in keys]), 1, axis=0)",
            BROADCAST),
     Mutant("a proof pairs L(G) with another member's L(G^ell)", "bounds.py",
-           "[(a, ell) for a, (_, ell) in chunk]", "[(a, ell) for a, (_, ell) in chunk[::-1]]", PROOF),
+           "[row[a, ell] for a, (_, ell) in part]", "[row[a, ell] for a, (_, ell) in part[::-1]]", PROOF),
+    Mutant("a proof reads the L(G^ell) row of the neighbouring key", "bounds.py",
+           "[row[a, ell] for a, (_, ell) in part]", "[row[a, ell] - 1 for a, (_, ell) in part]", PROOF),
+    Mutant("the G^ell fill takes the L(G) row", "bounds.py",
+           "masks[[row[key] for key in fills]]", "masks[[row[a, 1] for a, _ in fills]]", BROADCAST),
+    Mutant("power_adjacency clips ell to one below its type's largest value", "metrics.py",
+           "top = (1 << 8 * dist.itemsize - 1) - 1", "top = (1 << 8 * dist.itemsize - 1) - 2", CLIP),
     Mutant("Jacobi column update with the sign of s flipped", "_kernels.py",
            "a[:, q] = s * ap + c * aq", "a[:, q] = -s * ap + c * aq", JACOBI),
     Mutant("Jacobi stopping rule 1e-6", "_kernels.py",

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from eccbounds import _kernels, bounds, metrics, spectral
-from eccbounds.bounds import GraphAnalysis, _laplacian_stack, evaluate_all, solve_stacked
+from eccbounds.bounds import GraphAnalysis, evaluate_all, solve_stacked
 from eccbounds.certify import certify_g1_matrix, certify_g2_matrix, check_chain
 from eccbounds.graphs import MAX_NODES, Graph, complete_graph, erdos_renyi, path_graph
 from eccbounds.metrics import UNREACHABLE, all_pairs_distances, power_adjacency, power_graph
@@ -29,11 +29,11 @@ class TestGraphAnalysis:
             assert a.power(ell) == power_graph(all_pairs_distances(g), ell)
 
     @pytest.mark.parametrize("g", [erdos_renyi(11, 0.35, seed=3), path_graph(7), TWO_DISJOINT_EDGES, Graph.from_edges(3, [])])
-    def test_power_laplacian_is_bitwise_the_power_graphs(self, g):
+    def test_power_laplacian_is_bitwise_the_power_graphs(self, monkeypatch, g):
         # read from the distance mask, not from a Graph: the same bits, -0.0 off the edges included
         a = GraphAnalysis(g)
         ells = (1, 2, 3, 6)
-        for ell, lap in zip(ells, _laplacian_stack([(a, ell) for ell in ells])):
+        for ell, lap in zip(ells, chunk_laplacians(monkeypatch, [(a, ell) for ell in ells])):
             expected = laplacian(power_graph(all_pairs_distances(g), ell))
             assert lap.dtype == expected.dtype and lap.tobytes() == expected.tobytes()
         assert a._powers == {}  # no power graph was built for them
@@ -66,8 +66,8 @@ class TestGraphAnalysis:
         assert a._lambda2s and a._certificates  # the results are kept
 
     def test_one_mask_per_ell_serves_power_and_power_laplacian(self, monkeypatch):
-        # each mask 1 <= d <= ell is built where it is read: once for G^ell, and as rows of the
-        # broadcast of each chunk that reads L(G^ell); the checks after a solve read results only
+        # each mask 1 <= d <= ell is built once where it is read: a solve chunk's one broadcast serves
+        # G^ell, the proofs and the eigensolve; the checks after a solve read results only
         original, built = metrics.power_adjacency, []
         oracles.patch_everywhere(
             monkeypatch, original, lambda dist, ell: built.append(np.ravel(ell).tolist()) or original(dist, ell)
@@ -83,10 +83,9 @@ class TestGraphAnalysis:
         a = GraphAnalysis.batch([erdos_renyi(10, 0.4, seed=2)])[0]
         assert a.connected
         solve_stacked([(a, [2, 3])])
-        # G^2 and G^3 for the g2 coefficients, the proof chunk's L(G) and L(G^ell) rows, the eigensolve's
-        assert built == [[2], [3], [1, 1, 1, 1, 2, 2, 3, 3], [1, 2, 3]]
+        assert built == [[1, 2, 3]]
         check(a)
-        assert len(built) == 4
+        assert len(built) == 1
         assert sorted(a._powers) == [2, 3] and sorted(a._lambda2s) == [1, 2, 3]
         # a lone analysis builds them on first use: G^ell, L(G^ell) for its lambda2, L(G) and L(G^ell) per proof
         del built[:]
@@ -186,8 +185,18 @@ class TestBatch:
 
 
 def lone_laplacian(a: GraphAnalysis, ell: int) -> np.ndarray:
-    """The reference for a row of ``_laplacian_stack``: L(G^ell) of a alone, from its own distance matrix."""
+    """The reference for a row of a solve chunk's Laplacians: L(G^ell) of a alone, from its own distance matrix."""
     return adjacency_laplacian(power_adjacency(a.dist, ell))
+
+
+def chunk_laplacians(monkeypatch, items) -> np.ndarray:
+    """The one Laplacian stack a solve chunk builds to eigensolve the L(G^ell) of the distinct (analysis, ell) items."""
+    original, built = bounds.adjacency_laplacian, []
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "adjacency_laplacian", lambda masks: built.append(original(masks)) or built[-1])
+        bounds._settle([(a, ell, "lambda2") for a, ell in items])
+    (stack,) = built
+    return stack
 
 
 def assert_rows_are_lone_builds(items, stack):
@@ -204,8 +213,8 @@ def assert_rows_are_lone_builds(items, stack):
 
 
 class TestPrepare:
-    """How a solve chunk prepares its matrices: ``_laplacian_stack`` builds the L(G^ell) of every
-    (analysis, ell) of the chunk in one broadcast, each row bitwise its analysis's lone build."""
+    """How a solve chunk prepares its matrices: ``_settle`` builds the L(G^ell) of every (analysis, ell)
+    key it reads from one mask broadcast, each row bitwise its analysis's lone build."""
 
     ELLS = [2, 3, 5, 9, 10**20]
 
@@ -214,15 +223,15 @@ class TestPrepare:
         TWO_DISJOINT_EDGES, Graph.from_edges(3, []),
     ], ids=["er-connected", "er-disconnected", "path", "two-edges", "edgeless"])
     @pytest.mark.parametrize("route", ["lone", "batch"])
-    def test_each_broadcast_row_is_its_lone_build(self, g, route):
+    def test_each_broadcast_row_is_its_lone_build(self, monkeypatch, g, route):
         a = GraphAnalysis(g) if route == "lone" else GraphAnalysis.batch([path_graph(g.n), g])[1]
         other = GraphAnalysis(complete_graph(g.n))
         items = [(member, ell) for ell in [1, *self.ELLS] for member in (a, other)]
-        assert_rows_are_lone_builds(items, _laplacian_stack(items))
+        assert_rows_are_lone_builds(items, chunk_laplacians(monkeypatch, items))
         # beyond every distance, G^ell is the complete graph on each component
         assert np.array_equal(lone_laplacian(a, 10**20), lone_laplacian(a, g.n))
 
-    def test_a_chunk_mixes_distance_types_connectivity_and_huge_ells(self):
+    def test_a_chunk_mixes_distance_types_connectivity_and_huge_ells(self, monkeypatch):
         # a lone int8 analysis beside the members of an int16 batch, one of them disconnected
         lone = GraphAnalysis(erdos_renyi(130, 0.05, seed=2))
         split = Graph.from_edges(130, [(i, i + 1) for i in range(129) if i != 64])
@@ -230,41 +239,63 @@ class TestPrepare:
         assert lone.dist.dtype == np.int8 and batch[0].dist.dtype == np.int16
         assert lone.connected and batch[0].connected and not batch[1].connected
         items = [(a, ell) for ell in (1, 2, 64, 127, 128, 129, 10**20) for a in (lone, *batch)]
-        assert_rows_are_lone_builds(items, _laplacian_stack(items))
+        assert_rows_are_lone_builds(items, chunk_laplacians(monkeypatch, items))
         full = laplacian(complete_graph(130))
         for a in (lone, batch[0]):
             assert np.array_equal(lone_laplacian(a, 10**20), full)
 
+    @pytest.mark.parametrize("members", [1, 2, 910])
+    def test_every_filled_power_graph_is_its_lone_build(self, monkeypatch, members):
+        # the G^ell a solve fills come from its chunks' masks through stacked CSR builds, never through a
+        # lone Graph.from_adjacency, and are bitwise the lone power_graph: indptr and indices, values and types
+        monkeypatch.setattr(bounds, "_STACK_BYTES", members * 8 * 10 * 10)
+        monkeypatch.setattr(Graph, "from_adjacency", None)
+        split = Graph.from_edges(10, [(i, i + 1) for i in range(9) if i != 4])
+        analyses = GraphAnalysis.batch([erdos_renyi(10, 0.4, seed=2), split, complete_graph(10), path_graph(10)])
+        analyses.append(GraphAnalysis(erdos_renyi(10, 0.3, seed=4)))  # a lone, disconnected analysis
+        assert [a.connected for a in analyses] == [True, False, True, True, False]
+        ells = [1, 2, 3, 10**20]
+        solve_stacked([(a, ells) for a in analyses])
+        monkeypatch.undo()
+        for a in analyses:
+            assert list(a._powers) == ells
+            for ell in ells:
+                power, lone = a._powers[ell], power_graph(a.dist, ell)
+                assert power.n == lone.n and power.m == lone.m
+                for got, want in ((power.indptr, lone.indptr), (power.indices, lone.indices)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                    assert not got.flags.writeable
+
     def test_one_broadcast_per_analysis_and_none_for_built_ells(self, monkeypatch):
-        # one analysis's solve is one broadcast per chunk (its proofs, then its eigensolve); a repeated
-        # or settled ell adds no row, and a later solve builds the new ells alone
+        # one analysis's solve is one broadcast, which its proofs and its eigensolve share; a repeated
+        # or settled ell adds no row, and a later solve builds the new ells and the L(G) its proofs read
         original, built = bounds.adjacency_laplacian, []
         monkeypatch.setattr(bounds, "adjacency_laplacian", lambda adj: built.append(adj.shape) or original(adj))
         a = GraphAnalysis(erdos_renyi(10, 0.4, seed=2))
         assert a.connected
         solve_stacked([(a, [3, 2, 3])])
-        assert built == [(8, 10, 10), (3, 10, 10)]
+        assert built == [(3, 10, 10)]
         solve_stacked([(a, [2, 3]), (a, [3])])
-        assert len(built) == 2
+        assert len(built) == 1
         solve_stacked([(a, [2, 4, 5])])
-        assert built[2:] == [(8, 10, 10), (2, 10, 10)]  # the proofs, then L(G^4) and L(G^5)
+        assert built[1:] == [(3, 10, 10)]  # L(G^4) and L(G^5), then L(G) for the proofs
 
     def test_one_broadcast_per_chunk(self, monkeypatch):
         original, built = bounds.adjacency_laplacian, []
         monkeypatch.setattr(bounds, "adjacency_laplacian", lambda adj: built.append(adj.shape) or original(adj))
         a = GraphAnalysis.batch([erdos_renyi(10, 0.4, seed=2)])[0]
         assert a.connected
-        # 4 certificates, each proof reading L(G) and L(G^ell); then L(G), L(G^2) and L(G^3)
+        # L(G), L(G^2) and L(G^3), read by the 4 proofs and the eigensolve
         solve_stacked([(a, [2, 3])])
-        assert built == [(8, 10, 10), (3, 10, 10)]
+        assert built == [(3, 10, 10)]
         for ell in (2, 3):
             evaluate_all(a, ell), certify_g1_matrix(a, ell), certify_g2_matrix(a, ell), check_chain(a, ell)
-        assert len(built) == 2  # every check reads a result
-        # chunks of 3: the proofs in two, each building the L(G) and L(G^ell) of its members
-        monkeypatch.setattr(bounds, "_STACK_BYTES", 3 * 8 * 10 * 10)
+        assert len(built) == 1  # every check reads a result
+        # chunks of 2 keys: L(G) and L(G^2), then L(G^3) and, for its proofs, L(G) again
+        monkeypatch.setattr(bounds, "_STACK_BYTES", 2 * 8 * 10 * 10)
         del built[:]
         solve_stacked([(GraphAnalysis(a.graph), [2, 3])])
-        assert built == [(6, 10, 10), (2, 10, 10), (3, 10, 10)]
+        assert built == [(2, 10, 10), (2, 10, 10)]
         # a lone miss is a chunk of one
         del built[:]
         b = GraphAnalysis(a.graph)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from eccbounds import _kernels, cli, spectral
+from eccbounds import _kernels, bounds, cli, metrics, spectral
 from eccbounds.bounds import GraphAnalysis, evaluate_all, stack_members
 from eccbounds.certify import check_chain
 from eccbounds.cli import CampaignConfig, run_campaign, run_tightness
-from eccbounds.graphs import generate, path_graph
+from eccbounds.graphs import Graph, generate, path_graph
 
 
 @pytest.fixture
@@ -141,6 +141,26 @@ class TestKernelCallCounts:
         config = CampaignConfig(family="erdos_renyi", n=12, p=0.3, trials=100, seed=42)
         assert run_campaign(config).violations == []
         assert searched == [75, 25] and solved == [75, 25]
+        assert (kernel_calls["eigen_decompose_stack"], kernel_calls["matrices"]) == (2, 339)
+        assert proof_calls == {"calls": 2, "certificates": 478, "proved": 478}
+
+    def test_hundred_trial_campaign_builds_each_mask_once(self, monkeypatch, kernel_calls, proof_calls):
+        # 353 distinct (graph, ell) keys, ell = 1 for G: one mask broadcast per batch serves the proofs, the
+        # eigensolve and the 253 G^ell the checks read (one stacked CSR build per batch), and no G^ell
+        # goes through a lone Graph.from_adjacency
+        adjacency, masks = metrics.power_adjacency, []
+        oracles.patch_everywhere(
+            monkeypatch, adjacency, lambda dist, ell: masks.append(len(np.ravel(ell))) or adjacency(dist, ell)
+        )
+        build, built = bounds.adjacency_graphs, []
+        monkeypatch.setattr(bounds, "adjacency_graphs", lambda adj: built.append(len(adj)) or build(adj))
+        lone, from_adjacency = [], Graph.from_adjacency
+        counted = classmethod(lambda cls, adj: lone.append(adj) or from_adjacency(adj))
+        monkeypatch.setattr(Graph, "from_adjacency", counted)
+        config = CampaignConfig(family="erdos_renyi", n=12, p=0.3, trials=100, seed=42)
+        assert run_campaign(config).violations == []
+        assert len(masks) == 2 and sum(masks) == 353
+        assert len(built) == 2 and sum(built) == 253 and lone == []
         assert (kernel_calls["eigen_decompose_stack"], kernel_calls["matrices"]) == (2, 339)
         assert proof_calls == {"calls": 2, "certificates": 478, "proved": 478}
 

@@ -150,6 +150,23 @@ class TestParse:
         path.write_text("n 3\n0 1\n1 2\n", encoding="utf-8")
         assert load_edge_list(str(path)) == path_graph(3)
 
+    @pytest.mark.parametrize("ends", ["\r\n", "\r", "mixed"], ids=["crlf", "cr", "mixed"])
+    def test_load_edge_list_reads_any_line_end_as_the_lf_file(self, tmp_path, monkeypatch, ends):
+        # text mode's universal newlines turn "\r\n" and a lone "\r" into "\n" before the parser sees them
+        lines = ["# a path", "n 4", "0 1", "  # between edges", "1 2", "\t#", "2 3"]
+        lf = tmp_path / "lf.txt"
+        lf.write_bytes(("\n".join(lines) + "\n").encode())
+        if ends == "mixed":
+            text = "".join(line + ("\r\n", "\r", "\n")[i % 3] for i, line in enumerate(lines))
+        else:
+            text = ends.join(lines) + ends
+        other = tmp_path / "other.txt"
+        other.write_bytes(text.encode())
+        parse, seen = graphs.parse_edge_list, []
+        monkeypatch.setattr(graphs, "parse_edge_list", lambda t: seen.append(t) or parse(t))
+        assert load_edge_list(str(other)) == load_edge_list(str(lf)) == path_graph(4)
+        assert seen[0] == seen[1] and "\r" not in seen[0]
+
 
 #: Line breaks ``str.splitlines`` honours, and whitespace ``str.split`` honours
 BREAKS = ["\n"] * 6 + ["\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", "\u2028"]

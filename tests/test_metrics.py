@@ -27,6 +27,7 @@ from eccbounds.metrics import (
     count_s_ell,
     eccentricity_profile,
     eccentricity_profiles,
+    power_adjacency,
     power_blocks,
     power_graph,
 )
@@ -399,6 +400,27 @@ class TestNarrowDistances:
         for ell in (1000, 10**6):
             assert power_graph(d, ell) == complete_graph(g.n)
             assert_power_edges_match(g, [ell])
+
+    def test_an_ell_at_the_types_largest_value_reaches_that_distance(self):
+        # a 128-node path is int8 with its ends 127 apart, the type's largest value: ell 127 and every
+        # larger ell, clipped to 127, join them; ell 126 does not. A list broadcasts the same masks, over
+        # one matrix or a stack of them
+        d = all_pairs_distances(path_graph(128))
+        assert d.dtype == np.int8 and d.max() == np.iinfo(np.int8).max
+        full = ~np.eye(128, dtype=bool)
+        for ell in (127, 128, 10**20):
+            assert np.array_equal(power_adjacency(d, ell), full)
+        assert not power_adjacency(d, 126)[0, 127] and power_adjacency(d, 126).sum() == full.sum() - 2
+        ells = [126, 127, 10**20]
+        for masks in (power_adjacency(d, ells), power_adjacency(np.stack([d] * 3), ells)):
+            assert masks.dtype == bool and masks.shape == (3, 128, 128)
+            for mask, ell in zip(masks, ells):
+                assert np.array_equal(mask, power_adjacency(d, ell))
+
+    @pytest.mark.parametrize("ell", [0, -1, [2, 0], [-(10**20), 3]])
+    def test_power_adjacency_refuses_an_ell_below_one(self, ell):
+        with pytest.raises(ValueError, match=f"^ell must be >= 1, got {np.min(ell)}$"):
+            power_adjacency(all_pairs_distances(path_graph(4)), ell)
 
     @pytest.mark.parametrize("tail", [5, 150])
     def test_disconnected_keeps_unreachable(self, tail):

@@ -274,16 +274,17 @@ class TestGraphAnalysisSolve:
 
     def test_a_matrix_over_budget_is_solved_alone_without_a_copy(self, monkeypatch, solves):
         monkeypatch.setattr(bounds, "_STACK_BYTES", 1)
-        build, built = bounds._laplacian_stack, []
-        monkeypatch.setattr(bounds, "_laplacian_stack", lambda items: built.append(build(items)) or built[-1])
+        build, built = bounds.adjacency_laplacian, []
+        monkeypatch.setattr(bounds, "adjacency_laplacian", lambda masks: built.append(build(masks)) or built[-1])
         a = GraphAnalysis(path_graph(6))
         solve_stacked([(a, [2])])
-        # the two certificates are proved; L(G) and L(G^2) are eigensolved one at a time, each
-        # from the stack its chunk built
+        # the two certificates are proved; their chunk builds L(G) and L(G^2), which each of them reads,
+        # and eigensolves them one at a time, each a view of the stack it built
         assert {cert.method for cert in a._certificates.values()} == {"cholesky"}
         assert [stack.shape for stack, _ in solves] == [(1, 6, 6)] * 2
-        assert len(built) == 4 and all(stack is own for (stack, _), own in zip(solves, built[2:]))
-        assert built[2].tobytes() == lone_laplacian(a, 1).tobytes()
+        assert [stack.shape for stack in built] == [(2, 6, 6)]
+        assert all(stack.base is built[0] for stack, _ in solves)
+        assert built[0][0].tobytes() == lone_laplacian(a, 1).tobytes()
 
     def test_disconnected_graph_solves_only_its_laplacian(self):
         a = GraphAnalysis(Graph.from_edges(6, [(0, 1), (2, 3)]))
@@ -319,11 +320,40 @@ class TestSolveStacked:
         graphs = campaign_graphs()[:8]
         expected = [fresh_memo(g, self.ELLS) for g in graphs]
         monkeypatch.setattr(bounds, "_STACK_BYTES", 5 * 8 * 12 * 12)
+        settle, chunks = bounds._settle, []
+        monkeypatch.setattr(bounds, "_settle", lambda chunk: chunks.append(chunk) or settle(chunk))
         del solves[:]
         analyses = [GraphAnalysis(g) for g in graphs]
         solve_stacked((a, self.ELLS) for a in analyses)
-        pending = sum(len(lambda2s) for lambda2s, _ in expected)
-        assert [len(stack) for stack, _ in solves] == [5] * (pending // 5) + ([pending % 5] if pending % 5 else [])
+        # a chunk reads at most 5 (analysis, ell) keys, a certificate both L(G) and L(G^ell); it takes
+        # the next analysis's work where the last one's stops, and eigensolves its lambda2s in one stack
+        reads = [
+            {(a, k) for a, ell, task in chunk for k in ((1, ell) if task in ("g1", "g2") else (ell,))}
+            for chunk in chunks
+        ]
+        assert max(len(keys) for keys in reads) == 5
+        solved = [[a for a, _, task in chunk if task == "lambda2"] for chunk in chunks]
+        assert [len(stack) for stack, _ in solves] == [len(members) for members in solved if members]
+        assert any(len(set(members)) > 1 for members in solved)
+        assert sum(len(stack) for stack, _ in solves) == sum(len(lambda2s) for lambda2s, _ in expected)
+        assert [memos(a) for a in analyses] == expected
+
+    @pytest.mark.parametrize("members", [1, 2, 5])
+    def test_chunks_stay_within_the_stack_budget(self, monkeypatch, solves, members):
+        # a chunk's one mask broadcast, and so its Laplacians, hold at most max(2, stack_members(n)) keys
+        # (a certificate reads two), and each eigensolve at most stack_members(n) of them
+        graphs = campaign_graphs()[:8]
+        expected = [fresh_memo(g, self.ELLS) for g in graphs]
+        del solves[:]
+        monkeypatch.setattr(bounds, "_STACK_BYTES", members * 8 * 12 * 12)
+        masks, laplacians = [], []
+        adjacency, build = bounds.power_adjacency, bounds.adjacency_laplacian
+        monkeypatch.setattr(bounds, "power_adjacency", lambda dist, ells: masks.append(len(ells)) or adjacency(dist, ells))
+        monkeypatch.setattr(bounds, "adjacency_laplacian", lambda adj: laplacians.append(len(adj)) or build(adj))
+        analyses = [GraphAnalysis(g) for g in graphs]
+        solve_stacked((a, self.ELLS) for a in analyses)
+        assert max(masks) == max(laplacians) == max(2, members)
+        assert max(len(stack) for stack, _ in solves) == members
         assert [memos(a) for a in analyses] == expected
 
     def test_only_pending_keys_are_solved(self, solves):
@@ -420,9 +450,15 @@ class TestCampaignGroups:
         # max(1, 5 // 12): each batch is one trial, and its one solve holds that batch alone
         assert [size for size, _, _ in batches] == [1] * config.trials
         assert all(size == len(counts) == len(pairs) for size, counts, pairs in batches)
-        # each solve cuts its own batch's proofs and Laplacians into stacks of at most 5
-        laplacians = [k for _, counts, _ in batches for k in self.chunks(sum(counts), 5)]
-        proofs = [k for _, counts, _ in batches for k in self.chunks(sum(2 * (c - 1) for c in counts), 5)]
+        # each solve cuts its batch's work into chunks of at most 5 (analysis, ell) keys: L(G) and the
+        # first 4 ells, then 4 ells a chunk, each chunk eigensolving its new Laplacians in one stack and
+        # proving its certificates (2 an ell) at most 5 a stack; a disconnected trial solves L(G) alone
+        laplacians, proofs = [], []
+        for _, _, pairs in batches:
+            for a, ells in pairs:
+                groups = [ells[start : start + 4] for start in range(0, len(ells), 4)] if a.connected else [[]]
+                laplacians += [len(group) + (k == 0) for k, group in enumerate(groups)]
+                proofs += [size for group in groups for size in self.chunks(2 * len(group), 5)]
         assert [len(stack) for stack, _ in solves] == laplacians and proof_sizes == proofs
         assert max(proof_sizes + laplacians) == (5 if config.ell_policy == "all" else 2)
 
