@@ -393,7 +393,7 @@ def _settle(chunk: list[tuple[GraphAnalysis, int, str]]) -> None:
             proved[fit] = prove_psd_stack(icoeff[fit] * laps[lap[fit]] - scale[fit] * laps[power[fit]])
         floats = coeff * laps[lap] - laps[power]
         tolerances = psd_tolerance(floats)  # of every member: cheaper than picking the proved
-        for (a, key), won, m, tol in zip(part, proved.tolist(), floats, tolerances.tolist()):
+        for (a, key), won, m, tol in zip(part, proved.tolist(), floats, tolerances):
             a._certificates[key] = CertificateResult(0.0, tol, PSD, method="cholesky") if won else is_psd(m)
 
 

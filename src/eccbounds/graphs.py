@@ -6,7 +6,8 @@ deterministic. One core, ``_csr_batch``, builds the CSRs of several graphs
 from one sort of int64 keys over their packed node ids; every graph built
 from pairs is its batch of one. Likewise ``adjacency_graphs`` builds the
 graphs of a stack of adjacency matrices from one ``flatnonzero``, and
-``Graph.from_adjacency`` is its stack of one.
+``Graph.from_adjacency``, where an outside matrix is checked, shares its CSR
+step (``_members``).
 ``generate_batch`` draws several graphs of a family from one Generator, the
 Erdos-Renyi ones in one ``Generator.random`` call (``erdos_renyi_batch``);
 ``generate`` and ``erdos_renyi`` are their batches of one, so a lone graph
@@ -93,15 +94,25 @@ class Graph:
     def from_adjacency(cls, adj: np.ndarray) -> "Graph":
         """Build from an adjacency matrix (must be exactly symmetric, zero diagonal).
 
-        Every nonzero entry is an edge. The stacked core ``adjacency_graphs`` on
-        a stack of one.
+        Every nonzero entry is an edge. Symmetry is tested on the nonzeros
+        only, ``adj[i, j] == adj[j, i]`` for each nonzero (i, j), read by flat
+        index in O(m): an entry whose mirror is zero or another value (NaN is
+        never equal) fails it, so the verdict is that of
+        ``np.array_equal(adj, adj.T)``. The CSR step is ``adjacency_graphs``'.
         """
         n = adj.shape[0]
         if adj.shape != (n, n):
             raise ValueError("adjacency matrix must be square")
         if n < 1:
             raise ValueError(f"node count must be >= 1, got {n}")
-        return adjacency_graphs(adj[None])[0]
+        if adj.diagonal().any():
+            raise ValueError("adjacency matrix has a nonzero diagonal (self-loop)")
+        flat = np.flatnonzero(adj)  # row-major: row i's columns sorted
+        rows, cols = np.divmod(flat, n)
+        mirror = flat + (cols - rows) * (n - 1)  # (j, i) of (i, j)
+        if not np.array_equal(adj.take(flat), adj.take(mirror)):
+            raise ValueError("adjacency matrix is not symmetric")
+        return _members(n, 1, rows, cols)[0]
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -168,25 +179,16 @@ def _csr_batch(n: int, count: int, pairs: np.ndarray) -> list[Graph]:
 
 
 def adjacency_graphs(adj: np.ndarray) -> list[Graph]:
-    """The graphs of a (k, n, n) stack of adjacency matrices (each exactly symmetric, zero diagonal).
+    """The graphs of a (k, n, n) stack of adjacency matrices, each exactly symmetric with a zero diagonal.
 
-    Every nonzero entry is an edge. One ``flatnonzero`` over the stack gives
-    every member's entries in CSR order. Symmetry is tested on the nonzeros
-    only, ``adj[b, i, j] == adj[b, j, i]`` for each nonzero (b, i, j), read by
-    flat index in O(m): an entry whose mirror is zero or another value (NaN is
-    never equal) fails it, so the verdict is that of ``np.array_equal(adj[b], adj[b].T)``
-    for every member b.
+    Every nonzero entry is an edge; one ``flatnonzero`` over the stack gives
+    every member's entries in CSR order. The precondition is not checked: the
+    callers' masks, 1 <= d <= ell on a symmetric distance matrix, meet it by
+    construction. Outside input goes through ``Graph.from_adjacency``, which
+    checks it.
     """
     count, n = adj.shape[:2]
-    if adj.diagonal(axis1=1, axis2=2).any():
-        raise ValueError("adjacency matrix has a nonzero diagonal (self-loop)")
-    flat = np.flatnonzero(adj)  # row-major: member b's row i is row b * n + i, its columns sorted
-    rows, cols = np.divmod(flat, n)
-    # (b, j, i) is flat + (j - i)(n - 1); a lone matrix's rows are its nodes, and skipping the
-    # modulo keeps from_adjacency as fast as a build of its own (it costs about 5 us at n = 50)
-    mirror = flat + (cols - (rows if count == 1 else rows % n)) * (n - 1)
-    if not np.array_equal(adj.take(flat), adj.take(mirror)):
-        raise ValueError("adjacency matrix is not symmetric")
+    rows, cols = np.divmod(np.flatnonzero(adj), n)  # row b * n + i is member b's node i
     return _members(n, count, rows, cols)
 
 

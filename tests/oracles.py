@@ -7,7 +7,9 @@ the package's numpy ``eigh`` (divide and conquer, ``dsyevd``) and Jacobi
 sweeps, and expected eigenvalues come from closed forms. PSD questions about
 rational matrices are settled by exact LDL^T elimination on ``Fraction``s
 instead of the package's floating-point Cholesky proof, and the certificate
-matrices are rebuilt in ``Fraction``s from the paper's formulas. The edge-list
+matrices are rebuilt in ``Fraction``s from the paper's formulas. The
+package's eigensolver returns eigenpairs only; ``eigen_quality`` audits them
+(residual and orthogonality) with its own numpy arithmetic. The edge-list
 reader and writer are the line-at-a-time ``int`` and ``"%d %d\n"`` versions
 that the package's bulk parser and byte-table serializer replaced, and
 random trees come from the pointer-walk Prüfer decode that the package's
@@ -63,6 +65,26 @@ def sorted_eigenvalues(a: np.ndarray) -> np.ndarray:
     different algorithm from a different build keeps the oracle independent.
     """
     return scipy.linalg.eigvalsh(a, driver="ev")
+
+
+def inf_norm(a: np.ndarray) -> float:
+    """Matrix infinity norm (max absolute row sum)."""
+    if a.size == 0:
+        return 0.0
+    return float(np.abs(a).sum(axis=1).max())
+
+
+def eigen_quality(a: np.ndarray, w: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    """(relative residual, orthogonality error) of the eigenpairs (w, Q) of the symmetric matrix A.
+
+    The relative residual is max|A q_i - w_i q_i| over every pair and entry,
+    over max(1, ||A||_inf); the orthogonality error is max|Q^T Q - I|. Both
+    are 0.0 for the empty matrix.
+    """
+    a, w, q = (np.asarray(x, dtype=np.float64) for x in (a, w, q))
+    residual = np.abs(a @ q - q * w).max(initial=0.0) / max(1.0, inf_norm(a))
+    orthogonality = np.abs(q.T @ q - np.eye(len(q))).max(initial=0.0)
+    return float(residual), float(orthogonality)
 
 
 def char_poly_value(a: np.ndarray, lam: int) -> Fraction:

@@ -5,7 +5,8 @@ them live). Criteria 2-4 share one randomized corpus of 1000 connected
 Erdos-Renyi graphs and 500 random trees, built once per module; each graph
 gets one GraphAnalysis that the three checks share. Criterion 8 audits the
 numerical quality of every eigendecomposition the earlier criteria triggered,
-as recorded by the module's ``decompositions`` fixture.
+as recorded by the module's ``decompositions`` fixture from each member's
+eigenpairs through ``oracles.eigen_quality``.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,11 @@ from eccbounds.bounds import bound_g1, bound_g1_diam, bound_g2, bound_mohar, gam
 from eccbounds.metrics import count_s_ell, eccentricity_profile
 
 
+#: Criterion 8's bounds: the relative residual and the orthogonality error of every decomposition.
+MAX_RELATIVE_RESIDUAL = 1e-8
+MAX_ORTHOGONALITY_ERROR = 1e-10
+
+
 def _report(num: int, ok: bool, detail: str = "") -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num} failed: {detail}"
@@ -31,19 +37,18 @@ def decompositions():
 
     Wraps the solver's one core, ``spectral.eigen_decompose_stack``, at
     every eccbounds module that imports it (``oracles.patch_everywhere``),
-    and records every member of each stack. ``eigen_decompose`` solves
-    through that core too, so each matrix is recorded once, whether solved
-    alone or stacked. The residual is relative to ``max(1, ||A||_inf)`` of
-    that member.
+    and audits every member of each stack from its matrix and eigenpairs
+    with ``oracles.eigen_quality``: the solver reports no figure of its own.
+    ``eigen_decompose`` solves through that core too, so each matrix is
+    recorded once, whether solved alone or stacked. The residual is relative
+    to ``max(1, ||A||_inf)`` of that member.
     """
     original = spectral.eigen_decompose_stack
     quality: list[tuple[float, float]] = []
 
     def recorded(stack):
         summaries = original(stack)
-        for a, summary in zip(stack, summaries):
-            relative = summary.residual / max(1.0, spectral.inf_norm(a))
-            quality.append((relative, summary.orthogonality_error))
+        quality.extend(oracles.eigen_quality(a, s.eigenvalues, s.vectors) for a, s in zip(stack, summaries))
         return summaries
 
     with pytest.MonkeyPatch.context() as mp:
@@ -201,13 +206,35 @@ def test_criterion_8_numerics(corpus, decompositions):
     del corpus  # ensures thousands of decompositions happened in this module
     max_residual = max((residual for residual, _ in decompositions), default=0.0)
     max_orthogonality = max((orth for _, orth in decompositions), default=0.0)
-    ok = len(decompositions) > 0 and max_residual <= 1e-8 and max_orthogonality <= 1e-10
+    ok = (
+        len(decompositions) > 0
+        and max_residual <= MAX_RELATIVE_RESIDUAL
+        and max_orthogonality <= MAX_ORTHOGONALITY_ERROR
+    )
     _report(
         8,
         ok,
         f"{len(decompositions)} decompositions, max relative residual "
         f"{max_residual:.3e}, max orthogonality error {max_orthogonality:.3e}",
     )
+
+
+def test_criterion_8_audit_flags_broken_decompositions():
+    """Negative control: criterion 8's audit passes a correct decomposition and flags, above its bounds,
+    the same eigenpairs with two eigenvectors swapped and with one eigenvector scaled by 1 + 1e-6."""
+    a = spectral.laplacian(eb.path_graph(6))  # six distinct eigenvalues, 0 to 2 + sqrt(3)
+    s = spectral.eigen_decompose(a)
+    residual, orthogonality = oracles.eigen_quality(a, s.eigenvalues, s.vectors)
+    assert residual <= MAX_RELATIVE_RESIDUAL and orthogonality <= MAX_ORTHOGONALITY_ERROR
+    swapped = s.vectors[:, [0, 1, 2, 3, 5, 4]]
+    residual, orthogonality = oracles.eigen_quality(a, s.eigenvalues, swapped)
+    # still orthonormal: only the residual sees it
+    assert residual > MAX_RELATIVE_RESIDUAL and orthogonality <= MAX_ORTHOGONALITY_ERROR
+    scaled = s.vectors.copy()
+    scaled[:, 3] *= 1.0 + 1e-6
+    residual, orthogonality = oracles.eigen_quality(a, s.eigenvalues, scaled)
+    # still eigenvectors: only the orthogonality error sees it
+    assert orthogonality > MAX_ORTHOGONALITY_ERROR and residual <= MAX_RELATIVE_RESIDUAL
 
 
 def test_criterion_9_determinism(tmp_path, capsys):
