@@ -37,6 +37,9 @@ _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bito
 _POPCOUNT = _BYTE_BITS.sum(axis=1, dtype=np.int64)
 _BIT_START = np.cumsum(_POPCOUNT) - _POPCOUNT
 _BIT_POSITIONS = np.nonzero(_BYTE_BITS)[1]
+for _table in (_BYTE_BITS, _POPCOUNT, _BIT_START, _BIT_POSITIONS):
+    _table.flags.writeable = False  # every power_pairs call in the process shares them
+del _table
 
 #: Convergence: off-diagonal Frobenius norm <= this factor times ||A||_F.
 OFF_DIAG_REL_TOL = 1e-12

@@ -2,12 +2,12 @@
 
 Every bound here is a guaranteed lower bound on lambda2 for simple undirected
 graphs. ``GraphAnalysis`` holds what every bound and certificate of one graph
-is read from (distances, eccentricities and power graphs), each once, and
+is read from (distances, sorted eccentricities and power graphs), each once, and
 memoises lambda2(G^ell) by ell (1 is G) and the g1 and g2 certificates by
 (kind, ell); it holds no matrix. ``GraphAnalysis.batch`` builds the analyses
 of several graphs of one order from one distance search
-(``metrics.all_pairs_distances_stack``) and one eccentricity pass
-(``metrics.eccentricity_profiles``), and ``solve_stacked`` fills G^ell and
+(``metrics.all_pairs_distances_stack``) and one sort of their eccentricities
+(``metrics.eccentricities``), and ``solve_stacked`` fills G^ell and
 both memos for several analyses of one order, a chunk at a time: one mask
 broadcast over a chunk's (analysis, ell) keys serves its G^ell, its proofs
 and its eigensolve, and its masks and Laplacians are dropped with it. The
@@ -29,15 +29,13 @@ import numpy as np
 from .graphs import Graph, adjacency_graphs
 from .metrics import (
     UNREACHABLE,
-    EccentricityProfile,
     all_pairs_distances,
     all_pairs_distances_stack,
     count_s_ell,
-    eccentricity_profile,
-    eccentricity_profiles,
     power_adjacency,
     power_graph,
 )
+from .metrics import eccentricities as sorted_eccentricities  # the name is GraphAnalysis's keyword
 from .spectral import (
     PSD,
     CertificateResult,
@@ -200,12 +198,13 @@ def stack_members(n: int) -> int:
 
 
 class GraphAnalysis:
-    """The distance matrix, eccentricity profile, power graphs and spectra of one graph.
+    """The distance matrix, sorted eccentricities, power graphs and spectra of one graph.
 
-    Distances and the profile are computed on construction: by one BFS of
-    ``g`` alone or, through ``batch``, by one search and one eccentricity pass
-    over several graphs. ``power(ell)`` (G^ell) and the results
-    ``power_lambda2(ell)`` (``lambda2`` is ell = 1) and
+    Distances and the ascending ``eccentricities`` list (``diameter`` is its
+    last entry, UNREACHABLE for a disconnected graph) are computed on
+    construction: by one BFS of ``g`` alone or, through ``batch``, by one
+    search and one eccentricity sort over several graphs. ``power(ell)``
+    (G^ell) and the results ``power_lambda2(ell)`` (``lambda2`` is ell = 1) and
     ``certificate(kind, ell)`` are memoised; the masks and Laplacians they are
     built from are not. A result miss is a solve chunk of that one result;
     ``solve_stacked`` fills G^ell and both result memos for several analyses at once.
@@ -213,15 +212,16 @@ class GraphAnalysis:
     ``check_chain`` to share this work.
     """
 
-    def __init__(self, g: Graph, *, dist: np.ndarray | None = None, profile: EccentricityProfile | None = None):
-        """Analyse ``g``; ``dist`` and ``profile``, when given, are its read-only distance matrix and
-        its eccentricity profile, and neither BFS nor eccentricity pass runs."""
+    def __init__(self, g: Graph, *, dist: np.ndarray | None = None, eccentricities: list[int] | None = None):
+        """Analyse ``g``; ``dist`` and ``eccentricities``, when given, are its read-only distance matrix
+        and its ascending eccentricities, and neither BFS nor eccentricity sort runs."""
         self.graph = g
         self.n = g.n
         self.m = g.m
         self.dist = all_pairs_distances(g) if dist is None else dist
-        self.profile = eccentricity_profile(self.dist) if profile is None else profile
-        self.connected = self.profile.diameter != UNREACHABLE
+        self.eccentricities = sorted_eccentricities(self.dist) if eccentricities is None else eccentricities
+        self.diameter = self.eccentricities[-1]
+        self.connected = self.diameter != UNREACHABLE
         self._powers: dict[int, Graph] = {}
         self._lambda2s: dict[int, float] = {}
         self._certificates: dict[tuple[str, int], CertificateResult] = {}
@@ -229,14 +229,14 @@ class GraphAnalysis:
     @classmethod
     def batch(cls, graphs: Sequence[Graph]) -> list[GraphAnalysis]:
         """One analysis per graph, all of one order: one ``all_pairs_distances_stack`` search and one
-        ``eccentricity_profiles`` pass.
+        ``eccentricities`` sort of the stack.
 
-        Each member's distances and profile equal those of ``GraphAnalysis(g)``,
-        in the type that the batch's largest distance needs, so every result
-        read from them is bitwise the same.
+        Each member's distances, in the type that the batch's largest distance
+        needs, and eccentricities equal those of ``GraphAnalysis(g)``, so every
+        result read from them is bitwise the same.
         """
         dist = all_pairs_distances_stack(graphs)
-        return [cls(g, dist=d, profile=e) for g, d, e in zip(graphs, dist, eccentricity_profiles(dist))]
+        return [cls(g, dist=d, eccentricities=e) for g, d, e in zip(graphs, dist, sorted_eccentricities(dist))]
 
     def power(self, ell: int) -> Graph:
         """G^ell, built once per ell: by a solve chunk from its mask, or on a miss by ``power_graph(dist, ell)``."""
@@ -416,13 +416,13 @@ def evaluate_all(g: Graph | GraphAnalysis, ell: int) -> BoundReport:
     the diameter-dependent bounds are marked not applicable.
     """
     a = analysis_for("bound evaluation", g, ell, 2)
-    s1 = count_s_ell(a.profile, 1)
-    s2 = count_s_ell(a.profile, 2)
-    s_ell = count_s_ell(a.profile, ell)
+    s1 = count_s_ell(a.eccentricities, 1)
+    s2 = count_s_ell(a.eccentricities, 2)
+    s_ell = count_s_ell(a.eccentricities, ell)
     lam = a.lambda2 if a.connected else 0.0
     power = a.power(ell)  # after the solve, so a lone graph's G^ell is not held through it
     e_complement = a.n * (a.n - 1) // 2 - a.m
-    d = a.profile.diameter if a.connected else None
+    d = a.diameter if a.connected else None
 
     bounds: dict[str, float | None] = {
         "s1": bound_s1(s1),

@@ -86,12 +86,12 @@ def check_chain(g: Graph | GraphAnalysis, ell: int) -> ChainCheck:
 
     s1 of the power graph counts its nodes of degree n - 1 (eccentricity <= 1),
     so link 3 cross-checks how ``GraphAnalysis.power`` built G^ell against G's
-    eccentricity profile, both read from one distance matrix, without a BFS.
+    sorted eccentricities, both read from one distance matrix, without a BFS.
     """
     a = analysis_for("chain check", g, ell, 2)
     if not a.connected:
         raise ValueError("check_chain requires a connected graph")
-    s_ell = count_s_ell(a.profile, ell)
+    s_ell = count_s_ell(a.eccentricities, ell)
     s1_power = int((a.power(ell).degrees() == a.n - 1).sum())
 
     lambda2_power = a.power_lambda2(ell)

@@ -211,7 +211,7 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     for first in range(0, config.trials, per_batch):
         count = min(per_batch, config.trials - first)
         graphs = generate_batch(config.family, config.n, count, p=config.p, seed=rng)
-        batch = [(a, _policy_ells(config.ell_policy, a.profile.diameter)) for a in GraphAnalysis.batch(graphs)]
+        batch = [(a, _policy_ells(config.ell_policy, a.diameter)) for a in GraphAnalysis.batch(graphs)]
         solve_stacked(batch)
         for trial, (analysis, ells) in enumerate(batch, first):
             _check_trial(summary, trial, analysis, ells)
@@ -339,7 +339,7 @@ def run_tightness(family: str, n_max: int, ell_policy: int | str = "all") -> lis
     records: list[TightnessRecord] = []
     for n in range(3, n_max + 1):
         analysis = GraphAnalysis(generate(family, n))
-        for ell in _policy_ells(ell_policy, analysis.profile.diameter):
+        for ell in _policy_ells(ell_policy, analysis.diameter):
             report = evaluate_all(analysis, ell)
             for name in BOUND_NAMES:
                 value = report.bounds[name]

@@ -213,6 +213,7 @@ _BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
 _BYTE_CLASS[list(b"0123456789")] = _DIGIT
 _BYTE_CLASS[list(b" \t")] = _SPACE
 _BYTE_CLASS[ord("\n")] = _NEWLINE
+_BYTE_CLASS.flags.writeable = False  # shared by every parse in the process
 #: The line breaks of ``str.splitlines`` other than "\n" and "\r".
 _BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 #: Digits a number may have in the bulk reader: int64 holds every such number

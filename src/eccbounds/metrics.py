@@ -3,9 +3,10 @@
 One core, ``all_pairs_distances_stack``, searches B graphs of one order in
 one ``_kernels.bfs_all_pairs`` call and returns their (B, n, n) distance
 stack; ``all_pairs_distances`` is the core on a stack of one, so a lone
-graph and a batch member get the same distances. Likewise
-``eccentricity_profiles`` reads the profiles of a whole stack in one pass, and
-``eccentricity_profile`` is its stack of one; ``power_adjacency`` takes a
+graph and a batch member get the same distances. Of the eccentricities the
+bounds read only s_ell and the diameter: ``eccentricities`` sorts them, of a
+matrix or of each member of a stack in the same pass, so ``count_s_ell`` is
+one bisection and the diameter the last entry. ``power_adjacency`` takes a
 list of ells and broadcasts their masks as one stack.
 ``all_pairs_distances_stack`` and ``power_blocks`` refuse n above
 ``graphs.MAX_NODES`` before searching.
@@ -13,7 +14,7 @@ list of ells and broadcasts their masks as one stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 from typing import Final, Iterator, Sequence
 
 import numpy as np
@@ -21,29 +22,10 @@ import numpy as np
 from . import _kernels
 from .graphs import Graph, check_node_count
 
-#: Sentinel for "no path exists" in distance and eccentricity arrays.
+#: Sentinel for "no path exists" in distance matrices and eccentricity lists.
 #: Kept negative so it can never be mistaken for a true distance, and so that
 #: naive comparisons like ``d <= ell`` must mask it out explicitly.
 UNREACHABLE: Final[int] = -1
-
-
-@dataclass(frozen=True, eq=False)
-class EccentricityProfile:
-    """Per-node eccentricities, the diameter, and the cumulative eccentricity counts.
-
-    A node unable to reach some other node has eccentricity UNREACHABLE; the
-    diameter is UNREACHABLE exactly when the graph is disconnected (n >= 2).
-    ``at_most[k]`` is the number of nodes of finite eccentricity at most k,
-    for k up to the largest finite one; it is empty when none is finite.
-    """
-
-    ecc: np.ndarray  # (n,), the integer type of the distance matrix it was read from
-    diameter: int
-    at_most: np.ndarray
-
-    def __post_init__(self):
-        self.ecc.flags.writeable = False
-        self.at_most.flags.writeable = False
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -88,42 +70,28 @@ def all_pairs_distances_stack(graphs: Sequence[Graph]) -> np.ndarray:
     return dist
 
 
-def eccentricity_profile(dist: np.ndarray) -> EccentricityProfile:
-    """The eccentricity profile of one (n, n) distance matrix: the stacked core on a stack of one."""
-    return eccentricity_profiles(dist[None])[0]
+def eccentricities(dist: np.ndarray) -> list:
+    """The eccentricities of a distance matrix, ascending, as a list of ints: (n, n) gives one list of n,
+    a (B, n, n) stack one such list per member.
 
-
-def eccentricity_profiles(dist: np.ndarray) -> list[EccentricityProfile]:
-    """The profile of each member of a (B, n, n) distance stack, read in one pass over the stack.
-
-    Member b's ``ecc`` is a row of one (B, n) array in the stack's type, and its
-    ``at_most`` the first diameter + 1 entries of a row of one cumulative
-    (member, eccentricity) count; each equals the lone profile of ``dist[b]``.
+    A node that misses some node has eccentricity UNREACHABLE. In a disconnected
+    graph every node misses one, so its list is all UNREACHABLE; otherwise the
+    last entry is the diameter.
     """
-    ecc = dist.max(axis=2)
-    ecc[(dist == UNREACHABLE).any(axis=2)] = UNREACHABLE
-    # a node of a disconnected graph misses some node, so every one of its nodes does, and
-    # its largest eccentricity, the diameter, is UNREACHABLE
-    diameters = ecc.max(axis=1)
-    # member b's bins are b * (n + 1) + 1 + e for e = UNREACHABLE (dropped), 0, ..., n - 1
-    count, n = ecc.shape
-    bins = ecc + np.arange(1, count * (n + 1), n + 1)[:, None]
-    counts = np.bincount(bins.ravel(), minlength=count * (n + 1)).reshape(count, n + 1)
-    at_most = counts[:, 1:].cumsum(axis=1)
-    return [
-        EccentricityProfile(e, d, row[: d + 1])
-        for e, d, row in zip(ecc, diameters.tolist(), at_most)
-    ]
+    ecc = dist.max(axis=-1)
+    ecc[(dist == UNREACHABLE).any(axis=-1)] = UNREACHABLE
+    ecc.sort(axis=-1)
+    return ecc.tolist()
 
 
-def count_s_ell(e: EccentricityProfile, ell: int) -> int:
-    """Number of nodes with finite eccentricity at most ell, read from ``e.at_most``.
+def count_s_ell(eccs: list[int], ell: int) -> int:
+    """s_ell, the number of nodes of eccentricity at most ell, from the ascending ``eccentricities`` list.
 
-    Zero for disconnected graphs, where every eccentricity is UNREACHABLE.
+    Zero for a disconnected graph, whose eccentricities are all UNREACHABLE.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    return int(e.at_most[min(ell, e.at_most.size - 1)]) if e.at_most.size else 0
+    return 0 if eccs[-1] == UNREACHABLE else bisect_right(eccs, ell)
 
 
 def power_adjacency(dist: np.ndarray, ell: int | list[int]) -> np.ndarray:

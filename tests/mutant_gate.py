@@ -54,7 +54,10 @@ WRITER = (
     "tests/test_graphs.py::TestEdgeListAgainstReference::test_serialize_several_blocks_one_empty",
 )
 ER_BATCH = ("tests/test_graphs.py::TestBatchDraws",)
-PROFILES = ("tests/test_metrics.py::TestEccentricityProfiles",)
+#: the sorted eccentricities of a stack (``metrics.eccentricities``) and s_ell read from them
+EVERY_GRAPH = ("tests/test_analysis.py::TestEveryGraphUpToSixNodes",)
+ECC_SORT = ("tests/test_metrics.py::TestEccentricityProfiles", "tests/test_analysis.py::TestBatch", *EVERY_GRAPH)
+S_ELL = ("tests/test_metrics.py::TestCountSEll", *EVERY_GRAPH)
 #: the solve chunk's masks, Laplacians and G^ell (``bounds._settle``)
 BROADCAST = ("tests/test_analysis.py::TestPrepare",)
 #: ``power_adjacency``'s clip of ell to the distance type
@@ -143,13 +146,17 @@ MUTANTS = (
     Mutant("packed reach leaks across member blocks", "metrics.py",
            "np.arange(len(graphs)) * n, sizes)", "np.arange(len(graphs)) * (n - 1), sizes)", STACK),
     Mutant("batch analyses handed a neighbour's distance block", "bounds.py",
-           "zip(graphs, dist, eccentricity_profiles(dist))",
-           "zip(graphs, np.roll(dist, 1, axis=0), eccentricity_profiles(dist))", BATCH),
+           "zip(graphs, dist, sorted_eccentricities(dist))",
+           "zip(graphs, np.roll(dist, 1, axis=0), sorted_eccentricities(dist))", BATCH),
     Mutant("the ER batch draws its doubles pair-major", "graphs.py",
            "rng.random((count, len(upper)))", "rng.random((len(upper), count)).T", ER_BATCH),
-    Mutant("member b gets member b+1's at_most", "metrics.py",
-           "zip(ecc, diameters.tolist(), at_most)", "zip(ecc, diameters.tolist(), np.roll(at_most, -1, axis=0))",
-           PROFILES),
+    Mutant("the eccentricity sort runs along axis 0, mixing a stack's members", "metrics.py",
+           "ecc.sort(axis=-1)", "ecc.sort(axis=0)", ECC_SORT),
+    Mutant("count_s_ell bisects left, dropping the nodes of eccentricity exactly ell", "metrics.py",
+           "from bisect import bisect_right", "from bisect import bisect_left as bisect_right", S_ELL),
+    Mutant("count_s_ell counts a disconnected graph's UNREACHABLE nodes", "metrics.py",
+           "return 0 if eccs[-1] == UNREACHABLE else bisect_right(eccs, ell)", "return bisect_right(eccs, ell)",
+           S_ELL),
     Mutant("the power mask takes distance < ell", "metrics.py", "adj = dist <= np.array(", "adj = dist < np.array(",
            BROADCAST),
     Mutant("a chunk member gets a neighbour's distance matrix", "bounds.py",

@@ -33,12 +33,12 @@ import scipy.linalg
 
 
 def floyd_warshall(adj: np.ndarray) -> np.ndarray:
-    """All-pairs shortest paths on a 0/1 adjacency matrix; inf = unreachable."""
-    n = adj.shape[0]
+    """All-pairs shortest paths on a 0/1 adjacency matrix, or on each member of a (B, n, n) stack; inf = unreachable."""
+    n = adj.shape[-1]
     dist = np.where(adj > 0, 1.0, np.inf)
-    np.fill_diagonal(dist, 0.0)
+    dist[..., range(n), range(n)] = 0.0
     for k in range(n):
-        dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
+        dist = np.minimum(dist, dist[..., :, k : k + 1] + dist[..., k : k + 1, :])
     return dist
 
 
@@ -54,8 +54,14 @@ def power_adjacency(adj: np.ndarray, ell: int) -> np.ndarray:
 
 
 def eccentricities(adj: np.ndarray) -> np.ndarray:
-    """Per-node eccentricities; inf where some node is unreachable."""
-    return floyd_warshall(adj).max(axis=1)
+    """Per-node eccentricities, of a matrix or of each member of a stack; inf where some node is unreachable."""
+    return floyd_warshall(adj).max(axis=-1)
+
+
+def sorted_eccentricities(adj: np.ndarray, unreachable: int) -> np.ndarray:
+    """Eccentricities ascending, of a matrix or of each member of a stack, with ``unreachable`` for inf."""
+    ecc = eccentricities(adj)
+    return np.sort(np.where(np.isinf(ecc), unreachable, ecc), axis=-1)
 
 
 def sorted_eigenvalues(a: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import eccbounds as eb
 import oracles
 from eccbounds import cli, spectral
 from eccbounds.bounds import bound_g1, bound_g1_diam, bound_g2, bound_mohar, gamma
-from eccbounds.metrics import count_s_ell, eccentricity_profile
+from eccbounds.metrics import count_s_ell, eccentricities
 
 
 #: Criterion 8's bounds: the relative residual and the orthogonality error of every decomposition.
@@ -89,8 +89,8 @@ def corpus():
     records: list[EllRecord] = []
     for analysis in analyses:
         g = analysis.graph
-        for ell in range(2, analysis.profile.diameter + 1):
-            s_ell = count_s_ell(analysis.profile, ell)
+        for ell in range(2, analysis.diameter + 1):
+            s_ell = count_s_ell(analysis.eccentricities, ell)
             records.append(
                 EllRecord(
                     graph=g,
@@ -158,7 +158,7 @@ def test_criterion_5_reduction_identities():
     for i in range(100):
         n = 2 + i % 19  # 2..20
         g = eb.erdos_renyi(n, (0.15, 0.45, 0.8)[i % 3], seed=rng)
-        e = eccentricity_profile(eb.all_pairs_distances(g))
+        e = eccentricities(eb.all_pairs_distances(g))
         s1 = count_s_ell(e, 1)
         s2 = count_s_ell(e, 2)
         got = bound_g1(g.n, 2, s2)

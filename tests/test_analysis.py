@@ -9,8 +9,8 @@ import oracles
 from eccbounds import _kernels, bounds, metrics, spectral
 from eccbounds.bounds import GraphAnalysis, evaluate_all, solve_stacked
 from eccbounds.certify import certify_g1_matrix, certify_g2_matrix, check_chain
-from eccbounds.graphs import MAX_NODES, Graph, complete_graph, erdos_renyi, path_graph
-from eccbounds.metrics import UNREACHABLE, all_pairs_distances, power_adjacency, power_graph
+from eccbounds.graphs import MAX_NODES, Graph, adjacency_graphs, complete_graph, erdos_renyi, path_graph
+from eccbounds.metrics import UNREACHABLE, all_pairs_distances, count_s_ell, power_adjacency, power_graph
 from eccbounds.spectral import adjacency_laplacian, lambda2, laplacian
 
 TWO_DISJOINT_EDGES = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -105,7 +105,7 @@ class TestGraphAnalysis:
     def test_disconnected(self):
         a = GraphAnalysis(TWO_DISJOINT_EDGES)
         assert not a.connected
-        assert a.profile.diameter == UNREACHABLE
+        assert a.diameter == UNREACHABLE and a.eccentricities == [UNREACHABLE] * 4
         assert a.lambda2 == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("ell", [2, 3, 4])
@@ -168,8 +168,9 @@ class TestBatch:
             assert a.graph is g and (a.n, a.m, a.connected) == (lone.n, lone.m, lone.connected)
             assert a.dist.dtype == lone.dist.dtype and a.dist.tobytes() == lone.dist.tobytes()
             assert not a.dist.flags.writeable
-            assert a.profile.ecc.tobytes() == lone.profile.ecc.tobytes()
-            assert a.profile.diameter == lone.profile.diameter
+            expected = oracles.sorted_eccentricities(g.adjacency_matrix(), UNREACHABLE)
+            assert a.eccentricities == lone.eccentricities == expected.tolist()
+            assert a.diameter == lone.diameter == a.eccentricities[-1]
             for ell in (2, 3):
                 assert evaluate_all(a, ell) == evaluate_all(lone, ell)
 
@@ -182,6 +183,37 @@ class TestBatch:
     def test_refuses_mixed_orders(self):
         with pytest.raises(ValueError, match="one order"):
             GraphAnalysis.batch([path_graph(4), path_graph(5)])
+
+
+def every_graph(n: int) -> np.ndarray:
+    """Every labelled graph on n nodes as one adjacency stack: graph c has upper pair k iff bit k of c is set."""
+    us, vs = np.triu_indices(n, 1)
+    bits = (np.arange(1 << us.size)[:, None] >> np.arange(us.size)) & 1 == 1
+    adj = np.zeros((len(bits), n, n), dtype=bool)
+    adj[:, us, vs] = bits
+    return adj | adj.transpose(0, 2, 1)
+
+
+class TestEveryGraphUpToSixNodes:
+    """All 33,867 labelled graphs on 1..6 nodes, connected and disconnected, as one ``GraphAnalysis.batch`` per n."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_against_floyd_warshall(self, n):
+        # distances, edge counts, connectivity, sorted eccentricities, diameter and s_ell for ell in 1..n
+        adj = every_graph(n)
+        batch = GraphAnalysis.batch(adjacency_graphs(adj))
+        assert len(batch) == 2 ** (n * (n - 1) // 2)
+        fw = oracles.floyd_warshall(adj)
+        reach = np.isfinite(fw)
+        assert np.array_equal(np.array([a.dist for a in batch]), np.where(reach, fw, UNREACHABLE))
+        assert [a.m for a in batch] == (adj.sum(axis=(1, 2)) // 2).tolist()
+        assert [a.connected for a in batch] == reach.all(axis=(1, 2)).tolist()
+        ecc = oracles.sorted_eccentricities(adj, UNREACHABLE)
+        assert np.array_equal(np.array([a.eccentricities for a in batch]), ecc)
+        assert [a.diameter for a in batch] == ecc[:, -1].tolist()
+        ells = range(1, n + 1)
+        s_ell = (oracles.eccentricities(adj)[:, :, None] <= np.array(ells)).sum(axis=1)  # inf counts nowhere
+        assert [[count_s_ell(a.eccentricities, ell) for ell in ells] for a in batch] == s_ell.tolist()
 
 
 def lone_laplacian(a: GraphAnalysis, ell: int) -> np.ndarray:

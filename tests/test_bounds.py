@@ -32,7 +32,7 @@ from eccbounds.metrics import (
     UNREACHABLE,
     all_pairs_distances,
     count_s_ell,
-    eccentricity_profile,
+    eccentricities,
 )
 from eccbounds.spectral import eigen_decompose, lambda2, laplacian
 
@@ -72,12 +72,12 @@ class TestSimpleBounds:
         # spectrum of the star on 4 nodes is {0, 1, 1, 4}, so lambda2 = 1 = s1
         for lam in (0, 1, 4):
             assert oracles.char_poly_value(lap, lam) == 0
-        e = eccentricity_profile(all_pairs_distances(g))
+        e = eccentricities(all_pairs_distances(g))
         assert count_s_ell(e, 1) == 1
         assert abs(lambda2(g) - bound_s1(1)) <= 1e-9
 
     def test_bound_s1_zero_on_path(self):
-        e = eccentricity_profile(all_pairs_distances(path_graph(4)))
+        e = eccentricities(all_pairs_distances(path_graph(4)))
         assert bound_s1(count_s_ell(e, 1)) == 0.0
         with pytest.raises(ValueError):
             bound_s1(-1)
@@ -100,14 +100,14 @@ class TestBoundG1:
         for _ in range(100):
             n = int(rng.integers(2, 30))
             g = erdos_renyi(n, float(rng.choice([0.2, 0.5, 0.8])), seed=rng)
-            e = eccentricity_profile(all_pairs_distances(g))
+            e = eccentricities(all_pairs_distances(g))
             s2 = count_s_ell(e, 2)
             got = bound_g1(g.n, 2, s2)
             expected = s2 / g.n
             assert abs(got - expected) <= 1e-15 * max(abs(expected), 1e-300)
 
     def test_zero_when_disconnected(self):
-        e = eccentricity_profile(all_pairs_distances(TWO_DISJOINT_EDGES))
+        e = eccentricities(all_pairs_distances(TWO_DISJOINT_EDGES))
         assert bound_g1(4, 3, count_s_ell(e, 3)) == 0.0
 
     def test_domain_errors(self):
@@ -184,7 +184,7 @@ class TestBoundG2:
         for _ in range(50):
             n = int(rng.integers(2, 20))
             g = erdos_renyi(n, 0.4, seed=rng)
-            e = eccentricity_profile(all_pairs_distances(g))
+            e = eccentricities(all_pairs_distances(g))
             s1 = count_s_ell(e, 1)
             assert bound_g2(s1, 1, g.m, g.m) == bound_s1(s1)
 
@@ -255,8 +255,8 @@ class TestEvaluateAll:
         graphs = [erdos_renyi(int(rng.integers(4, 13)), 0.45, seed=rng) for _ in range(25)]
         graphs += [random_tree(int(rng.integers(3, 11)), seed=rng) for _ in range(25)]
         for g in graphs:
-            e = eccentricity_profile(all_pairs_distances(g))
-            ells = range(2, max(2, e.diameter) + 1) if e.diameter != UNREACHABLE else [2]
+            e = eccentricities(all_pairs_distances(g))
+            ells = range(2, max(2, e[-1]) + 1) if e[-1] != UNREACHABLE else [2]
             for ell in ells:
                 r = evaluate_all(g, ell)
                 tol = 1e-9 * max(1.0, r.lambda2)

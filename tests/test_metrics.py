@@ -25,8 +25,7 @@ from eccbounds.metrics import (
     all_pairs_distances,
     all_pairs_distances_stack,
     count_s_ell,
-    eccentricity_profile,
-    eccentricity_profiles,
+    eccentricities,
     power_adjacency,
     power_blocks,
     power_graph,
@@ -157,56 +156,44 @@ class TestDistanceStack:
 
 
 class TestEccentricityProfile:
+    """``eccentricities`` of one distance matrix: the ascending list of its nodes' eccentricities."""
+
     def test_path(self):
-        e = eccentricity_profile(all_pairs_distances(path_graph(4)))
-        assert list(e.ecc) == [3, 2, 2, 3] and e.diameter == 3
+        assert eccentricities(all_pairs_distances(path_graph(4))) == [2, 2, 3, 3]
 
     def test_complete(self):
-        e = eccentricity_profile(all_pairs_distances(complete_graph(4)))
-        assert list(e.ecc) == [1, 1, 1, 1] and e.diameter == 1
+        assert eccentricities(all_pairs_distances(complete_graph(4))) == [1, 1, 1, 1]
 
     def test_disconnected_all_unreachable(self):
-        e = eccentricity_profile(all_pairs_distances(TWO_DISJOINT_EDGES))
-        assert all(v == UNREACHABLE for v in e.ecc)
-        assert e.diameter == UNREACHABLE
+        assert eccentricities(all_pairs_distances(TWO_DISJOINT_EDGES)) == [UNREACHABLE] * 4
 
     def test_matches_oracle(self):
         for g in random_sample(max_n=7, seeds=range(8)):
-            expected = oracles.eccentricities(g.adjacency_matrix())
-            e = eccentricity_profile(all_pairs_distances(g))
-            got = e.ecc.astype(float)
-            got[got == UNREACHABLE] = np.inf
-            assert np.array_equal(got, expected)
+            expected = oracles.sorted_eccentricities(g.adjacency_matrix(), UNREACHABLE)
+            assert eccentricities(all_pairs_distances(g)) == expected.tolist()
 
     def test_single_node(self):
-        e = eccentricity_profile(all_pairs_distances(Graph.from_edges(1, [])))
-        assert list(e.ecc) == [0] and e.diameter == 0
+        assert eccentricities(all_pairs_distances(Graph.from_edges(1, []))) == [0]
 
 
 class TestEccentricityProfiles:
-    """One eccentricity pass over a distance stack: each member's profile is its lone one, never a neighbour's."""
+    """``eccentricities`` of a distance stack: each member's list is its lone one, never a neighbour's."""
 
     @staticmethod
-    def assert_lone_and_direct(dist: np.ndarray, e) -> None:
-        """``e`` is bitwise ``eccentricity_profile(dist)`` and holds the counts read directly from dist."""
-        lone = eccentricity_profile(dist)
-        for got, want in ((e.ecc, lone.ecc), (e.at_most, lone.at_most)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert not got.flags.writeable
-        assert type(e.diameter) is int and e.diameter == lone.diameter
+    def assert_lone_and_direct(dist: np.ndarray, e: list) -> None:
+        """``e`` equals ``eccentricities(dist)``, holds Python ints and is read directly from dist, ascending."""
+        assert e == eccentricities(dist)
+        assert all(type(v) is int for v in e)
         reach = dist >= 0
         ecc = np.where(reach.all(axis=1), dist.max(axis=1), UNREACHABLE)
-        assert np.array_equal(e.ecc, ecc)
-        assert e.diameter == (ecc.max() if reach.all() else UNREACHABLE)
-        finite = ecc[ecc >= 0]
-        assert e.at_most.tolist() == [int((finite <= k).sum()) for k in range(e.diameter + 1)]
+        assert e == sorted(ecc.tolist())
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 65, 130])
     def test_each_member_is_its_lone_profile(self, n):
         stack = all_pairs_distances_stack(mixed_batch(n, seed=n))
-        profiles = eccentricity_profiles(stack)
-        assert len(profiles) == len(stack)
-        for dist, e in zip(stack, profiles):
+        lists = eccentricities(stack)
+        assert len(lists) == len(stack)
+        for dist, e in zip(stack, lists):
             self.assert_lone_and_direct(dist, e)
 
     @pytest.mark.parametrize("batch", [
@@ -216,33 +203,33 @@ class TestEccentricityProfiles:
     ], ids=["all-disconnected", "mixed", "one-node"])
     def test_disconnected_members_and_isolated_nodes(self, batch):
         stack = all_pairs_distances_stack(batch)
-        for dist, e in zip(stack, eccentricity_profiles(stack)):
+        for dist, e in zip(stack, eccentricities(stack)):
             self.assert_lone_and_direct(dist, e)
 
 
 class TestCountSEll:
     def test_path_examples(self):
-        e = eccentricity_profile(all_pairs_distances(path_graph(4)))
+        e = eccentricities(all_pairs_distances(path_graph(4)))
         assert count_s_ell(e, 1) == 0
         assert count_s_ell(e, 2) == 2
         assert count_s_ell(e, 3) == 4
 
     def test_disconnected_is_zero_for_every_ell(self):
-        e = eccentricity_profile(all_pairs_distances(TWO_DISJOINT_EDGES))
+        e = eccentricities(all_pairs_distances(TWO_DISJOINT_EDGES))
         assert all(count_s_ell(e, ell) == 0 for ell in range(1, 6))
 
     def test_requires_positive_ell(self):
-        e = eccentricity_profile(all_pairs_distances(path_graph(3)))
+        e = eccentricities(all_pairs_distances(path_graph(3)))
         with pytest.raises(ValueError):
             count_s_ell(e, 0)
 
     def test_matches_a_direct_count(self):
-        # the cumulative counts against counting the oracle's eccentricities up to ell
+        # the bisection against counting the oracle's eccentricities up to ell
         special = [star_graph(n) for n in (2, 3, 10)] + [path_graph(n) for n in (2, 5, 9, 130)]
         special += [TWO_DISJOINT_EDGES, Graph.from_edges(6, [(0, 1), (1, 2)]), Graph.from_edges(1, [])]
         for g in random_sample(max_n=9, seeds=range(4)) + special:
             ecc = oracles.eccentricities(g.adjacency_matrix())
-            e = eccentricity_profile(all_pairs_distances(g))
+            e = eccentricities(all_pairs_distances(g))
             for ell in range(1, g.n + 3):
                 assert count_s_ell(e, ell) == int(np.count_nonzero(ecc <= ell)), (g, ell)
 
@@ -250,11 +237,11 @@ class TestCountSEll:
     @settings(max_examples=40)
     def test_monotone_in_ell_and_saturates_at_diameter(self, seed, n):
         g = erdos_renyi(n, 0.5, seed=seed)
-        e = eccentricity_profile(all_pairs_distances(g))
+        e = eccentricities(all_pairs_distances(g))
         counts = [count_s_ell(e, ell) for ell in range(1, n + 2)]
         assert counts == sorted(counts)
-        if e.diameter != UNREACHABLE:
-            assert count_s_ell(e, e.diameter) == g.n
+        if e[-1] != UNREACHABLE:
+            assert count_s_ell(e, e[-1]) == g.n
 
 
 class TestPowerGraph:
@@ -291,8 +278,8 @@ class TestPowerGraph:
         for seed in range(8):
             g = random_tree(10, seed=seed)
             d = all_pairs_distances(g)
-            e = eccentricity_profile(d)
-            for ell in range(1, e.diameter + 1):
+            e = eccentricities(d)
+            for ell in range(1, e[-1] + 1):
                 p = power_graph(d, ell)
                 full = int((p.degrees() == g.n - 1).sum())
                 assert full == count_s_ell(e, ell)
@@ -370,15 +357,6 @@ class TestBoundedSearch:
         assert_power_edges_match(g, [*range(1, diameter + 2), 10**20])
 
 
-class TestArrayRecords:
-    def test_compared_by_identity_and_hashable(self):
-        # the generated __eq__ would compare numpy arrays and raise on their truth value
-        d = all_pairs_distances(cycle_graph(5))
-        e = eccentricity_profile(d)
-        assert (e == eccentricity_profile(d)) is False
-        assert e == e and hash(e) == hash(e)
-
-
 class TestNarrowDistances:
     """Distances stay in int8 (int16 past 127): comparisons with large ells still hold."""
 
@@ -388,10 +366,9 @@ class TestNarrowDistances:
     def test_huge_ell_counts_every_node(self, g):
         d = all_pairs_distances(g)
         assert d.dtype == (np.int16 if g.n == 200 else np.int8)
-        e = eccentricity_profile(d)
-        assert e.ecc.dtype == d.dtype
-        assert count_s_ell(e, e.diameter - 1) < g.n
-        for ell in (e.diameter, 1000, 10**6, 10**20):
+        e = eccentricities(d)
+        assert count_s_ell(e, e[-1] - 1) < g.n
+        for ell in (e[-1], 1000, 10**6, 10**20):
             assert count_s_ell(e, ell) == g.n
 
     @pytest.mark.parametrize("g", LONG, ids=repr)
@@ -429,8 +406,8 @@ class TestNarrowDistances:
         d = all_pairs_distances(g)
         assert d.dtype == (np.int8 if tail <= 128 else np.int16)
         assert (d[tail, :tail] == UNREACHABLE).all() and d[0, tail - 1] == tail - 1
-        e = eccentricity_profile(d)
-        assert (e.ecc == UNREACHABLE).all() and e.diameter == UNREACHABLE
+        e = eccentricities(d)
+        assert e == [UNREACHABLE] * (tail + 1)
         assert count_s_ell(e, 10**6) == 0
         p = power_graph(d, 10**6)
         assert p.degrees()[tail] == 0 and p.m == tail * (tail - 1) // 2

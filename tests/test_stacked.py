@@ -243,7 +243,7 @@ class TestGraphAnalysisSolve:
 
     def test_solve_once_then_read_the_memo(self, solves):
         a = GraphAnalysis(erdos_renyi(12, 0.3, seed=3))
-        assert a.connected and a.profile.diameter >= 3
+        assert a.connected and a.diameter >= 3
         solve_stacked([(a, [2, 3])])
         # every certificate is proved: L(G), L(G^2) and L(G^3) are eigensolved
         assert list(a._lambda2s) == [1, 2, 3] and len(a._certificates) == 4
