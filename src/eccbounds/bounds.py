@@ -2,19 +2,17 @@
 
 Every bound here is a guaranteed lower bound on lambda2 for simple undirected
 graphs. ``GraphAnalysis`` holds what every bound and certificate of one graph
-is read from (distances, sorted eccentricities and power graphs), each once, and
-memoises lambda2(G^ell) by ell (1 is G) and the g1 and g2 certificates by
-(kind, ell); it holds no matrix. ``GraphAnalysis.batch`` builds the analyses
-of several graphs of one order from one distance search
-(``metrics.all_pairs_distances_stack``) and one sort of their eccentricities
-(``metrics.eccentricities``), and ``solve_stacked`` fills G^ell and
-both memos for several analyses of one order, a chunk at a time: one mask
-broadcast over a chunk's (analysis, ell) keys serves its G^ell, its proofs
-and its eigensolve, and its masks and Laplacians are dropped with it. The
-certificates go, as integer matrices, to one batched verified Cholesky
-(``spectral.prove_psd_stack``): a proved one is PSD by proof (method
-"cholesky", min eigenvalue exactly 0.0), any other gets ``spectral.is_psd``
-("eigen"). Only Laplacians reach the stacked eigensolves.
+is read from (distances and sorted eccentricities), each once, and memoises
+lambda2(G^ell) by ell (1 is G), the g1 and g2 certificates by (kind, ell) and
+the counts e(G^ell) and s1(G^ell) by ell; it holds no matrix.
+``GraphAnalysis.batch`` analyses several graphs of one order from one distance
+search and one eccentricity sort; ``solve_stacked`` fills their memos a chunk
+at a time from one mask broadcast per chunk, which serves the counts, the
+proofs and the eigensolve (no G^ell becomes a ``Graph``; a complete one gets
+lambda2 n exactly). The certificates go, as integer matrices, to one batched
+verified Cholesky (``spectral.prove_psd_stack``): a proved one is PSD by proof
+(method "cholesky", min eigenvalue exactly 0.0), any other gets
+``spectral.is_psd`` ("eigen"). Only Laplacians reach the stacked eigensolves.
 ``evaluate_all`` reads one analysis and collects the bound values, slacks,
 and tightness flags into a single report.
 """
@@ -26,7 +24,7 @@ from typing import Final, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, adjacency_graphs
+from .graphs import Graph
 from .metrics import (
     UNREACHABLE,
     all_pairs_distances,
@@ -198,16 +196,16 @@ def stack_members(n: int) -> int:
 
 
 class GraphAnalysis:
-    """The distance matrix, sorted eccentricities, power graphs and spectra of one graph.
+    """The distance matrix, sorted eccentricities, power counts and spectra of one graph.
 
     Distances and the ascending ``eccentricities`` list (``diameter`` is its
     last entry, UNREACHABLE for a disconnected graph) are computed on
     construction: by one BFS of ``g`` alone or, through ``batch``, by one
-    search and one eccentricity sort over several graphs. ``power(ell)``
-    (G^ell) and the results ``power_lambda2(ell)`` (``lambda2`` is ell = 1) and
-    ``certificate(kind, ell)`` are memoised; the masks and Laplacians they are
-    built from are not. A result miss is a solve chunk of that one result;
-    ``solve_stacked`` fills G^ell and both result memos for several analyses at once.
+    search and one eccentricity sort over several graphs. The results
+    ``power_lambda2(ell)`` (``lambda2`` is ell = 1) and ``certificate(kind,
+    ell)`` are memoised, and so are the counts of G^ell a solve chunk fills;
+    masks and Laplacians are not. A result miss is a solve chunk of that one
+    result; ``solve_stacked`` fills the memos of several analyses at once.
     Pass one analysis to ``evaluate_all``, the certificates and
     ``check_chain`` to share this work.
     """
@@ -223,6 +221,7 @@ class GraphAnalysis:
         self.diameter = self.eccentricities[-1]
         self.connected = self.diameter != UNREACHABLE
         self._powers: dict[int, Graph] = {}
+        self._counts: dict[int, tuple[int, int]] = {}  # (e(G^ell), s1(G^ell)) by ell, from a solve chunk
         self._lambda2s: dict[int, float] = {}
         self._certificates: dict[tuple[str, int], CertificateResult] = {}
 
@@ -239,10 +238,18 @@ class GraphAnalysis:
         return [cls(g, dist=d, eccentricities=e) for g, d, e in zip(graphs, dist, sorted_eccentricities(dist))]
 
     def power(self, ell: int) -> Graph:
-        """G^ell, built once per ell: by a solve chunk from its mask, or on a miss by ``power_graph(dist, ell)``."""
+        """G^ell, built once per ell by ``power_graph(dist, ell)``; a solve chunk builds none."""
         if ell not in self._powers:
             self._powers[ell] = power_graph(self.dist, ell)
         return self._powers[ell]
+
+    def power_edges(self, ell: int) -> int:
+        """e(G^ell): from the counts a solve chunk filled, else the edges of ``power(ell)``."""
+        return self._counts[ell][0] if ell in self._counts else self.power(ell).m
+
+    def power_s1(self, ell: int) -> int:
+        """s1(G^ell), its nodes of degree n - 1: from a solve chunk's counts, else from ``power(ell)``."""
+        return self._counts[ell][1] if ell in self._counts else self.power(ell).degrees().tolist().count(self.n - 1)
 
     @property
     def lambda2(self) -> float:
@@ -252,16 +259,16 @@ class GraphAnalysis:
         return self._lambda2s[1]
 
     def power_lambda2(self, ell: int) -> float:
-        """lambda2(G^ell), from the memo or from a solve chunk of L(G^ell) alone."""
+        """lambda2(G^ell), from the memo or from a solve chunk of L(G^ell) alone (n if G^ell is complete)."""
         if ell not in self._lambda2s:
             _settle([(self, ell, "lambda2")])
         return self._lambda2s[ell]
 
     def certificate(self, kind: str, ell: int) -> CertificateResult:
         """The ``CertificateResult`` of the g1 or g2 matrix at ell, from the memo or from a solve chunk of it
-        alone, which also fills G^ell when the g2 coefficient needs it."""
+        alone, which also fills the counts of G^ell when the g2 coefficient needs them."""
         if (kind, ell) not in self._certificates:
-            fill = [(self, ell, "power")] if kind == "g2" and ell not in self._powers else []
+            fill = [(self, ell, "power")] if kind == "g2" and ell not in self._counts else []
             _settle([*fill, (self, ell, kind)])
         return self._certificates[kind, ell]
 
@@ -274,7 +281,7 @@ class GraphAnalysis:
         """
         if kind == "g1":
             return gamma(self.n, ell), (ell - 2) * self.n * self.n + 4 * self.n, 4
-        icoeff = 1 + ell * (self.power(ell).m - self.m)
+        icoeff = 1 + ell * (self.power_edges(ell) - self.m)
         return float(icoeff), icoeff, 1
 
 
@@ -283,7 +290,7 @@ _KINDS = ("g1", "g2")
 
 
 def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
-    """Settle what the checks of every (analysis, ells) pair read: G^ell, certificates and lambda2s.
+    """Settle what the checks of every (analysis, ells) pair read: the counts of G^ell, certificates and lambda2s.
 
     The unsettled work of each pair (``_pending``) is taken analysis by
     analysis and cut into chunks of at most max(2, ``stack_members(n)``)
@@ -318,15 +325,15 @@ def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
 def _pending(a: GraphAnalysis, ells: list[int]) -> Iterator[tuple[GraphAnalysis, int, str]]:
     """The unsettled work of (a, ells) as (analysis, ell, task) items, L(G)'s lambda2 first.
 
-    Per ell: "power", G^ell for the checks; for a connected graph the
-    certificates "g1" (ell >= 2 only: gamma needs it) and "g2", whose
-    coefficient reads G^ell; and "lambda2", of L(G) and, for a connected graph,
-    of each L(G^ell). Settled ones are skipped.
+    Per ell: "power", the counts e(G^ell) and s1(G^ell) for the checks; for a
+    connected graph the certificates "g1" (ell >= 2 only: gamma needs it) and
+    "g2", whose coefficient reads e(G^ell); and "lambda2", of L(G) and, for a
+    connected graph, of each L(G^ell). Settled ones are skipped.
     """
     wanted = set(ells)
     for ell in dict.fromkeys([1, *ells]):
         if ell in wanted:
-            if ell not in a._powers:
+            if ell not in a._counts:
                 yield a, ell, "power"
             if a.connected:
                 kinds = _KINDS if ell >= 2 else ("g2",)
@@ -342,12 +349,13 @@ def _settle(chunk: list[tuple[GraphAnalysis, int, str]]) -> None:
     1 <= d <= ell in one ``power_adjacency`` broadcast over their distance
     matrices, stacked in the widest of their types (which changes no
     comparison); each mask row is bitwise the lone ``power_adjacency(dist, ell)``.
-    The "power" rows become G^ell in one stacked CSR build
-    (``graphs.adjacency_graphs``). The rows a lambda2 or a certificate reads,
-    those of the lambda2s first, become Laplacians in one broadcast, each
-    bitwise the lone ``adjacency_laplacian`` of its mask. The lambda2s come from
-    stacked eigensolves of ``stack_members(n)`` of those rows at a time,
-    views of the one stack.
+    Each mask's degree row sums are read once: a "power" key's counts are
+    e(G^ell), half their sum, and s1(G^ell), its rows of degree n - 1. A lambda2
+    key with ell >= 2 whose own mask is complete gets exactly n, that of K_n.
+    The rows the other lambda2s or a certificate read, the lambda2s' first,
+    become Laplacians in one broadcast, each bitwise the lone
+    ``adjacency_laplacian`` of its mask, eigensolved ``stack_members(n)`` at a
+    time as views of the one stack.
 
     The certificates go, ``stack_members(n)`` at a time, to the proof as
     their integer matrices icoeff L(G) - scale L(G^ell)
@@ -364,14 +372,22 @@ def _settle(chunk: list[tuple[GraphAnalysis, int, str]]) -> None:
     solves = [(a, ell) for a, ell, task in chunk if task == "lambda2"]
     proofs = [(a, (task, ell)) for a, ell, task in chunk if task in _KINDS]
     fills = [(a, ell) for a, ell, task in chunk if task == "power"]
-    laplacians = list(dict.fromkeys([*solves, *((a, k) for a, (_, ell) in proofs for k in (1, ell))]))
-    keys = list(dict.fromkeys([*laplacians, *fills]))
-    row = {key: i for i, key in enumerate(keys)}
+    reads = [(a, k) for a, (_, ell) in proofs for k in (1, ell)]
+    keys = list(dict.fromkeys([*solves, *reads, *fills]))
+    index = {key: i for i, key in enumerate(keys)}
     masks = power_adjacency(np.array([a.dist for a, _ in keys]), [ell for _, ell in keys])
-    if fills:
-        for (a, ell), power in zip(fills, adjacency_graphs(masks[[row[key] for key in fills]])):
-            a._powers[ell] = power
-    laps = adjacency_laplacian(masks[: len(laplacians)])
+    degrees = masks.sum(axis=2)
+    edges = (degrees.sum(axis=1) // 2).tolist()
+    counts = list(zip(edges, (degrees == n - 1).sum(axis=1).tolist()))
+    for a, ell in fills:
+        a._counts[ell] = counts[index[a, ell]]
+    closed = dict.fromkeys((a, ell) for a, ell in solves if ell >= 2 and edges[index[a, ell]] == n * (n - 1) // 2)
+    for a, ell in closed:
+        a._lambda2s[ell] = float(n)
+    solves = [key for key in solves if key not in closed]
+    laplacians = list(dict.fromkeys([*solves, *reads]))
+    row = {key: i for i, key in enumerate(laplacians)}
+    laps = adjacency_laplacian(masks[[index[key] for key in laplacians]]) if laplacians else None
     del masks
     for start in range(0, len(solves), per_stack):
         part = solves[start : start + per_stack]
@@ -420,7 +436,7 @@ def evaluate_all(g: Graph | GraphAnalysis, ell: int) -> BoundReport:
     s2 = count_s_ell(a.eccentricities, 2)
     s_ell = count_s_ell(a.eccentricities, ell)
     lam = a.lambda2 if a.connected else 0.0
-    power = a.power(ell)  # after the solve, so a lone graph's G^ell is not held through it
+    e_power = a.power_edges(ell)  # after the solve, so a lone graph's G^ell is not held through it
     e_complement = a.n * (a.n - 1) // 2 - a.m
     d = a.diameter if a.connected else None
 
@@ -430,7 +446,7 @@ def evaluate_all(g: Graph | GraphAnalysis, ell: int) -> BoundReport:
         "g1": bound_g1(a.n, ell, s_ell),
         "g1_diam": bound_g1_diam(a.n, d) if a.connected else None,
         "mohar": bound_mohar(a.n, d) if a.connected else None,
-        "g2": bound_g2(s_ell, ell, power.m, a.m),
+        "g2": bound_g2(s_ell, ell, e_power, a.m),
         "lu": bound_lu(a.n, d, e_complement) if a.connected else None,
     }
     slacks: dict[str, float | None] = {
@@ -445,7 +461,7 @@ def evaluate_all(g: Graph | GraphAnalysis, ell: int) -> BoundReport:
         s2=s2,
         s_ell=s_ell,
         diameter=d,
-        e_power=power.m,
+        e_power=e_power,
         e_complement=e_complement,
         lambda2=lam,
         bounds=bounds,

@@ -6,11 +6,11 @@ Each eccentricity-count bound rests on a matrix being positive semi-definite:
 * ``(1 + ell * (e(G^ell) - m)) * L(G) - L(G^ell)`` for the edge-growth bound.
 
 A ``GraphAnalysis`` certifies them on concrete graphs; the functions here
-read its result memos (``certificate``, ``power_lambda2``) and its G^ell.
-``bounds.solve_stacked`` fills them a chunk at a time, from one mask
-broadcast per chunk that serves the proofs, the eigensolve and G^ell; a miss
-is settled as a chunk of one. The matrices are built for their chunk and
-dropped with it. Each certificate matrix is first
+read its result memos (``certificate``, ``power_lambda2``) and its counts of
+G^ell (``power_s1``). ``bounds.solve_stacked`` fills them a chunk at a time,
+from one mask broadcast per chunk that serves the proofs, the eigensolve and
+the counts; a miss is settled as a chunk of one. The matrices are built for
+their chunk and dropped with it. Each certificate matrix is first
 sent, as an integer multiple of itself, to a verified Cholesky
 (``spectral.prove_psd_stack``). A proved matrix gets
 ``CertificateResult.method`` "cholesky", verdict PSD and a minimum eigenvalue
@@ -37,7 +37,7 @@ from .spectral import CertificateResult
 class ChainCheck:
     """Result of verifying the three-link spectral chain on one (graph, ell).
 
-    The links, in order:
+    The links, in order (``lambda2_power`` is exactly n when G^ell is complete, else the eigensolver's):
 
     1. lambda2_g >= lambda2_power / gamma_val  (within bounds.tolerance(lambda2_g))
     2. lambda2_power >= s1_power               (within bounds.tolerance(lambda2_power))
@@ -85,14 +85,14 @@ def check_chain(g: Graph | GraphAnalysis, ell: int) -> ChainCheck:
     """Verify the spectral chain lambda2(G) >= lambda2(G^ell)/gamma >= s_ell/gamma.
 
     s1 of the power graph counts its nodes of degree n - 1 (eccentricity <= 1),
-    so link 3 cross-checks how ``GraphAnalysis.power`` built G^ell against G's
-    sorted eccentricities, both read from one distance matrix, without a BFS.
+    so link 3 cross-checks G^ell's degrees (``GraphAnalysis.power_s1``) against
+    G's sorted eccentricities, both read from one distance matrix, without a BFS.
     """
     a = analysis_for("chain check", g, ell, 2)
     if not a.connected:
         raise ValueError("check_chain requires a connected graph")
     s_ell = count_s_ell(a.eccentricities, ell)
-    s1_power = int((a.power(ell).degrees() == a.n - 1).sum())
+    s1_power = a.power_s1(ell)
 
     lambda2_power = a.power_lambda2(ell)
     lambda2_g = a.lambda2

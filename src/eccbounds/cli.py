@@ -12,10 +12,10 @@ Subcommands:
 ``verify`` draws its trials a batch of graphs at a time (``generate_batch``),
 finds their distances and eccentricities in one BFS and one pass per batch
 (``GraphAnalysis.batch``), and settles their certificates, spectra and power
-graphs in one ``bounds.solve_stacked`` call per batch, each of whose chunks
+counts in one ``bounds.solve_stacked`` call per batch, each of whose chunks
 builds its masks in one broadcast that serves the proofs, the eigensolve and
-G^ell; none of these changes a byte of its report. Its worst-slack graph is
-serialized once, by ``summary_json``.
+the counts of G^ell; none of these changes a byte of its report. Its
+worst-slack graph is serialized once, by ``summary_json``.
 
 Exit codes: 0 success, 1 verification violation, 2 usage or input error.
 Reports are deterministic: the same command line and seed produce byte
@@ -196,9 +196,9 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     draw for an Erdos-Renyi batch); ``GraphAnalysis.batch`` searches its
     distances in one BFS and reads its eccentricities in one pass; one
     ``solve_stacked`` call builds each (graph, ell) mask of the batch once, in
-    one broadcast per chunk, fills G^ell from it, proves the batch's
-    certificates and eigensolves its Laplacians; the checks then run trial by
-    trial, and the batch is dropped.
+    one broadcast per chunk, fills the counts of G^ell from it, proves the
+    batch's certificates and eigensolves its Laplacians but L(K_n); the
+    checks then run trial by trial, and the batch is dropped.
     A trial reads at most n Laplacians, L(G) and one per ell (at most
     max(1, n - 2) ells), so a batch's Laplacians fit one stack
     (``bounds.stack_members``). Each member is bitwise the graph, analysis

@@ -4,10 +4,8 @@ Graphs are immutable after construction and stored in CSR form (``indptr``,
 ``indices``) with neighbor lists sorted per node, so iteration order is
 deterministic. One core, ``_csr_batch``, builds the CSRs of several graphs
 from one sort of int64 keys over their packed node ids; every graph built
-from pairs is its batch of one. Likewise ``adjacency_graphs`` builds the
-graphs of a stack of adjacency matrices from one ``flatnonzero``, and
-``Graph.from_adjacency``, where an outside matrix is checked, shares its CSR
-step (``_members``).
+from pairs is its batch of one. ``Graph.from_adjacency`` checks an
+adjacency matrix and shares the CSR step (``_members``).
 ``generate_batch`` draws several graphs of a family from one Generator, the
 Erdos-Renyi ones in one ``Generator.random`` call (``erdos_renyi_batch``);
 ``generate`` and ``erdos_renyi`` are their batches of one, so a lone graph
@@ -98,7 +96,7 @@ class Graph:
         only, ``adj[i, j] == adj[j, i]`` for each nonzero (i, j), read by flat
         index in O(m): an entry whose mirror is zero or another value (NaN is
         never equal) fails it, so the verdict is that of
-        ``np.array_equal(adj, adj.T)``. The CSR step is ``adjacency_graphs``'.
+        ``np.array_equal(adj, adj.T)``. The CSR step is ``_members``.
         """
         n = adj.shape[0]
         if adj.shape != (n, n):
@@ -175,20 +173,6 @@ def _csr_batch(n: int, count: int, pairs: np.ndarray) -> list[Graph]:
     rows, cols = np.divmod(keys[first], size)
     if count > 1:
         cols %= n
-    return _members(n, count, rows, cols)
-
-
-def adjacency_graphs(adj: np.ndarray) -> list[Graph]:
-    """The graphs of a (k, n, n) stack of adjacency matrices, each exactly symmetric with a zero diagonal.
-
-    Every nonzero entry is an edge; one ``flatnonzero`` over the stack gives
-    every member's entries in CSR order. The precondition is not checked: the
-    callers' masks, 1 <= d <= ell on a symmetric distance matrix, meet it by
-    construction. Outside input goes through ``Graph.from_adjacency``, which
-    checks it.
-    """
-    count, n = adj.shape[:2]
-    rows, cols = np.divmod(np.flatnonzero(adj), n)  # row b * n + i is member b's node i
     return _members(n, count, rows, cols)
 
 

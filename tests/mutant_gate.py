@@ -58,8 +58,12 @@ ER_BATCH = ("tests/test_graphs.py::TestBatchDraws",)
 EVERY_GRAPH = ("tests/test_analysis.py::TestEveryGraphUpToSixNodes",)
 ECC_SORT = ("tests/test_metrics.py::TestEccentricityProfiles", "tests/test_analysis.py::TestBatch", *EVERY_GRAPH)
 S_ELL = ("tests/test_metrics.py::TestCountSEll", *EVERY_GRAPH)
-#: the solve chunk's masks, Laplacians and G^ell (``bounds._settle``)
+#: the solve chunk's masks, Laplacians and counts of G^ell (``bounds._settle``)
 BROADCAST = ("tests/test_analysis.py::TestPrepare",)
+COUNTS = (*BROADCAST, *EVERY_GRAPH)
+#: lambda2 exactly n for a complete G^ell only: the eigensolve counts and the memo's values show it
+CLOSED_FORM = ("tests/test_call_counts.py::TestKernelCallCounts", "tests/test_stacked.py::TestGraphAnalysisSolve")
+GOLDEN = ("tests/test_cli.py::test_golden_report",)
 #: ``power_adjacency``'s clip of ell to the distance type
 CLIP = ("tests/test_metrics.py::TestNarrowDistances",)
 #: ``_read_bytes`` without its two-numbers-a-line test
@@ -166,8 +170,14 @@ MUTANTS = (
            "[row[a, ell] for a, (_, ell) in part]", "[row[a, ell] for a, (_, ell) in part[::-1]]", PROOF),
     Mutant("a proof reads the L(G^ell) row of the neighbouring key", "bounds.py",
            "[row[a, ell] for a, (_, ell) in part]", "[row[a, ell] - 1 for a, (_, ell) in part]", PROOF),
-    Mutant("the G^ell fill takes the L(G) row", "bounds.py",
-           "masks[[row[key] for key in fills]]", "masks[[row[a, 1] for a, _ in fills]]", BROADCAST),
+    Mutant("the counts of G^ell are read from the L(G) row", "bounds.py",
+           "a._counts[ell] = counts[index[a, ell]]", "a._counts[ell] = counts[index[a, 1]]", COUNTS),
+    Mutant("e(G^ell) without the halving", "bounds.py",
+           "edges = (degrees.sum(axis=1) // 2).tolist()", "edges = degrees.sum(axis=1).tolist()", COUNTS),
+    Mutant("lambda2 in closed form at ell = 1 too", "bounds.py",
+           "ell >= 2 and edges[index[a, ell]]", "ell >= 1 and edges[index[a, ell]]", GOLDEN),
+    Mutant("completeness read from e(G) rather than e(G^ell)", "bounds.py",
+           "edges[index[a, ell]] == n * (n - 1) // 2", "a.m == n * (n - 1) // 2", CLOSED_FORM),
     Mutant("power_adjacency clips ell to one below its type's largest value", "metrics.py",
            "top = (1 << 8 * dist.itemsize - 1) - 1", "top = (1 << 8 * dist.itemsize - 1) - 2", CLIP),
     Mutant("Jacobi column update with the sign of s flipped", "_kernels.py",

@@ -53,6 +53,19 @@ def power_adjacency(adj: np.ndarray, ell: int) -> np.ndarray:
     return ((dist >= 1) & (dist <= ell)).astype(np.int64)
 
 
+def power_counts(adj: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """(e(G^ell), s1(G^ell)) of a 0/1 adjacency matrix, or of each member of a stack: the edges of the
+    brute-force power graph, and its nodes of eccentricity at most 1 by a second Floyd-Warshall over it."""
+    power = power_adjacency(adj, ell)
+    return power.sum(axis=(-2, -1)) // 2, (eccentricities(power) <= 1).sum(axis=-1)
+
+
+def complete_power(adj: np.ndarray, ell: int) -> bool:
+    """G^ell is complete: every pair of distinct nodes lies within distance ell, by Floyd-Warshall."""
+    n = adj.shape[-1]
+    return int(power_adjacency(adj, ell).sum()) == n * (n - 1)
+
+
 def eccentricities(adj: np.ndarray) -> np.ndarray:
     """Per-node eccentricities, of a matrix or of each member of a stack; inf where some node is unreachable."""
     return floyd_warshall(adj).max(axis=-1)

@@ -1,4 +1,4 @@
-"""GraphAnalysis: each distance matrix, power graph and L(G) spectrum once per graph, and no matrix held."""
+"""GraphAnalysis: each distance matrix, power count and L(G) spectrum once per graph, and no matrix held."""
 
 import math
 
@@ -9,7 +9,7 @@ import oracles
 from eccbounds import _kernels, bounds, metrics, spectral
 from eccbounds.bounds import GraphAnalysis, evaluate_all, solve_stacked
 from eccbounds.certify import certify_g1_matrix, certify_g2_matrix, check_chain
-from eccbounds.graphs import MAX_NODES, Graph, adjacency_graphs, complete_graph, erdos_renyi, path_graph
+from eccbounds.graphs import MAX_NODES, Graph, complete_graph, erdos_renyi, path_graph
 from eccbounds.metrics import UNREACHABLE, all_pairs_distances, count_s_ell, power_adjacency, power_graph
 from eccbounds.spectral import adjacency_laplacian, lambda2, laplacian
 
@@ -32,11 +32,11 @@ class TestGraphAnalysis:
     def test_power_laplacian_is_bitwise_the_power_graphs(self, monkeypatch, g):
         # read from the distance mask, not from a Graph: the same bits, -0.0 off the edges included
         a = GraphAnalysis(g)
-        ells = (1, 2, 3, 6)
-        for ell, lap in zip(ells, chunk_laplacians(monkeypatch, [(a, ell) for ell in ells])):
+        kept, stack = chunk_laplacians(monkeypatch, [(a, ell) for ell in (1, 2, 3, 6)])
+        for (_, ell), lap in zip(kept, stack):
             expected = laplacian(power_graph(all_pairs_distances(g), ell))
             assert lap.dtype == expected.dtype and lap.tobytes() == expected.tobytes()
-        assert a._powers == {}  # no power graph was built for them
+        assert a._powers == {} and a._counts == {}  # no power graph was built for them
 
     def test_power_and_spectrum_are_computed_once(self, monkeypatch):
         a = GraphAnalysis(path_graph(6))
@@ -67,7 +67,7 @@ class TestGraphAnalysis:
 
     def test_one_mask_per_ell_serves_power_and_power_laplacian(self, monkeypatch):
         # each mask 1 <= d <= ell is built once where it is read: a solve chunk's one broadcast serves
-        # G^ell, the proofs and the eigensolve; the checks after a solve read results only
+        # the counts of G^ell, the proofs and the eigensolve; the checks after a solve read results only
         original, built = metrics.power_adjacency, []
         oracles.patch_everywhere(
             monkeypatch, original, lambda dist, ell: built.append(np.ravel(ell).tolist()) or original(dist, ell)
@@ -86,8 +86,9 @@ class TestGraphAnalysis:
         assert built == [[1, 2, 3]]
         check(a)
         assert len(built) == 1
-        assert sorted(a._powers) == [2, 3] and sorted(a._lambda2s) == [1, 2, 3]
-        # a lone analysis builds them on first use: G^ell, L(G^ell) for its lambda2, L(G) and L(G^ell) per proof
+        assert a._powers == {} and sorted(a._counts) == [2, 3] and sorted(a._lambda2s) == [1, 2, 3]
+        # a lone analysis builds them on first use: G^ell for evaluate_all, L(G) and L(G^ell) per proof (the
+        # g2 one also fills the counts that check_chain reads), L(G^ell) for its lambda2
         del built[:]
         check(GraphAnalysis(erdos_renyi(10, 0.4, seed=2)))
         assert sorted(built) == [[1, 2], [1, 2], [1, 3], [1, 3], [2], [2], [3], [3]]
@@ -194,14 +195,21 @@ def every_graph(n: int) -> np.ndarray:
     return adj | adj.transpose(0, 2, 1)
 
 
+def every_analysis(n: int) -> tuple[np.ndarray, list[GraphAnalysis]]:
+    """``every_graph(n)`` and its analyses, one ``GraphAnalysis.batch`` of one ``Graph.from_adjacency`` a matrix."""
+    adj = every_graph(n)
+    return adj, GraphAnalysis.batch([Graph.from_adjacency(m) for m in adj])
+
+
 class TestEveryGraphUpToSixNodes:
     """All 33,867 labelled graphs on 1..6 nodes, connected and disconnected, as one ``GraphAnalysis.batch`` per n."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_against_floyd_warshall(self, n):
-        # distances, edge counts, connectivity, sorted eccentricities, diameter and s_ell for ell in 1..n
-        adj = every_graph(n)
-        batch = GraphAnalysis.batch(adjacency_graphs(adj))
+        # distances, edge counts, connectivity, sorted eccentricities, diameter and s_ell for ell in 1..n;
+        # then one solve chunk of only the "power" items, every ell in 1..n of every graph, whose counts
+        # (e(G^ell), s1(G^ell)) are those of the brute-force power graph, with no G^ell built
+        adj, batch = every_analysis(n)
         assert len(batch) == 2 ** (n * (n - 1) // 2)
         fw = oracles.floyd_warshall(adj)
         reach = np.isfinite(fw)
@@ -214,6 +222,10 @@ class TestEveryGraphUpToSixNodes:
         ells = range(1, n + 1)
         s_ell = (oracles.eccentricities(adj)[:, :, None] <= np.array(ells)).sum(axis=1)  # inf counts nowhere
         assert [[count_s_ell(a.eccentricities, ell) for ell in ells] for a in batch] == s_ell.tolist()
+        bounds._settle([(a, ell, "power") for a in batch for ell in ells])
+        assert all(a._powers == {} and a._lambda2s == {} for a in batch)
+        counts = np.array([[a._counts[ell] for ell in ells] for a in batch])
+        assert np.array_equal(counts, np.stack([np.stack(oracles.power_counts(adj, ell), axis=-1) for ell in ells], 1))
 
 
 def lone_laplacian(a: GraphAnalysis, ell: int) -> np.ndarray:
@@ -221,14 +233,21 @@ def lone_laplacian(a: GraphAnalysis, ell: int) -> np.ndarray:
     return adjacency_laplacian(power_adjacency(a.dist, ell))
 
 
-def chunk_laplacians(monkeypatch, items) -> np.ndarray:
-    """The one Laplacian stack a solve chunk builds to eigensolve the L(G^ell) of the distinct (analysis, ell) items."""
+def chunk_laplacians(monkeypatch, items) -> tuple[list, np.ndarray]:
+    """The one Laplacian stack a solve chunk builds to eigensolve the lambda2s of the distinct (analysis, ell)
+    items, with the items it holds, in order: all but those whose G^ell is complete at ell >= 2 (by
+    Floyd-Warshall), which get lambda2 exactly n and no row."""
     original, built = bounds.adjacency_laplacian, []
     with monkeypatch.context() as patch:
         patch.setattr(bounds, "adjacency_laplacian", lambda masks: built.append(original(masks)) or built[-1])
         bounds._settle([(a, ell, "lambda2") for a, ell in items])
+    closed = [ell >= 2 and oracles.complete_power(a.graph.adjacency_matrix(), ell) for a, ell in items]
+    for (a, ell), c in zip(items, closed):
+        assert not c or a._lambda2s[ell] == oracles.lambda2_complete(a.n)
     (stack,) = built
-    return stack
+    kept = [item for item, c in zip(items, closed) if not c]
+    assert len(stack) == len(kept)
+    return kept, stack
 
 
 def assert_rows_are_lone_builds(items, stack):
@@ -259,7 +278,7 @@ class TestPrepare:
         a = GraphAnalysis(g) if route == "lone" else GraphAnalysis.batch([path_graph(g.n), g])[1]
         other = GraphAnalysis(complete_graph(g.n))
         items = [(member, ell) for ell in [1, *self.ELLS] for member in (a, other)]
-        assert_rows_are_lone_builds(items, chunk_laplacians(monkeypatch, items))
+        assert_rows_are_lone_builds(*chunk_laplacians(monkeypatch, items))
         # beyond every distance, G^ell is the complete graph on each component
         assert np.array_equal(lone_laplacian(a, 10**20), lone_laplacian(a, g.n))
 
@@ -271,15 +290,15 @@ class TestPrepare:
         assert lone.dist.dtype == np.int8 and batch[0].dist.dtype == np.int16
         assert lone.connected and batch[0].connected and not batch[1].connected
         items = [(a, ell) for ell in (1, 2, 64, 127, 128, 129, 10**20) for a in (lone, *batch)]
-        assert_rows_are_lone_builds(items, chunk_laplacians(monkeypatch, items))
+        assert_rows_are_lone_builds(*chunk_laplacians(monkeypatch, items))
         full = laplacian(complete_graph(130))
         for a in (lone, batch[0]):
             assert np.array_equal(lone_laplacian(a, 10**20), full)
 
     @pytest.mark.parametrize("members", [1, 2, 910])
     def test_every_filled_power_graph_is_its_lone_build(self, monkeypatch, members):
-        # the G^ell a solve fills come from its chunks' masks through stacked CSR builds, never through a
-        # lone Graph.from_adjacency, and are bitwise the lone power_graph: indptr and indices, values and types
+        # the counts e(G^ell) and s1(G^ell) a solve fills come from its chunks' masks, with no G^ell built,
+        # and are those of the lone power_graph and of the Floyd-Warshall oracle, as Python ints
         monkeypatch.setattr(bounds, "_STACK_BYTES", members * 8 * 10 * 10)
         monkeypatch.setattr(Graph, "from_adjacency", None)
         split = Graph.from_edges(10, [(i, i + 1) for i in range(9) if i != 4])
@@ -290,13 +309,12 @@ class TestPrepare:
         solve_stacked([(a, ells) for a in analyses])
         monkeypatch.undo()
         for a in analyses:
-            assert list(a._powers) == ells
+            assert a._powers == {} and list(a._counts) == ells
             for ell in ells:
-                power, lone = a._powers[ell], power_graph(a.dist, ell)
-                assert power.n == lone.n and power.m == lone.m
-                for got, want in ((power.indptr, lone.indptr), (power.indices, lone.indices)):
-                    assert got.dtype == want.dtype and np.array_equal(got, want)
-                    assert not got.flags.writeable
+                lone = power_graph(a.dist, ell)
+                expected = tuple(map(int, oracles.power_counts(a.graph.adjacency_matrix(), ell)))
+                assert a._counts[ell] == (lone.m, int((lone.degrees() == a.n - 1).sum())) == expected
+                assert all(type(count) is int for count in a._counts[ell])
 
     def test_one_broadcast_per_analysis_and_none_for_built_ells(self, monkeypatch):
         # one analysis's solve is one broadcast, which its proofs and its eigensolve share; a repeated
@@ -328,8 +346,11 @@ class TestPrepare:
         del built[:]
         solve_stacked([(GraphAnalysis(a.graph), [2, 3])])
         assert built == [(2, 10, 10), (2, 10, 10)]
-        # a lone miss is a chunk of one
+        # a lone miss is a chunk of one; G^3 is complete (diameter 3), so its lambda2 is exactly n and
+        # its chunk builds a mask and no Laplacian
         del built[:]
         b = GraphAnalysis(a.graph)
-        certify_g2_matrix(b, 2), b.power_lambda2(3)
+        certify_g2_matrix(b, 2), b.power_lambda2(2)
         assert built == [(2, 10, 10), (1, 10, 10)]
+        assert oracles.complete_power(a.graph.adjacency_matrix(), 3)
+        assert b.power_lambda2(3) == 10.0 and len(built) == 2

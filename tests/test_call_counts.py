@@ -93,12 +93,13 @@ def test_check_chain_on_a_built_analysis_makes_no_bfs(kernel_calls):
 
 class TestKernelCallCounts:
     """One BFS per graph, whatever ell is checked: chain link 3 reads s1(G^ell)
-    from the power graph's degrees; a campaign searches its trials together, one
+    from the degree row sums of G^ell's mask; a campaign searches its trials together, one
     BFS per batch of at most ``stack_members(n) // n`` trials. Per connected (graph, ell) check, the two
     certificate matrices go to one batched Cholesky proof, and here every one
     is proved; so only L(G) and L(G^ell) are eigensolved, each once, stacked
     across the trials of a batch by one ``solve_stacked`` call, and a campaign
-    of one batch whose matrices fit one stack makes one stacked eigensolve. ``spectral.laplacian`` builds nothing:
+    of one batch whose matrices fit one stack makes one stacked eigensolve. A complete G^ell
+    is not eigensolved: its lambda2 is exactly n. ``spectral.laplacian`` builds nothing:
     L(G) = L(G^1) and L(G^ell) are read from the distance matrix, each once per
     graph, and shared by both certificates and the chain."""
 
@@ -110,15 +111,17 @@ class TestKernelCallCounts:
         # Regenerate the campaign's graphs and count its connected checks with
         # the Floyd-Warshall oracle, independently of the package's BFS.
         rng = np.random.default_rng(config.seed)
-        connected_checks = disconnected = 0
+        connected_checks = complete_checks = disconnected = 0
         for _ in range(config.trials):
             g = generate(config.family, config.n, p=config.p, seed=rng)
             fw = oracles.floyd_warshall(g.adjacency_matrix())
             if not np.isfinite(fw).all():
                 disconnected += 1
             else:
-                connected_checks += max(1, int(fw.max()) - 1) if ell_policy == "all" else 1
-        assert disconnected > 0 and connected_checks > 0
+                ells = range(2, max(2, int(fw.max())) + 1) if ell_policy == "all" else [ell_policy]
+                connected_checks += len(ells)
+                complete_checks += sum(ell >= fw.max() for ell in ells)  # G^ell is complete
+        assert disconnected > 0 and connected_checks > complete_checks > 0
 
         summary = run_campaign(config)
         assert summary.violations == []
@@ -126,7 +129,7 @@ class TestKernelCallCounts:
         # all 12 trials are one batch (up to stack_members(8) // 8 = 256 trials a batch)
         assert kernel_calls["bfs_all_pairs"] == 1
         assert proof_calls == {"calls": 1, "certificates": 2 * connected_checks, "proved": 2 * connected_checks}
-        assert kernel_calls["matrices"] == config.trials + connected_checks
+        assert kernel_calls["matrices"] == config.trials + connected_checks - complete_checks
         # every matrix of the campaign fits one stack (2,048 members at n = 8)
         assert config.trials + 3 * connected_checks < stack_members(config.n)
         assert kernel_calls["eigen_decompose_stack"] == 1
@@ -135,33 +138,38 @@ class TestKernelCallCounts:
     def test_hundred_trial_campaign_searches_two_batches(self, monkeypatch, searched, kernel_calls, proof_calls):
         # 75 = stack_members(12) // 12 = 910 // 12 trials a batch, so 100 trials take two searches,
         # and each batch is settled by one solve_stacked call: two stacked eigensolves and two proofs
-        # over the matrices of the trial-at-a-time route
+        # over the matrices of the trial-at-a-time route, but for the 86 complete G^ell
         solve, solved = cli.solve_stacked, []
         monkeypatch.setattr(cli, "solve_stacked", lambda pairs: solved.append(len(pairs)) or solve(pairs))
         config = CampaignConfig(family="erdos_renyi", n=12, p=0.3, trials=100, seed=42)
         assert run_campaign(config).violations == []
         assert searched == [75, 25] and solved == [75, 25]
-        assert (kernel_calls["eigen_decompose_stack"], kernel_calls["matrices"]) == (2, 339)
+        assert (kernel_calls["eigen_decompose_stack"], kernel_calls["matrices"]) == (2, 253)
         assert proof_calls == {"calls": 2, "certificates": 478, "proved": 478}
 
     def test_hundred_trial_campaign_builds_each_mask_once(self, monkeypatch, kernel_calls, proof_calls):
         # 353 distinct (graph, ell) keys, ell = 1 for G: one mask broadcast per batch serves the proofs, the
-        # eigensolve and the 253 G^ell the checks read (one stacked CSR build per batch), and no G^ell
-        # goes through a lone Graph.from_adjacency
+        # eigensolve and the counts of the 253 G^ell the checks read, and no G^ell becomes a Graph; of the
+        # 339 lambda2s, the 86 of complete G^ell are exactly 12 and are not eigensolved
         adjacency, masks = metrics.power_adjacency, []
         oracles.patch_everywhere(
             monkeypatch, adjacency, lambda dist, ell: masks.append(len(np.ravel(ell))) or adjacency(dist, ell)
         )
-        build, built = bounds.adjacency_graphs, []
-        monkeypatch.setattr(bounds, "adjacency_graphs", lambda adj: built.append(len(adj)) or build(adj))
         lone, from_adjacency = [], Graph.from_adjacency
         counted = classmethod(lambda cls, adj: lone.append(adj) or from_adjacency(adj))
         monkeypatch.setattr(Graph, "from_adjacency", counted)
+        solve, analyses = cli.solve_stacked, []
+        monkeypatch.setattr(cli, "solve_stacked", lambda pairs: analyses.extend(a for a, _ in pairs) or solve(pairs))
         config = CampaignConfig(family="erdos_renyi", n=12, p=0.3, trials=100, seed=42)
         assert run_campaign(config).violations == []
         assert len(masks) == 2 and sum(masks) == 353
-        assert len(built) == 2 and sum(built) == 253 and lone == []
-        assert (kernel_calls["eigen_decompose_stack"], kernel_calls["matrices"]) == (2, 339)
+        assert lone == [] and all(a._powers == {} for a in analyses)
+        assert sum(len(a._counts) for a in analyses) == 253
+        lambda2s = [(a, ell) for a in analyses for ell in a._lambda2s]
+        closed = [(a, ell) for a, ell in lambda2s if ell >= 2 and a._lambda2s[ell] == 12.0]
+        assert len(lambda2s) == 339 and len(closed) == 86
+        assert all(oracles.complete_power(a.graph.adjacency_matrix(), ell) for a, ell in closed)
+        assert (kernel_calls["eigen_decompose_stack"], kernel_calls["matrices"]) == (2, 253)
         assert proof_calls == {"calls": 2, "certificates": 478, "proved": 478}
 
     @pytest.mark.parametrize("n, batches", [(8, [10]), (30, [4, 4, 2]), (120, [1] * 10)])

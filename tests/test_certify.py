@@ -1,10 +1,13 @@
 """PSD certificates for the two matrix inequalities and the spectral chain."""
 
+import json
+
 import numpy as np
 import pytest
 
 import oracles
-from eccbounds.bounds import GraphAnalysis, bound_g1, gamma
+from eccbounds import bounds, cli
+from eccbounds.bounds import GraphAnalysis, bound_g1, gamma, solve_stacked
 from eccbounds.certify import certify_g1_matrix, certify_g2_matrix, check_chain
 from eccbounds.graphs import (
     Graph,
@@ -195,6 +198,33 @@ class TestCheckChain:
         c = check_chain(a, ell)
         assert c.s1_power < c.s_ell
         assert c.links_hold == (True, True, False)
+
+    @pytest.mark.parametrize(
+        ("g", "ell", "edge"), [(path_graph(4), 3, (0, 1)), (path_graph(5), 2, (0, 2))]
+    )
+    def test_link3_fails_when_a_chunk_mask_drops_an_edge(self, monkeypatch, capsys, g, ell, edge):
+        # negative control on the solve chunk's route: G^ell's mask row loses an edge at a universal
+        # node, so the counts the chunk fills miss it; link 3 fails, and a verify campaign reports it
+        u, v = edge
+        original = bounds.power_adjacency
+
+        def dropped(dist, ells):
+            masks = original(dist, ells)
+            for mask, k in zip(masks, ells):
+                if k == ell:
+                    mask[u, v] = mask[v, u] = False
+            return masks
+
+        monkeypatch.setattr(bounds, "power_adjacency", dropped)
+        a = GraphAnalysis(g)
+        solve_stacked([(a, [ell])])
+        c = check_chain(a, ell)
+        assert c.s1_power < c.s_ell
+        assert c.links_hold == (True, True, False)
+        argv = ["verify", "--family", "path", "--n", str(g.n), "--trials", "1", "--ell", str(ell)]
+        assert cli.main(argv) == 1
+        details = json.loads(capsys.readouterr().out)["violation_details"]
+        assert ("chain_violation", ell) in {(d["kind"], d["ell"]) for d in details}
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):

@@ -404,6 +404,8 @@ class TestToleranceCut:
 #: ``bounds.tolerance`` (same digests at 1 and 2 BLAS threads). The 300-trial
 #: n = 12 and the 60-trial n = 30 campaigns span several stacked-solve groups;
 #: their digests were recorded while each graph was still solved on its own.
+#: The complete and star campaigns, whose G^l are complete for every l >= 2,
+#: were recorded while every lambda2(G^l) was still eigensolved.
 GOLDEN_REPORTS = [
     (
         "verify --family erdos_renyi --n 12 --p 0.3 --trials 100 --seed 42",
@@ -424,6 +426,14 @@ GOLDEN_REPORTS = [
     (
         "verify --family random_tree --n 9 --trials 20 --seed 3",
         "f1566cea7cffbac591929e30fc92c845a7ae76e9d51803aca212b558f7ed33b3",
+    ),
+    (
+        "verify --family complete --n 8 --trials 3",
+        "2f57ef187500fe2121114ec56697927a88106f726a94eb4cac0c4fb720bcc64f",
+    ),
+    (
+        "verify --family star --n 10 --trials 2 --ell 3",
+        "1b401d52fff871c2b2935caaf870442e2220cbe9d16e5cdefe924290e7c95942",
     ),
     (
         "tightness --family path --n-max 12 --format json",

@@ -87,6 +87,11 @@ def memos(a: GraphAnalysis) -> tuple[dict, dict]:
     return a._lambda2s, a._certificates
 
 
+def closed_form(a: GraphAnalysis, ell: int) -> bool:
+    """A solve gives lambda2(G^ell) exactly n, with no eigensolve: ell >= 2 and G^ell complete (by Floyd-Warshall)."""
+    return ell >= 2 and oracles.complete_power(a.graph.adjacency_matrix(), ell)
+
+
 def assert_same_summary(stacked, alone):
     assert np.array_equal(stacked.eigenvalues, alone.eigenvalues)
     assert np.array_equal(stacked.vectors, alone.vectors)
@@ -239,21 +244,28 @@ class TestGraphAnalysisSolve:
             lap, power = lone_laplacian(a, 1), lone_laplacian(a, ell)
             assert_agrees_with_is_psd(certify_g1_matrix(a, ell), gamma(a.n, ell) * lap - power)
             assert check_chain(a, ell) == check_chain(g, ell)
-            assert a.power_lambda2(ell) == eigen_decompose(power).eigenvalues[1]
+            # a complete G^ell has lambda2 exactly n, not the eigensolver's roundoff of it
+            if oracles.complete_power(g.adjacency_matrix(), ell):
+                assert a.power_lambda2(ell) == oracles.lambda2_complete(a.n)
+            else:
+                assert a.power_lambda2(ell) == eigen_decompose(power).eigenvalues[1]
 
     def test_solve_once_then_read_the_memo(self, solves):
         a = GraphAnalysis(erdos_renyi(12, 0.3, seed=3))
         assert a.connected and a.diameter >= 3
         solve_stacked([(a, [2, 3])])
-        # every certificate is proved: L(G), L(G^2) and L(G^3) are eigensolved
-        assert list(a._lambda2s) == [1, 2, 3] and len(a._certificates) == 4
+        # every certificate is proved: L(G) and L(G^2) are eigensolved, and G^3 is complete (diameter 3),
+        # so lambda2(G^3) is exactly 12
+        assert sorted(a._lambda2s) == [1, 2, 3] and len(a._certificates) == 4
+        assert closed_form(a, 3) and a._lambda2s[3] == 12.0
         assert {cert.method for cert in a._certificates.values()} == {"cholesky"}
-        assert [len(stack) for stack, _ in solves] == [1 + 2]
+        assert [len(stack) for stack, _ in solves] == [1 + 1]
         solve_stacked([(a, [2, 3])])
         a.lambda2, certify_g1_matrix(a, 3), certify_g2_matrix(a, 2), check_chain(a, 3)
         assert len(solves) == 1
+        # G^4 is complete too: its lambda2 needs no eigensolve
         solve_stacked([(a, [2, 3, 4])])
-        assert [len(stack) for stack, _ in solves] == [3, 1]
+        assert len(solves) == 1 and a._lambda2s[4] == 12.0 and len(a._certificates) == 6
 
     def test_a_miss_solves_only_the_missing_matrix(self, solves):
         g = erdos_renyi(30, 0.2, seed=3)
@@ -344,16 +356,18 @@ class TestSolveStacked:
             for chunk in chunks
         ]
         assert max(len(keys) for keys in reads) == 5
-        solved = [[a for a, _, task in chunk if task == "lambda2"] for chunk in chunks]
+        solved = [[a for a, ell, task in chunk if task == "lambda2" and not closed_form(a, ell)] for chunk in chunks]
         assert [len(stack) for stack, _ in solves] == [len(members) for members in solved if members]
         assert any(len(set(members)) > 1 for members in solved)
-        assert sum(len(stack) for stack, _ in solves) == sum(len(lambda2s) for lambda2s, _ in expected)
+        closed = sum(closed_form(a, ell) for a in analyses for ell in a._lambda2s)
+        assert sum(len(stack) for stack, _ in solves) + closed == sum(len(lambda2s) for lambda2s, _ in expected)
         assert [memos(a) for a in analyses] == expected
 
     @pytest.mark.parametrize("members", [1, 2, 5])
     def test_chunks_stay_within_the_stack_budget(self, monkeypatch, solves, members):
         # a chunk's one mask broadcast, and so its Laplacians, hold at most max(2, stack_members(n)) keys
-        # (a certificate reads two), and each eigensolve at most stack_members(n) of them
+        # (a certificate reads two), and each eigensolve at most stack_members(n) of them; a complete G^ell
+        # read by no certificate needs no Laplacian, and its lambda2 joins no eigensolve
         graphs = campaign_graphs()[:8]
         expected = [fresh_memo(g, self.ELLS) for g in graphs]
         del solves[:]
@@ -362,10 +376,18 @@ class TestSolveStacked:
         adjacency, build = bounds.power_adjacency, bounds.adjacency_laplacian
         monkeypatch.setattr(bounds, "power_adjacency", lambda dist, ells: masks.append(len(ells)) or adjacency(dist, ells))
         monkeypatch.setattr(bounds, "adjacency_laplacian", lambda adj: laplacians.append(len(adj)) or build(adj))
+        settle, chunks = bounds._settle, []
+        monkeypatch.setattr(bounds, "_settle", lambda chunk: chunks.append(chunk) or settle(chunk))
         analyses = [GraphAnalysis(g) for g in graphs]
         solve_stacked((a, self.ELLS) for a in analyses)
+        solved = [
+            [(a, ell) for a, ell, task in chunk if task == "lambda2" and not closed_form(a, ell)] for chunk in chunks
+        ]
+        reads = [{(a, k) for a, ell, task in chunk if task in ("g1", "g2") for k in (1, ell)} for chunk in chunks]
         assert max(masks) == max(laplacians) == max(2, members)
-        assert max(len(stack) for stack, _ in solves) == members
+        assert laplacians == [len(set(keys) | more) for keys, more in zip(solved, reads) if keys or more]
+        sizes = [min(members, len(keys) - start) for keys in solved for start in range(0, len(keys), members)]
+        assert [len(stack) for stack, _ in solves] == sizes and max(sizes) <= members
         assert [memos(a) for a in analyses] == expected
 
     def test_only_pending_keys_are_solved(self, solves):
@@ -373,11 +395,12 @@ class TestSolveStacked:
         assert a.connected and not b.connected
         solve_stacked([(a, [2])])
         solve_stacked([(a, [2, 3]), (b, [2])])
-        # a: g1 and g2, both proved, and L(G^3) alone of its Laplacians; b: only L(G), as its graph
-        # is disconnected
+        # a: g1 and g2, both proved, and lambda2(G^3) alone of its results, exactly 12 as G^3 is complete;
+        # b: only L(G), as its graph is disconnected
         assert a._certificates["g1", 3].method == a._certificates["g2", 3].method == "cholesky"
-        assert [len(stack) for stack, _ in solves] == [2, 1 + 1]
-        assert np.array_equal(solves[1][0], [lone_laplacian(a, 3), lone_laplacian(b, 1)])
+        assert closed_form(a, 3) and a._lambda2s[3] == 12.0
+        assert [len(stack) for stack, _ in solves] == [2, 1]
+        assert np.array_equal(solves[1][0], [lone_laplacian(b, 1)])
 
     def test_nothing_pending_makes_no_call(self, solves):
         solve_stacked([])
@@ -463,13 +486,15 @@ class TestCampaignGroups:
         assert [size for size, _, _ in batches] == [1] * config.trials
         assert all(size == len(counts) == len(pairs) for size, counts, pairs in batches)
         # each solve cuts its batch's work into chunks of at most 5 (analysis, ell) keys: L(G) and the
-        # first 4 ells, then 4 ells a chunk, each chunk eigensolving its new Laplacians in one stack and
-        # proving its certificates (2 an ell) at most 5 a stack; a disconnected trial solves L(G) alone
+        # first 4 ells, then 4 ells a chunk, each chunk eigensolving its new Laplacians, all but those of
+        # complete G^ell, in one stack and proving its certificates (2 an ell) at most 5 a stack; a
+        # disconnected trial solves L(G) alone
         laplacians, proofs = [], []
         for _, _, pairs in batches:
             for a, ells in pairs:
                 groups = [ells[start : start + 4] for start in range(0, len(ells), 4)] if a.connected else [[]]
-                laplacians += [len(group) + (k == 0) for k, group in enumerate(groups)]
+                sizes = [sum(not closed_form(a, ell) for ell in group) + (k == 0) for k, group in enumerate(groups)]
+                laplacians += [size for size in sizes if size]
                 proofs += [size for group in groups for size in self.chunks(2 * len(group), 5)]
         assert [len(stack) for stack, _ in solves] == laplacians and proof_sizes == proofs
         assert max(proof_sizes + laplacians) == (5 if config.ell_policy == "all" else 2)
@@ -506,18 +531,21 @@ def test_campaign_members_are_checked_to_roundoff(solves):
 def test_only_laplacians_reach_the_stacked_solve(monkeypatch):
     """Every member of every stacked eigensolve of a campaign and of ``solve_stacked`` is a graph
     Laplacian (integer entries, zero row sums, off-diagonal entries 0 or -1), also when a certificate
-    falls back: that one gets a lone ``is_psd`` of its float matrix."""
+    falls back: that one gets a lone ``is_psd`` of its float matrix. No L(K_n) of a complete G^ell
+    (ell >= 2) is among them: 86 of the 339 lambda2s of the 100-trial campaign are exactly n."""
     solve, members = bounds.eigen_decompose_stack, []
     monkeypatch.setattr(bounds, "eigen_decompose_stack", lambda stack: members.extend(stack) or solve(stack))
     lone, fallbacks = bounds.is_psd, []
     monkeypatch.setattr(bounds, "is_psd", lambda m: fallbacks.append(m) or lone(m))
     assert run_campaign(CampaignConfig(family="erdos_renyi", n=12, p=0.3, trials=100, seed=42)).violations == []
-    assert len(members) == 339 and fallbacks == []
+    assert len(members) == 253 and fallbacks == []
     # P3's two certificates at ell 2 are both 3 L(P3) - L(K3), singular as the bounds are tight there;
-    # K3's g2 matrix at ell 2 is zero, as K3 is its own square
+    # K3's g2 matrix at ell 2 is zero, as K3 is its own square; L(P3) and L(K3) are eigensolved, and
+    # both squares are K3, whose lambda2 is exactly 3
     p3, k3 = GraphAnalysis(path_graph(3)), GraphAnalysis(complete_graph(3))
     solve_stacked([(p3, [2]), (k3, [2])])
-    assert len(members) == 339 + 4 and len(fallbacks) == 3
+    assert len(members) == 253 + 2 and len(fallbacks) == 3
+    assert p3.power_lambda2(2) == k3.power_lambda2(2) == 3.0
     tight = 3.0 * laplacian(path_graph(3)) - laplacian(complete_graph(3))
     for a, kind, m in ((p3, "g1", tight), (p3, "g2", tight), (k3, "g2", np.zeros((3, 3)))):
         assert a.certificate(kind, 2) == is_psd(m) and a.certificate(kind, 2).method == "eigen"
