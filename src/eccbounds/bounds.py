@@ -292,15 +292,17 @@ _KINDS = ("g1", "g2")
 def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
     """Settle what the checks of every (analysis, ells) pair read: the counts of G^ell, certificates and lambda2s.
 
-    The unsettled work of each pair (``_pending``) is taken analysis by
-    analysis and cut into chunks of at most max(2, ``stack_members(n)``)
-    distinct (analysis, ell) keys, ell = 1 standing for G; each chunk is
+    The unsettled work of each pair (``_pending``) is planned analysis by
+    analysis into chunks of at most max(2, ``stack_members(n)``) distinct
+    (analysis, ell) keys, ell = 1 standing for G: an analysis whose keys fit
+    the open chunk joins it whole, one that straddles the budget item by item,
+    and one listed again adds only what it did not list before. Each chunk is
     settled from one mask broadcast over its keys (``_settle``), and each
     result goes into its own analysis's memo. Every member is bitwise the one
     a lone solve gives, so the chunks never change a result. Raises ValueError
     if the analyses differ in n or one has n < 2.
     """
-    pairs = [(a, list(dict.fromkeys(ells))) for a, ells in pairs]
+    pairs = [(a, list(ells)) for a, ells in pairs]
     orders = {a.n for a, _ in pairs}
     if len(orders) > 1:
         raise ValueError(f"solve_stacked needs analyses of one order, got n in {sorted(orders)}")
@@ -310,14 +312,24 @@ def solve_stacked(pairs: Iterable[tuple[GraphAnalysis, Iterable[int]]]) -> None:
     budget = max(2, stack_members(n))  # a certificate reads two Laplacians
     chunk: list[tuple[GraphAnalysis, int, str]] = []
     keys: set[tuple[GraphAnalysis, int]] = set()
-    for item in dict.fromkeys(item for a, ells in pairs for item in _pending(a, ells)):
-        a, ell, task = item
-        reads = {(a, 1), (a, ell)} if task in _KINDS else {(a, ell)}
+    planned: set[GraphAnalysis] = set()
+    for a, ells in pairs:
+        items = list(_pending(a, ells))  # of an analysis listed before, what settled is skipped here
+        if a in planned:  # and what waits in the open chunk here
+            waiting = set(chunk)
+            items = [item for item in items if item not in waiting]
+        planned.add(a)
+        reads = {(a, ell) for _, ell, _ in items} | {(a, 1) for _, _, task in items if task in _KINDS}
+        runs = [(items, reads)]  # whole, or item by item when it straddles the budget
         if len(keys) + len(reads - keys) > budget:
-            _settle(chunk)
-            chunk, keys = [], set()
-        chunk.append(item)
-        keys |= reads
+            runs = [([(a, ell, task)], {(a, 1), (a, ell)} if task in _KINDS else {(a, ell)})
+                    for _, ell, task in items]
+        for run, more in runs:
+            if len(keys) + len(more - keys) > budget:
+                _settle(chunk)
+                chunk, keys = [], set()
+            chunk += run
+            keys |= more
     if chunk:
         _settle(chunk)
 
@@ -343,19 +355,20 @@ def _pending(a: GraphAnalysis, ells: list[int]) -> Iterator[tuple[GraphAnalysis,
 
 
 def _settle(chunk: list[tuple[GraphAnalysis, int, str]]) -> None:
-    """Settle a solve chunk's (analysis, ell, task) items from one mask broadcast over their keys.
+    """Settle a solve chunk's distinct (analysis, ell, task) items from one mask broadcast over their keys.
 
-    The chunk's distinct (analysis, ell) keys, ell = 1 for G, get their masks
+    One pass sorts the items into the lambda2s to eigensolve, the proofs and
+    the rest: the "power" counts and the lambda2s of a complete G^ell (ell >= 2,
+    G connected of diameter at most ell), exactly n, that of K_n. The distinct
+    (analysis, ell) keys, ell = 1 for G, are indexed once, those the eigensolve
+    and then the proofs (L(G) and L(G^ell)) read first, and get their masks
     1 <= d <= ell in one ``power_adjacency`` broadcast over their distance
     matrices, stacked in the widest of their types (which changes no
     comparison); each mask row is bitwise the lone ``power_adjacency(dist, ell)``.
-    Each mask's degree row sums are read once: a "power" key's counts are
-    e(G^ell), half their sum, and s1(G^ell), its rows of degree n - 1. A lambda2
-    key with ell >= 2 whose own mask is complete gets exactly n, that of K_n.
-    The rows the other lambda2s or a certificate read, the lambda2s' first,
-    become Laplacians in one broadcast, each bitwise the lone
-    ``adjacency_laplacian`` of its mask, eigensolved ``stack_members(n)`` at a
-    time as views of the one stack.
+    A "power" key's counts are e(G^ell), half its mask's degree sum, and
+    s1(G^ell), its rows of degree n - 1. The leading rows become Laplacians in
+    one broadcast, each bitwise the lone ``adjacency_laplacian`` of its mask,
+    eigensolved ``stack_members(n)`` at a time as views of the one stack.
 
     The certificates go, ``stack_members(n)`` at a time, to the proof as
     their integer matrices icoeff L(G) - scale L(G^ell)
@@ -369,25 +382,29 @@ def _settle(chunk: list[tuple[GraphAnalysis, int, str]]) -> None:
     """
     n = chunk[0][0].n
     per_stack = stack_members(n)
-    solves = [(a, ell) for a, ell, task in chunk if task == "lambda2"]
-    proofs = [(a, (task, ell)) for a, ell, task in chunk if task in _KINDS]
-    fills = [(a, ell) for a, ell, task in chunk if task == "power"]
-    reads = [(a, k) for a, (_, ell) in proofs for k in (1, ell)]
-    keys = list(dict.fromkeys([*solves, *reads, *fills]))
-    index = {key: i for i, key in enumerate(keys)}
+    solves, proofs, reads, rest = [], [], [], []
+    for a, ell, task in chunk:
+        if task in _KINDS:
+            proofs.append((a, (task, ell)))
+            reads += [(a, 1), (a, ell)]
+        elif task == "power" or ell >= 2 and a.connected and a.diameter <= ell:
+            rest.append((a, ell, task))
+        else:
+            solves.append((a, ell))
+    keys = dict.fromkeys([*solves, *reads])  # the keys whose Laplacians are built come first
+    built = len(keys)
+    keys.update(((a, ell), None) for a, ell, _ in rest)
+    row = dict(zip(keys, range(len(keys))))
     masks = power_adjacency(np.array([a.dist for a, _ in keys]), [ell for _, ell in keys])
     degrees = masks.sum(axis=2)
     edges = (degrees.sum(axis=1) // 2).tolist()
     counts = list(zip(edges, (degrees == n - 1).sum(axis=1).tolist()))
-    for a, ell in fills:
-        a._counts[ell] = counts[index[a, ell]]
-    closed = dict.fromkeys((a, ell) for a, ell in solves if ell >= 2 and edges[index[a, ell]] == n * (n - 1) // 2)
-    for a, ell in closed:
-        a._lambda2s[ell] = float(n)
-    solves = [key for key in solves if key not in closed]
-    laplacians = list(dict.fromkeys([*solves, *reads]))
-    row = {key: i for i, key in enumerate(laplacians)}
-    laps = adjacency_laplacian(masks[[index[key] for key in laplacians]]) if laplacians else None
+    for a, ell, task in rest:
+        if task == "power":
+            a._counts[ell] = counts[row[a, ell]]
+        else:
+            a._lambda2s[ell] = float(n)
+    laps = adjacency_laplacian(masks[:built]) if built else None
     del masks
     for start in range(0, len(solves), per_stack):
         part = solves[start : start + per_stack]

@@ -235,21 +235,16 @@ def _check_trial(summary: CampaignSummary, trial: int, analysis: GraphAnalysis, 
     for ell in ells:
         report = evaluate_all(analysis, ell)
         summary.checks += 1
-        tol = tolerance(report.lambda2)
+        lam, bounds, tight = report.lambda2, report.bounds, report.tight
+        tol = tolerance(lam)
 
-        for name in BOUND_NAMES:
-            slack = report.slacks[name]
+        for name, slack in report.slacks.items():  # in BOUND_NAMES order
             if slack is None:
                 continue
             if slack < -tol:
-                flag(
-                    "bound_violation",
-                    f"bound_{name}={report.bounds[name]!r} exceeds "
-                    f"lambda2={report.lambda2!r}",
-                    ell,
-                )
+                flag("bound_violation", f"bound_{name}={bounds[name]!r} exceeds lambda2={lam!r}", ell)
             if analysis.connected:
-                summary.bound_stats[name].add(slack, report.tight[name])
+                summary.bound_stats[name].add(slack, tight[name])
                 worst = summary.worst_slack
                 if worst is None or slack > worst["slack"]:  # type: ignore[operator]
                     summary.worst_slack = {
@@ -257,7 +252,7 @@ def _check_trial(summary: CampaignSummary, trial: int, analysis: GraphAnalysis, 
                         "slack": slack,
                         "trial": trial,
                         "ell": ell,
-                        "lambda2": report.lambda2,
+                        "lambda2": lam,
                         "graph": g,  # serialized by summary_json
                     }
 
@@ -293,9 +288,9 @@ def summary_json(summary: CampaignSummary) -> str:
     if worst is not None:
         worst = dict(worst, graph=serialize_edge_list(worst["graph"]))  # type: ignore[arg-type]
     obj = {
-        "config": {
-            "ell" if key == "ell_policy" else key: value
-            for key, value in asdict(summary.config).items()
+        "config": {  # the fields as they are: asdict would deep-copy them
+            "ell" if f.name == "ell_policy" else f.name: getattr(summary.config, f.name)
+            for f in fields(summary.config)
         },
         "trials": summary.config.trials,
         "connected_trials": summary.connected_trials,

@@ -7,9 +7,10 @@ from one sort of int64 keys over their packed node ids; every graph built
 from pairs is its batch of one. ``Graph.from_adjacency`` checks an
 adjacency matrix and shares the CSR step (``_members``).
 ``generate_batch`` draws several graphs of a family from one Generator, the
-Erdos-Renyi ones in one ``Generator.random`` call (``erdos_renyi_batch``);
-``generate`` and ``erdos_renyi`` are their batches of one, so a lone graph
-and a batch member are bitwise the same draw.
+Erdos-Renyi ones in one ``Generator.random`` call (``erdos_renyi_batch``),
+which come as ``DrawnGraphs``: a list that keeps the packed CSR of its one
+sort for the distance search. ``generate`` and ``erdos_renyi`` are their
+batches of one, so a lone graph and a batch member are bitwise the same draw.
 ``check_node_count`` refuses n above ``MAX_NODES``, the node limit of every
 dense n x n computation; the edge-list reader applies it to the header count.
 """
@@ -170,22 +171,38 @@ def _csr_batch(n: int, count: int, pairs: np.ndarray) -> list[Graph]:
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    rows, cols = np.divmod(keys[first], size)
-    if count > 1:
-        cols %= n
-    return _members(n, count, rows, cols)
+    return _members(n, count, *np.divmod(keys[first], size))
 
 
 def _members(n: int, count: int, rows: np.ndarray, cols: np.ndarray) -> list[Graph]:
-    """The ``count`` graphs of the sorted CSR entries (rows, cols): row b * n + i is member b's node i,
-    and each column is a node of its row's member."""
-    indptr = np.zeros((count, n + 1), dtype=np.int64)  # member b holds rows b * n .. b * n + n - 1
-    np.cumsum(np.bincount(rows, minlength=count * n).reshape(count, n), axis=1, out=indptr[:, 1:])
+    """The ``count`` graphs of the sorted packed CSR entries (rows, cols): row and column b * n + i are
+    member b's node i. Several come as ``DrawnGraphs``, which keep this packed CSR."""
+    degrees = np.bincount(rows, minlength=count * n)
+    indptr = np.zeros(count * n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
     if count == 1:
-        return [Graph(n, indptr[0], cols)]
-    ends = np.cumsum(indptr[:, -1])
-    starts = ends - indptr[:, -1]
-    return [Graph(n, ptr, cols[a:b]) for ptr, a, b in zip(indptr, starts.tolist(), ends.tolist())]
+        return [Graph(n, indptr, cols)]
+    local = np.zeros((count, n + 1), dtype=np.int64)  # member b holds rows b * n .. b * n + n - 1
+    np.cumsum(degrees.reshape(count, n), axis=1, out=local[:, 1:])
+    nodes, at = cols % n, indptr[::n].tolist()  # member b's entries are at[b] .. at[b + 1]
+    return DrawnGraphs([Graph(n, ptr, nodes[a:b]) for ptr, a, b in zip(local, at, at[1:])], indptr, cols)
+
+
+class DrawnGraphs(list):
+    """Graphs of one order n built together, as a list that keeps their packed CSR (row b * n + i is member b's
+    node i). ``packed`` is that CSR while the list holds those graphs, or equal ones, in their order, else None;
+    ``metrics.all_pairs_distances_stack`` searches it as it is."""
+
+    __slots__ = ("_members", "_packed")
+
+    def __init__(self, members: list[Graph], indptr: np.ndarray, indices: np.ndarray):
+        super().__init__(members)
+        indptr.flags.writeable = indices.flags.writeable = False
+        self._members, self._packed = tuple(members), (indptr, indices)
+
+    @property
+    def packed(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return self._packed if tuple(self) == self._members else None  # same graphs, same order
 
 
 #: A number of the edge-list format: ASCII digits with an optional leading '-'.
@@ -431,7 +448,8 @@ def erdos_renyi_batch(n: int, p: float, count: int, seed=None) -> list[Graph]:
     leaves the Generator in the same state, so member b is bitwise the b-th
     lone draw. Pair k of the upper triangle (row-major) is an edge of member b
     when double (b, k) is below p; all members' CSRs come from one sort
-    (``_csr_batch``). n and p are checked before any draw.
+    (``_csr_batch``), as ``DrawnGraphs`` that keep the packed CSR of that sort
+    for ``metrics.all_pairs_distances_stack``. n and p are checked before any draw.
     """
     if n < 1:
         raise ValueError(f"erdos_renyi needs n >= 1, got {n}")

@@ -43,7 +43,9 @@ def all_pairs_distances_stack(graphs: Sequence[Graph]) -> np.ndarray:
     """The read-only (B, n, n) stack of the distance matrices of B graphs of one order, from one search.
 
     The graphs go to ``_kernels.bfs_all_pairs`` packed as one CSR, member b's
-    node i as row b * n + i, so reach never leaves a member. The stack is in
+    node i as row b * n + i, so reach never leaves a member: a lone graph's own
+    CSR, the packed CSR that ``graphs.DrawnGraphs`` keep from their draw, or
+    else one packed here from the members' CSRs. The stack is in
     the narrowest signed type that holds the largest distance of any member;
     within it each member's distances are exactly its lone ones. Raises
     ValueError for no graphs, graphs of different orders, or n < 1, and
@@ -58,6 +60,8 @@ def all_pairs_distances_stack(graphs: Sequence[Graph]) -> np.ndarray:
     check_node_count(n)
     if len(graphs) == 1:  # a lone graph's CSR is already its packing
         indptr, indices = graphs[0].indptr, graphs[0].indices
+    elif (packed := getattr(graphs, "packed", None)) is not None:  # a drawn batch's own, while unchanged
+        indptr, indices = packed
     else:
         sizes = [g.indices.size for g in graphs]
         indptr = np.zeros(len(graphs) * n + 1, dtype=np.int64)

@@ -64,6 +64,13 @@ COUNTS = (*BROADCAST, *EVERY_GRAPH)
 #: lambda2 exactly n for a complete G^ell only: the eigensolve counts and the memo's values show it
 CLOSED_FORM = ("tests/test_call_counts.py::TestKernelCallCounts", "tests/test_stacked.py::TestGraphAnalysisSolve")
 GOLDEN = ("tests/test_cli.py::test_golden_report",)
+#: the per-analysis planner of ``solve_stacked`` against the per-item rule, and an analysis listed twice
+PLANNER = (
+    "tests/test_stacked.py::TestPlanner",
+    "tests/test_stacked.py::TestSolveStacked::test_an_analysis_listed_again_is_planned_once",
+)
+#: a drawn Erdos-Renyi batch searched from the packed CSR of its draw
+DRAWN = ("tests/test_metrics.py::TestDrawnSearch",)
 #: ``power_adjacency``'s clip of ell to the distance type
 CLIP = ("tests/test_metrics.py::TestNarrowDistances",)
 #: ``_read_bytes`` without its two-numbers-a-line test
@@ -171,13 +178,13 @@ MUTANTS = (
     Mutant("a proof reads the L(G^ell) row of the neighbouring key", "bounds.py",
            "[row[a, ell] for a, (_, ell) in part]", "[row[a, ell] - 1 for a, (_, ell) in part]", PROOF),
     Mutant("the counts of G^ell are read from the L(G) row", "bounds.py",
-           "a._counts[ell] = counts[index[a, ell]]", "a._counts[ell] = counts[index[a, 1]]", COUNTS),
+           "a._counts[ell] = counts[row[a, ell]]", "a._counts[ell] = counts[row[a, 1]]", COUNTS),
     Mutant("e(G^ell) without the halving", "bounds.py",
            "edges = (degrees.sum(axis=1) // 2).tolist()", "edges = degrees.sum(axis=1).tolist()", COUNTS),
     Mutant("lambda2 in closed form at ell = 1 too", "bounds.py",
-           "ell >= 2 and edges[index[a, ell]]", "ell >= 1 and edges[index[a, ell]]", GOLDEN),
-    Mutant("completeness read from e(G) rather than e(G^ell)", "bounds.py",
-           "edges[index[a, ell]] == n * (n - 1) // 2", "a.m == n * (n - 1) // 2", CLOSED_FORM),
+           "ell >= 2 and a.connected and a.diameter", "ell >= 1 and a.connected and a.diameter", GOLDEN),
+    Mutant("completeness read from G rather than G^ell", "bounds.py",
+           "a.connected and a.diameter <= ell:", "a.connected and a.diameter <= 1:", CLOSED_FORM),
     Mutant("power_adjacency clips ell to one below its type's largest value", "metrics.py",
            "top = (1 << 8 * dist.itemsize - 1) - 1", "top = (1 << 8 * dist.itemsize - 1) - 2", CLIP),
     Mutant("Jacobi column update with the sign of s flipped", "_kernels.py",
@@ -191,7 +198,15 @@ MUTANTS = (
     Mutant("Jacobi takes the negative root at theta = -0.0", "_kernels.py",
            "np.where(th >= 0.0, 1.0, -1.0)", "np.where(th > 0.0, 1.0, -1.0)", JACOBI),
     Mutant("Jacobi's sort permutes the eigenvalues but not the eigenvectors", "_kernels.py",
-           "        vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)\n", "", AUDIT),
+           "        vectors = vectors.transpose(0, 2, 1)[pick].transpose(0, 2, 1)  # the columns, picked as rows\n", "",
+           AUDIT),
+    Mutant("the drawn packing drops the member offset", "graphs.py",
+           "at[1:])], indptr, cols)", "at[1:])], indptr, nodes)", DRAWN),
+    Mutant("an analysis listed again re-plans the items waiting in the open chunk", "bounds.py",
+           "        if a in planned:", "        if False:", PLANNER),
+    Mutant("an analysis that straddles the budget joins a fresh chunk whole", "bounds.py",
+           "        if len(keys) + len(reads - keys) > budget:\n            runs",
+           "        if len(reads) > budget:\n            runs", PLANNER),
 )
 
 

@@ -15,7 +15,9 @@ that the package's bulk parser and byte-table serializer replaced, and
 random trees come from the pointer-walk Prüfer decode that the package's
 min-heap decode replaced. ``csr`` builds a graph's compressed rows from
 Python lists; a valid edge set has exactly one, so comparing a graph's arrays
-with it checks every structural invariant at once.
+with it checks every structural invariant at once. ``chunk_items`` cuts solve
+chunks by the per-item rule that the package's per-analysis planner replaced,
+from the unsettled items that ``pending_items`` lists.
 
 ``patch_everywhere`` is the suite's one way to wrap a package function: at
 every eccbounds module that imports it.
@@ -222,6 +224,54 @@ def patch_everywhere(mp, original, replacement) -> None:
     assert modules, f"no eccbounds module holds {name}"
     for module in modules:
         mp.setattr(module, name, replacement)
+
+
+def pending_items(pairs) -> list[tuple]:
+    """The unsettled (analysis, ell, task) items of (analysis, ells) pairs, in listing order, each once.
+
+    Per analysis, ell = 1 first and then each ell as listed: for a listed ell
+    its "power" counts and, if G is connected, its certificates ("g1" needs
+    ell >= 2); then the "lambda2" of G^ell, for ell = 1 or a connected G. An
+    item whose result an analysis's memo already holds is skipped.
+    """
+    items: dict[tuple, None] = {}
+    for a, ells in pairs:
+        ells = list(ells)
+        for ell in [1, *ells]:
+            tasks = []
+            if ell in ells:
+                tasks.append("power")
+                if a.connected:
+                    tasks += ["g1", "g2"] if ell >= 2 else ["g2"]
+            if ell == 1 or a.connected:
+                tasks.append("lambda2")
+            memos = {"power": (a._counts, ell), "lambda2": (a._lambda2s, ell)}
+            for task in tasks:
+                memo, key = memos.get(task, (a._certificates, (task, ell)))
+                if key not in memo:
+                    items.setdefault((a, ell, task))
+    return list(items)
+
+
+def chunk_items(items: list[tuple], budget: int) -> list[list[tuple]]:
+    """The solve chunks of distinct (analysis, ell, task) items by the per-item rule, item after item.
+
+    An item reads the key (analysis, ell), and a "g1" or "g2" certificate
+    (analysis, 1) too. It joins the open chunk unless that would take the
+    chunk's distinct keys above ``budget``; then the chunk closes and the item
+    opens the next one.
+    """
+    chunks: list[list[tuple]] = []
+    keys: set = set()
+    for item in items:
+        a, ell, task = item
+        reads = {(a, 1), (a, ell)} if task in ("g1", "g2") else {(a, ell)}
+        if not chunks or len(keys | reads) > budget:
+            chunks.append([])
+            keys = set()
+        chunks[-1].append(item)
+        keys |= reads
+    return chunks
 
 
 def prufer_tree_edges(n: int, seed) -> set[tuple[int, int]]:

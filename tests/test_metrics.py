@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from eccbounds import graphs
+from eccbounds import _kernels, graphs
 from eccbounds.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
     erdos_renyi,
+    erdos_renyi_batch,
     path_graph,
     random_tree,
     serialize_edge_list,
@@ -153,6 +154,38 @@ class TestDistanceStack:
         monkeypatch.setattr(graphs, "MAX_NODES", 5)
         with pytest.raises(ValueError, match="exceeds the limit"):
             all_pairs_distances_stack([path_graph(6), path_graph(6)])
+
+
+class TestDrawnSearch:
+    """A drawn Erdos-Renyi batch is searched from the packed CSR of its draw, each member bitwise its lone search."""
+
+    @pytest.mark.parametrize("n", [2, 12, 63, 64, 65])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
+    def test_each_member_is_its_lone_search(self, monkeypatch, n, p):
+        batch = erdos_renyi_batch(n, p, 6, seed=n)
+        if p == 0.05:
+            assert any((g.degrees() == 0).any() for g in batch)  # members with isolated nodes
+        search, packings = _kernels.bfs_all_pairs, []
+        monkeypatch.setattr(_kernels, "bfs_all_pairs", lambda *csr: packings.append(csr[:2]) or search(*csr))
+        stack = all_pairs_distances_stack(batch)
+        (indptr, indices), = packings
+        assert indptr is batch.packed[0] and indices is batch.packed[1]  # as drawn, not packed again
+        monkeypatch.undo()
+        for g, dist in zip(batch, stack):
+            lone = all_pairs_distances(g)
+            assert dist.dtype == lone.dtype and dist.tobytes() == lone.tobytes()
+        apart = all_pairs_distances_stack(list(batch))  # the same graphs packed one by one
+        assert apart.dtype == stack.dtype and apart.tobytes() == stack.tobytes()
+
+    def test_a_changed_batch_is_packed_again(self):
+        batch = erdos_renyi_batch(12, 0.3, 4, seed=3)
+        drawn = all_pairs_distances_stack(batch)
+        assert batch.packed is not None
+        batch.reverse()
+        assert batch.packed is None
+        assert all_pairs_distances_stack(batch).tobytes() == drawn[::-1].tobytes()
+        batch.reverse()
+        assert batch.packed is not None
 
 
 class TestEccentricityProfile:

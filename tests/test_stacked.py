@@ -414,6 +414,17 @@ class TestSolveStacked:
             solve_stacked([(GraphAnalysis(path_graph(5)), [2]), (GraphAnalysis(path_graph(6)), [2])])
         assert solves == []
 
+    def test_an_analysis_listed_again_is_planned_once(self, solves):
+        # a chunk's items are distinct, so the rows it eigensolves are its lambda2s and no other key's
+        a, b, alone = GraphAnalysis(path_graph(7)), GraphAnalysis(cycle_graph(7)), GraphAnalysis(path_graph(7))
+        solve_stacked([(a, [2]), (b, [2]), (a, [3])])
+        solve_stacked([(alone, [2, 3])])
+        assert sorted(a._lambda2s) == [1, 2, 3] and memos(a) == memos(alone) and a._counts == alone._counts
+        c = GraphAnalysis(path_graph(6))
+        del solves[:]
+        solve_stacked([(c, [2, 3]), (c, [3, 2, 2])])
+        assert [len(stack) for stack, _ in solves] == [3]  # L(G), L(G^2) and L(G^3), each once
+
     def test_ell_one_settles_g2_only(self):
         # gamma, and so the g1 matrix, needs ell >= 2; the g2 matrix at ell 1 is zero and settles
         # as a lone certify_g2_matrix does, through the eigensolver
@@ -423,6 +434,37 @@ class TestSolveStacked:
         assert a.certificate("g2", 1) == certify_g2_matrix(path_graph(4), 1)
         assert a.certificate("g2", 1).method == "eigen" and a.certificate("g2", 1).verdict == PSD
         assert memos(a)[0] == fresh_memo(path_graph(4), [2])[0]
+
+
+class TestPlanner:
+    """``solve_stacked`` plans whole analyses, and cuts the chunks that the per-item rule (``oracles.chunk_items``)
+    cuts from the unsettled items of every pair (``oracles.pending_items``), item for item."""
+
+    @staticmethod
+    def mixed_pairs() -> list:
+        """(analysis, ells) pairs of order 7: connected and disconnected, partly memoised, and listed again."""
+        graphs = [path_graph(7), cycle_graph(7), star_graph(7), complete_graph(7), erdos_renyi(7, 0.4, seed=1)]
+        path, cycle, star, complete, er = (GraphAnalysis(g) for g in graphs)
+        split = GraphAnalysis(Graph.from_edges(7, [(0, 1), (1, 2), (3, 4)]))
+        assert not split.connected and er.connected
+        cycle.lambda2  # L(G) settled alone
+        certify_g2_matrix(star, 2)  # one certificate and the counts of G^2
+        solve_stacked([(er, [2])])
+        return [
+            (path, [2, 3]), (cycle, range(2, 5)), (split, [2, 3]), (path, [3, 4, 2]), (star, [2, 3]),
+            (complete, [2]), (er, [2, 3]), (cycle, [4, 5]), (split, [2]), (path, [6]), (complete, [2, 1]),
+        ]
+
+    @pytest.mark.parametrize("budget", range(2, 9))
+    def test_chunks_are_those_of_the_per_item_rule(self, monkeypatch, budget):
+        pairs = self.mixed_pairs()
+        expected = oracles.chunk_items(oracles.pending_items(pairs), budget)
+        assert any(len({a for a, _, _ in chunk}) > 1 for chunk in expected)  # analyses share chunks
+        monkeypatch.setattr(bounds, "_STACK_BYTES", budget * 8 * 7 * 7)
+        settle, chunks = bounds._settle, []
+        monkeypatch.setattr(bounds, "_settle", lambda chunk: chunks.append(list(chunk)) or settle(chunk))
+        solve_stacked(pairs)
+        assert chunks == expected
 
 
 class TestCampaignGroups:
