@@ -1,4 +1,4 @@
-"""Hot numeric kernels: all-pairs BFS and cyclic Jacobi rotation sweeps.
+"""Hot numeric kernels: all-pairs BFS and the Rayleigh quotients of an eigenbasis.
 
 ``_levels`` is a bit-parallel BFS that runs all n searches of a graph at once
 (after Akiba, Iwata & Yoshida, SIGMOD 2013): each node's reach set is a row of
@@ -12,24 +12,22 @@ one. ``bfs_all_pairs`` runs it to the end for the (B, n, n) distance stack;
 ``power_pairs`` stops it after ell levels, when row u is u's closed
 ell-neighbourhood, and reads G^ell's edges from the rows, a bounded block at
 a time, with no distance matrix. Neither depends on the BLAS build or threads.
-``jacobi_sweeps`` is the Jacobi half of the eigensolver and owns every
-Jacobi decision: given a (B, n, n) stack and LAPACK ``eigh``'s basis Q, it
-forms W = Q^T A Q, tests the stopping rule (OFF_DIAG_REL_TOL) for every
-member in one pass, sweeps only the members that fail it, raises
-JacobiConvergenceError at MAX_SWEEPS, and returns ascending eigenpairs. A
-sweep rotates n // 2 disjoint pairs per numpy step in round-robin order
-(Brent & Luk, 1985), n - 1 O(n^2) steps a sweep. After ``eigh`` the
-off-diagonal norm is a small fraction of the target: 0.16% on the hypercube
-Q10 (n = 1,024), 0.36% on the 40 x 50 grid (n = 2,000), and 0.29-0.30% on
-ER n = 1,000 for L(G), the g1 and g2 certificate matrices and L(G^2). So a
-solve normally runs 0 sweeps and never builds the round-robin schedule.
+``jacobi_sweeps`` is the Rayleigh half of the eigensolver: given a (B, n, n)
+stack and LAPACK ``eigh``'s basis Q, it forms W = Q^T A Q, tests the stopping
+rule (OFF_DIAG_REL_TOL) for every member in one pass, raises
+JacobiConvergenceError if any member fails it, and returns the Rayleigh
+quotients diag(W), ascending, with their columns of Q; two golden reports
+print the quotients' last bits, which ``eigh``'s eigenvalues do not match.
+The rule is a guard, not a loop: after ``eigh`` the off-diagonal norm is
+0.16% of the target on the hypercube Q10 (n = 1,024), 0.36% on the 40 x 50
+grid (n = 2,000), at most 0.3% on ER graphs of n = 12 to 1,000, so no
+Jacobi sweep (Drmac & Veselic, SIMAX 2008) ever ran after it; none is kept.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_THETA_OVERFLOW = 1.0e150  # beyond this, tan(angle/2) collapses to 1/(2*theta)
 _GATHER_WORDS = 1 << 20  # cap on the neighbour rows gathered at once (8 MB)
 _PAIR_BLOCK = 1 << 20  # cap on the pairs power_pairs expands at once, unless one row may hold more
 # per byte value: its set-bit count, and its set bits ascending as a run of _BIT_POSITIONS
@@ -43,12 +41,10 @@ del _table
 
 #: Convergence: off-diagonal Frobenius norm <= this factor times ||A||_F.
 OFF_DIAG_REL_TOL = 1e-12
-#: Hard cap on full cyclic sweeps before giving up.
-MAX_SWEEPS = 100
 
 
 class JacobiConvergenceError(RuntimeError):
-    """The sweep cap was reached before the off-diagonal mass vanished."""
+    """``eigh``'s basis failed the stopping rule: W = Q^T A Q is off diagonal by more than OFF_DIAG_REL_TOL * ||A||_F."""
 
 
 def _levels(indptr, indices, n):
@@ -184,51 +180,40 @@ def _unpack(bits, n, dtype):
     return flags.view(dtype) if dtype.itemsize == 1 else flags.astype(dtype)
 
 
-def round_robin(n):
-    """One Jacobi sweep's pairs as (p, q) int arrays of shape (rounds, n // 2), p < q.
-
-    Circle method: node 0 stays, the others turn one place per round; for odd
-    n a dummy node n joins and its partner sits the round out. That is n - 1
-    rounds (n for odd n) of disjoint pairs, covering every p < q exactly once.
-    """
-    m = max(n + n % 2, 2)
-    circle = np.zeros((m - 1, m), dtype=np.int64)
-    circle[:, 1:] = 1 + (np.arange(m - 1)[:, None] + np.arange(m - 1)) % (m - 1)
-    first, second = circle[:, : m // 2], circle[:, : m // 2 - 1 : -1]
-    p, q = np.minimum(first, second), np.maximum(first, second)
-    return p[q < n].reshape(m - 1, n // 2), q[q < n].reshape(m - 1, n // 2)
-
-
 def jacobi_sweeps(a, basis):
-    """Eigenpairs of each member of a symmetric (B, n, n) stack ``a`` from an approximate eigenbasis.
+    """Eigenpairs of each member of a symmetric (B, n, n) stack ``a`` from LAPACK ``eigh``'s basis.
 
     Each member's W = basis^T a basis, symmetrised in place, is tested against
     the stopping rule sqrt(2 * sum(triu(W, 1)**2)) <= OFF_DIAG_REL_TOL * ||a||_F
-    in one pass; only the members that fail it are swept (``_sweep``), and the
-    first that reaches MAX_SWEEPS raises JacobiConvergenceError (both constants
-    are read at call time). Returns (sweeps, eigenvalues, vectors): the sweeps
-    run in all, the (B, n) eigenvalues ascending and the (B, n, n) eigenvectors
-    as columns in matching order. Where a diagonal of W is not ascending, one
-    fancy index per array permutes the pairs. A sweep may rotate ``basis`` in place.
+    (read at call time) in one pass; the first member that fails it raises
+    JacobiConvergenceError. The eigenvalues are the Rayleigh quotients, the
+    diagonal of W. Returns (sweeps, eigenvalues, vectors): 0, the (B, n)
+    eigenvalues ascending and the (B, n, n) eigenvectors, the columns of
+    ``basis`` in matching order. Where a diagonal of W is not ascending, one
+    fancy index per array permutes the pairs. Neither input is written to.
     """
     work = basis.transpose(0, 2, 1) @ a @ basis
     work += work.transpose(0, 2, 1)  # numpy reads the overlapping transpose as if copied first
     work *= 0.5  # exactly symmetric: x + y == y + x
-    vectors = np.ascontiguousarray(basis)
     off_tol = OFF_DIAG_REL_TOL * np.linalg.norm(a, axis=(1, 2))
     norms = _off_norms(work)
-    sweeps = 0
-    # "<=" so that a NaN norm counts as unconverged
-    for i in np.flatnonzero(~(norms <= off_tol)):
-        sweeps += _sweep(work[i], vectors[i], off_tol[i], norms[i])
+    failed = np.flatnonzero(~(norms <= off_tol))  # "<=" so that a NaN norm fails the rule
+    if failed.size:
+        i = failed[0]
+        raise JacobiConvergenceError(
+            f"member {i} misses the stopping rule (n={a.shape[1]}, "
+            f"off-diagonal norm {norms[i]:.3e}, target {off_tol[i]:.3e})"
+        )
     eigenvalues = np.diagonal(work, axis1=1, axis2=2).copy()
+    vectors = basis
     # sorted only where a diagonal is not ascending already: in 494 of the stacks of 512 two-trial
     # ER n = 12 campaigns, in none of 200 ER n = 50 Laplacians (about 10 us of a 1.5 ms analyze)
     if not (eigenvalues[:, 1:] >= eigenvalues[:, :-1]).all():
         pick = np.arange(len(work))[:, None], np.argsort(eigenvalues, axis=1, kind="stable")
         eigenvalues = eigenvalues[pick]
         vectors = vectors.transpose(0, 2, 1)[pick].transpose(0, 2, 1)  # the columns, picked as rows
-    return sweeps, eigenvalues, vectors
+    # perfbench's tracer reads result[0] as this call's sweep count until the kernel is renamed
+    return 0, eigenvalues, vectors
 
 
 def _off_norms(a):
@@ -243,50 +228,3 @@ def _off_norms(a):
     norms = upper.reshape(len(a), -1).sum(axis=1)
     norms *= 2.0
     return np.sqrt(norms, out=norms)
-
-
-@np.errstate(over="ignore")  # a subnormal a[p, q] gives theta = inf: the overflow branch
-def _sweep(a, v, off_tol, off):
-    """Sweep one (n, n) matrix in place from off-diagonal norm ``off``; returns the sweeps run.
-
-    A round's pairs are disjoint, so their rotations touch separate 2 x 2 blocks
-    and commute: every (c, s) comes from the matrix at the round's start (pairs
-    with a[p, q] == 0 are skipped), then one column, row and V update each.
-    Raises JacobiConvergenceError if MAX_SWEEPS sweeps leave ``off`` above ``off_tol``.
-    """
-    sweeps = 0
-    rounds = None
-    # "not <=" so that a NaN norm counts as unconverged
-    while not off <= off_tol:
-        if sweeps == MAX_SWEEPS:
-            raise JacobiConvergenceError(
-                f"no convergence after {MAX_SWEEPS} sweeps (n={a.shape[0]}, "
-                f"off-diagonal norm {off:.3e}, target {off_tol:.3e})"
-            )
-        if rounds is None:
-            rounds = round_robin(a.shape[0])
-        for p, q in zip(*rounds):
-            apq = a[p, q]
-            keep = apq != 0.0
-            p, q, apq = p[keep], q[keep], apq[keep]
-            theta = 0.5 * (a[q, q] - a[p, p]) / apq
-            big = np.abs(theta) > _THETA_OVERFLOW
-            th = np.where(big, 0.0, theta)
-            # the textbook root, bitwise; theta >= 0.0 (-0.0 included) takes the positive one
-            t = np.where(th >= 0.0, 1.0, -1.0) / (np.abs(th) + np.sqrt(th * th + 1.0))
-            t[big] = 0.5 / theta[big]
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            ap, aq = a[:, p], a[:, q]
-            a[:, p] = c * ap - s * aq
-            a[:, q] = s * ap + c * aq
-            ap, aq, cr, sr = a[p], a[q], c[:, None], s[:, None]
-            a[p] = cr * ap - sr * aq
-            a[q] = sr * ap + cr * aq
-            a[p, q] = a[q, p] = 0.0
-            vp, vq = v[:, p], v[:, q]
-            v[:, p] = c * vp - s * vq
-            v[:, q] = s * vp + c * vq
-        sweeps += 1
-        off = _off_norms(a[None])[0]
-    return sweeps

@@ -2,8 +2,8 @@
 
 One core, ``eigen_decompose_stack``, solves a (B, n, n) stack of symmetric
 matrices: one symmetry test, one LAPACK ``eigh`` call and one
-``_kernels.jacobi_sweeps`` call, which owns the Jacobi polish, its stopping
-rule and ``JacobiConvergenceError``, and returns ascending eigenpairs. Each
+``_kernels.jacobi_sweeps`` call for the Rayleigh quotients diag(Q^T A Q),
+whose stopping rule is a guard that raises ``JacobiConvergenceError``. Each
 member gets its own ``SpectralSummary`` of eigenpairs only, bitwise the one it
 gets when solved alone; ``eigen_decompose`` is the core on a stack of one.
 The residual and orthogonality of a decomposition are the tests' to audit,
@@ -98,13 +98,15 @@ def eigen_decompose(a: np.ndarray) -> SpectralSummary:
 def eigen_decompose_stack(stack: np.ndarray) -> list[SpectralSummary]:
     """Full symmetric eigendecomposition of each member of a (B, n, n) stack.
 
-    One ``eigh`` call, then one ``_kernels.jacobi_sweeps`` call for the
-    ascending eigenpairs. Every step treats the members independently, so
-    each ``SpectralSummary`` is bitwise the one a stack of that member alone
-    gives; its arrays are read-only views into arrays of the whole stack; an
-    empty stack gives []. Raises ValueError if the input is not a stack of
-    square matrices or a member is not finite or not exactly symmetric, and
-    the kernel's JacobiConvergenceError.
+    One ``eigh`` call for a basis Q, then one ``_kernels.jacobi_sweeps`` call
+    for the ascending Rayleigh quotients diag(Q^T A Q), whose last bits two
+    golden reports print, with their columns of Q. Every step treats the
+    members independently, so each ``SpectralSummary`` is bitwise the one a
+    stack of that member alone gives; its arrays are read-only views into
+    arrays of the whole stack; an empty stack gives []. Raises ValueError if
+    the input is not a stack of square matrices or a member is not finite or
+    not exactly symmetric, and JacobiConvergenceError if Q fails the kernel's
+    stopping rule.
     """
     a = np.asarray(stack, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:

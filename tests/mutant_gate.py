@@ -83,13 +83,12 @@ LONE_CR = """\
         if text.count("\\r") != text.count("\\r\\n"):
             return None  # a lone "\\r" ends a line
 """
-JACOBI = ("tests/test_kernels.py::TestJacobiKernels", "tests/test_spectral.py")
-#: the audit of every decomposition from its eigenpairs (``oracles.eigen_quality``); from eigh's basis the
-#: sort only swaps roundoff-equal eigenvalues, so the oracle test's start from the identity is what sees it
-AUDIT = (
-    "tests/test_acceptance.py::test_criterion_8_numerics",
-    "tests/test_stacked.py::TestStackedCore::test_members_match_the_oracle",
-)
+#: the eigensolver's Rayleigh step (``_kernels.jacobi_sweeps``) and the stopping rule that guards it
+JACOBI = ("tests/test_kernels.py::TestJacobiKernels", "tests/test_spectral.py::TestLapackSeededStart")
+#: two of eigh's columns turned by 1e-9: every other basis in the tests passes a rule loosened to 1e-6
+RULE = ("tests/test_kernels.py::TestJacobiKernels::test_rotated_basis_raises_naming_its_member",)
+#: eigh's basis reversed: its diagonal comes out descending, so the eigenvectors must follow the sort
+SORT = ("tests/test_kernels.py::TestJacobiKernels::test_sort_permutes_the_vectors",)
 
 #: ``_levels`` returning before it yields its last level: it first looks one level ahead
 LEVELS_STOP = "        new &= ~rows\n        if not new.any():\n            return\n"
@@ -187,19 +186,13 @@ MUTANTS = (
            "a.connected and a.diameter <= ell:", "a.connected and a.diameter <= 1:", CLOSED_FORM),
     Mutant("power_adjacency clips ell to one below its type's largest value", "metrics.py",
            "top = (1 << 8 * dist.itemsize - 1) - 1", "top = (1 << 8 * dist.itemsize - 1) - 2", CLIP),
-    Mutant("Jacobi column update with the sign of s flipped", "_kernels.py",
-           "a[:, q] = s * ap + c * aq", "a[:, q] = -s * ap + c * aq", JACOBI),
     Mutant("Jacobi stopping rule 1e-6", "_kernels.py",
-           "OFF_DIAG_REL_TOL = 1e-12", "OFF_DIAG_REL_TOL = 1e-6", JACOBI),
-    Mutant("Jacobi pre-check passes a NaN norm", "_kernels.py",
+           "OFF_DIAG_REL_TOL = 1e-12", "OFF_DIAG_REL_TOL = 1e-6", RULE),
+    Mutant("Jacobi guard passes a NaN norm", "_kernels.py",
            "np.flatnonzero(~(norms <= off_tol))", "np.flatnonzero(norms > off_tol)", JACOBI),
-    Mutant("Jacobi sweep loop stops at a NaN norm", "_kernels.py",
-           "while not off <= off_tol:", "while off > off_tol:", JACOBI),
-    Mutant("Jacobi takes the negative root at theta = -0.0", "_kernels.py",
-           "np.where(th >= 0.0, 1.0, -1.0)", "np.where(th > 0.0, 1.0, -1.0)", JACOBI),
     Mutant("Jacobi's sort permutes the eigenvalues but not the eigenvectors", "_kernels.py",
            "        vectors = vectors.transpose(0, 2, 1)[pick].transpose(0, 2, 1)  # the columns, picked as rows\n", "",
-           AUDIT),
+           SORT),
     Mutant("the drawn packing drops the member offset", "graphs.py",
            "at[1:])], indptr, cols)", "at[1:])], indptr, nodes)", DRAWN),
     Mutant("an analysis listed again re-plans the items waiting in the open chunk", "bounds.py",

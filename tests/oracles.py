@@ -3,13 +3,15 @@
 Nothing here shares code with the package under test: distances come from
 Floyd-Warshall instead of BFS, spectra come from scipy's implicit-QR LAPACK
 driver (``dsyev``) or integer characteristic-polynomial arithmetic instead of
-the package's numpy ``eigh`` (divide and conquer, ``dsyevd``) and Jacobi
-sweeps, and expected eigenvalues come from closed forms. PSD questions about
-rational matrices are settled by exact LDL^T elimination on ``Fraction``s
-instead of the package's floating-point Cholesky proof, and the certificate
-matrices are rebuilt in ``Fraction``s from the paper's formulas. The
-package's eigensolver returns eigenpairs only; ``eigen_quality`` audits them
-(residual and orthogonality) with its own numpy arithmetic. The edge-list
+the package's numpy ``eigh`` (divide and conquer, ``dsyevd``) and its
+Rayleigh quotients, and expected eigenvalues come from closed forms. PSD
+questions about rational matrices are settled by exact LDL^T elimination on
+``Fraction``s instead of the package's floating-point Cholesky proof, and the
+certificate matrices are rebuilt in ``Fraction``s from the paper's formulas.
+The package's eigensolver returns eigenpairs only; ``eigen_quality`` audits
+them (residual and orthogonality) with its own numpy arithmetic, and
+``off_diagonal_fraction`` measures how near a basis comes to the solver's
+stopping rule. The edge-list
 reader and writer are the line-at-a-time ``int`` and ``"%d %d\n"`` versions
 that the package's bulk parser and byte-table serializer replaced, and
 random trees come from the pointer-walk Prüfer decode that the package's
@@ -82,10 +84,22 @@ def sorted_eccentricities(adj: np.ndarray, unreachable: int) -> np.ndarray:
 def sorted_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending, by implicit QR (scipy's own LAPACK ``dsyev``).
 
-    The package seeds its solver with numpy's divide-and-conquer ``eigh``; a
+    The package's solver starts from numpy's divide-and-conquer ``eigh``; a
     different algorithm from a different build keeps the oracle independent.
     """
     return scipy.linalg.eigvalsh(a, driver="ev")
+
+
+def off_diagonal_fraction(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """||offdiag(Q^T A Q)||_F / ||A||_F of each member of a (B, n, n) stack A with its basis Q.
+
+    The solver raises unless this is at most its stopping rule's relative
+    tolerance, so the fraction over that tolerance is the headroom a basis leaves.
+    """
+    w = q.transpose(0, 2, 1) @ a @ q
+    nodes = np.arange(a.shape[-1])
+    w[:, nodes, nodes] = 0.0
+    return np.linalg.norm(w, axis=(1, 2)) / np.linalg.norm(a, axis=(1, 2))
 
 
 def inf_norm(a: np.ndarray) -> float:

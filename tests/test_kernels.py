@@ -1,4 +1,4 @@
-"""The all-pairs BFS and Jacobi sweep kernels against independent references."""
+"""The all-pairs BFS and Rayleigh-quotient kernels against independent references."""
 
 import numpy as np
 import pytest
@@ -63,23 +63,23 @@ def graphs_up_to_70(draw):
     return n, edges
 
 
-def run_jacobi(a: np.ndarray, basis: np.ndarray | None = None) -> tuple[int, np.ndarray, np.ndarray]:
-    """The kernel on a stack of one from ``basis`` (the identity by default): (sweeps, eigenvalues, vectors)."""
-    basis = np.eye(a.shape[0]) if basis is None else basis
-    sweeps, eigenvalues, vectors = kernels.jacobi_sweeps(np.asarray(a, dtype=np.float64)[None], basis[None].copy())
-    assert eigenvalues.shape == (1, a.shape[0]) and vectors.shape == (1, *a.shape)
-    return sweeps, eigenvalues[0], vectors[0]
+def run_jacobi(a: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel on a stack of one from ``basis`` (``eigh``'s, as the solver passes it, by default): (eigenvalues, vectors)."""
+    a = np.asarray(a, dtype=np.float64)[None]
+    basis = np.linalg.eigh(a)[1] if basis is None else basis[None].copy()
+    sweeps, eigenvalues, vectors = kernels.jacobi_sweeps(a, basis)
+    assert sweeps == 0 and eigenvalues.shape == (1, a.shape[1]) and vectors.shape == a.shape
+    return eigenvalues[0], vectors[0]
 
 
-def assert_decomposes(a: np.ndarray) -> int:
+def assert_decomposes(a: np.ndarray) -> None:
     """Eigenvalues ascending and matching the LAPACK oracle, each column of V its eigenvector."""
-    sweeps, w, vecs = run_jacobi(a)
+    w, vecs = run_jacobi(a)
     scale = max(1.0, np.abs(a).sum(axis=1).max())
     assert np.all(w[1:] >= w[:-1])
     assert np.allclose(w, oracles.sorted_eigenvalues(a), rtol=0, atol=1e-10 * scale)
     assert np.abs(a @ vecs - vecs * w).max() <= 1e-10 * scale
     assert np.abs(vecs.T @ vecs - np.eye(a.shape[0])).max() <= 1e-12
-    return sweeps
 
 
 class TestBfsKernels:
@@ -247,8 +247,7 @@ class TestBoundedBfs:
 class TestJacobiKernels:
     def test_numpy_fallback_converges(self):
         for a in sample_matrices():
-            sweeps, w, vecs = run_jacobi(a)
-            assert sweeps <= kernels.MAX_SWEEPS
+            w, vecs = run_jacobi(a)
             assert np.allclose(w, oracles.sorted_eigenvalues(a), atol=1e-9 * max(1.0, np.abs(a).max()))
             assert np.allclose(vecs.T @ vecs, np.eye(a.shape[0]), atol=1e-10)
 
@@ -272,71 +271,47 @@ class TestJacobiKernels:
         assert np.array_equal(v[0], np.eye(5)[:, [1, 2, 4, 0, 3]])
         assert np.array_equal(work[0], a) and np.array_equal(vecs[0], np.eye(5))
 
-    def test_sweep_cap_reached_before_any_rotation(self, monkeypatch):
+    def test_sort_permutes_the_vectors(self):
+        # eigh's basis reversed still meets the rule, so its diagonal comes out descending: each
+        # eigenvector must follow its eigenvalue through the sort (about 0.5 relative residual if not)
+        a = laplacian(erdos_renyi(12, 0.3, seed=1))
+        q = np.linalg.eigh(a[None])[1][0, :, ::-1]
+        w, vecs = run_jacobi(a, q)
+        assert np.all(w[1:] >= w[:-1])
+        assert np.allclose(w, oracles.sorted_eigenvalues(a), rtol=0, atol=1e-12 * oracles.inf_norm(a))
+        residual, orthogonality = oracles.eigen_quality(a, w, vecs)
+        assert residual <= 1e-12 and orthogonality <= 1e-12
+
+    def test_failed_rule_raises_and_leaves_inputs_untouched(self, monkeypatch):
         monkeypatch.setattr(kernels, "OFF_DIAG_REL_TOL", 0.0)
-        monkeypatch.setattr(kernels, "MAX_SWEEPS", 0)
         a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.0, -1.0, 1.0]])
         v = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, -0.8, 0.6]])
         work, vecs = a[None].copy(), v[None].copy()
-        with pytest.raises(kernels.JacobiConvergenceError, match=r"^no convergence after 0 sweeps \(n=3, .*target 0\.000e\+00\)$"):
+        with pytest.raises(kernels.JacobiConvergenceError, match=r"^member 0 misses the stopping rule \(n=3, .*target 0\.000e\+00\)$"):
             kernels.jacobi_sweeps(work, vecs)
         assert np.array_equal(work[0], a) and np.array_equal(vecs[0], v)
 
-    def test_nan_never_converges(self, monkeypatch):
-        monkeypatch.setattr(kernels, "MAX_SWEEPS", 3)
-        a = np.full((3, 3), np.nan)
-        np.fill_diagonal(a, [1.0, 2.0, 3.0])
-        with pytest.raises(kernels.JacobiConvergenceError, match=r"^no convergence after 3 sweeps \(n=3, off-diagonal norm nan, "):
-            run_jacobi(a)
+    def test_rotated_basis_raises_naming_its_member(self):
+        # two of eigh's columns turned by 1e-9 leave W = Q^T A Q off diagonal by about 2e-9,
+        # some 150 times the target 1e-12 ||A||_F; members 0 and 2 keep eigh's basis and pass
+        stack = np.stack([laplacian(erdos_renyi(12, 0.3, seed=seed)) for seed in range(3)])
+        basis = np.linalg.eigh(stack)[1]
+        kernels.jacobi_sweeps(stack, basis)  # unturned, every member passes
+        q, c, s = basis[1].copy(), np.cos(1e-9), np.sin(1e-9)
+        basis[1][:, 3], basis[1][:, 7] = c * q[:, 3] - s * q[:, 7], s * q[:, 3] + c * q[:, 7]
+        target = kernels.OFF_DIAG_REL_TOL * np.linalg.norm(stack[1])
+        with pytest.raises(kernels.JacobiConvergenceError) as raised:
+            kernels.jacobi_sweeps(stack, basis)
+        message = str(raised.value)
+        assert message.startswith("member 1 misses the stopping rule (n=12, off-diagonal norm ")
+        norm = float(message.split("off-diagonal norm ")[1].split(",")[0])
+        assert 100 * target < norm < 1e-8 and message.endswith(f", target {target:.3e})")
 
-    def test_theta_overflow_branch(self):
-        # theta = 0.5 * (a_qq - a_pp) / a_pq is +-5e159, past _THETA_OVERFLOW,
-        # so tan(angle/2) is taken as 1 / (2 theta)
-        positive = [[0.0, 1e-160], [1e-160, 1.0]]
-        negative = [[0.0, -1e-160, 0.5], [-1e-160, 1.0, 0.0], [0.5, 0.0, 2.0]]
-        for a in map(np.array, (positive, negative)):
-            assert abs(0.5 * (a[1, 1] - a[0, 0]) / a[0, 1]) > kernels._THETA_OVERFLOW
-            assert_decomposes(a)
-
-    def test_equal_diagonal_negative_off_diagonal(self):
-        # theta = 0 / -2 = -0.0, which takes the positive root t = 1
-        a = np.array([[1.0, -2.0], [-2.0, 1.0]])
-        assert np.signbit(0.5 * (a[1, 1] - a[0, 0]) / a[0, 1])
-        assert_decomposes(a)
-        # with t = 1, column p = (1, -1)/sqrt(2) takes eigenvalue 3, which sorts last
-        _, w, vecs = run_jacobi(a)
-        r = np.sqrt(0.5)
-        assert np.allclose(w, [-1.0, 3.0], rtol=0, atol=1e-14)
-        assert np.allclose(vecs, [[r, r], [r, -r]], rtol=0, atol=1e-15)
-
-    def test_sweeps_on_er50_laplacians(self):
-        graphs = [erdos_renyi(50, 6.0 / 49, seed) for seed in range(20)]
-        sweeps = [assert_decomposes(laplacian(g)) for g in graphs]
-        assert 1 <= min(sweeps) and max(sweeps) <= 9
-
-    def test_identity_start_builds_the_schedule_once(self, monkeypatch):
-        built = []
-        round_robin = kernels.round_robin
-
-        def counted(n):
-            built.append(n)
-            return round_robin(n)
-
-        monkeypatch.setattr(kernels, "round_robin", counted)
-        assert assert_decomposes(laplacian(erdos_renyi(50, 6.0 / 49, 0))) > 1
-        assert built == [50]
-
-
-class TestRoundRobin:
-    @pytest.mark.parametrize("n", range(71))
-    def test_rounds_disjoint_and_cover_every_pair_once(self, n):
-        p, q = kernels.round_robin(n)
-        assert p.shape == q.shape and p.shape[1] == n // 2
-        if n >= 2:
-            assert p.shape[0] == (n - 1 if n % 2 == 0 else n)
-        for rp, rq in zip(p, q):
-            nodes = np.concatenate([rp, rq])
-            assert np.unique(nodes).size == nodes.size
-        assert np.all(p < q) and np.all((p >= 0) & (q < n))
-        pairs = sorted(zip(p.ravel().tolist(), q.ravel().tolist()))
-        assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    def test_nan_never_converges(self):
+        # a NaN matrix or a NaN basis gives a NaN off-diagonal norm, which fails the rule
+        nan_matrix = np.full((3, 3), np.nan)
+        np.fill_diagonal(nan_matrix, [1.0, 2.0, 3.0])
+        lap = laplacian(erdos_renyi(12, 0.3, seed=1))
+        for a, basis in ((nan_matrix, np.eye(3)), (lap, np.full((12, 12), np.nan))):
+            with pytest.raises(kernels.JacobiConvergenceError, match=rf"^member 0 misses the stopping rule \(n={len(a)}, off-diagonal norm nan, "):
+                run_jacobi(a, basis)
