@@ -161,6 +161,12 @@ class TestEigenDecompose:
         with pytest.raises(ValueError):
             eigen_decompose(np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]]))
 
+    def test_sweep_count_bounded(self):
+        # no sweep follows eigh: its basis must meet the stopping rule with headroom
+        a = random_symmetric(20)
+        assert_matches_oracle(a)
+        assert_headroom(a[None])
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite(self, bad):
         # without the test, [[1, inf], [inf, 1]] passes as symmetric and solves to NaN pairs
@@ -210,7 +216,7 @@ class TestLapackSeededStart:
         assert np.allclose(s.eigenvalues, [0.0] * 3 + [3.0] * 6, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [12, 50, 100])
-    def test_eigh_basis_headroom(self, n):
+    def test_no_sweep_on_er_laplacians(self, n):
         # the rule guards and never loops: no Jacobi sweep follows eigh, so its basis must meet it
         for seed in range(5):
             lap = laplacian(erdos_renyi(n, min(0.3, 6.0 / (n - 1)), seed=seed))
